@@ -32,7 +32,7 @@ from .reference import (  # noqa: F401
     kappa,
     renorm_constant,
 )
-from .solver import SolverConfig, SolverOutput, StepFailure, gamma_step, solve  # noqa: F401
+from .solver import SolverConfig, SolverOutput, StepFailure, solve  # noqa: F401
 from .stochastic import (  # noqa: F401
     PathEnsemble,
     StochasticPath,

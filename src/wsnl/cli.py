@@ -190,6 +190,8 @@ def validate_config(config: RunConfig) -> list[str]:
         )
     if config.eps <= 0:
         errors.append(f"eps must be > 0, got {config.eps}")
+    if not (config.L > 0 and math.isfinite(config.L)):
+        errors.append(f"L must be positive and finite, got {config.L}")
     if config.N % 2 != 0 or config.N < 4:
         errors.append(f"N must be even and >= 4, got {config.N}")
     if not 0 < config.T <= 1.0:
@@ -204,6 +206,10 @@ def validate_config(config: RunConfig) -> list[str]:
         errors.append(f"solver_mode must be step-local or global, got {config.solver_mode!r}")
     if config.threads < 1:
         errors.append(f"threads must be >= 1, got {config.threads}")
+    if config.chunk < 1:
+        errors.append(f"chunk must be >= 1, got {config.chunk}")
+    if not 0 <= config.seed < 2**64:
+        errors.append(f"seed must lie in [0, 2**64), got {config.seed}")
     if not errors:
         # per-kind feasibility (coupled doubling etc.) is validated by StudyConfig;
         # here only explicitly configured radii are screened

@@ -212,26 +212,52 @@ def two_thirds_mask(grid: SpectralGrid) -> np.ndarray:
 # Norms and products
 # ---------------------------------------------------------------------------
 
+def hs_norm_sq_hat(grid: SpectralGrid, f_hat: np.ndarray, s: float) -> np.ndarray:
+    """Squared H^s norm of frequency-space values, batched over leading axes.
+
+    L^{-d} sum (1+|xi|^2)^s |f_hat|^2.  Values are not checked: non-finite input
+    gives a non-finite norm without a warning, which is what the solver's
+    blow-up test looks for.
+    """
+    axes = tuple(range(-grid.d, 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = bessel_weight(grid, 2.0 * s)
+        return np.sum(w * np.abs(f_hat) ** 2, axis=axes) / grid.L**grid.d
+
+
+def sobolev_norm_hat(grid: SpectralGrid, f_hat: np.ndarray, s: float, p: float) -> np.ndarray:
+    """Discrete W^{s,p} norm of frequency-space values, batched over leading axes:
+    L^p norm (cell-volume weighted) of the Bessel-weighted field."""
+    axes = tuple(range(-grid.d, 0))
+    g = grid.inverse_values(bessel_weight(grid, s) * f_hat)
+    return (grid.cell_volume * np.sum(np.abs(g) ** p, axis=axes)) ** (1.0 / p)
+
+
+def localized_norm_hat(
+    grid: SpectralGrid, f_hat: np.ndarray, rho_vals: np.ndarray, s: float
+) -> np.ndarray:
+    """||rho * (Id - Laplacian)^{s/2} f||_{L2} of frequency-space values, batched
+    over leading axes: weight first, localize after."""
+    axes = tuple(range(-grid.d, 0))
+    g = grid.inverse_values(bessel_weight(grid, s) * f_hat)
+    return np.sqrt(grid.cell_volume * np.sum(np.abs(rho_vals * g) ** 2, axis=axes))
+
+
 def sobolev_norm(f: Field, s: float, p: float = 2.0) -> float:
     """Discrete W^{s,p} norm: L^p norm (cell-volume weighted) of the Bessel-weighted field."""
     if not np.isfinite(p) or p < 2:
         raise GridError(f"integrability exponent p must be in [2, inf), got {p}")
     if not np.all(np.isfinite(f.values)):
         raise GridError("sobolev_norm given non-finite values")
-    fhat = to_frequency(f).values
-    g = f.grid.inverse_values(bessel_weight(f.grid, s) * fhat)
-    return float((f.grid.cell_volume * np.sum(np.abs(g) ** p)) ** (1.0 / p))
+    return float(sobolev_norm_hat(f.grid, to_frequency(f).values, s, p))
 
 
 def hs_norm_sq(grid: SpectralGrid, phys_values: np.ndarray, s: float) -> np.ndarray:
-    """Squared H^s norm computed in frequency space; supports leading batch axes.
+    """Squared H^s norm of physical-space values; supports leading batch axes.
 
-    Equals sobolev_norm(f, s, 2)**2 by Parseval: L^{-d} sum (1+|xi|^2)^s |Ff|^2.
+    Equals sobolev_norm(f, s, 2)**2 by Parseval.
     """
-    fhat = grid.forward_values(phys_values)
-    w = (1.0 + grid.xi2) ** s
-    axes = tuple(range(-grid.d, 0))
-    return np.sum(w * np.abs(fhat) ** 2, axis=axes) / grid.L**grid.d
+    return hs_norm_sq_hat(grid, grid.forward_values(phys_values), s)
 
 
 def pointwise_product(f: Field, g: Field) -> Field:
@@ -347,6 +373,4 @@ def localized_norm(f: Field, rho: CutoffRho, s: float) -> float:
         raise GridError("regularity exponent must be finite")
     if not np.all(np.isfinite(f.values)):
         raise GridError("localized_norm given non-finite values")
-    fhat = to_frequency(f).values
-    g = f.grid.inverse_values(bessel_weight(f.grid, s) * fhat)
-    return l2_norm(f.grid, rho.evaluate(f.grid) * g)
+    return float(localized_norm_hat(f.grid, to_frequency(f).values, rho.evaluate(f.grid), s))

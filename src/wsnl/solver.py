@@ -1,4 +1,4 @@
-"""Exponential Duhamel time stepping for the remainder equation.
+"""Exponential Duhamel time stepping for the remainder equation v = u - Psi.
 
 One step advances v by
 
@@ -7,10 +7,20 @@ One step advances v by
               + [ R(t_{k+1}) - e^{-i dt Lap} R(t_k) ]
 
 with N = rho^2 |v|^2 + (rho conj(v))(rho Psi) + (rho v) conj(rho Psi) evaluated
-pointwise in physical space, R = rho^2 <I Psi^2> (cutoff applied before the
-propagator), and the implicit endpoint resolved by Picard iteration from the
-initial guess e^{-i dt Lap} v_k.  Residuals are successive-iterate distances in
-the discrete H^{-s} norm.
+pointwise in physical space (nonlinearity_values), R = rho^2 <I Psi^2> (cutoff
+applied before the propagator), and the implicit endpoint resolved by Picard
+iteration from the initial guess e^{-i dt Lap} v_k (step_values).  Residuals are
+successive-iterate distances in the discrete H^{-s} norm.
+
+This module is the only place that marches the equation.  RemainderStepper is
+the step-local loop: it carries v and the previous time level's localized
+inputs, so every level is localized once.  solve() drives one stepper over a
+path's snapshots; the coupled convergence study drives one per truncation
+radius over a batch of ensemble members.  solve(mode="global") is a separate
+algorithm, the fixed-point iteration of the whole-trajectory contraction map;
+it shares with the stepper the input localization (localized_inputs), the
+initial data, and the assembly of traces and SolverOutput.  All norms come
+from grid.py.
 
 Loss of regularity (norm above BLOWUP_NORM, or non-finite values) is a
 first-class outcome: solve() returns the partial trajectory and a failure
@@ -19,8 +29,8 @@ record, never crashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,8 +39,11 @@ from .grid import (
     Field,
     GridError,
     SpectralGrid,
-    bessel_weight,
+    hs_norm_sq_hat,
+    localized_norm_hat,
     propagator_phase,
+    sobolev_norm_hat,
+    to_frequency,
     two_thirds_mask,
 )
 from .reference import PaperParams
@@ -80,32 +93,14 @@ class SolverConfig:
             raise GridError(f"unknown solver mode {self.mode!r}")
 
 
-@dataclass
-class StepInputs:
-    """Stochastic data for one step [t_k, t_{k+1}], already localized.
+class Level(NamedTuple):
+    """The inputs of one time level, already localized: rho Psi in physical
+    space (None without a cutoff), the transform of rho^2 <I Psi^2>, and the
+    physical-space forcing (None without one)."""
 
-    rho_psi_*: physical-space values of rho * Psi; r_hat_*: frequency-space
-    transforms of rho^2 * <I Psi^2>.
-    """
-
-    rho_psi_prev: np.ndarray
-    rho_psi_next: np.ndarray
-    r_hat_prev: np.ndarray
-    r_hat_next: np.ndarray
-    forcing_prev: np.ndarray | None = None
-    forcing_next: np.ndarray | None = None
-
-
-@dataclass
-class PicardRecord:
-    iterations: int
-    residual: float
-    history: list[float]
-
-    @property
-    def monotone_after_second(self) -> bool:
-        tail = self.history[1:]
-        return all(b <= a for a, b in zip(tail, tail[1:]))
+    rho_psi: np.ndarray | None
+    r_hat: np.ndarray
+    forcing: np.ndarray | None
 
 
 @dataclass
@@ -128,37 +123,7 @@ class SolverOutput:
         return self.failure is None
 
 
-def quadratic_nonlinearity(v: Field, rho: CutoffRho | None, dealias: bool = False) -> Field:
-    """rho^2 |v|^2 as a physical-space field, optionally 2/3-rule dealiased."""
-    if v.space != "physical":
-        raise GridError("quadratic_nonlinearity expects a physical-space field")
-    grid = v.grid
-    if rho is None:
-        return Field(grid, np.zeros(grid.shape), "physical")
-    w = rho.evaluate(grid) * v.values
-    prod = np.abs(w) ** 2
-    if dealias:
-        prod = grid.inverse_values(two_thirds_mask(grid) * grid.forward_values(prod))
-    return Field(grid, prod, "physical")
-
-
-def cross_nonlinearity(
-    v: Field, rho_psi: Field, rho: CutoffRho | None, dealias: bool = False
-) -> Field:
-    """(rho conj v)(rho Psi) + (rho v) conj(rho Psi); rho_psi is already localized."""
-    if v.space != "physical" or rho_psi.space != "physical":
-        raise GridError("cross_nonlinearity expects physical-space fields")
-    grid = v.grid
-    if rho is None:
-        return Field(grid, np.zeros(grid.shape), "physical")
-    w = rho.evaluate(grid) * v.values
-    prod = 2.0 * np.real(np.conj(w) * rho_psi.values)
-    if dealias:
-        prod = grid.inverse_values(two_thirds_mask(grid) * grid.forward_values(prod))
-    return Field(grid, prod, "physical")
-
-
-def _nonlinearity_values(
+def nonlinearity_values(
     grid: SpectralGrid,
     v_hat: np.ndarray,
     rho_vals: np.ndarray | None,
@@ -166,7 +131,12 @@ def _nonlinearity_values(
     forcing: np.ndarray | None,
     dealias_mask: np.ndarray | None,
 ) -> np.ndarray:
-    """Transform of N(v) + forcing; batched over leading axes of v_hat."""
+    """Transform of N(v) + forcing; batched over leading axes of v_hat.
+
+    N(v) = |rho v|^2 + 2 Re(conj(rho v) rho Psi), products taken in physical
+    space; rho_psi_phys = None drops the cross term and rho_vals = None (no
+    cutoff) makes N vanish.  The mask, when given, dealiases the transform.
+    """
     total = None
     if rho_vals is not None:
         w = rho_vals * grid.inverse_values(v_hat)
@@ -183,17 +153,42 @@ def _nonlinearity_values(
     return n_hat
 
 
-def _h_norm(grid: SpectralGrid, v_hat: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    axes = tuple(range(-grid.d, 0))
-    # overflow to inf is fine here: it is exactly what the blow-up check looks for
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(np.sum(weight * np.abs(v_hat) ** 2, axis=axes) / grid.L**grid.d)
+def localized_inputs(
+    grid: SpectralGrid,
+    rho_vals: np.ndarray | None,
+    psi_hat: np.ndarray,
+    ipsi2_hat: np.ndarray,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """One time level's stochastic inputs, batched over leading axes.
+
+    Returns (rho Psi in physical space, transform of rho^2 <I Psi^2>); without a
+    cutoff nothing couples to Psi and the pair is (None, zeros).
+    """
+    if rho_vals is None:
+        return None, np.zeros(np.shape(ipsi2_hat), dtype=np.complex128)
+    rho_psi = rho_vals * grid.inverse_values(psi_hat)
+    r_hat = grid.forward_values(rho_vals * rho_vals * grid.inverse_values(ipsi2_hat))
+    return rho_psi, r_hat
+
+
+def _level(
+    config: SolverConfig,
+    grid: SpectralGrid,
+    rho_vals: np.ndarray | None,
+    psi_hat: np.ndarray,
+    ipsi2_hat: np.ndarray,
+    t: float,
+) -> Level:
+    """The inputs at time t: localized stochastic data plus the forcing."""
+    forcing = None if config.forcing is None else config.forcing(t)
+    return Level(*localized_inputs(grid, rho_vals, psi_hat, ipsi2_hat), forcing)
 
 
 def step_values(
     grid: SpectralGrid,
     v_hat: np.ndarray,
-    inputs: StepInputs,
+    prev: Level,
+    nxt: Level,
     dt: float,
     s: float,
     rho_vals: np.ndarray | None,
@@ -202,26 +197,26 @@ def step_values(
     dealias_mask: np.ndarray | None,
     t_next: float,
     step_index: int,
-    collect_history: bool = False,
     strict: bool = True,
 ):
-    """One Picard-resolved Duhamel step on raw arrays (leading batch axes allowed).
+    """One Picard-resolved Duhamel step from level prev to level nxt on raw
+    arrays (leading batch axes allowed).
 
-    Returns (v_next, iterations, residuals, monotone_ok, history, failed).
-    In batched mode iteration continues until every healthy member's residual
-    clears picard_tol.  With strict=True any failure raises StepFailure; with
+    Returns (v_next, iterations, residuals, monotone_ok, history, failed), where
+    history holds the worst healthy residual of each iteration.  In batched mode
+    iteration continues until every healthy member's residual clears
+    picard_tol.  With strict=True any failure raises StepFailure; with
     strict=False failed members are zeroed and flagged in the returned mask so
     ensemble studies can exclude them and keep going.
     """
     phase = propagator_phase(grid, dt)
-    h_weight = bessel_weight(grid, -2.0 * s)
-    n_prev = _nonlinearity_values(
-        grid, v_hat, rho_vals, inputs.rho_psi_prev, inputs.forcing_prev, dealias_mask
+    n_prev = nonlinearity_values(
+        grid, v_hat, rho_vals, prev.rho_psi, prev.forcing, dealias_mask
     )
     fixed = (
         phase * v_hat
         + (-0.5j * dt) * phase * n_prev
-        + (inputs.r_hat_next - phase * inputs.r_hat_prev)
+        + (nxt.r_hat - phase * prev.r_hat)
     )
     v_iter = phase * v_hat
     batch_shape = np.shape(v_hat)[: np.ndim(v_hat) - grid.d]
@@ -231,20 +226,19 @@ def step_values(
     monotone_ok = True
     iterations = 0
     for m in range(1, picard_max + 1):
-        n_next = _nonlinearity_values(
-            grid, v_iter, rho_vals, inputs.rho_psi_next, inputs.forcing_next, dealias_mask
+        n_next = nonlinearity_values(
+            grid, v_iter, rho_vals, nxt.rho_psi, nxt.forcing, dealias_mask
         )
         v_new = fixed + (-0.5j * dt) * n_next
-        residuals = _h_norm(grid, v_new - v_iter, h_weight)
+        residuals = np.sqrt(hs_norm_sq_hat(grid, v_new - v_iter, -s))
         failed = failed | ~np.isfinite(residuals)
         if strict and failed.any():
             raise StepFailure("blowup", t_next, step_index, float("nan"), m)
         healthy = residuals[~failed]
         worst = float(np.max(healthy)) if healthy.size else 0.0
-        if collect_history:
-            history.append(worst)
-            if len(history) >= 3 and history[-1] > history[-2]:
-                monotone_ok = False
+        history.append(worst)
+        if len(history) >= 3 and history[-1] > history[-2]:
+            monotone_ok = False
         v_iter = v_new
         iterations = m
         if worst <= picard_tol:
@@ -255,7 +249,7 @@ def step_values(
                 "picard", t_next, step_index, float(np.max(residuals)), iterations
             )
         failed = failed | (residuals > picard_tol)
-    norms = _h_norm(grid, v_iter, h_weight)
+    norms = np.sqrt(hs_norm_sq_hat(grid, v_iter, -s))
     big = ~np.isfinite(norms) | (norms > BLOWUP_NORM)
     if strict and big.any():
         raise StepFailure(
@@ -267,75 +261,86 @@ def step_values(
     return v_iter, iterations, residuals, monotone_ok, history, failed
 
 
-def gamma_step(
-    v_k: Field, inputs: StepInputs, config: SolverConfig, t_next: float, step_index: int = 0
-) -> tuple[Field, PicardRecord]:
-    """Public one-step map; raises StepFailure on Picard non-convergence or blow-up."""
-    if v_k.space != "frequency":
-        raise GridError("gamma_step expects a frequency-space remainder field")
-    grid = v_k.grid
-    rho_vals = None if config.rho is None else config.rho.evaluate(grid)
-    dealias_mask = two_thirds_mask(grid) if config.dealias else None
-    v_next, iters, _, _, hist, _ = step_values(
-        grid,
-        v_k.values,
-        inputs,
-        config.dt,
-        config.params.s,
-        rho_vals,
-        config.picard_tol,
-        config.picard_max,
-        dealias_mask,
-        t_next,
-        step_index,
-        collect_history=True,
-    )
-    return Field(grid, v_next, "frequency"), PicardRecord(iters, hist[-1], hist)
+class RemainderStepper:
+    """The step-local march: v and the previous time level's localized inputs.
+
+    v_hat may carry leading batch axes, one row per ensemble member; the psi
+    and <I Psi^2> transforms given to the constructor (time t) and to step()
+    carry the same axes.  Each time level is localized once.  With strict=True
+    a failed step raises StepFailure and leaves the state at the last accepted
+    step; with strict=False failed members are zeroed, flagged in `failed`, and
+    the march goes on.  Per-step Picard iterations, worst residuals and
+    monotone flags are collected in lists.
+    """
+
+    def __init__(
+        self,
+        config: SolverConfig,
+        grid: SpectralGrid,
+        v_hat: np.ndarray,
+        psi_hat: np.ndarray,
+        ipsi2_hat: np.ndarray,
+        t: float,
+        strict: bool = True,
+    ) -> None:
+        self.config = config
+        self.grid = grid
+        self.strict = strict
+        self.rho_vals = None if config.rho is None else config.rho.evaluate(grid)
+        self.dealias_mask = two_thirds_mask(grid) if config.dealias else None
+        self.v_hat = v_hat
+        self.t = t
+        self.k = 0
+        self._prev = _level(config, grid, self.rho_vals, psi_hat, ipsi2_hat, t)
+        self.iterations: list[int] = []
+        self.residuals: list[float] = []
+        self.monotone: list[bool] = []
+        self.failed = np.zeros(np.shape(v_hat)[: np.ndim(v_hat) - grid.d], dtype=bool)
+
+    def step(self, psi_hat: np.ndarray, ipsi2_hat: np.ndarray, t_next: float) -> None:
+        """Advance v to t_next, where Psi and <I Psi^2> have the given transforms."""
+        nxt = _level(self.config, self.grid, self.rho_vals, psi_hat, ipsi2_hat, t_next)
+        v_next, iterations, residuals, monotone, _, failed = step_values(
+            self.grid,
+            self.v_hat,
+            self._prev,
+            nxt,
+            t_next - self.t,
+            self.config.params.s,
+            self.rho_vals,
+            self.config.picard_tol,
+            self.config.picard_max,
+            self.dealias_mask,
+            t_next,
+            self.k,
+            strict=self.strict,
+        )
+        self.v_hat, self._prev, self.t = v_next, nxt, t_next
+        self.k += 1
+        self.iterations.append(iterations)
+        self.residuals.append(float(np.max(residuals)))
+        self.monotone.append(monotone)
+        self.failed |= failed
 
 
-def _path_step_inputs(
-    grid: SpectralGrid,
-    path: StochasticPath,
-    rho_vals: np.ndarray | None,
-    config: SolverConfig,
-    k: int,
-) -> StepInputs:
-    if rho_vals is None:
-        zero_p = np.zeros(grid.shape)
-        zero_f = np.zeros(grid.shape, dtype=np.complex128)
-        rp_prev = rp_next = zero_p
-        r_prev = r_next = zero_f
-    else:
-        rho2 = rho_vals * rho_vals
-        rp_prev = rho_vals * grid.inverse_values(path.psi[k].values)
-        rp_next = rho_vals * grid.inverse_values(path.psi[k + 1].values)
-        r_prev = grid.forward_values(rho2 * grid.inverse_values(path.ipsi2[k].values))
-        r_next = grid.forward_values(rho2 * grid.inverse_values(path.ipsi2[k + 1].values))
-    f_prev = f_next = None
-    if config.forcing is not None:
-        f_prev = config.forcing(float(path.times[k]))
-        f_next = config.forcing(float(path.times[k + 1]))
-    return StepInputs(rp_prev, rp_next, r_prev, r_next, f_prev, f_next)
+def _initial_hat(config: SolverConfig, grid: SpectralGrid) -> np.ndarray:
+    """Transform of the initial data phi (zero when unset), as a fresh array."""
+    if config.phi is None:
+        return grid.zeros()
+    return to_frequency(config.phi).values.copy()
 
 
 def _make_traces(
     grid: SpectralGrid, params: PaperParams, rho_vals: np.ndarray | None
 ) -> Callable[[np.ndarray], tuple[float, float, float]]:
+    """The Y(T) integrands at one time level: H^{-s}, W^{-s,q} and localized H^{-s+eta}."""
     s, eta = params.s, params.eta
     q = params.pair[1]
-    w_h = bessel_weight(grid, -2.0 * s)
-    w_q = bessel_weight(grid, -s)
-    w_loc = bessel_weight(grid, -s + eta)
 
     def traces(v_hat: np.ndarray) -> tuple[float, float, float]:
-        h = float(_h_norm(grid, v_hat, w_h))
-        g = grid.inverse_values(w_q * v_hat)
-        wq = float((grid.cell_volume * np.sum(np.abs(g) ** q)) ** (1.0 / q))
-        if rho_vals is None:
-            loc = 0.0
-        else:
-            gl = grid.inverse_values(w_loc * v_hat)
-            loc = float(np.sqrt(grid.cell_volume * np.sum(np.abs(rho_vals * gl) ** 2)))
+        h = float(np.sqrt(hs_norm_sq_hat(grid, v_hat, -s)))
+        wq = float(sobolev_norm_hat(grid, v_hat, -s, q))
+        loc = 0.0 if rho_vals is None else float(localized_norm_hat(grid, v_hat, rho_vals, -s + eta))
         return h, wq, loc
 
     return traces
@@ -362,139 +367,114 @@ def _y_summary(
     return {"sup_H_minus_s": sup_h, "Lp_W_minus_s_q": lp_wq, "Leta_localized": l_loc}
 
 
+def _output(
+    config: SolverConfig,
+    path: StochasticPath,
+    traces: Callable[[np.ndarray], tuple[float, float, float]],
+    v_hats: list[np.ndarray],
+    picard_iterations: np.ndarray,
+    residuals: np.ndarray,
+    monotone_flags: np.ndarray,
+    failure: StepFailure | None,
+) -> SolverOutput:
+    """Traces, Y(T) norms and u = v + Psi over the time levels v_hats reached."""
+    grid = path.grid
+    trace_h, trace_wq, trace_loc = (np.array(col) for col in zip(*map(traces, v_hats)))
+    return SolverOutput(
+        config=config,
+        times=path.times[: len(v_hats)],
+        v=[Field(grid, vh, "frequency") for vh in v_hats],
+        u=[Field(grid, vh + path.psi[k].values, "frequency") for k, vh in enumerate(v_hats)],
+        picard_iterations=picard_iterations,
+        residuals=residuals,
+        monotone_flags=monotone_flags,
+        trace_h=trace_h,
+        trace_wq=trace_wq,
+        trace_localized=trace_loc,
+        y_norms=_y_summary(path.times, trace_h, trace_wq, trace_loc, config.params),
+        failure=failure,
+    )
+
+
 def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
-    """March gamma_step over the path's time grid and assemble u = v + Psi."""
+    """March the remainder over the path's time grid and assemble u = v + Psi."""
     grid = path.grid
     times = path.times
-    steps = len(times) - 1
     if abs(float(times[-1]) - config.T) > 1e-12 or abs(float(times[1] - times[0]) - config.dt) > 1e-12:
         raise GridError("config (dt, T) must match the path time grid")
     if config.phi is not None and config.phi.grid != grid:
         raise GridError("phi lives on a different grid than the path")
     rho_vals = None if config.rho is None else config.rho.evaluate(grid)
+    traces = _make_traces(grid, config.params, rho_vals)
 
     if config.mode == "global":
-        return _solve_global(config, path, rho_vals)
+        return _solve_global(config, path, rho_vals, traces)
 
-    phi_hat = (
-        grid.zeros()
-        if config.phi is None
-        else (config.phi.values if config.phi.space == "frequency" else grid.forward_values(config.phi.values))
+    stepper = RemainderStepper(
+        config, grid, _initial_hat(config, grid), path.psi[0].values, path.ipsi2[0].values,
+        float(times[0]),
     )
-    traces = _make_traces(grid, config.params, rho_vals)
-    dealias_mask = two_thirds_mask(grid) if config.dealias else None
-
-    v_hats = [phi_hat.copy()]
-    iters = np.zeros(steps, dtype=int)
-    residuals = np.full(steps, np.nan)
-    monotone = np.ones(steps, dtype=bool)
+    v_hats = [stepper.v_hat]
     failure: StepFailure | None = None
-    for k in range(steps):
-        inputs = _path_step_inputs(grid, path, rho_vals, config, k)
+    for k in range(1, len(times)):
         try:
-            v_next, it, res, mono, hist, _ = step_values(
-                grid,
-                v_hats[-1],
-                inputs,
-                float(times[k + 1] - times[k]),
-                config.params.s,
-                rho_vals,
-                config.picard_tol,
-                config.picard_max,
-                dealias_mask,
-                float(times[k + 1]),
-                k,
-                collect_history=True,
-            )
+            stepper.step(path.psi[k].values, path.ipsi2[k].values, float(times[k]))
         except StepFailure as exc:
             failure = exc
             break
-        v_hats.append(v_next)
-        iters[k] = it
-        residuals[k] = float(np.max(res))
-        monotone[k] = mono
-
-    done = len(v_hats)
-    trace_triplets = [traces(vh) for vh in v_hats]
-    trace_h = np.array([t[0] for t in trace_triplets])
-    trace_wq = np.array([t[1] for t in trace_triplets])
-    trace_loc = np.array([t[2] for t in trace_triplets])
-    v_fields = [Field(grid, vh, "frequency") for vh in v_hats]
-    u_fields = [
-        Field(grid, vh + path.psi[k].values, "frequency") for k, vh in enumerate(v_hats)
-    ]
-    return SolverOutput(
-        config=config,
-        times=times[:done],
-        v=v_fields,
-        u=u_fields,
-        picard_iterations=iters[: done - 1],
-        residuals=residuals[: done - 1],
-        monotone_flags=monotone[: done - 1],
-        trace_h=trace_h,
-        trace_wq=trace_wq,
-        trace_localized=trace_loc,
-        y_norms=_y_summary(times, trace_h, trace_wq, trace_loc, config.params),
-        failure=failure,
+        v_hats.append(stepper.v_hat)
+    return _output(
+        config,
+        path,
+        traces,
+        v_hats,
+        np.array(stepper.iterations, dtype=int),
+        np.array(stepper.residuals, dtype=np.float64),
+        np.array(stepper.monotone, dtype=bool),
+        failure,
     )
 
 
 def _solve_global(
-    config: SolverConfig, path: StochasticPath, rho_vals: np.ndarray | None
+    config: SolverConfig,
+    path: StochasticPath,
+    rho_vals: np.ndarray | None,
+    traces: Callable[[np.ndarray], tuple[float, float, float]],
 ) -> SolverOutput:
     """Whole-trajectory fixed-point iteration of the contraction map."""
     grid = path.grid
     times = path.times
     steps = len(times) - 1
-    params = config.params
-    traces = _make_traces(grid, params, rho_vals)
     dealias_mask = two_thirds_mask(grid) if config.dealias else None
-    phi_hat = (
-        grid.zeros()
-        if config.phi is None
-        else (config.phi.values if config.phi.space == "frequency" else grid.forward_values(config.phi.values))
-    )
-    free = [phi_hat.copy()]
-    for k in range(steps):
-        free.append(propagator_phase(grid, float(times[k + 1] - times[k])) * free[-1])
-    r_hats = [
-        (
-            grid.zeros()
-            if rho_vals is None
-            else grid.forward_values(
-                rho_vals * rho_vals * grid.inverse_values(path.ipsi2[k].values)
-            )
-        )
+    dts = [float(times[k + 1] - times[k]) for k in range(steps)]
+    phases = {dt: propagator_phase(grid, dt) for dt in set(dts)}
+    levels = [
+        _level(config, grid, rho_vals, path.psi[k].values, path.ipsi2[k].values, float(times[k]))
         for k in range(steps + 1)
     ]
-    rho_psis = [
-        (None if rho_vals is None else rho_vals * grid.inverse_values(path.psi[k].values))
-        for k in range(steps + 1)
-    ]
-    forc = [
-        (config.forcing(float(t)) if config.forcing is not None else None) for t in times
-    ]
+    free = [_initial_hat(config, grid)]
+    for dt in dts:
+        free.append(phases[dt] * free[-1])
 
-    current = [free[k] + r_hats[k] for k in range(steps + 1)]
+    current = [free[k] + levels[k].r_hat for k in range(steps + 1)]
     iterations = 0
     distance = np.inf
     for m in range(1, config.picard_max + 1):
         n_hats = [
-            _nonlinearity_values(grid, current[k], rho_vals, rho_psis[k], forc[k], dealias_mask)
+            nonlinearity_values(
+                grid, current[k], rho_vals, levels[k].rho_psi, levels[k].forcing, dealias_mask
+            )
             for k in range(steps + 1)
         ]
         duhamel = grid.zeros()
-        new = [free[0] + r_hats[0]]
-        for k in range(steps):
-            dt = float(times[k + 1] - times[k])
-            phase = propagator_phase(grid, dt)
+        new = [free[0] + levels[0].r_hat]
+        for k, dt in enumerate(dts):
+            phase = phases[dt]
             duhamel = phase * duhamel + (-0.5j * dt) * (phase * n_hats[k] + n_hats[k + 1])
-            new.append(free[k + 1] + duhamel + r_hats[k + 1])
+            new.append(free[k + 1] + duhamel + levels[k + 1].r_hat)
         diffs = [traces(new[k] - current[k]) for k in range(steps + 1)]
-        dh = np.array([d[0] for d in diffs])
-        dq = np.array([d[1] for d in diffs])
-        dl = np.array([d[2] for d in diffs])
-        y = _y_summary(times, dh, dq, dl, params)
+        dh, dq, dl = (np.array(col) for col in zip(*diffs))
+        y = _y_summary(times, dh, dq, dl, config.params)
         distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
         current = new
         iterations = m
@@ -512,21 +492,13 @@ def _solve_global(
             float(distance),
             iterations,
         )
-    trace_triplets = [traces(vh) for vh in current]
-    trace_h = np.array([t[0] for t in trace_triplets])
-    trace_wq = np.array([t[1] for t in trace_triplets])
-    trace_loc = np.array([t[2] for t in trace_triplets])
-    return SolverOutput(
-        config=config,
-        times=times,
-        v=[Field(grid, vh, "frequency") for vh in current],
-        u=[Field(grid, vh + path.psi[k].values, "frequency") for k, vh in enumerate(current)],
-        picard_iterations=np.full(steps, iterations, dtype=int),
-        residuals=np.full(steps, distance),
-        monotone_flags=np.ones(steps, dtype=bool),
-        trace_h=trace_h,
-        trace_wq=trace_wq,
-        trace_localized=trace_loc,
-        y_norms=_y_summary(times, trace_h, trace_wq, trace_loc, params),
-        failure=failure,
+    return _output(
+        config,
+        path,
+        traces,
+        current,
+        np.full(steps, iterations, dtype=int),
+        np.full(steps, distance),
+        np.ones(steps, dtype=bool),
+        failure,
     )

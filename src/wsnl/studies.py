@@ -34,7 +34,9 @@ from . import __version__
 from .grid import CutoffRho, GridError, SpectralGrid, hs_norm_sq, l2_norm
 from .noise import increment_values, mode_increment_variance
 from .reference import PaperParams, covariance_oracle, renorm_constant
-from .solver import StepInputs, step_values
+# step_values is not called here; it stays a module attribute because the
+# perfbench tracer patches it in this module
+from .solver import RemainderStepper, SolverConfig, step_values  # noqa: F401
 from .stochastic import PathEnsemble, uniform_times
 
 STUDY_KINDS = (
@@ -848,69 +850,58 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
     s = params.s
     rho = CutoffRho.for_grid(grid)
     rho_vals = rho.evaluate(grid)
-    rho2 = rho_vals * rho_vals
     ladder = list(config.ladder)
     radii = sorted({r for n in ladder for r in (n, 2 * n)})
     times = uniform_times(config.T, config.K)
-    dealias_mask = None
-    if config.dealias:
-        from .grid import two_thirds_mask
-
-        dealias_mask = two_thirds_mask(grid)
+    solver_config = SolverConfig(
+        params=params,
+        rho=rho,
+        dt=config.T / config.K,
+        T=config.T,
+        picard_tol=config.picard_tol,
+        picard_max=config.picard_max,
+        dealias=config.dealias,
+    )
 
     per_member: list[np.ndarray] = []
     failed_total = 0
 
-    def solver_inputs(ens: PathEnsemble, r: float) -> tuple[np.ndarray, np.ndarray]:
-        rp = rho_vals * grid.inverse_values(ens.psi_values(r))
-        rh = grid.forward_values(rho2 * grid.inverse_values(ens.ipsi2[r]))
-        return rp, rh
-
     def chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        size = hi - lo
         ens = PathEnsemble(
             grid,
             config.alpha,
             radii,
             times,
             seed=config.seed,
-            size=size,
+            size=hi - lo,
             stream_offset=lo,
             track_wick=True,
             track_ipsi2=True,
         )
-        v_hat = {r: np.zeros((size,) + grid.shape, dtype=np.complex128) for r in radii}
-        prev = {r: solver_inputs(ens, r) for r in radii}
-        failed = np.zeros(size, dtype=bool)
-        for k in range(config.K):
-            dt = float(times[k + 1] - times[k])
+        shape = (hi - lo,) + grid.shape
+        steppers = {
+            r: RemainderStepper(
+                solver_config,
+                grid,
+                np.zeros(shape, dtype=np.complex128),
+                ens.psi_values(r),
+                ens.ipsi2[r],
+                ens.t,
+                strict=False,
+            )
+            for r in radii
+        }
+        for _ in range(config.K):
             ens.advance()
-            for r in radii:
-                rp_next, rh_next = solver_inputs(ens, r)
-                rp_prev, rh_prev = prev[r]
-                inputs = StepInputs(rp_prev, rp_next, rh_prev, rh_next)
-                v_hat[r], _, _, _, _, bad = step_values(
-                    grid,
-                    v_hat[r],
-                    inputs,
-                    dt,
-                    s,
-                    rho_vals,
-                    config.picard_tol,
-                    config.picard_max,
-                    dealias_mask,
-                    float(times[k + 1]),
-                    k,
-                    strict=False,
-                )
-                failed |= bad
-                prev[r] = (rp_next, rh_next)
+            for r, stepper in steppers.items():
+                stepper.step(ens.psi_values(r), ens.ipsi2[r], ens.t)
         cols = []
         for n in ladder:
-            u_n = v_hat[n] + ens.psi_values(n)
-            u_2n = v_hat[2 * n] + ens.psi_values(2 * n)
+            u_n = steppers[n].v_hat + ens.psi_values(n)
+            u_2n = steppers[2 * n].v_hat + ens.psi_values(2 * n)
             loc = rho_vals * grid.inverse_values(u_n - u_2n)
             cols.append(np.sqrt(hs_norm_sq(grid, loc, -s)))
+        failed = np.logical_or.reduce([stepper.failed for stepper in steppers.values()])
         return np.stack(cols, axis=-1), failed
 
     blocks = _map_chunks(config, chunk)

@@ -155,6 +155,15 @@ def test_main_error_paths(tmp_path, capsys):
     assert main(["covariance", "--set", "alpha=0.1"]) == 2
     err = capsys.readouterr().err
     assert "d/4 < alpha < d/2" in err
+    for overrides, constraint in [
+        (["--seed", "-1"], "seed must lie in [0, 2**64)"),
+        (["--seed", str(2**64)], "seed must lie in [0, 2**64)"),
+        (["--set", "chunk=0"], "chunk must be >= 1"),
+        (["--set", "L=0"], "L must be positive and finite"),
+        (["--set", "L=inf"], "L must be positive and finite"),
+    ]:
+        assert main(["covariance", *overrides, "--out", str(tmp_path)]) == 2
+        assert constraint in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("subcommand", ["smoothing", "converge"])

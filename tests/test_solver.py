@@ -5,8 +5,14 @@ import pytest
 
 from wsnl.grid import CutoffRho, Field, SpectralGrid, bessel_weight, sobolev_norm
 from wsnl.reference import PaperParams
-from wsnl.solver import SolverConfig, StepFailure, quadratic_nonlinearity, solve
-from wsnl.stochastic import sample_path, zero_path
+from wsnl.solver import (
+    RemainderStepper,
+    SolverConfig,
+    StepFailure,
+    nonlinearity_values,
+    solve,
+)
+from wsnl.stochastic import PathEnsemble, sample_path, uniform_times, zero_path
 
 GRID = SpectralGrid(1, 2 * np.pi, 64)
 PARAMS = PaperParams(d=1, alpha=0.3, eps=0.01, n=8)
@@ -53,25 +59,39 @@ class TestFreeEvolution:
 
 
 class TestQuadraticNonlinearity:
-    rho = CutoffRho.for_grid(GRID)
+    rho_vals = CutoffRho.for_grid(GRID).evaluate(GRID)
+
+    def nonlinearity(self, v_phys, rho_psi=None):
+        """N(v; rho Psi) in physical space, no forcing, no dealiasing."""
+        n_hat = nonlinearity_values(
+            GRID, GRID.forward_values(v_phys), self.rho_vals, rho_psi, None, None
+        )
+        return GRID.inverse_values(n_hat)
 
     def test_zero_input(self):
-        v = Field(GRID, np.zeros(GRID.N), "physical")
-        assert np.all(quadratic_nonlinearity(v, self.rho).values == 0)
+        assert np.all(self.nonlinearity(np.zeros(GRID.N)) == 0)
 
     def test_real_and_nonnegative(self):
         rng = np.random.default_rng(1)
-        v = Field(GRID, rng.standard_normal(GRID.N) + 1j * rng.standard_normal(GRID.N), "physical")
-        out = quadratic_nonlinearity(v, self.rho).values
-        assert np.max(np.abs(out.imag)) < 1e-12 * np.max(np.abs(out.real))
-        assert np.all(out.real >= 0)
+        out = self.nonlinearity(rng.standard_normal(GRID.N) + 1j * rng.standard_normal(GRID.N))
+        scale = np.max(np.abs(out.real))
+        assert np.max(np.abs(out.imag)) < 1e-12 * scale
+        assert np.all(out.real >= -1e-12 * scale)
 
     def test_single_mode_gives_constant_envelope(self):
         amp = 1.7
-        v = Field(GRID, amp * np.exp(1j * 3 * GRID.x), "physical")
-        out = quadratic_nonlinearity(v, self.rho).values
-        expected = amp**2 * self.rho.evaluate(GRID) ** 2
+        out = self.nonlinearity(amp * np.exp(1j * 3 * GRID.x))
+        expected = amp**2 * self.rho_vals**2
         assert np.max(np.abs(out - expected)) < 1e-12 * amp**2
+
+    def test_cross_term(self):
+        # N(v; rho Psi) - N(v; 0) = 2 Re(conj(rho v) rho Psi)
+        rng = np.random.default_rng(2)
+        v = rng.standard_normal(GRID.N) + 1j * rng.standard_normal(GRID.N)
+        rho_psi = self.rho_vals * (rng.standard_normal(GRID.N) + 1j * rng.standard_normal(GRID.N))
+        cross = self.nonlinearity(v, rho_psi) - self.nonlinearity(v)
+        expected = 2.0 * np.real(np.conj(self.rho_vals * v) * rho_psi)
+        assert np.max(np.abs(cross - expected)) < 1e-12 * np.max(np.abs(expected))
 
 
 class TestConvergence:
@@ -181,6 +201,35 @@ def test_global_mode_matches_step_local_fixed_point():
         np.max(np.abs(a.values - b.values)) for a, b in zip(local.v, glob.v)
     )
     assert gap < 1e-7
+
+
+def test_ensemble_march_matches_solve_per_member():
+    # the converge study's batched march and solve() advance the same equation
+    T, K, n, seed = 0.25, 32, 8.0, 31
+    rho = CutoffRho.for_grid(GRID)
+    config = make_config(GRID, PARAMS, rho, None, T, K)
+    ens = PathEnsemble(
+        GRID, PARAMS.alpha, [n, 2 * n], uniform_times(T, K), seed=seed, size=2,
+        track_wick=True, track_ipsi2=True,
+    )
+    v0 = np.zeros((2,) + GRID.shape, dtype=complex)
+    steppers = {
+        r: RemainderStepper(config, GRID, v0, ens.psi_values(r), ens.ipsi2[r], ens.t, strict=False)
+        for r in (n, 2 * n)
+    }
+    for _ in range(K):
+        ens.advance()
+        for r, stepper in steppers.items():
+            stepper.step(ens.psi_values(r), ens.ipsi2[r], ens.t)
+    for r, stepper in steppers.items():
+        assert not stepper.failed.any()
+        params = PaperParams(d=1, alpha=PARAMS.alpha, eps=PARAMS.eps, n=r)
+        for m in range(2):
+            path = sample_path(params, GRID, seed=seed, stream_id=m, T=T, K=K)
+            out = solve(make_config(GRID, params, rho, None, T, K), path)
+            assert out.completed
+            ref = out.v[-1].values
+            assert np.max(np.abs(stepper.v_hat[m] - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_y_norm_traces_finite_and_windowed():
