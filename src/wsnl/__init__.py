@@ -21,7 +21,7 @@ from .grid import (  # noqa: F401
     sobolev_norm,
     truncation_mask,
 )
-from .noise import NoiseStream, mode_increment_variance  # noqa: F401
+from .noise import mode_increment_variance  # noqa: F401
 from .reference import (  # noqa: F401
     PaperParams,
     ParameterError,
@@ -36,11 +36,7 @@ from .solver import SolverConfig, SolverOutput, StepFailure, solve  # noqa: F401
 from .stochastic import (  # noqa: F401
     PathEnsemble,
     StochasticPath,
-    duhamel_accumulate,
-    evolve_psi,
-    localize,
     sample_path,
-    wick_square,
     zero_path,
 )
 from .studies import StudyConfig, StudyResult, default_config, run_study  # noqa: F401

@@ -13,11 +13,9 @@ in any order, on any worker, with bit-identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .grid import Field, SpectralGrid
+from .grid import SpectralGrid
 
 
 def gaussian_block(seed: int, stream_id: int, step: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -43,28 +41,3 @@ def mode_increment_variance(grid: SpectralGrid, dt: float) -> float:
     if dt < 0:
         raise ValueError(f"dt must be >= 0, got {dt}")
     return dt * grid.L**grid.d
-
-
-@dataclass
-class NoiseStream:
-    """One member of a noise ensemble, advanced one increment at a time."""
-
-    seed: int
-    stream_id: int
-    grid: SpectralGrid
-    dt: float
-    step: int = field(default=0)
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-
-    def increment_at(self, step: int) -> Field:
-        """Increment for an explicit step index, without advancing the stream."""
-        vals = increment_values(self.grid, self.dt, self.seed, self.stream_id, step)
-        return Field(self.grid, vals, "physical")
-
-    def next_increment(self) -> Field:
-        out = self.increment_at(self.step)
-        self.step += 1
-        return out

@@ -459,32 +459,43 @@ def _solve_global(
     current = [free[k] + levels[k].r_hat for k in range(steps + 1)]
     iterations = 0
     distance = np.inf
-    for m in range(1, config.picard_max + 1):
-        n_hats = [
-            nonlinearity_values(
-                grid, current[k], rho_vals, levels[k].rho_psi, levels[k].forcing, dealias_mask
-            )
-            for k in range(steps + 1)
-        ]
-        duhamel = grid.zeros()
-        new = [free[0] + levels[0].r_hat]
-        for k, dt in enumerate(dts):
-            phase = phases[dt]
-            duhamel = phase * duhamel + (-0.5j * dt) * (phase * n_hats[k] + n_hats[k + 1])
-            new.append(free[k + 1] + duhamel + levels[k + 1].r_hat)
-        diffs = [traces(new[k] - current[k]) for k in range(steps + 1)]
-        dh, dq, dl = (np.array(col) for col in zip(*diffs))
-        y = _y_summary(times, dh, dq, dl, config.params)
-        distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
-        current = new
-        iterations = m
-        if not np.isfinite(distance):
-            break
-        if distance <= config.picard_tol:
-            break
+    # a diverging iterate overflows on its way to inf; the cut below handles it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, config.picard_max + 1):
+            n_hats = [
+                nonlinearity_values(
+                    grid, current[k], rho_vals, levels[k].rho_psi, levels[k].forcing, dealias_mask
+                )
+                for k in range(steps + 1)
+            ]
+            duhamel = grid.zeros()
+            new = [free[0] + levels[0].r_hat]
+            for k, dt in enumerate(dts):
+                phase = phases[dt]
+                duhamel = phase * duhamel + (-0.5j * dt) * (phase * n_hats[k] + n_hats[k + 1])
+                new.append(free[k + 1] + duhamel + levels[k + 1].r_hat)
+            diffs = [traces(new[k] - current[k]) for k in range(steps + 1)]
+            dh, dq, dl = (np.array(col) for col in zip(*diffs))
+            y = _y_summary(times, dh, dq, dl, config.params)
+            distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
+            current = new
+            iterations = m
+            if not np.isfinite(distance):
+                break
+            if distance <= config.picard_tol:
+                break
 
+    # As in the step-local march, the trajectory ends before the first level
+    # whose H^{-s} norm is non-finite or above BLOWUP_NORM, and the failure is
+    # dated there.
+    norms = np.sqrt(hs_norm_sq_hat(grid, np.array(current[1:]), -config.params.s))
+    blown = np.flatnonzero(~(norms <= BLOWUP_NORM))
     failure = None
-    if not np.isfinite(distance) or distance > config.picard_tol:
+    if blown.size:
+        k = int(blown[0]) + 1
+        current = current[:k]
+        failure = StepFailure("blowup", float(times[k]), k - 1, float(distance), iterations)
+    elif not distance <= config.picard_tol:
         failure = StepFailure(
             "blowup" if not np.isfinite(distance) else "picard",
             float(times[-1]),
@@ -492,6 +503,7 @@ def _solve_global(
             float(distance),
             iterations,
         )
+    steps = len(current) - 1
     return _output(
         config,
         path,

@@ -28,51 +28,29 @@ from .grid import (
     GridError,
     SpectralGrid,
     bessel_weight,
-    inverse,
     propagator_phase,
     truncation_mask,
 )
-from .noise import NoiseStream, gaussian_block
+from .noise import gaussian_block
 from .reference import PaperParams, spectral_mass
 
 
-def evolve_psi(psi: Field, stream: NoiseStream, params: PaperParams, dt: float) -> Field:
-    """One exact-in-distribution step of the truncated stochastic convolution."""
-    if dt <= 0:
-        raise GridError(f"dt must be > 0, got {dt}")
-    grid = psi.grid
-    grid.check_radius(params.n)
-    gain = bessel_weight(grid, -params.alpha) * truncation_mask(grid, params.n)
-    g_hat = grid.forward_values(stream.next_increment().values)
-    values = propagator_phase(grid, dt) * psi.values + (-1j) * gain * g_hat
-    return Field(grid, values, "frequency")
+def wick_square_values(grid: SpectralGrid, psi_hat: np.ndarray, c: float) -> np.ndarray:
+    """|Psi|^2 - c in physical space for transforms psi_hat (leading batch axes
+    allowed); c is the renormalization constant c_n(t)."""
+    return np.abs(grid.inverse_values(psi_hat)) ** 2 - c
 
 
-def wick_square(psi: Field, params: PaperParams, t: float) -> Field:
-    """|Psi_n(t,.)|^2 minus the exact discrete renormalization constant c_n(t)."""
-    grid = psi.grid
-    phys = inverse(psi).values
-    c = t * spectral_mass(grid, params.n, params.alpha)
-    return Field(grid, np.abs(phys) ** 2 - c, "physical")
-
-
-def duhamel_accumulate(
-    ipsi2: Field, wick_hat_prev: np.ndarray, wick_hat_next: np.ndarray, dt: float
-) -> Field:
-    """Per-mode trapezoid update of the Duhamel convolution of the Wick square."""
-    grid = ipsi2.grid
-    phase = propagator_phase(grid, dt)
-    values = phase * ipsi2.values + (-0.5j * dt) * (phase * wick_hat_prev + wick_hat_next)
-    return Field(grid, values, "frequency")
-
-
-@dataclass
-class LocalizedSnapshots:
-    """rho Psi_n, rho^2 <Psi^2>_n, rho^2 <I Psi^2>_n in physical space, per time."""
-
-    rho_psi: list[Field]
-    rho2_wick: list[Field]
-    rho2_ipsi2: list[Field]
+def duhamel_update(
+    ipsi2_hat: np.ndarray,
+    phase: np.ndarray,
+    wick_hat_prev: np.ndarray,
+    wick_hat_next: np.ndarray,
+    dt: float,
+) -> np.ndarray:
+    """One per-mode trapezoid step of the Duhamel convolution of the Wick square;
+    phase is the propagator multiplier e^{i dt |xi|^2}."""
+    return phase * ipsi2_hat + (-0.5j * dt) * (phase * wick_hat_prev + wick_hat_next)
 
 
 @dataclass
@@ -87,21 +65,6 @@ class StochasticPath:
     ipsi2: list[Field]
     seed: int
     stream_id: int
-
-    def localize(self, rho) -> LocalizedSnapshots:
-        r = rho.evaluate(self.grid)
-        r2 = r * r
-        return LocalizedSnapshots(
-            rho_psi=[Field(self.grid, r * inverse(p).values, "physical") for p in self.psi],
-            rho2_wick=[Field(self.grid, r2 * w.values, "physical") for w in self.wick],
-            rho2_ipsi2=[
-                Field(self.grid, r2 * inverse(i).values, "physical") for i in self.ipsi2
-            ],
-        )
-
-
-def localize(path: StochasticPath, rho) -> LocalizedSnapshots:
-    return path.localize(rho)
 
 
 def uniform_times(T: float, K: int) -> np.ndarray:
@@ -165,19 +128,14 @@ class PathEnsemble:
             self._phase_cache[dt] = propagator_phase(self.grid, dt)
         return self._phase_cache[dt]
 
-    def _wick_hat_now(self, radius: float) -> np.ndarray:
-        phys = self.grid.inverse_values(self.psi * self._masks[radius])
-        w = np.abs(phys) ** 2 - self.times[self.k] * self._mass[radius]
-        return self.grid.forward_values(w)
-
     def psi_values(self, radius: float) -> np.ndarray:
         """Frequency-space psi block for one ladder radius (masked view of the master)."""
         return self.psi * self._masks[radius]
 
     def wick_values(self, radius: float) -> np.ndarray:
         """Physical-space Wick square block at the current time."""
-        phys = self.grid.inverse_values(self.psi * self._masks[radius])
-        return np.abs(phys) ** 2 - self.times[self.k] * self._mass[radius]
+        c = self.times[self.k] * self._mass[radius]
+        return wick_square_values(self.grid, self.psi_values(radius), c)
 
     @property
     def t(self) -> float:
@@ -199,12 +157,12 @@ class PathEnsemble:
         self.psi = self._phase(dt) * self.psi + (-1j) * self._gain_master * g_hat
         self.k += 1
         if self.track_wick:
+            phase = self._phase(dt)
             for r in self.radii:
-                new_hat = self._wick_hat_now(r)
+                new_hat = self.grid.forward_values(self.wick_values(r))
                 if self.track_ipsi2:
-                    phase = self._phase(dt)
-                    self.ipsi2[r] = phase * self.ipsi2[r] + (-0.5j * dt) * (
-                        phase * self._wick_hat[r] + new_hat
+                    self.ipsi2[r] = duhamel_update(
+                        self.ipsi2[r], phase, self._wick_hat[r], new_hat, dt
                     )
                 self._wick_hat[r] = new_hat
 

@@ -30,33 +30,23 @@ from typing import Iterable
 
 import numpy as np
 
-from . import __version__
+# default_config stays importable from here, next to run_study
+from .config import ONE_SIDED_Z, StudyConfig, default_config  # noqa: F401
 from .grid import CutoffRho, GridError, SpectralGrid, hs_norm_sq, l2_norm
-from .noise import increment_values, mode_increment_variance
-from .reference import PaperParams, covariance_oracle, renorm_constant
+from .noise import increment_values
+from .reference import covariance_oracle, renorm_constant
 # step_values is not called here; it stays a module attribute because the
 # perfbench tracer patches it in this module
 from .solver import RemainderStepper, SolverConfig, step_values  # noqa: F401
 from .stochastic import PathEnsemble, uniform_times
 
-STUDY_KINDS = (
-    "covariance",
-    "renorm_rate",
-    "cauchy_rate",
-    "smoothing",
-    "hoelder",
-    "solver_convergence",
-)
-
-_ONE_SIDED_Z = {0.9: 1.2816, 0.95: 1.6449, 0.975: 1.96, 0.99: 2.3263}
-
 
 def one_sided_z(confidence: float) -> float:
     try:
-        return _ONE_SIDED_Z[round(confidence, 4)]
+        return ONE_SIDED_Z[round(confidence, 4)]
     except KeyError:
         raise GridError(
-            f"confidence {confidence} not in the supported set {sorted(_ONE_SIDED_Z)}"
+            f"confidence {confidence} not in the supported set {sorted(ONE_SIDED_Z)}"
         ) from None
 
 
@@ -132,83 +122,6 @@ class Verdict:
 
 
 @dataclass
-class StudyConfig:
-    kind: str
-    d: int = 1
-    alpha: float = 0.3
-    eps: float = 0.01
-    eta: float | None = None
-    L: float = 2.0 * np.pi
-    N: int = 256
-    T: float = 0.5
-    K: int = 256
-    n: float = 32.0
-    ladder: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
-    sigmas: tuple[float, ...] = ()
-    sigmas_wick: tuple[float, ...] = ()
-    lags: tuple[float, ...] = ()
-    M: int = 1000
-    seed: int = 2024
-    confidence: float = 0.95
-    chunk: int = 500
-    threads: int = 1
-    dealias: bool = True
-    picard_tol: float = 1e-10
-    picard_max: int = 50
-    slope_tol: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.kind not in STUDY_KINDS:
-            raise GridError(f"unknown study kind {self.kind!r}; choose from {STUDY_KINDS}")
-        ladder = tuple(float(v) for v in self.ladder)
-        if any(b <= a for a, b in zip(ladder, ladder[1:])):
-            raise GridError("truncation ladder must be strictly increasing")
-        object.__setattr__(self, "ladder", ladder)
-        if self.kind != "renorm_rate" and self.M < 100:
-            raise GridError("M >= 100 is required for any statistical verdict")
-        grid = self.grid()
-        if self.kind == "smoothing" and 2.0 * max(ladder) > grid.nyquist + 1e-12:
-            # |Psi_n|^2 carries modes up to 2n; beyond Nyquist they wrap around
-            raise GridError(
-                f"smoothing ladder needs 2*max(ladder) <= Nyquist bound pi*N/L "
-                f"(|Psi_n|^2 reaches 2n): 2*{max(ladder):g} > {grid.nyquist:.6g}"
-            )
-        if self.kind in ("cauchy_rate", "solver_convergence"):
-            top = 2.0 * max(ladder)
-        elif self.kind in ("smoothing", "renorm_rate"):
-            top = max(ladder)
-        else:
-            top = self.n
-        grid.check_radius(top)
-
-    def grid(self) -> SpectralGrid:
-        return SpectralGrid(self.d, self.L, self.N)
-
-    def params(self, n: float | None = None) -> PaperParams:
-        return PaperParams(
-            d=self.d, alpha=self.alpha, eps=self.eps, n=self.n if n is None else n, eta=self.eta
-        )
-
-    def provenance(self) -> dict[str, object]:
-        return {
-            "package_version": __version__,
-            "kind": self.kind,
-            "seed": self.seed,
-            "d": self.d,
-            "alpha": self.alpha,
-            "eps": self.eps,
-            "L": self.L,
-            "N": self.N,
-            "T": self.T,
-            "K": self.K,
-            "n": self.n,
-            "ladder": ",".join(repr(v) for v in self.ladder),
-            "M": self.M,
-            "confidence": self.confidence,
-        }
-
-
-@dataclass
 class StudyResult:
     study: str
     config: StudyConfig | None
@@ -224,54 +137,6 @@ class StudyResult:
 
     def verdict_lines(self) -> list[str]:
         return [v.line() for v in self.verdicts]
-
-
-def default_config(kind: str, **overrides) -> StudyConfig:
-    """Per-kind defaults at the scales the acceptance criteria pin."""
-    base: dict[str, object] = {"kind": kind}
-    if kind == "covariance":
-        base.update(M=4000, n=32.0, K=256)
-    elif kind == "renorm_rate":
-        base.update(M=1, ladder=(8.0, 16.0, 32.0, 64.0, 128.0), N=512)
-    elif kind == "cauchy_rate":
-        # The Cauchy decay exponent is exactly 2*eps; eps = 0.04 (still inside the
-        # parameter window for d=1, alpha=0.3) makes the adjacent-gap test
-        # resolvable at the pinned M = 2000.
-        base.update(M=2000, eps=0.04, ladder=(8.0, 16.0, 32.0, 64.0), K=1, T=0.5)
-    elif kind == "smoothing":
-        # The gain comes from the Duhamel phase 2 xi2.beta T, which oscillates
-        # only once n T >~ 1: the ladder starts there.  dt * max resonance rate =
-        # (T/K) * 5 n_max^2 must stay below pi, or the trapezoid aliases those
-        # oscillations, and 2 n_max <= Nyquist keeps |Psi_n|^2 unaliased.  L = 8 pi
-        # puts the exact increment exponents within 0.015 of their large-box
-        # values; on the 2 pi torus the coarse lattice still shows growth.
-        base.update(
-            M=2000, ladder=(2.0, 4.0, 8.0, 16.0), T=1.0, K=512, L=8.0 * np.pi, N=256
-        )
-    elif kind == "hoelder":
-        base.update(M=1000, n=32.0, lags=(0.5 / 32, 0.5 / 16, 0.5 / 8, 0.5 / 4))
-    elif kind == "solver_convergence":
-        # finer frequency lattice (L = 8 pi): more modes per dyadic shell, which
-        # suppresses the small-shell median bias that otherwise masks the decay
-        base.update(
-            M=200,
-            eps=0.045,
-            ladder=(8.0, 16.0, 32.0, 64.0),
-            T=0.25,
-            K=128,
-            L=8.0 * np.pi,
-            N=1024,
-            chunk=100,
-        )
-    else:
-        raise GridError(f"unknown study kind {kind!r}")
-    base.update(overrides)
-    cfg = StudyConfig(**base)
-    if kind == "smoothing" and not cfg.sigmas:
-        p = cfg.params()
-        object.__setattr__(cfg, "sigmas", (-2 * p.s + p.kappa - 0.05, -2 * p.s + p.kappa + 0.1))
-        object.__setattr__(cfg, "sigmas_wick", (-2 * p.s + 0.1, 0.0))
-    return cfg
 
 
 def run_study(config: StudyConfig) -> StudyResult:
@@ -616,8 +481,8 @@ def run_smoothing_study(config: StudyConfig) -> StudyResult:
     grid = config.grid()
     params = config.params()
     gain_threshold = -2 * params.s + params.kappa
-    sigmas = list(config.sigmas) or [gain_threshold - 0.05, gain_threshold + 0.1]
-    sigmas_wick = list(config.sigmas_wick) or [-2 * params.s + 0.1]
+    sigmas = list(config.sigmas)
+    sigmas_wick = list(config.sigmas_wick)
     rho_vals = CutoffRho.for_grid(grid).evaluate(grid)
     rho2 = rho_vals * rho_vals
     ladder = list(config.ladder)

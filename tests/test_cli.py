@@ -7,14 +7,13 @@ import pytest
 
 from wsnl.cli import (
     STUDY_OF_SUBCOMMAND,
+    SUBCOMMANDS,
     ConfigError,
-    RunConfig,
-    _study_overrides,
     dispatch,
     main,
     parse_config,
-    validate_config,
 )
+from wsnl.config import validate_config
 from wsnl.studies import default_config
 
 
@@ -65,8 +64,11 @@ class TestParseConfig:
         assert "Nyquist" in err.value.errors[0]
 
     def test_default_alpha_per_dimension(self):
-        assert validate_config(RunConfig(d=2)) == []
-        assert RunConfig(d=2).resolved_alpha() == 0.9
+        cfg = parse_config("d = 2\n")
+        assert validate_config(cfg) == []
+        assert cfg.alpha == 0.9
+        # the library resolves alpha in the same place: 0.3 is outside the d=2 window
+        assert default_config("renorm_rate", d=2).alpha == 0.9
 
 
 class TestConstants:
@@ -161,18 +163,59 @@ def test_main_error_paths(tmp_path, capsys):
         (["--set", "chunk=0"], "chunk must be >= 1"),
         (["--set", "L=0"], "L must be positive and finite"),
         (["--set", "L=inf"], "L must be positive and finite"),
+        (["--set", "ladder=,"], "ladder must be a non-empty, strictly increasing list"),
+        (["--set", "n=nan"], "n must be >= 0 and finite"),
+        (["--set", "confidence=0.93"], "confidence must be one of [0.9, 0.95, 0.975, 0.99]"),
     ]:
         assert main(["covariance", *overrides, "--out", str(tmp_path)]) == 2
         assert constraint in capsys.readouterr().err
+    for argv, constraint in [
+        (["renorm", "--set", "ladder=,"], "ladder must be a non-empty"),
+        (["solve", "--set", "n=nan"], "n must be >= 0 and finite"),
+        (["constants", "--set", "eps=nan"], "eps must be > 0 and finite"),
+        (["renorm", "--set", "confidence=0.5"], "confidence must be one of"),
+    ]:
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert constraint in capsys.readouterr().err
+    # the per-study checks are reported together
+    assert main(["smoothing", "--set", "M=50", "--set", "ladder=8,32", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "M must be >= 100" in err and "2*max(ladder) <= Nyquist" in err
 
 
 @pytest.mark.parametrize("subcommand", ["smoothing", "converge"])
 def test_study_pinned_values_fill_unset_keys(subcommand):
-    # L, N and chunk the user did not set come from the study, not from RunConfig
+    # L, N and chunk the user did not set come from the study, not the generic defaults
     kind = STUDY_OF_SUBCOMMAND[subcommand]
-    assert default_config(kind, **_study_overrides(parse_config(""))) == default_config(kind)
-    explicit = default_config(kind, **_study_overrides(parse_config("N = 2048\nchunk = 250\n")))
+    assert parse_config("").for_kind(kind) == default_config(kind)
+    explicit = parse_config("N = 2048\nchunk = 250\n").for_kind(kind)
     assert (explicit.N, explicit.chunk) == (2048, 250)
+
+
+REDUCED = {
+    "constants": [],
+    "sample": ["M=1", "N=32", "n=4", "K=4"],
+    "solve": ["N=32", "n=4", "K=8", "T=0.25"],
+    "covariance": ["M=100", "N=32", "n=4", "K=4"],
+    "renorm": ["N=64", "ladder=2,4,8,16"],
+    "cauchy": ["M=100", "N=32", "ladder=2,4,8"],
+    "smoothing": ["M=100", "N=64", "K=16", "ladder=0.5,1,2,4"],
+    "hoelder": ["M=100", "N=32", "n=4"],
+    "converge": ["M=100", "N=64", "K=8", "ladder=2,4"],
+}
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_rerun_from_resolved_config_reproduces_every_file(subcommand, tmp_path):
+    first, again = tmp_path / "a", tmp_path / "b"
+    args = [item for pair in REDUCED[subcommand] for item in ("--set", pair)]
+    code = main([subcommand, *args, "--seed", "5", "--out", str(first)])
+    assert code in (0, 1)
+    assert main([subcommand, "--config", str(first / "config.resolved"), "--out", str(again)]) == code
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in again.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_study_key_must_match_subcommand(tmp_path):

@@ -3,36 +3,34 @@
 import numpy as np
 import pytest
 
-from wsnl.grid import SpectralGrid, forward, l2_norm
-from wsnl.noise import (
-    NoiseStream,
-    gaussian_block,
-    increment_values,
-    mode_increment_variance,
-)
+from wsnl.grid import Field, SpectralGrid, forward, l2_norm
+from wsnl.noise import gaussian_block, increment_values, mode_increment_variance
 
 GRID = SpectralGrid(1, 2 * np.pi, 32)
 DT = 0.01
 
 
 def test_streams_reproduce_bit_for_bit():
-    a = NoiseStream(seed=42, stream_id=7, grid=GRID, dt=DT)
-    b = NoiseStream(seed=42, stream_id=7, grid=GRID, dt=DT)
-    for _ in range(1000):
-        assert np.array_equal(a.next_increment().values, b.next_increment().values)
+    # a stream's steps drawn in order equal the same keys drawn afresh
+    a = [increment_values(GRID, DT, 42, 7, step) for step in range(1000)]
+    for step in range(1000):
+        assert np.array_equal(a[step], increment_values(GRID, DT, 42, 7, step))
 
 
 def test_distinct_streams_differ():
-    a = NoiseStream(seed=42, stream_id=0, grid=GRID, dt=DT)
-    b = NoiseStream(seed=42, stream_id=1, grid=GRID, dt=DT)
-    assert not np.array_equal(a.next_increment().values, b.next_increment().values)
+    assert not np.array_equal(
+        increment_values(GRID, DT, 42, 0, 0), increment_values(GRID, DT, 42, 1, 0)
+    )
+    assert not np.array_equal(gaussian_block(42, 0, 0, (8,)), gaussian_block(42, 0, 1, (8,)))
 
 
 def test_increment_at_is_pure():
-    a = NoiseStream(seed=5, stream_id=2, grid=GRID, dt=DT)
-    first = a.increment_at(3).values
-    assert np.array_equal(first, a.increment_at(3).values)
-    assert a.step == 0
+    # drawing other keys in between does not move a key's values
+    first = increment_values(GRID, DT, 5, 2, 3)
+    gaussian_block(5, 2, 4, GRID.shape)
+    assert np.array_equal(first, increment_values(GRID, DT, 5, 2, 3))
+    scale = np.sqrt(DT / GRID.cell_volume)
+    assert np.array_equal(first, scale * gaussian_block(5, 2, 3, GRID.shape))
 
 
 def test_cell_mean_is_centered():
@@ -57,8 +55,7 @@ def test_pairing_variance_identity():
 
 
 def test_transform_hermitian_symmetry():
-    stream = NoiseStream(seed=3, stream_id=0, grid=GRID, dt=DT)
-    fhat = forward(stream.next_increment()).values
+    fhat = forward(Field(GRID, increment_values(GRID, DT, 3, 0, 0), "physical")).values
     mirrored = np.roll(fhat[::-1], 1)
     assert np.max(np.abs(fhat - np.conj(mirrored))) < 1e-12 * np.max(np.abs(fhat))
 

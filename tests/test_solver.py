@@ -1,5 +1,7 @@
 """Remainder-equation solver: free evolution, convergence order, failure policy."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,29 @@ def test_blowup_is_reported_not_raised():
     assert isinstance(out.failure, StepFailure)
     assert out.failure.kind in ("picard", "blowup")
     assert len(out.v) < K + 1  # partial trajectory returned
+
+
+def test_global_mode_blowup_is_dated_like_step_local():
+    # the blow-up case of the test above: both modes stop before the first
+    # level whose norm blows up, and neither overflows on the way
+    T, K = 0.25, 16
+    rho = CutoffRho.for_grid(GRID)
+
+    def forcing(t):
+        return np.full(GRID.shape, 1e12)
+
+    path = zero_path(PARAMS, GRID, T=T, K=K)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outs = [
+            solve(make_config(GRID, PARAMS, rho, None, T, K, forcing=forcing, mode=mode), path)
+            for mode in ("step-local", "global")
+        ]
+    for out in outs:
+        assert out.failure.kind == "blowup" and out.failure.step_index == 0
+        assert out.failure.time == path.times[1]
+        assert len(out.v) == 1 and len(out.trace_h) == 1 and len(out.picard_iterations) == 0
+    assert np.array_equal(outs[0].v[0].values, outs[1].v[0].values)
 
 
 def test_global_mode_matches_step_local_fixed_point():

@@ -3,18 +3,25 @@
 import numpy as np
 import pytest
 
-from wsnl.grid import CutoffRho, Field, SpectralGrid, bump_profile, l2_norm, truncation_mask
-from wsnl.noise import NoiseStream, increment_values
-from wsnl.reference import PaperParams, covariance_oracle, renorm_constant
+from wsnl.grid import (
+    CutoffRho,
+    SpectralGrid,
+    bump_profile,
+    l2_norm,
+    propagator_phase,
+    truncation_mask,
+)
+from wsnl.noise import increment_values
+from wsnl.reference import PaperParams, covariance_oracle, renorm_constant, spectral_mass
 from wsnl.snapshots import read_snapshot, write_snapshot
+from wsnl.solver import localized_inputs
 from wsnl.stochastic import (
     PathEnsemble,
-    duhamel_accumulate,
-    evolve_psi,
+    duhamel_update,
     sample_path,
     uniform_times,
     wick_mean_identity_gap,
-    wick_square,
+    wick_square_values,
     zero_path,
 )
 
@@ -91,9 +98,9 @@ def test_two_time_covariance_against_oracle():
 
 class TestWickSquare:
     def test_zero_input_zero_time(self):
-        psi = Field(GRID, np.zeros(GRID.N), "frequency")
-        out = wick_square(psi, PARAMS, 0.0)
-        assert np.all(out.values == 0)
+        c = 0.0 * spectral_mass(GRID, PARAMS.n, PARAMS.alpha)
+        out = wick_square_values(GRID, np.zeros(GRID.N, dtype=complex), c)
+        assert np.all(out == 0)
 
     def test_single_mode_dc_cancellation(self):
         # one mode of modulus r: |Psi|^2 == (r / L^d)^2 everywhere; choosing t with
@@ -101,11 +108,10 @@ class TestWickSquare:
         r = 2.0
         vals = np.zeros(GRID.N, dtype=complex)
         vals[3] = r
-        psi = Field(GRID, vals, "frequency")
         target = (r / GRID.L) ** 2
         t = target / renorm_constant(GRID, PARAMS.n, PARAMS.alpha, 1.0)
-        out = wick_square(psi, PARAMS, t)
-        assert np.max(np.abs(out.values)) < 1e-12 * target
+        out = wick_square_values(GRID, vals, t * spectral_mass(GRID, PARAMS.n, PARAMS.alpha))
+        assert np.max(np.abs(out)) < 1e-12 * target
 
     def test_per_realization_centering_identity(self):
         path = sample_path(PARAMS, GRID, seed=6, T=0.5, K=8)
@@ -135,12 +141,13 @@ class TestDuhamel:
         c = 0.7
         w_hat = np.zeros(GRID.N, dtype=complex)
         w_hat[0] = c * GRID.L  # transform of the constant field c
-        ipsi2 = Field(GRID, np.zeros(GRID.N), "frequency")
+        ipsi2 = np.zeros(GRID.N, dtype=complex)
         dt, K = 0.03125, 16
+        phase = propagator_phase(GRID, dt)
         for k in range(K):
-            ipsi2 = duhamel_accumulate(ipsi2, w_hat, w_hat, dt)
+            ipsi2 = duhamel_update(ipsi2, phase, w_hat, w_hat, dt)
         expected = -1j * c * GRID.L * (K * dt)
-        assert ipsi2.values[0] == pytest.approx(expected, rel=1e-12)
+        assert ipsi2[0] == pytest.approx(expected, rel=1e-12)
 
     def test_oscillatory_wick_second_order_in_dt(self):
         # w_hat(tau, xi*) = e^{i omega tau}: closed-form Duhamel integral oracle
@@ -158,14 +165,15 @@ class TestDuhamel:
 
         def run(K):
             dt = T / K
-            ipsi2 = Field(GRID, np.zeros(GRID.N), "frequency")
+            phase = propagator_phase(GRID, dt)
+            ipsi2 = np.zeros(GRID.N, dtype=complex)
             for k in range(K):
                 w_prev = np.zeros(GRID.N, dtype=complex)
                 w_next = np.zeros(GRID.N, dtype=complex)
                 w_prev[idx] = np.exp(1j * omega * (k * dt))
                 w_next[idx] = np.exp(1j * omega * ((k + 1) * dt))
-                ipsi2 = duhamel_accumulate(ipsi2, w_prev, w_next, dt)
-            return abs(ipsi2.values[idx] - exact(T))
+                ipsi2 = duhamel_update(ipsi2, phase, w_prev, w_next, dt)
+            return abs(ipsi2[idx] - exact(T))
 
         e1, e2 = run(64), run(128)
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
@@ -185,19 +193,24 @@ class TestLocalize:
         zero_profile = lambda u: np.zeros_like(u)  # noqa: E731
         rho = CutoffRho(radii=(np.pi / 4,), centers=(np.pi,), profiles=(zero_profile,))
         path = sample_path(PARAMS, GRID, seed=9, T=0.25, K=4)
-        loc = path.localize(rho)
-        for snap in loc.rho_psi + loc.rho2_wick + loc.rho2_ipsi2:
-            assert np.all(snap.values == 0)
+        for k in range(len(path.times)):
+            rho_psi, r_hat = localized_inputs(
+                GRID, rho.evaluate(GRID), path.psi[k].values, path.ipsi2[k].values
+            )
+            assert np.all(rho_psi == 0) and np.all(r_hat == 0)
 
     def test_localization_is_an_l2_contraction_up_to_sup(self):
         rho = CutoffRho.for_grid(GRID)
         sup = float(rho.evaluate(GRID).max())
         path = sample_path(PARAMS, GRID, seed=10, T=0.25, K=4)
-        loc = path.localize(rho)
-        psi_phys = GRID.inverse_values(path.psi[-1].values)
-        assert l2_norm(GRID, loc.rho_psi[-1].values) <= sup * l2_norm(GRID, psi_phys) * (
-            1 + 1e-10
+        rho_psi, r_hat = localized_inputs(
+            GRID, rho.evaluate(GRID), path.psi[-1].values, path.ipsi2[-1].values
         )
+        psi_phys = GRID.inverse_values(path.psi[-1].values)
+        ipsi2_phys = GRID.inverse_values(path.ipsi2[-1].values)
+        assert l2_norm(GRID, rho_psi) <= sup * l2_norm(GRID, psi_phys) * (1 + 1e-10)
+        r_phys = GRID.inverse_values(r_hat)
+        assert l2_norm(GRID, r_phys) <= sup**2 * l2_norm(GRID, ipsi2_phys) * (1 + 1e-10)
 
     def test_masked_region_leaves_norm_unchanged(self):
         rho = CutoffRho(radii=(np.pi / 4,), centers=(np.pi,), profiles=(bump_profile,))
@@ -230,11 +243,9 @@ def test_snapshot_round_trip_bitwise():
         assert target.read_bytes() == target2.read_bytes()
 
 
-def test_evolve_psi_public_single_step():
-    stream = NoiseStream(seed=13, stream_id=0, grid=GRID, dt=0.1)
-    psi0 = Field(GRID, np.zeros(GRID.N), "frequency")
-    psi1 = evolve_psi(psi0, stream, PARAMS, dt=0.1)
-    assert stream.step == 1
+def test_ensemble_single_step_stays_in_ball():
+    ens = PathEnsemble(GRID, PARAMS.alpha, [PARAMS.n], np.array([0.0, 0.1]), seed=13, size=1)
+    ens.advance()
     outside = truncation_mask(GRID, PARAMS.n) == 0.0
-    assert np.all(psi1.values[outside] == 0)
-    assert np.any(psi1.values != 0)
+    assert np.all(ens.psi[0][outside] == 0)
+    assert np.any(ens.psi[0] != 0)
