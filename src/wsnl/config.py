@@ -35,6 +35,10 @@ STUDY_KINDS = (
 # those among them that compare each rung n with 2n
 LADDER_KINDS = ("renorm_rate", "cauchy_rate", "smoothing", "solver_convergence")
 DOUBLING_KINDS = ("cauchy_rate", "solver_convergence")
+# the fewest rungs each ladder kind's verdict can read: the exponent fits take
+# log-log slopes over the 3 increments of 4 rungs, the Cauchy fit a slope over
+# 3 rungs, and the coupled solves compare at least 2 medians
+MIN_RUNGS = {"renorm_rate": 4, "cauchy_rate": 3, "smoothing": 4, "solver_convergence": 2}
 DEFAULT_ALPHA = {1: 0.3, 2: 0.9, 3: 1.45}
 ONE_SIDED_Z = {0.9: 1.2816, 0.95: 1.6449, 0.975: 1.96, 0.99: 2.3263}
 
@@ -254,6 +258,12 @@ def validate_config(config: StudyConfig) -> list[str]:
     if config.kind in STUDY_KINDS and config.kind != "renorm_rate" and "M" not in bad:
         if config.M < 100:
             errors.append(f"M must be >= 100 for a statistical verdict, got {config.M}")
+    rungs = MIN_RUNGS.get(config.kind, 0)
+    if "ladder" not in bad and len(config.ladder) < rungs:
+        errors.append(
+            f"ladder must have >= {rungs} rungs for a {config.kind} study, "
+            f"got {len(config.ladder)}"
+        )
     radii = config._radii()
     if radii and not bad & {"kind", "d", "L", "N", "n", "ladder"}:
         try:

@@ -99,12 +99,44 @@ class SpectralGrid:
     # The transforms act on the trailing d axes so batched (B, N, ..., N)
     # arrays work unchanged.
     def forward_values(self, values: np.ndarray) -> np.ndarray:
-        axes = tuple(range(-self.d, 0))
-        return self.cell_volume * np.fft.fftn(values, axes=axes)
+        """Forward transform; real input goes through rfftn, and the output is
+        its exact Hermitian completion, F(-xi) == conj(F(xi)) bit for bit."""
+        if np.iscomplexobj(values):
+            out = _fft(values, self.d, np.fft.fft, np.fft.fftn)
+            out *= self.cell_volume
+            return out
+        values = np.asarray(values, dtype=np.float64)
+        N, h = self.N, self.N // 2 + 1
+        out = np.empty(values.shape, dtype=np.complex128)
+        half = _fft(values, self.d, np.fft.rfft, np.fft.rfftn, out=out[..., :h])
+        # the planes k_last = 0 and N/2 are their own mirror images; for
+        # d = 1 they are single modes, which are real
+        planes = out[..., :: N // 2]
+        if self.d == 1:
+            neg = ()
+            planes.imag = 0.0
+        else:
+            # k -> -k mod N on the leading transform axes; averaging each plane
+            # with its conjugate mirror makes it exactly Hermitian
+            neg = np.ix_(*[(-np.arange(N)) % N] * (self.d - 1))
+            planes += np.conj(planes[(Ellipsis, *neg, slice(None))])
+            planes *= 0.5
+        np.conjugate(half[(Ellipsis, *neg, slice(N // 2 - 1, 0, -1))], out=out[..., h:])
+        out *= self.cell_volume
+        return out
 
     def inverse_values(self, values: np.ndarray) -> np.ndarray:
-        axes = tuple(range(-self.d, 0))
-        return (self.N / self.L) ** self.d * np.fft.ifftn(values, axes=axes)
+        out = _fft(values, self.d, np.fft.ifft, np.fft.ifftn)
+        out *= (self.N / self.L) ** self.d
+        return out
+
+
+def _fft(values, d: int, one_d, n_d, **kwargs) -> np.ndarray:
+    """numpy transform over the trailing d axes; for d = 1 the 1-D routine
+    gives the same result without the n-d routine's per-call set-up."""
+    if d == 1:
+        return one_d(values, axis=-1, **kwargs)
+    return n_d(values, axes=tuple(range(-d, 0)), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -212,17 +244,26 @@ def two_thirds_mask(grid: SpectralGrid) -> np.ndarray:
 # Norms and products
 # ---------------------------------------------------------------------------
 
-def hs_norm_sq_hat(grid: SpectralGrid, f_hat: np.ndarray, s: float) -> np.ndarray:
+def hs_norm_sq_hat(
+    grid: SpectralGrid,
+    f_hat: np.ndarray,
+    s: float | None = None,
+    weight: np.ndarray | None = None,
+) -> np.ndarray:
     """Squared H^s norm of frequency-space values, batched over leading axes.
 
-    L^{-d} sum (1+|xi|^2)^s |f_hat|^2.  Values are not checked: non-finite input
-    gives a non-finite norm without a warning, which is what the solver's
-    blow-up test looks for.
+    L^{-d} sum (1+|xi|^2)^s |f_hat|^2.  A caller that takes many norms of one
+    order passes weight = bessel_weight(grid, 2s), built once, instead of s.
+    Values are not checked: non-finite input gives a non-finite norm without a
+    warning, which is what the solver's blow-up test looks for.
     """
-    axes = tuple(range(-grid.d, 0))
+    if weight is None:
+        weight = bessel_weight(grid, 2.0 * s)
+    flat = np.shape(f_hat)[: np.ndim(f_hat) - grid.d] + (-1,)
+    re, im, w = np.real(f_hat).reshape(flat), np.imag(f_hat).reshape(flat), weight.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = bessel_weight(grid, 2.0 * s)
-        return np.sum(w * np.abs(f_hat) ** 2, axis=axes) / grid.L**grid.d
+        sq = np.einsum("...i,...i,i->...", re, re, w) + np.einsum("...i,...i,i->...", im, im, w)
+        return sq / grid.L**grid.d
 
 
 def sobolev_norm_hat(grid: SpectralGrid, f_hat: np.ndarray, s: float, p: float) -> np.ndarray:

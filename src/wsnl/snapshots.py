@@ -27,6 +27,8 @@ from .stochastic import StochasticPath
 
 MAGIC = b"WSNL"
 VERSION = 1
+# magic, version, 12 float64 header fields, 2 uint64 seeds
+HEADER_BYTES = 4 + 4 + 12 * 8 + 2 * 8
 
 
 class SnapshotError(ValueError):
@@ -67,6 +69,10 @@ def read_snapshot(filename: str | Path) -> StochasticPath:
     raw = Path(filename).read_bytes()
     if raw[:4] != MAGIC:
         raise SnapshotError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
+    if len(raw) < HEADER_BYTES:
+        raise SnapshotError(
+            f"snapshot has {len(raw)} bytes, fewer than its {HEADER_BYTES}-byte header"
+        )
     (version,) = struct.unpack_from("<I", raw, 4)
     if version != VERSION:
         raise SnapshotError(f"unsupported snapshot version {version}")
@@ -74,6 +80,12 @@ def read_snapshot(filename: str | Path) -> StochasticPath:
     header = struct.unpack_from("<12d", raw, off)
     off += 12 * 8
     d, N, L, K = int(header[0]), int(header[1]), header[2], int(header[3])
+    expected = HEADER_BYTES + (K + 1) * 8 + 3 * (K + 1) * N**d * 16
+    if len(raw) != expected:
+        raise SnapshotError(
+            f"snapshot has {len(raw)} bytes, but its header (d={d}, N={N}, K={K}) "
+            f"implies {expected}"
+        )
     alpha, eps, _s, eta, n, _T, pair_p, pair_q = header[4:12]
     seed, stream_id = struct.unpack_from("<2Q", raw, off)
     off += 16

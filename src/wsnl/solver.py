@@ -9,14 +9,22 @@ One step advances v by
 with N = rho^2 |v|^2 + (rho conj(v))(rho Psi) + (rho v) conj(rho Psi) evaluated
 pointwise in physical space (nonlinearity_values), R = rho^2 <I Psi^2> (cutoff
 applied before the propagator), and the implicit endpoint resolved by Picard
-iteration from the initial guess e^{-i dt Lap} v_k (step_values).  Residuals are
-successive-iterate distances in the discrete H^{-s} norm.
+iteration (step_values).  Picard starts from the explicit exponential predictor
+
+    v_{k+1}^(0) = e^{-i dt Lap} v_k - i dt e^{-i dt Lap} N(t_k)
+                  + [ R(t_{k+1}) - e^{-i dt Lap} R(t_k) ],
+
+the exponential Euler step paired with the exponential trapezoid corrector
+above (Hochbruck & Ostermann, Acta Numerica 19, 2010).  Residuals are
+successive-iterate distances in the discrete H^{-s} norm.  N is real, so its
+transform takes the real-input path of SpectralGrid.forward_values.
 
 This module is the only place that marches the equation.  RemainderStepper is
-the step-local loop: it carries v and the previous time level's localized
-inputs, so every level is localized once.  solve() drives one stepper over a
-path's snapshots; the coupled convergence study drives one per truncation
-radius over a batch of ensemble members.  solve(mode="global") is a separate
+the step-local loop: it carries v, the previous time level's localized inputs
+and the last Picard evaluation of N at that level, so every level is localized
+once and N(t_k) costs no transform.  solve() drives one stepper over a path's
+snapshots; the coupled convergence study drives one per truncation radius over
+a batch of ensemble members.  solve(mode="global") is a separate
 algorithm, the fixed-point iteration of the whole-trajectory contraction map;
 it shares with the stepper the input localization (localized_inputs), the
 initial data, and the assembly of traces and SolverOutput.  All norms come
@@ -39,6 +47,7 @@ from .grid import (
     Field,
     GridError,
     SpectralGrid,
+    bessel_weight,
     hs_norm_sq_hat,
     localized_norm_hat,
     propagator_phase,
@@ -94,13 +103,14 @@ class SolverConfig:
 
 
 class Level(NamedTuple):
-    """The inputs of one time level, already localized: rho Psi in physical
+    """The inputs of one time level t, already localized: rho Psi in physical
     space (None without a cutoff), the transform of rho^2 <I Psi^2>, and the
     physical-space forcing (None without one)."""
 
     rho_psi: np.ndarray | None
     r_hat: np.ndarray
     forcing: np.ndarray | None
+    t: float
 
 
 @dataclass
@@ -134,22 +144,31 @@ def nonlinearity_values(
     """Transform of N(v) + forcing; batched over leading axes of v_hat.
 
     N(v) = |rho v|^2 + 2 Re(conj(rho v) rho Psi), products taken in physical
-    space; rho_psi_phys = None drops the cross term and rho_vals = None (no
-    cutoff) makes N vanish.  The mask, when given, dealiases the transform.
+    space as the real array Re w (Re w + 2 Re rho Psi) + Im w (Im w + 2 Im rho
+    Psi) with w = rho v, computed on the interleaved (re, im) float view;
+    rho_psi_phys = None drops the cross term and rho_vals = None (no cutoff)
+    makes N vanish.  The mask, when given, dealiases the transform.
     """
     total = None
     if rho_vals is not None:
-        w = rho_vals * grid.inverse_values(v_hat)
-        total = np.abs(w) ** 2
-        if rho_psi_phys is not None:
-            total = total + 2.0 * np.real(np.conj(w) * rho_psi_phys)
+        w = grid.inverse_values(v_hat)
+        w *= rho_vals
+        pairs = w.view(np.float64)
+        if rho_psi_phys is None:
+            prod = pairs * pairs
+        else:
+            prod = np.ascontiguousarray(rho_psi_phys, dtype=np.complex128).view(np.float64) * 2.0
+            prod += pairs
+            prod *= pairs
+        total = prod[..., 0::2] + prod[..., 1::2]
+        del w, pairs, prod  # freed before the transform allocates its output
     if forcing is not None:
         total = forcing if total is None else total + forcing
     if total is None:
         return np.zeros(np.shape(v_hat), dtype=np.complex128)
     n_hat = grid.forward_values(total)
     if dealias_mask is not None:
-        n_hat = n_hat * dealias_mask
+        n_hat *= dealias_mask
     return n_hat
 
 
@@ -181,7 +200,7 @@ def _level(
 ) -> Level:
     """The inputs at time t: localized stochastic data plus the forcing."""
     forcing = None if config.forcing is None else config.forcing(t)
-    return Level(*localized_inputs(grid, rho_vals, psi_hat, ipsi2_hat), forcing)
+    return Level(*localized_inputs(grid, rho_vals, psi_hat, ipsi2_hat), forcing, t)
 
 
 def step_values(
@@ -189,36 +208,49 @@ def step_values(
     v_hat: np.ndarray,
     prev: Level,
     nxt: Level,
-    dt: float,
-    s: float,
+    phase: np.ndarray,
+    norm_weight: np.ndarray,
     rho_vals: np.ndarray | None,
     picard_tol: float,
     picard_max: int,
     dealias_mask: np.ndarray | None,
-    t_next: float,
     step_index: int,
+    n_prev: np.ndarray | None = None,
     strict: bool = True,
 ):
     """One Picard-resolved Duhamel step from level prev to level nxt on raw
     arrays (leading batch axes allowed).
 
-    Returns (v_next, iterations, residuals, monotone_ok, history, failed), where
-    history holds the worst healthy residual of each iteration.  In batched mode
-    iteration continues until every healthy member's residual clears
-    picard_tol.  With strict=True any failure raises StepFailure; with
-    strict=False failed members are zeroed and flagged in the returned mask so
-    ensemble studies can exclude them and keep going.
+    phase is the propagator multiplier for dt = nxt.t - prev.t and norm_weight
+    the H^{-s} weight bessel_weight(grid, -2s) of the residual and blow-up
+    norms.  n_prev is the transform of N at prev, when the caller carries it
+    from the previous step; None evaluates it here.  Picard starts from the
+    explicit exponential predictor, which takes N(t_{k+1}) ~ e^{-i dt Lap} N(t_k).
+
+    Returns (v_next, iterations, residuals, monotone_ok, history, failed,
+    n_next), where history holds the worst healthy residual of each iteration
+    and n_next is the last evaluation of N at nxt (at the iterate before
+    v_next).  In batched mode iteration continues until every healthy
+    member's residual clears picard_tol.  With strict=True any failure raises
+    StepFailure; with strict=False failed members are zeroed and flagged in
+    the returned mask so ensemble studies can exclude them and keep going.
     """
-    phase = propagator_phase(grid, dt)
-    n_prev = nonlinearity_values(
-        grid, v_hat, rho_vals, prev.rho_psi, prev.forcing, dealias_mask
-    )
-    fixed = (
-        phase * v_hat
-        + (-0.5j * dt) * phase * n_prev
-        + (nxt.r_hat - phase * prev.r_hat)
-    )
-    v_iter = phase * v_hat
+    dt = nxt.t - prev.t
+    if n_prev is None:
+        n_prev = nonlinearity_values(
+            grid, v_hat, rho_vals, prev.rho_psi, prev.forcing, dealias_mask
+        )
+    half_dt = -0.5j * dt
+    # fixed holds every term but the implicit -i (dt/2) N(t_{k+1}); the
+    # predictor adds the explicit term -i (dt/2) e^{-i dt Lap} N(t_k) once more
+    fixed = v_hat - prev.r_hat
+    fixed *= phase
+    fixed += nxt.r_hat
+    v_iter = phase * n_prev
+    v_iter *= half_dt
+    fixed += v_iter
+    v_iter += fixed
+    v_new = np.empty_like(v_iter)
     batch_shape = np.shape(v_hat)[: np.ndim(v_hat) - grid.d]
     failed = np.zeros(batch_shape, dtype=bool)
     residuals = np.zeros(batch_shape)
@@ -226,51 +258,60 @@ def step_values(
     monotone_ok = True
     iterations = 0
     for m in range(1, picard_max + 1):
+        n_next = None  # free the last evaluation before making the next
         n_next = nonlinearity_values(
             grid, v_iter, rho_vals, nxt.rho_psi, nxt.forcing, dealias_mask
         )
-        v_new = fixed + (-0.5j * dt) * n_next
-        residuals = np.sqrt(hs_norm_sq_hat(grid, v_new - v_iter, -s))
+        np.multiply(n_next, half_dt, out=v_new)
+        v_new += fixed
+        # v_iter becomes the increment, then the two buffers swap roles
+        np.subtract(v_new, v_iter, out=v_iter)
+        residuals = np.sqrt(hs_norm_sq_hat(grid, v_iter, weight=norm_weight))
+        v_iter, v_new = v_new, v_iter
         failed = failed | ~np.isfinite(residuals)
         if strict and failed.any():
-            raise StepFailure("blowup", t_next, step_index, float("nan"), m)
+            raise StepFailure("blowup", nxt.t, step_index, float("nan"), m)
         healthy = residuals[~failed]
         worst = float(np.max(healthy)) if healthy.size else 0.0
         history.append(worst)
         if len(history) >= 3 and history[-1] > history[-2]:
             monotone_ok = False
-        v_iter = v_new
         iterations = m
         if worst <= picard_tol:
             break
     else:
         if strict:
             raise StepFailure(
-                "picard", t_next, step_index, float(np.max(residuals)), iterations
+                "picard", nxt.t, step_index, float(np.max(residuals)), iterations
             )
         failed = failed | (residuals > picard_tol)
-    norms = np.sqrt(hs_norm_sq_hat(grid, v_iter, -s))
+    norms = np.sqrt(hs_norm_sq_hat(grid, v_iter, weight=norm_weight))
     big = ~np.isfinite(norms) | (norms > BLOWUP_NORM)
     if strict and big.any():
         raise StepFailure(
-            "blowup", t_next, step_index, float(np.max(residuals)), iterations
+            "blowup", nxt.t, step_index, float(np.max(residuals)), iterations
         )
     failed = failed | big
     if failed.any():
         v_iter = np.where(failed.reshape(failed.shape + (1,) * grid.d), 0.0, v_iter)
-    return v_iter, iterations, residuals, monotone_ok, history, failed
+    return v_iter, iterations, residuals, monotone_ok, history, failed, n_next
 
 
 class RemainderStepper:
-    """The step-local march: v and the previous time level's localized inputs.
+    """The step-local march: v, the previous time level's localized inputs,
+    and the transform of N there.
 
     v_hat may carry leading batch axes, one row per ensemble member; the psi
-    and <I Psi^2> transforms given to the constructor (time t) and to step()
-    carry the same axes.  Each time level is localized once.  With strict=True
-    a failed step raises StepFailure and leaves the state at the last accepted
-    step; with strict=False failed members are zeroed, flagged in `failed`, and
-    the march goes on.  Per-step Picard iterations, worst residuals and
-    monotone flags are collected in lists.
+    and <I Psi^2> transforms given to the constructor (time t) and to level()
+    carry the same axes.  A step is two calls, step(level(psi_hat, ipsi2_hat,
+    t_next)), so the caller's psi block can be freed before the Picard loop
+    runs.  Each time level is localized once, and the last Picard evaluation
+    of N at t_{k+1} is carried as the next step's N at t_k, except after a
+    step in which a member failed.  With strict=True a failed step raises
+    StepFailure and leaves the state at the last accepted step; with
+    strict=False failed members are zeroed, flagged in `failed`, and the march
+    goes on.  Per-step Picard iterations, worst residuals and monotone flags
+    are collected in lists.
     """
 
     def __init__(
@@ -288,34 +329,51 @@ class RemainderStepper:
         self.strict = strict
         self.rho_vals = None if config.rho is None else config.rho.evaluate(grid)
         self.dealias_mask = two_thirds_mask(grid) if config.dealias else None
+        self.norm_weight = bessel_weight(grid, -2.0 * config.params.s)
+        self._phases: dict[float, np.ndarray] = {}
         self.v_hat = v_hat
-        self.t = t
         self.k = 0
-        self._prev = _level(config, grid, self.rho_vals, psi_hat, ipsi2_hat, t)
+        self._prev = self.level(psi_hat, ipsi2_hat, t)
+        self._n_prev: np.ndarray | None = None
         self.iterations: list[int] = []
         self.residuals: list[float] = []
         self.monotone: list[bool] = []
         self.failed = np.zeros(np.shape(v_hat)[: np.ndim(v_hat) - grid.d], dtype=bool)
 
-    def step(self, psi_hat: np.ndarray, ipsi2_hat: np.ndarray, t_next: float) -> None:
-        """Advance v to t_next, where Psi and <I Psi^2> have the given transforms."""
-        nxt = _level(self.config, self.grid, self.rho_vals, psi_hat, ipsi2_hat, t_next)
-        v_next, iterations, residuals, monotone, _, failed = step_values(
+    @property
+    def t(self) -> float:
+        return self._prev.t
+
+    def level(self, psi_hat: np.ndarray, ipsi2_hat: np.ndarray, t: float) -> Level:
+        """The localized inputs at time t, where Psi and <I Psi^2> have the given transforms."""
+        return _level(self.config, self.grid, self.rho_vals, psi_hat, ipsi2_hat, t)
+
+    def step(self, nxt: Level) -> None:
+        """Advance v to the time of level nxt."""
+        dt = nxt.t - self.t
+        if dt not in self._phases:
+            self._phases[dt] = propagator_phase(self.grid, dt)
+        v_next, iterations, residuals, monotone, _, failed, n_next = step_values(
             self.grid,
             self.v_hat,
             self._prev,
             nxt,
-            t_next - self.t,
-            self.config.params.s,
+            self._phases[dt],
+            self.norm_weight,
             self.rho_vals,
             self.config.picard_tol,
             self.config.picard_max,
             self.dealias_mask,
-            t_next,
             self.k,
+            n_prev=self._n_prev,
             strict=self.strict,
         )
-        self.v_hat, self._prev, self.t = v_next, nxt, t_next
+        self.v_hat = v_next
+        if failed.any():
+            self._prev, self._n_prev = nxt, None
+        else:
+            # N at nxt is carried, so the next step reads only r_hat and t there
+            self._prev, self._n_prev = nxt._replace(rho_psi=None, forcing=None), n_next
         self.k += 1
         self.iterations.append(iterations)
         self.residuals.append(float(np.max(residuals)))
@@ -418,7 +476,7 @@ def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
     failure: StepFailure | None = None
     for k in range(1, len(times)):
         try:
-            stepper.step(path.psi[k].values, path.ipsi2[k].values, float(times[k]))
+            stepper.step(stepper.level(path.psi[k].values, path.ipsi2[k].values, float(times[k])))
         except StepFailure as exc:
             failure = exc
             break

@@ -174,6 +174,14 @@ def test_main_error_paths(tmp_path, capsys):
         (["solve", "--set", "n=nan"], "n must be >= 0 and finite"),
         (["constants", "--set", "eps=nan"], "eps must be > 0 and finite"),
         (["renorm", "--set", "confidence=0.5"], "confidence must be one of"),
+        # each fit's rung count is checked before any member runs
+        (
+            ["smoothing", "--set", "M=100", "--set", "N=64", "--set", "K=16", "--set", "ladder=1,2,4"],
+            "ladder must have >= 4 rungs for a smoothing study, got 3",
+        ),
+        (["renorm", "--set", "ladder=8,16,32"], "ladder must have >= 4 rungs for a renorm_rate"),
+        (["cauchy", "--set", "ladder=8,16"], "ladder must have >= 3 rungs for a cauchy_rate"),
+        (["converge", "--set", "ladder=8"], "ladder must have >= 2 rungs for a solver_convergence"),
     ]:
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert constraint in capsys.readouterr().err

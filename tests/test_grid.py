@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsnl.grid import (
     CutoffRho,
@@ -77,6 +78,25 @@ def test_hermitian_symmetry_of_real_field():
     for axis in range(grid.d):
         mirrored = np.roll(np.flip(mirrored, axis=axis), 1, axis=axis)
     assert np.max(np.abs(fhat - np.conj(mirrored))) < 1e-12 * np.max(np.abs(fhat))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    half_n=st.integers(2, 16),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_real_input_transform_matches_complex_path_and_is_hermitian(d, half_n, batch, seed):
+    # real input takes the rfftn path; complex input the full fftn
+    grid = SpectralGrid(d, 2 * np.pi, 2 * half_n)
+    x = np.random.default_rng(seed).standard_normal(tuple(batch) + grid.shape)
+    fast = grid.forward_values(x)
+    ref = grid.forward_values(x.astype(np.complex128))
+    assert fast.shape == ref.shape and fast.dtype == np.complex128
+    assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
+    neg = np.ix_(*[(-np.arange(grid.N)) % grid.N] * d)
+    assert np.array_equal(fast[(Ellipsis, *neg)], np.conj(fast))
 
 
 class TestMultipliers:

@@ -5,12 +5,22 @@ import warnings
 import numpy as np
 import pytest
 
-from wsnl.grid import CutoffRho, Field, SpectralGrid, bessel_weight, sobolev_norm
+from wsnl.grid import (
+    CutoffRho,
+    Field,
+    SpectralGrid,
+    bessel_weight,
+    hs_norm_sq_hat,
+    propagator_phase,
+    sobolev_norm,
+    two_thirds_mask,
+)
 from wsnl.reference import PaperParams
 from wsnl.solver import (
     RemainderStepper,
     SolverConfig,
     StepFailure,
+    localized_inputs,
     nonlinearity_values,
     solve,
 )
@@ -245,7 +255,7 @@ def test_ensemble_march_matches_solve_per_member():
     for _ in range(K):
         ens.advance()
         for r, stepper in steppers.items():
-            stepper.step(ens.psi_values(r), ens.ipsi2[r], ens.t)
+            stepper.step(stepper.level(ens.psi_values(r), ens.ipsi2[r], ens.t))
     for r, stepper in steppers.items():
         assert not stepper.failed.any()
         params = PaperParams(d=1, alpha=PARAMS.alpha, eps=PARAMS.eps, n=r)
@@ -255,6 +265,77 @@ def test_ensemble_march_matches_solve_per_member():
             assert out.completed
             ref = out.v[-1].values
             assert np.max(np.abs(stepper.v_hat[m] - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def reference_march(config, path):
+    """The step-local march written out plainly: Picard starts from
+    e^{-i dt Lap} v_k and N(t_k) is evaluated afresh at every step.
+    Returns v at the last level and the total number of Picard iterations."""
+    grid = path.grid
+    rho_vals = config.rho.evaluate(grid)
+    mask = two_thirds_mask(grid)
+    v = grid.zeros()
+    prev = localized_inputs(grid, rho_vals, path.psi[0].values, path.ipsi2[0].values)
+    total = 0
+    for k in range(1, len(path.times)):
+        dt = float(path.times[k] - path.times[k - 1])
+        phase = propagator_phase(grid, dt)
+        nxt = localized_inputs(grid, rho_vals, path.psi[k].values, path.ipsi2[k].values)
+        n_prev = nonlinearity_values(grid, v, rho_vals, prev[0], None, mask)
+        fixed = phase * v + (-0.5j * dt) * phase * n_prev + (nxt[1] - phase * prev[1])
+        iterate = phase * v
+        for _ in range(config.picard_max):
+            n_next = nonlinearity_values(grid, iterate, rho_vals, nxt[0], None, mask)
+            new = fixed + (-0.5j * dt) * n_next
+            residual = np.sqrt(hs_norm_sq_hat(grid, new - iterate, -config.params.s))
+            iterate = new
+            total += 1
+            if residual <= config.picard_tol:
+                break
+        v, prev = iterate, nxt
+    return v, total
+
+
+def test_step_local_march_matches_the_plain_reference():
+    T, K = 0.25, 32
+    path = sample_path(PARAMS, GRID, seed=41, T=T, K=K)
+    config = make_config(GRID, PARAMS, CutoffRho.for_grid(GRID), None, T, K)
+    out = solve(config, path)
+    assert out.completed
+    ref, ref_iterations = reference_march(config, path)
+    assert np.max(np.abs(out.v[-1].values - ref)) <= 1e-9 * np.max(np.abs(ref))
+    # the predictor start saves iterations
+    assert int(np.sum(out.picard_iterations)) < ref_iterations
+
+
+def test_strict_failure_leaves_the_stepper_at_the_last_accepted_step():
+    T, K = 0.25, 16
+    path = sample_path(PARAMS, GRID, seed=42, T=T, K=K)
+    config = make_config(GRID, PARAMS, CutoffRho.for_grid(GRID), None, T, K)
+
+    def stepper():
+        return RemainderStepper(
+            config, GRID, GRID.zeros(), path.psi[0].values, path.ipsi2[0].values, 0.0
+        )
+
+    def level(s, k):
+        return s.level(path.psi[k].values, path.ipsi2[k].values, float(path.times[k]))
+
+    tried, twin = stepper(), stepper()
+    for k in (1, 2):
+        tried.step(level(tried, k))
+        twin.step(level(twin, k))
+    v_before = tried.v_hat.copy()
+    bad = level(tried, 3)._replace(forcing=np.full(GRID.shape, 1e12))
+    with pytest.raises(StepFailure):
+        tried.step(bad)
+    assert np.array_equal(tried.v_hat, v_before)
+    assert (tried.k, tried.t, len(tried.iterations)) == (2, float(path.times[2]), 2)
+    # the failed attempt changed nothing the next step reads
+    tried.step(level(tried, 3))
+    twin.step(level(twin, 3))
+    assert np.array_equal(tried.v_hat, twin.v_hat)
+    assert tried.iterations == twin.iterations
 
 
 def test_y_norm_traces_finite_and_windowed():

@@ -13,7 +13,7 @@ from wsnl.grid import (
 )
 from wsnl.noise import increment_values
 from wsnl.reference import PaperParams, covariance_oracle, renorm_constant, spectral_mass
-from wsnl.snapshots import read_snapshot, write_snapshot
+from wsnl.snapshots import SnapshotError, read_snapshot, write_snapshot
 from wsnl.solver import localized_inputs
 from wsnl.stochastic import (
     PathEnsemble,
@@ -241,6 +241,21 @@ def test_snapshot_round_trip_bitwise():
         target2 = pathlib.Path(tmp) / "path2.wsnl"
         write_snapshot(back, target2)
         assert target.read_bytes() == target2.read_bytes()
+
+
+@pytest.mark.parametrize("cut", [-1, 1, -200])
+def test_snapshot_length_must_match_its_header(tmp_path, cut):
+    target = tmp_path / "path.wsnl"
+    write_snapshot(sample_path(PARAMS, GRID, seed=12, T=0.25, K=4), target)
+    raw = target.read_bytes()
+    expected = len(raw)
+    damaged = raw[:cut] if cut < 0 else raw + b"\0" * cut
+    target.write_bytes(damaged)
+    with pytest.raises(SnapshotError, match=f"has {len(damaged)} bytes.*implies {expected}"):
+        read_snapshot(target)
+    target.write_bytes(raw[:50])
+    with pytest.raises(SnapshotError, match="has 50 bytes, fewer than its 120-byte header"):
+        read_snapshot(target)
 
 
 def test_ensemble_single_step_stays_in_ball():

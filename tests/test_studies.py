@@ -81,7 +81,7 @@ def test_study_config_validation():
         StudyConfig(kind="covariance", M=50)  # statistical verdict needs M >= 100
     with pytest.raises(Exception):
         StudyConfig(kind="smoothing", ladder=(8.0, 8.0))
-    with pytest.raises(Exception):
+    with pytest.raises(Exception, match="exceeds the Nyquist bound"):
         StudyConfig(kind="cauchy_rate", ladder=(8.0, 128.0), N=256)  # 2n over Nyquist
     with pytest.raises(Exception, match=r"2\*max\(ladder\) <= Nyquist"):
         StudyConfig(kind="smoothing", ladder=(8.0, 128.0), N=256)  # |Psi_n|^2 would alias
@@ -136,6 +136,21 @@ def test_covariance_reduced():
     # rows carry both pairings with oracle values; spot-check column count
     assert len(res.rows) == 27
     assert len(res.columns) == len(res.rows[0])
+
+
+def test_covariance_round_off_components_are_not_divided_by_their_standard_error():
+    # after one step psi is purely imaginary in physical space, so the
+    # imaginary parts of both pairings at s = t are round-off in every member
+    res = run_study(default_config("covariance", K=2, N=32, n=4.0, M=100, seed=20260808))
+    verdict = res.verdicts[0]
+    assert verdict.value < 10.0
+    # the plain pairing's one-step bias still fails, held to its oracle within round-off
+    assert not verdict.passed
+    note = res.notes[-1]
+    assert "s=0.25 t=0.25 shift=0: conj_im plain_im (misses its oracle by 0.0662)" in note
+    assert "s=0.5 t=0.5 shift=0: conj_im" in note
+    z = {(row[0], row[1], row[2]): row[-2] for row in res.rows}
+    assert all(np.isfinite(value) and value < 10.0 for value in z.values())
 
 
 @pytest.mark.slow
