@@ -99,29 +99,17 @@ class SpectralGrid:
     # The transforms act on the trailing d axes so batched (B, N, ..., N)
     # arrays work unchanged.
     def forward_values(self, values: np.ndarray) -> np.ndarray:
-        """Forward transform; real input goes through rfftn, and the output is
-        its exact Hermitian completion, F(-xi) == conj(F(xi)) bit for bit."""
-        if np.iscomplexobj(values):
+        """Forward transform.  For d = 1, real input goes through rfft and the
+        output is its exact Hermitian completion, F(-xi) == conj(F(xi)) bit for
+        bit; every other input takes the full complex transform."""
+        if self.d > 1 or np.iscomplexobj(values):
             out = _fft(values, self.d, np.fft.fft, np.fft.fftn)
-            out *= self.cell_volume
-            return out
-        values = np.asarray(values, dtype=np.float64)
-        N, h = self.N, self.N // 2 + 1
-        out = np.empty(values.shape, dtype=np.complex128)
-        half = _fft(values, self.d, np.fft.rfft, np.fft.rfftn, out=out[..., :h])
-        # the planes k_last = 0 and N/2 are their own mirror images; for
-        # d = 1 they are single modes, which are real
-        planes = out[..., :: N // 2]
-        if self.d == 1:
-            neg = ()
-            planes.imag = 0.0
         else:
-            # k -> -k mod N on the leading transform axes; averaging each plane
-            # with its conjugate mirror makes it exactly Hermitian
-            neg = np.ix_(*[(-np.arange(N)) % N] * (self.d - 1))
-            planes += np.conj(planes[(Ellipsis, *neg, slice(None))])
-            planes *= 0.5
-        np.conjugate(half[(Ellipsis, *neg, slice(N // 2 - 1, 0, -1))], out=out[..., h:])
+            N, h = self.N, self.N // 2 + 1
+            out = np.empty(np.shape(values), dtype=np.complex128)
+            # rfft leaves the modes 0 and N/2 exactly real
+            np.fft.rfft(np.asarray(values, dtype=np.float64), axis=-1, out=out[..., :h])
+            np.conjugate(out[..., N // 2 - 1 : 0 : -1], out=out[..., h:])
         out *= self.cell_volume
         return out
 
@@ -131,12 +119,12 @@ class SpectralGrid:
         return out
 
 
-def _fft(values, d: int, one_d, n_d, **kwargs) -> np.ndarray:
+def _fft(values, d: int, one_d, n_d) -> np.ndarray:
     """numpy transform over the trailing d axes; for d = 1 the 1-D routine
     gives the same result without the n-d routine's per-call set-up."""
     if d == 1:
-        return one_d(values, axis=-1, **kwargs)
-    return n_d(values, axes=tuple(range(-d, 0)), **kwargs)
+        return one_d(values, axis=-1)
+    return n_d(values, axes=tuple(range(-d, 0)))
 
 
 @dataclass(frozen=True)
@@ -244,21 +232,20 @@ def two_thirds_mask(grid: SpectralGrid) -> np.ndarray:
 # Norms and products
 # ---------------------------------------------------------------------------
 
-def hs_norm_sq_hat(
-    grid: SpectralGrid,
-    f_hat: np.ndarray,
-    s: float | None = None,
-    weight: np.ndarray | None = None,
-) -> np.ndarray:
-    """Squared H^s norm of frequency-space values, batched over leading axes.
+def hs_norm_sq_hat(grid: SpectralGrid, f_hat: np.ndarray, s: float) -> np.ndarray:
+    """Squared H^s norm of frequency-space values, batched over leading axes:
+    L^{-d} sum (1+|xi|^2)^s |f_hat|^2."""
+    return weighted_norm_sq_hat(grid, f_hat, bessel_weight(grid, 2.0 * s))
 
-    L^{-d} sum (1+|xi|^2)^s |f_hat|^2.  A caller that takes many norms of one
-    order passes weight = bessel_weight(grid, 2s), built once, instead of s.
+
+def weighted_norm_sq_hat(grid: SpectralGrid, f_hat: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """L^{-d} sum weight |f_hat|^2, batched over leading axes; with weight =
+    bessel_weight(grid, 2s) this is hs_norm_sq_hat, for callers that take many
+    norms of one order and build the weight once.
+
     Values are not checked: non-finite input gives a non-finite norm without a
     warning, which is what the solver's blow-up test looks for.
     """
-    if weight is None:
-        weight = bessel_weight(grid, 2.0 * s)
     flat = np.shape(f_hat)[: np.ndim(f_hat) - grid.d] + (-1,)
     re, im, w = np.real(f_hat).reshape(flat), np.imag(f_hat).reshape(flat), weight.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):

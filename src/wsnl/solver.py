@@ -16,8 +16,8 @@ iteration (step_values).  Picard starts from the explicit exponential predictor
 
 the exponential Euler step paired with the exponential trapezoid corrector
 above (Hochbruck & Ostermann, Acta Numerica 19, 2010).  Residuals are
-successive-iterate distances in the discrete H^{-s} norm.  N is real, so its
-transform takes the real-input path of SpectralGrid.forward_values.
+successive-iterate distances in the discrete H^{-s} norm.  N is real, so at
+d = 1 its transform takes the rfft path of SpectralGrid.forward_values.
 
 This module is the only place that marches the equation.  RemainderStepper is
 the step-local loop: it carries v, the previous time level's localized inputs
@@ -54,6 +54,7 @@ from .grid import (
     sobolev_norm_hat,
     to_frequency,
     two_thirds_mask,
+    weighted_norm_sq_hat,
 )
 from .reference import PaperParams
 from .stochastic import StochasticPath
@@ -266,7 +267,7 @@ def step_values(
         v_new += fixed
         # v_iter becomes the increment, then the two buffers swap roles
         np.subtract(v_new, v_iter, out=v_iter)
-        residuals = np.sqrt(hs_norm_sq_hat(grid, v_iter, weight=norm_weight))
+        residuals = np.sqrt(weighted_norm_sq_hat(grid, v_iter, norm_weight))
         v_iter, v_new = v_new, v_iter
         failed = failed | ~np.isfinite(residuals)
         if strict and failed.any():
@@ -285,7 +286,7 @@ def step_values(
                 "picard", nxt.t, step_index, float(np.max(residuals)), iterations
             )
         failed = failed | (residuals > picard_tol)
-    norms = np.sqrt(hs_norm_sq_hat(grid, v_iter, weight=norm_weight))
+    norms = np.sqrt(weighted_norm_sq_hat(grid, v_iter, norm_weight))
     big = ~np.isfinite(norms) | (norms > BLOWUP_NORM)
     if strict and big.any():
         raise StepFailure(
@@ -330,7 +331,7 @@ class RemainderStepper:
         self.rho_vals = None if config.rho is None else config.rho.evaluate(grid)
         self.dealias_mask = two_thirds_mask(grid) if config.dealias else None
         self.norm_weight = bessel_weight(grid, -2.0 * config.params.s)
-        self._phases: dict[float, np.ndarray] = {}
+        self._dt, self._phase = None, None
         self.v_hat = v_hat
         self.k = 0
         self._prev = self.level(psi_hat, ipsi2_hat, t)
@@ -351,14 +352,14 @@ class RemainderStepper:
     def step(self, nxt: Level) -> None:
         """Advance v to the time of level nxt."""
         dt = nxt.t - self.t
-        if dt not in self._phases:
-            self._phases[dt] = propagator_phase(self.grid, dt)
+        if dt != self._dt:
+            self._dt, self._phase = dt, propagator_phase(self.grid, dt)
         v_next, iterations, residuals, monotone, _, failed, n_next = step_values(
             self.grid,
             self.v_hat,
             self._prev,
             nxt,
-            self._phases[dt],
+            self._phase,
             self.norm_weight,
             self.rho_vals,
             self.config.picard_tol,
