@@ -3,17 +3,26 @@
 For the truncated convolution driven by white noise, every second moment of the
 Wick square and of its Duhamel convolution reduces, by the Gaussian pairing
 rule, to a double sum over frequency pairs with closed-form time kernels. These
-are exact expectations of the continuous-time lattice objects (the mode
-recursion is exact in distribution), so they serve as deterministic oracles for
-the Monte Carlo ladders and as a scan tool: the pair (xi2 = 0, xi1 = beta) has
-resonance phase exactly zero and is the finite-box channel that escapes the
-oscillatory gain.
+are exact expectations of the continuous-time lattice objects, so they serve as
+deterministic oracles for the Monte Carlo ladders and as a scan tool: the pair
+(xi2 = 0, xi1 = beta) has resonance phase exactly zero and is the finite-box
+channel that escapes the oscillatory gain.  The time-stepped objects of
+stochastic.py match them up to step-size errors: the mode recursion is exact
+for the conjugate pairing E[psi psi-bar] but carries a left-endpoint
+O(dt |xi|^2) error in the plain pairing E[psi(xi) psi(-xi)], and the Duhamel
+convolution is a trapezoid sum.
+
+The oracle evaluates its kernels once over a flattened table of every pair
+(xi2, xi1) and reduces per shift beta; the per-beta sums are cached per
+configuration, so each further sigma costs one weighted sum.
 
 Conventions: a = |xi1|^2, b = |xi2|^2, B = |beta|^2 with xi1 = xi2 + beta;
 conjugate-channel resonance kappa = a - b - B (= 2 <xi2, beta>).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,29 +162,90 @@ def _lattice_axis(grid: SpectralGrid) -> np.ndarray:
     return np.sort(np.round(grid.xi_axis / (2 * np.pi / grid.L)).astype(np.int64))
 
 
-def _pair_tables(grid: SpectralGrid, n: float, alpha: float, drop_zero_mode: bool):
-    """Integer mode pairs (xi2, xi1 = xi2 + beta) inside the ball, per beta.
+def _pair_table(grid: SpectralGrid, n: float, alpha: float, drop_zero_mode: bool):
+    """Every integer mode pair (xi2, xi1 = xi2 + beta) inside the ball, flattened.
 
-    Returns (h, betas_int, list of (xi2_int array, weight array)) where h is the
-    lattice spacing; d = 1 only (the studies' scan dimension).
+    xi2 runs over the lattice modes with |xi2| <= n and xi1 over the integers
+    with |xi1| <= n (at n = Nyquist only xi1 reaches +N/2).  Pairs are sorted
+    by beta, then xi2.  Returns (h, betas, starts, xi1, xi2, weights): h is the
+    lattice spacing, betas the shifts that have pairs, and starts[j] the index
+    of the first pair of betas[j]; d = 1 only (the studies' scan dimension).
     """
     if grid.d != 1:
         raise NotImplementedError("exact second moments are implemented for d = 1")
     h = 2 * np.pi / grid.L
     k = _lattice_axis(grid)
     n_int = int(np.floor(n / h + 1e-9))
-    modes = k[(np.abs(k) <= n_int)]
+    modes2 = k[(np.abs(k) <= n_int)]
+    modes1 = np.arange(-n_int, n_int + 1, dtype=np.int64)
     if drop_zero_mode:
-        modes = modes[modes != 0]
-    betas = np.arange(-2 * n_int, 2 * n_int + 1, dtype=np.int64)
-    tables = []
-    for beta in betas:
-        xi2 = modes[(np.abs(modes + beta) <= n_int)]
-        if drop_zero_mode:
-            xi2 = xi2[(xi2 + beta) != 0]
-        w = (1.0 + (h * xi2) ** 2) ** (-alpha) * (1.0 + (h * (xi2 + beta)) ** 2) ** (-alpha)
-        tables.append((xi2, w))
-    return h, betas, tables
+        modes1, modes2 = modes1[modes1 != 0], modes2[modes2 != 0]
+    xi1, xi2 = (m.ravel() for m in np.meshgrid(modes1, modes2, indexing="ij"))
+    weights = np.multiply.outer(
+        (1.0 + (h * modes1) ** 2) ** (-alpha), (1.0 + (h * modes2) ** 2) ** (-alpha)
+    ).ravel()
+    order = np.argsort(xi1 - xi2, kind="stable")  # xi1-major input: xi2 ascends per beta
+    xi1, xi2, weights = xi1[order], xi2[order], weights[order]
+    beta = xi1 - xi2
+    starts = np.flatnonzero(np.diff(beta, prepend=beta[0] - 1))
+    return h, beta[starts], starts, xi1, xi2, weights
+
+
+def _equal_time_gain(a: np.ndarray, T: float) -> np.ndarray:
+    """int_0^T e^{-2iau} du; equals T at a = 0."""
+    z = a == 0
+    safe = np.where(z, 1.0, a)
+    return np.where(z, T, (1 - np.exp(-2j * T * safe)) / (2j * safe))
+
+
+_CHANNELS = ("both", "conjugate", "plain")
+_CHUNK = 1 << 13  # pairs per kernel evaluation, which bounds the temporaries
+
+
+@lru_cache(maxsize=64)
+def _beta_sums(
+    grid: SpectralGrid, n: float, alpha: float, T: float, drop_zero_mode: bool, kernel: str
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(B, S) per shift beta: B = |beta|^2 and S the real part of the weighted
+    sum over its pairs of the time kernel ("wick" or an ipsi2 channel).  sigma
+    only weights these sums, so they are cached per configuration.  Each S is
+    one np.sum over its beta's pairs, so the sums are those of a loop over beta."""
+    h, betas, starts, xi1, xi2, weights = _pair_table(grid, n, alpha, drop_zero_mode)
+    bounds = np.append(starts, xi2.size)
+    B_beta = [(h * float(beta)) ** 2 for beta in betas]
+    sums = []
+    j = 0
+    while j < len(betas):
+        # whole beta groups j..stop-1, holding at most _CHUNK pairs unless one group does
+        stop = max(j + 1, int(np.searchsorted(bounds, bounds[j] + _CHUNK, side="right")) - 1)
+        lo, hi = bounds[j], bounds[stop]
+        a = (h * xi1[lo:hi].astype(np.float64)) ** 2
+        b = (h * xi2[lo:hi].astype(np.float64)) ** 2
+        if kernel == "wick":
+            # conjugate channel: min(T,T)^2 = T^2; plain channel at equal times
+            g_a, g_b = _equal_time_gain(a, T), _equal_time_gain(b, T)
+            acc = T**2 + np.exp(2j * T * (a - b)) * g_a * np.conj(g_b)
+        else:
+            B = np.repeat(B_beta[j:stop], np.diff(bounds[j : stop + 1]))
+            acc = np.zeros(a.shape, dtype=np.complex128)
+            if kernel in ("both", "conjugate"):
+                acc += conjugate_kernel(a - b - B, T)
+            if kernel in ("both", "plain"):
+                acc += plain_kernel(a, b, B, T)
+        terms = weights[lo:hi] * acc
+        sums += [
+            float(np.sum(terms[start - lo : end - lo]).real)
+            for start, end in zip(bounds[j:stop], bounds[j + 1 : stop + 1])
+        ]
+        j = stop
+    return tuple(B_beta), tuple(sums)
+
+
+def _sigma_total(grid: SpectralGrid, sums: tuple[tuple[float, ...], ...], sigma: float) -> float:
+    total = 0.0
+    for B, S in zip(*sums):
+        total += (1.0 + B) ** sigma * S
+    return total / grid.L
 
 
 def ipsi2_norm_sq_expectation(
@@ -193,22 +263,10 @@ def ipsi2_norm_sq_expectation(
     xi = 0 mode from the truncation ball, isolating the finite-box resonance
     atom discussed in the module docstring.
     """
-    h, betas, tables = _pair_tables(grid, n, alpha, drop_zero_mode)
-    total = 0.0
-    for beta, (xi2, w) in zip(betas, tables):
-        if xi2.size == 0:
-            continue
-        xi1 = xi2 + beta
-        a = (h * xi1.astype(np.float64)) ** 2
-        b = (h * xi2.astype(np.float64)) ** 2
-        B = (h * float(beta)) ** 2
-        acc = np.zeros(xi2.shape, dtype=np.complex128)
-        if channels in ("both", "conjugate"):
-            acc += conjugate_kernel(a - b - B, T)
-        if channels in ("both", "plain"):
-            acc += plain_kernel(a, b, np.full_like(a, B), T)
-        total += (1.0 + B) ** sigma * float(np.sum(w * acc).real)
-    return total / grid.L
+    if channels not in _CHANNELS:
+        raise ValueError(f"channels must be one of {_CHANNELS}, got {channels!r}")
+    sums = _beta_sums(grid, float(n), float(alpha), float(T), bool(drop_zero_mode), channels)
+    return _sigma_total(grid, sums, sigma)
 
 
 def wick_norm_sq_expectation(
@@ -220,17 +278,5 @@ def wick_norm_sq_expectation(
     drop_zero_mode: bool = False,
 ) -> float:
     """Exact E || <Psi^2>_n(T) ||_{H^sigma}^2 (no cutoff localization)."""
-    h, betas, tables = _pair_tables(grid, n, alpha, drop_zero_mode)
-    total = 0.0
-    for beta, (xi2, w) in zip(betas, tables):
-        if xi2.size == 0:
-            continue
-        xi1 = xi2 + beta
-        a = (h * xi1.astype(np.float64)) ** 2
-        b = (h * xi2.astype(np.float64)) ** 2
-        # conjugate channel: min(T,T)^2 = T^2; plain channel at equal times
-        g_a = np.where(a == 0, T, (1 - np.exp(-2j * T * np.where(a == 0, 1, a))) / (2j * np.where(a == 0, 1, a)))
-        g_b = np.where(b == 0, T, (1 - np.exp(-2j * T * np.where(b == 0, 1, b))) / (2j * np.where(b == 0, 1, b)))
-        plain = np.exp(2j * T * (a - b)) * g_a * np.conj(g_b)
-        total += (1.0 + (h * float(beta)) ** 2) ** sigma * float(np.sum(w * (T**2 + plain)).real)
-    return total / grid.L
+    sums = _beta_sums(grid, float(n), float(alpha), float(T), bool(drop_zero_mode), "wick")
+    return _sigma_total(grid, sums, sigma)

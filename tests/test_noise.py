@@ -1,7 +1,12 @@
 """White-noise increments: reproducibility, variance identities, spectral flatness."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wsnl.grid import Field, SpectralGrid, forward, l2_norm
 from wsnl.noise import gaussian_block, increment_values, mode_increment_variance
@@ -31,6 +36,63 @@ def test_increment_at_is_pure():
     assert np.array_equal(first, increment_values(GRID, DT, 5, 2, 3))
     scale = np.sqrt(DT / GRID.cell_volume)
     assert np.array_equal(first, scale * gaussian_block(5, 2, 3, GRID.shape))
+
+
+def fresh_philox_block(seed, stream_id, step, shape):
+    counter = np.array([0, 0, 0, step], dtype=np.uint64)
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key)).standard_normal(shape)
+
+
+KEYS = st.tuples(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from([0, 1, 7, 499, 2**32 + 3]),
+    st.sampled_from([0, 1, 2, 255, 511, 2**40]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    keys=st.lists(KEYS, min_size=1, max_size=4),
+    shape=st.lists(st.integers(1, 7), min_size=1, max_size=3).map(tuple),
+)
+def test_rekeyed_block_equals_a_fresh_philox_generator(keys, shape):
+    # interleaved keys: each re-keying must leave nothing of the previous one
+    for seed, stream_id, step in keys + keys[::-1]:
+        expected = fresh_philox_block(seed, stream_id, step, shape)
+        assert np.array_equal(gaussian_block(seed, stream_id, step, shape), expected)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_threads_draw_the_serial_blocks(workers):
+    # threads draw interleaved keys at once; a tiny switch interval makes a
+    # shared generator's re-key and draw interleave across threads
+    keys = [(20260808, stream, step) for stream in range(8) for step in range(4)]
+    serial = [gaussian_block(*key, (4, 16)) for key in keys]
+    barrier = threading.Barrier(workers)
+    orders = [list(range(w, len(keys), workers)) * 50 for w in range(workers)]
+    drawn = [[] for _ in range(workers)]
+
+    def draw(w):
+        barrier.wait(timeout=10)
+        for i in orders[w]:
+            drawn[w].append((i, gaussian_block(*keys[i], (4, 16))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=draw, args=(w,)) for w in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for w in range(workers):
+        assert len(drawn[w]) == len(orders[w])
+        for i, block in drawn[w]:
+            assert np.array_equal(block, serial[i]), (w, keys[i])
 
 
 def test_cell_mean_is_centered():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import wsnl.secondmoment
 from wsnl.grid import SpectralGrid, hs_norm_sq
 from wsnl.secondmoment import (
     conjugate_kernel,
@@ -36,6 +37,104 @@ def riemann_plain(a, b, B, T, q=600):
     p_b = np.exp(1j * tsum * b) * g(m, 2 * b)
     val = np.sum(np.exp(-1j * tdiff * B) * p_a * np.conj(p_b)) * (T / q) ** 2
     return complex(val)
+
+
+def per_beta_reference(grid, n, alpha, T, sigma, drop_zero_mode, channels):
+    """The oracles as a Python loop over the shift beta: (ipsi2, wick) values."""
+    h = 2 * np.pi / grid.L
+    k = np.sort(np.round(grid.xi_axis / h).astype(np.int64))
+    n_int = int(np.floor(n / h + 1e-9))
+    modes = k[np.abs(k) <= n_int]
+    if drop_zero_mode:
+        modes = modes[modes != 0]
+    total_i = total_w = 0.0
+    for beta in range(-2 * n_int, 2 * n_int + 1):
+        xi2 = modes[np.abs(modes + beta) <= n_int]
+        if drop_zero_mode:
+            xi2 = xi2[(xi2 + beta) != 0]
+        if xi2.size == 0:
+            continue
+        w = (1.0 + (h * xi2) ** 2) ** (-alpha) * (1.0 + (h * (xi2 + beta)) ** 2) ** (-alpha)
+        a = (h * (xi2 + beta).astype(np.float64)) ** 2
+        b = (h * xi2.astype(np.float64)) ** 2
+        B = (h * float(beta)) ** 2
+        acc = np.zeros(xi2.shape, dtype=np.complex128)
+        if channels in ("both", "conjugate"):
+            acc += conjugate_kernel(a - b - B, T)
+        if channels in ("both", "plain"):
+            acc += plain_kernel(a, b, np.full_like(a, B), T)
+        total_i += (1.0 + B) ** sigma * float(np.sum(w * acc).real)
+        a1, b1 = np.where(a == 0, 1, a), np.where(b == 0, 1, b)
+        g_a = np.where(a == 0, T, (1 - np.exp(-2j * T * a1)) / (2j * a1))
+        g_b = np.where(b == 0, T, (1 - np.exp(-2j * T * b1)) / (2j * b1))
+        plain = np.exp(2j * T * (a - b)) * g_a * np.conj(g_b)
+        total_w += (1.0 + B) ** sigma * float(np.sum(w * (T**2 + plain)).real)
+    return total_i / grid.L, total_w / grid.L
+
+
+@pytest.mark.parametrize("channels", ["both", "conjugate", "plain"])
+@pytest.mark.parametrize("drop_zero_mode", [False, True])
+@pytest.mark.parametrize(
+    "L,N,n",
+    [
+        (8 * np.pi, 128, 4.0),
+        (8 * np.pi, 128, 16.0),  # Nyquist edge: the lattice holds -16 but not +16
+        (2 * np.pi, 64, 8.0),
+        (2 * np.pi, 64, 32.0),  # Nyquist edge
+    ],
+)
+def test_pair_table_oracles_match_the_per_beta_loop(L, N, n, drop_zero_mode, channels):
+    grid = SpectralGrid(1, L, N)
+    for T, sigma in ((1.0, 0.23), (0.5, -0.32), (1 / 32, 0.38)):
+        ref_i, ref_w = per_beta_reference(grid, n, 0.3, T, sigma, drop_zero_mode, channels)
+        got_i = ipsi2_norm_sq_expectation(grid, n, 0.3, T, sigma, drop_zero_mode, channels)
+        got_w = wick_norm_sq_expectation(grid, n, 0.3, T, sigma, drop_zero_mode)
+        assert type(got_i) is float and type(got_w) is float
+        assert got_i == pytest.approx(ref_i, rel=1e-13, abs=0)
+        assert got_w == pytest.approx(ref_w, rel=1e-13, abs=0)
+
+
+def test_kernel_chunks_split_only_between_shifts(monkeypatch):
+    # chunks smaller than one shift's pairs, and chunks of several shifts
+    grid = SpectralGrid(1, 2 * np.pi, 64)
+    for chunk in (5, 40):
+        monkeypatch.setattr(wsnl.secondmoment, "_CHUNK", chunk)
+        wsnl.secondmoment._beta_sums.cache_clear()
+        ref_i, ref_w = per_beta_reference(grid, 8.0, 0.3, 0.5, 0.23, False, "both")
+        got_i = ipsi2_norm_sq_expectation(grid, 8.0, 0.3, 0.5, 0.23)
+        got_w = wick_norm_sq_expectation(grid, 8.0, 0.3, 0.5, 0.23)
+        assert got_i == pytest.approx(ref_i, rel=1e-13)
+        assert got_w == pytest.approx(ref_w, rel=1e-13)
+    wsnl.secondmoment._beta_sums.cache_clear()
+
+
+def test_second_sigma_reuses_the_cached_pair_sums(monkeypatch):
+    grid = SpectralGrid(1, 8 * np.pi, 256)
+    calls = []
+
+    def counted(kernel):
+        def wrapped(*args):
+            calls.append(kernel.__name__)
+            return kernel(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(wsnl.secondmoment, "conjugate_kernel", counted(conjugate_kernel))
+    monkeypatch.setattr(wsnl.secondmoment, "plain_kernel", counted(plain_kernel))
+    wsnl.secondmoment._beta_sums.cache_clear()
+    first = ipsi2_norm_sq_expectation(grid, 8.0, 0.3, 1.0, 0.23)
+    assert calls == ["conjugate_kernel", "plain_kernel"]
+    second = ipsi2_norm_sq_expectation(grid, 8.0, 0.3, 1.0, 0.38)
+    assert calls == ["conjugate_kernel", "plain_kernel"]
+    assert second > first  # a larger sigma weights every beta != 0 up
+    ipsi2_norm_sq_expectation(grid, 8.0, 0.3, 0.5, 0.23)  # a new T is a new table
+    assert len(calls) == 4
+    wsnl.secondmoment._beta_sums.cache_clear()
+
+
+def test_unknown_channel_is_rejected():
+    with pytest.raises(ValueError, match="channels"):
+        ipsi2_norm_sq_expectation(SpectralGrid(1, 2 * np.pi, 64), 8, 0.3, 1, 0.23, channels="x")
 
 
 class TestKernels:

@@ -145,7 +145,8 @@ class TestDuhamel:
         dt, K = 0.03125, 16
         phase = propagator_phase(GRID, dt)
         for k in range(K):
-            ipsi2 = duhamel_update(ipsi2, phase, w_hat, w_hat, dt)
+            # the kernel consumes its previous-Wick argument as scratch
+            duhamel_update(ipsi2, phase, w_hat.copy(), w_hat, dt)
         expected = -1j * c * GRID.L * (K * dt)
         assert ipsi2[0] == pytest.approx(expected, rel=1e-12)
 
@@ -172,11 +173,41 @@ class TestDuhamel:
                 w_next = np.zeros(GRID.N, dtype=complex)
                 w_prev[idx] = np.exp(1j * omega * (k * dt))
                 w_next[idx] = np.exp(1j * omega * ((k + 1) * dt))
-                ipsi2 = duhamel_update(ipsi2, phase, w_prev, w_next, dt)
+                duhamel_update(ipsi2, phase, w_prev, w_next, dt)
             return abs(ipsi2[idx] - exact(T))
 
         e1, e2 = run(64), run(128)
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
+
+
+def test_in_place_advance_matches_an_out_of_place_reference_step():
+    # 40 tracked steps on a 4-rung ladder, against the step written out of place
+    grid = SpectralGrid(1, 4 * np.pi, 64)
+    radii, alpha, seed, size = [1.0, 2.0, 4.0, 8.0], 0.3, 21, 3
+    times = uniform_times(0.5, 40)
+    ens = PathEnsemble(
+        grid, alpha, radii, times, seed=seed, size=size, track_wick=True, track_ipsi2=True
+    )
+    masks = {r: truncation_mask(grid, r) for r in radii}
+    gain = (1.0 + grid.xi2) ** (-alpha / 2) * masks[radii[-1]]
+    psi = np.zeros((size,) + grid.shape, dtype=complex)
+    wick_hat = {r: np.zeros_like(psi) for r in radii}
+    ipsi2 = {r: np.zeros_like(psi) for r in radii}
+    for k in range(len(times) - 1):
+        dt = float(times[k + 1] - times[k])
+        phase = propagator_phase(grid, dt)
+        gauss = np.stack([increment_values(grid, dt, seed, b, k) for b in range(size)])
+        psi = phase * psi + (-1j) * gain * grid.forward_values(gauss)
+        for r in radii:
+            c = times[k + 1] * spectral_mass(grid, r, alpha)
+            new_hat = grid.forward_values(np.abs(grid.inverse_values(psi * masks[r])) ** 2 - c)
+            ipsi2[r] = phase * ipsi2[r] + (-0.5j * dt) * (phase * wick_hat[r] + new_hat)
+            wick_hat[r] = new_hat
+        ens.advance()
+        assert np.array_equal(ens.psi, psi)
+        for r in radii:
+            assert np.array_equal(ens.ipsi2[r], ipsi2[r])
+            assert np.array_equal(ens.psi_values(r), psi * masks[r])
 
 
 def test_truncation_coupling_is_exact_masking():
