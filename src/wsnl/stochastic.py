@@ -144,10 +144,7 @@ class PathEnsemble:
 
         batch_shape = (size,) + grid.shape
         self.psi = np.zeros(batch_shape, dtype=np.complex128)
-        self._noise = np.empty(batch_shape)
         if self.track_wick:
-            self._psi_scratch = np.empty(batch_shape, dtype=np.complex128)
-            self._wick_scratch = np.empty(batch_shape)
             # psi(0) = 0 and c_n(0) = 0, so the initial Wick transform is zero.
             self._wick_hat = {r: np.zeros(batch_shape, dtype=np.complex128) for r in self.radii}
         if self.track_ipsi2:
@@ -177,7 +174,7 @@ class PathEnsemble:
             raise GridError("time grid exhausted")
         dt = float(self.times[self.k + 1] - self.times[self.k])
         phase = self._phase(dt)
-        noise = self._noise
+        noise = np.empty(self.psi.shape)
         for b in range(self.size):
             noise[b] = gaussian_block(self.seed, self.stream_offset + b, self.k, self.grid.shape)
         np.multiply(np.sqrt(dt / self.grid.cell_volume), noise, out=noise)
@@ -188,10 +185,12 @@ class PathEnsemble:
         self.psi += g_hat
         self.k += 1
         if self.track_wick:
+            # the noise block and its transform are spent: they are the scratch
+            psi_r, wick = g_hat, noise
             for r in self.radii:
-                np.multiply(self.psi, self._masks[r], out=self._psi_scratch)
+                np.multiply(self.psi, self._masks[r], out=psi_r)
                 c = self.times[self.k] * self._mass[r]
-                wick = wick_square_values(self.grid, self._psi_scratch, c, out=self._wick_scratch)
+                wick_square_values(self.grid, psi_r, c, out=wick)
                 new_hat = self.grid.forward_values(wick)
                 if self.track_ipsi2:
                     duhamel_update(self.ipsi2[r], phase, self._wick_hat[r], new_hat, dt)
