@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from . import __version__
-from .grid import GridError, SpectralGrid
+from .grid import GridError, SpectralGrid, check_points, padded_points
 from .reference import PaperParams, ParameterError
 
 STUDY_KINDS = (
@@ -35,6 +35,8 @@ STUDY_KINDS = (
 # those among them that compare each rung n with 2n
 LADDER_KINDS = ("renorm_rate", "cauchy_rate", "smoothing", "solver_convergence")
 DOUBLING_KINDS = ("cauchy_rate", "solver_convergence")
+# kinds that track Wick squares, each radius on its own padded grid
+TRACKING_KINDS = ("sample", "solve", "smoothing", "solver_convergence")
 # the fewest rungs each ladder kind's verdict can read: the exponent fits take
 # log-log slopes over the 3 increments of 4 rungs, the Cauchy fit a slope over
 # 3 rungs, and the coupled solves compare at least 2 medians
@@ -57,7 +59,8 @@ KIND_DEFAULTS: dict[str, dict[str, object]] = {
     # The gain comes from the Duhamel phase 2 xi2.beta T, which oscillates
     # only once n T >~ 1: the ladder starts there.  dt * max resonance rate =
     # (T/K) * 5 n_max^2 must stay below pi, or the trapezoid aliases those
-    # oscillations, and 2 n_max <= Nyquist keeps |Psi_n|^2 unaliased.  L = 8 pi
+    # oscillations, and 2 n_max <= Nyquist keeps every mode of <I Psi^2>_n,
+    # which reaches 2n, on the study grid the study reads it from.  L = 8 pi
     # puts the exact increment exponents within 0.015 of their large-box
     # values; on the 2 pi torus the coarse lattice still shows growth.
     "smoothing": dict(
@@ -266,16 +269,30 @@ def validate_config(config: StudyConfig) -> list[str]:
         )
     radii = config._radii()
     if radii and not bad & {"kind", "d", "L", "N", "n", "ladder"}:
+        # the radius bound and the padded sizes are read off one axis, so no
+        # N^d array is built to check them
+        top = max(radii)
         try:
-            config.grid().check_radius(max(radii))
+            check_points(config.d, config.N)
+            axis = SpectralGrid(1, config.L, config.N)
+            axis.check_radius(top)
         except GridError as exc:
             errors.append(str(exc))
+        else:
+            if config.kind in TRACKING_KINDS:
+                M = padded_points(axis, top)
+                try:
+                    check_points(config.d, M)
+                except GridError as exc:
+                    errors.append(f"rung {top:g} needs a padded grid of {M} points per axis: {exc}")
         nyquist = math.pi * config.N / config.L
         if config.kind == "smoothing" and 2.0 * max(config.ladder) > nyquist + 1e-12:
-            # |Psi_n|^2 carries modes up to 2n; beyond Nyquist they wrap around
+            # <I Psi^2>_n carries modes up to 2n and the study reads all of it
+            # on the study grid, which holds none beyond Nyquist
             errors.append(
                 f"smoothing ladder needs 2*max(ladder) <= Nyquist bound pi*N/L "
-                f"(|Psi_n|^2 reaches 2n): 2*{max(config.ladder):g} > {nyquist:.6g}"
+                f"(the study reads <I Psi^2>_n, which reaches 2n, on the study grid): "
+                f"2*{max(config.ladder):g} > {nyquist:.6g}"
             )
     return errors
 

@@ -29,6 +29,12 @@ class GridError(ValueError):
     """Contract violation on grids, tags, or multiplier shapes."""
 
 
+def check_points(d: int, N: int, max_points: int = MAX_POINTS_DEFAULT) -> None:
+    """Reject N points per axis in d dimensions when N^d exceeds the budget."""
+    if N**d > max_points:
+        raise GridError(f"N^d = {N**d} exceeds the point budget {max_points}")
+
+
 @dataclass(frozen=True)
 class SpectralGrid:
     """Periodic box [0, L)^d sampled on N points per axis.
@@ -60,10 +66,7 @@ class SpectralGrid:
             raise GridError(f"N must be even and >= 4, got {self.N}")
         if not (self.L > 0 and np.isfinite(self.L)):
             raise GridError(f"L must be positive and finite, got {self.L}")
-        if self.N**self.d > self.max_points:
-            raise GridError(
-                f"N^d = {self.N**self.d} exceeds the point budget {self.max_points}"
-            )
+        check_points(self.d, self.N, self.max_points)
         object.__setattr__(self, "x", np.arange(self.N) * (self.L / self.N))
         xi = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.L / self.N)
         object.__setattr__(self, "xi_axis", xi)
@@ -98,33 +101,36 @@ class SpectralGrid:
 
     # The transforms act on the trailing d axes so batched (B, N, ..., N)
     # arrays work unchanged.
-    def forward_values(self, values: np.ndarray) -> np.ndarray:
+    # Both transforms write into the complex array `out` when one is given;
+    # it may be the input itself.
+    def forward_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Forward transform.  For d = 1, real input goes through rfft and the
         output is its exact Hermitian completion, F(-xi) == conj(F(xi)) bit for
         bit; every other input takes the full complex transform."""
         if self.d > 1 or np.iscomplexobj(values):
-            out = _fft(values, self.d, np.fft.fft, np.fft.fftn)
+            out = _fft(values, self.d, np.fft.fft, np.fft.fftn, out)
         else:
             N, h = self.N, self.N // 2 + 1
-            out = np.empty(np.shape(values), dtype=np.complex128)
+            if out is None:
+                out = np.empty(np.shape(values), dtype=np.complex128)
             # rfft leaves the modes 0 and N/2 exactly real
             np.fft.rfft(np.asarray(values, dtype=np.float64), axis=-1, out=out[..., :h])
             np.conjugate(out[..., N // 2 - 1 : 0 : -1], out=out[..., h:])
         out *= self.cell_volume
         return out
 
-    def inverse_values(self, values: np.ndarray) -> np.ndarray:
-        out = _fft(values, self.d, np.fft.ifft, np.fft.ifftn)
+    def inverse_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = _fft(values, self.d, np.fft.ifft, np.fft.ifftn, out)
         out *= (self.N / self.L) ** self.d
         return out
 
 
-def _fft(values, d: int, one_d, n_d) -> np.ndarray:
+def _fft(values, d: int, one_d, n_d, out=None) -> np.ndarray:
     """numpy transform over the trailing d axes; for d = 1 the 1-D routine
     gives the same result without the n-d routine's per-call set-up."""
     if d == 1:
-        return one_d(values, axis=-1)
-    return n_d(values, axes=tuple(range(-d, 0)))
+        return one_d(values, axis=-1, out=out)
+    return n_d(values, axes=tuple(range(-d, 0)), out=out)
 
 
 @dataclass(frozen=True)
@@ -188,6 +194,35 @@ def truncation_mask(grid: SpectralGrid, radius: float) -> np.ndarray:
         raise GridError(f"truncation radius must be >= 0, got {radius}")
     grid.check_radius(radius)
     return (grid.xi2 <= radius * radius).astype(np.float64)
+
+
+def ball_extent(grid: SpectralGrid, radius: float) -> int:
+    """Largest |k| on one axis among the lattice modes xi = 2 pi k / L of the
+    closed ball |xi| <= radius (the ball's reach along an axis)."""
+    grid.check_radius(radius)
+    i = np.arange(grid.N)
+    return int(np.minimum(i, grid.N - i)[grid.xi_axis**2 <= radius * radius].max())
+
+
+def padded_points(grid: SpectralGrid, radius: float) -> int:
+    """Points per axis of a grid on which |psi_n|^2 does not alias.
+
+    psi_n lives on the modes |k| <= P per axis (P = ball_extent), so |psi_n|^2
+    lives on |k| <= 2P, and a grid of M > 4P points maps no two of those modes
+    onto one (padding dealiasing, Orszag 1971).  M is the smallest such even
+    2-3-5-smooth count, and at least 4.
+    """
+    m = max(4, 4 * ball_extent(grid, radius) + 1)
+    while m % 2 or not _five_smooth(m):
+        m += 1
+    return m
+
+
+def _five_smooth(m: int) -> bool:
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
 
 
 def propagator_phase(grid: SpectralGrid, dt: float) -> np.ndarray:

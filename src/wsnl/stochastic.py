@@ -16,6 +16,14 @@ K = 2, 16 and 256 steps.  The Wick square subtracts the exact discrete constant
 c_n(t) (see reference.renorm_constant), and the Duhamel convolution of the Wick
 square is accumulated per mode with the trapezoid rule (second order in dt).
 
+Each radius n forms its Wick square on its own padded grid: psi_n is zero-padded
+onto more than 4 n/h points per axis (h = 2 pi / L), squared there and
+transformed back, so |Psi_n|^2 carries every mode up to 2n without aliasing
+(padding dealiasing, Orszag 1971), whether or not 2n is below the study grid's
+Nyquist bound.  The Wick transform and the Duhamel accumulator are then kept on
+the compact modes |beta| <= min(2n, Nyquist) only: those the study grid holds
+and the Wick square reaches.
+
 Coupling: one noise stream drives every truncation radius of a ladder, so the
 difference psi_m - psi_n is exactly the coupled object; psi_n equals the
 truncation mask applied to psi_m bit for bit.
@@ -23,6 +31,7 @@ truncation mask applied to psi_m bit for bit.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +40,9 @@ from .grid import (
     Field,
     GridError,
     SpectralGrid,
+    ball_extent,
     bessel_weight,
+    padded_points,
     propagator_phase,
     truncation_mask,
 )
@@ -42,10 +53,11 @@ from .reference import PaperParams, spectral_mass
 def wick_square_values(
     grid: SpectralGrid, psi_hat: np.ndarray, c: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """|Psi|^2 - c in physical space for transforms psi_hat (leading batch axes
-    allowed); c is the renormalization constant c_n(t).  Written into the real
-    array `out` when one is given."""
-    out = np.abs(grid.inverse_values(psi_hat), out=out)
+    """|Psi|^2 - c in physical space for complex transforms psi_hat (leading
+    batch axes allowed); c is the renormalization constant c_n(t).  Written
+    into the real array `out` when one is given.  psi_hat is consumed: the
+    inverse transform overwrites it."""
+    out = np.abs(grid.inverse_values(psi_hat, out=psi_hat), out=out)
     np.square(out, out=out)
     out -= c
     return out
@@ -92,18 +104,84 @@ def uniform_times(T: float, K: int) -> np.ndarray:
     return np.linspace(0.0, T, K + 1)
 
 
+def _blocks(d: int, a: int, b: int, src: int, dst: int) -> list[tuple[tuple, tuple]]:
+    """(source, target) index pairs that copy the modes k in [-a, b] of every
+    trailing axis from fft-ordered axes of src points to axes of dst points.
+    Per axis the block is two slices, k >= 0 at the front and k < 0 at the back."""
+    pairs = [(slice(0, b + 1), slice(0, b + 1))]
+    if a:
+        pairs.append((slice(src - a, src), slice(dst - a, dst)))
+    return [
+        ((...,) + tuple(p[0] for p in combo), (...,) + tuple(p[1] for p in combo))
+        for combo in itertools.product(pairs, repeat=d)
+    ]
+
+
+class _Rung:
+    """The padded grid and compact modes of one truncation radius.
+
+    psi_n lives on the modes |k| <= P per axis (P = ball_extent) and |psi_n|^2
+    on |k| <= 2P.  The padded grid holds the latter without aliasing; the
+    compact modes are those of |k| <= 2P that the study grid holds.  Study,
+    padded and compact arrays are all in numpy fft order.
+    """
+
+    def __init__(self, grid: SpectralGrid, radius: float) -> None:
+        P, half, d = ball_extent(grid, radius), grid.N // 2, grid.d
+        a, b = min(2 * P, half), min(2 * P, half - 1)
+        self.grid = grid
+        self.padded = SpectralGrid(d, grid.L, padded_points(grid, radius))
+        self.shape = (a + b + 1,) * d
+        self._ball = truncation_mask(grid, radius) > 0
+        self._psi_blocks = _blocks(d, min(P, half), min(P, half - 1), grid.N, self.padded.N)
+        self._from_padded = _blocks(d, a, b, self.padded.N, a + b + 1)
+        self._to_study = _blocks(d, a, b, a + b + 1, grid.N)
+        self._phases: dict[float, np.ndarray] = {}
+
+    @staticmethod
+    def _copy(blocks, values: np.ndarray, shape: tuple[int, ...], fill=np.empty) -> np.ndarray:
+        out = fill(np.shape(values)[: np.ndim(values) - len(shape)] + shape, dtype=np.complex128)
+        for src, dst in blocks:
+            out[dst] = values[src]
+        return out
+
+    def pad(self, psi: np.ndarray, out: np.ndarray) -> None:
+        """Write psi_n, the ball's modes of psi, into `out` on the padded grid;
+        `out` keeps whatever it holds at every other mode."""
+        for src, dst in self._psi_blocks:
+            np.copyto(out[dst], psi[src], where=self._ball[src])
+
+    def compact(self, padded_hat: np.ndarray) -> np.ndarray:
+        """The compact modes of a padded-grid transform."""
+        return self._copy(self._from_padded, padded_hat, self.shape)
+
+    def to_study(self, compact_hat: np.ndarray) -> np.ndarray:
+        """A compact array on the study grid, zero on the modes it lacks."""
+        return self._copy(self._to_study, compact_hat, self.grid.shape, np.zeros)
+
+    def phase(self, phase: np.ndarray, dt: float) -> np.ndarray:
+        """The study grid's propagator phase for step dt on the compact modes."""
+        if dt not in self._phases:
+            self._phases[dt] = self._copy([(t, s) for s, t in self._to_study], phase, self.shape)
+        return self._phases[dt]
+
+
 class PathEnsemble:
     """B coupled realizations advanced in lockstep on a shared time grid.
 
     Every truncation radius in `radii` is driven by the same per-member noise,
     with the master state evolved at max(radii) and the others obtained by
     masking.  Wick transforms and Duhamel accumulators are kept per radius only
-    when requested (they cost two transforms per radius per step).
+    when requested.  They cost two transforms per radius per step, each on the
+    radius's padded grid of more than 4 n/h points per axis (36 points for
+    n = 2 at h = 1/4), and they are stored on the radius's compact modes
+    |beta| <= min(2n, Nyquist), not on the study grid.
 
-    advance() updates `psi`, the Wick transforms and `ipsi2[r]` in place (the
-    previous Wick transform is the Duhamel step's scratch): an array taken
-    from them before a step changes during it, so callers copy what they keep.
-    psi_values() and wick_values() return fresh arrays.
+    advance() updates `psi` and the compact Wick transforms and Duhamel
+    accumulators in place (the previous Wick transform is the Duhamel step's
+    scratch): an array taken from them before a step changes during it, so
+    callers copy what they keep.  Callers read study-grid arrays through
+    psi_values(), wick_values() and ipsi2_values(), which return fresh arrays.
     """
 
     def __init__(
@@ -141,14 +219,22 @@ class PathEnsemble:
         self._gain_master = self._bessel * self._masks[n_max]
         self._drive = (-1j) * self._gain_master
         self._mass = {r: spectral_mass(grid, r, alpha) for r in self.radii}
+        self._rungs: dict[float, _Rung] = {}
 
-        batch_shape = (size,) + grid.shape
-        self.psi = np.zeros(batch_shape, dtype=np.complex128)
+        self.psi = np.zeros((size,) + grid.shape, dtype=np.complex128)
         if self.track_wick:
             # psi(0) = 0 and c_n(0) = 0, so the initial Wick transform is zero.
-            self._wick_hat = {r: np.zeros(batch_shape, dtype=np.complex128) for r in self.radii}
+            self._wick_hat = {r: self._compact_zeros(r) for r in self.radii}
         if self.track_ipsi2:
-            self.ipsi2 = {r: np.zeros(batch_shape, dtype=np.complex128) for r in self.radii}
+            self._ipsi2 = {r: self._compact_zeros(r) for r in self.radii}
+
+    def _rung(self, radius: float) -> _Rung:
+        if radius not in self._rungs:
+            self._rungs[radius] = _Rung(self.grid, radius)
+        return self._rungs[radius]
+
+    def _compact_zeros(self, radius: float) -> np.ndarray:
+        return np.zeros((self.size,) + self._rung(radius).shape, dtype=np.complex128)
 
     def _phase(self, dt: float) -> np.ndarray:
         if dt not in self._phase_cache:
@@ -160,9 +246,38 @@ class PathEnsemble:
         return self.psi * self._masks[radius]
 
     def wick_values(self, radius: float) -> np.ndarray:
-        """Physical-space Wick square block at the current time."""
+        """Physical-space Wick square block at the current time: the real part
+        of the study-grid field whose transform is the radius's compact Wick
+        transform.  A tracked radius reuses its tracked transform."""
+        if self.track_wick:
+            wick_hat = self._wick_hat[radius]
+        else:
+            wick_hat = self._wick_hat_now(radius, *self._scratch([radius]))
+        study = self.grid.inverse_values(self._rung(radius).to_study(wick_hat))
+        return study.real.copy()
+
+    def ipsi2_values(self, radius: float) -> np.ndarray:
+        """Frequency-space <I Psi^2> block on the study grid at the current time."""
+        return self._rung(radius).to_study(self._ipsi2[radius])
+
+    def _scratch(self, radii: list[float]) -> tuple[np.ndarray, np.ndarray]:
+        """A flat complex and a flat real scratch array that hold the batch on
+        the largest padded grid among `radii`; each rung views their front."""
+        points = self.size * max(self._rung(r).padded.N ** self.grid.d for r in radii)
+        return np.empty(points, dtype=np.complex128), np.empty(points)
+
+    def _wick_hat_now(self, radius: float, work: np.ndarray, work_real: np.ndarray) -> np.ndarray:
+        """The compact Wick transform of one radius at the current time,
+        formed on the radius's padded grid in the scratch arrays of _scratch."""
+        rung = self._rung(radius)
+        shape = (self.size,) + rung.padded.shape
+        points = self.size * rung.padded.N ** self.grid.d
+        pad, real = work[:points].reshape(shape), work_real[:points].reshape(shape)
+        pad.fill(0.0)
+        rung.pad(self.psi, pad)
         c = self.times[self.k] * self._mass[radius]
-        return wick_square_values(self.grid, self.psi_values(radius), c)
+        wick = wick_square_values(rung.padded, pad, c, out=real)
+        return rung.compact(rung.padded.forward_values(wick, out=pad))
 
     @property
     def t(self) -> float:
@@ -184,16 +299,14 @@ class PathEnsemble:
         np.multiply(phase, self.psi, out=self.psi)
         self.psi += g_hat
         self.k += 1
+        del noise, g_hat  # spent: freed before the tracking scratch is allocated
         if self.track_wick:
-            # the noise block and its transform are spent: they are the scratch
-            psi_r, wick = g_hat, noise
+            scratch = self._scratch(self.radii)
             for r in self.radii:
-                np.multiply(self.psi, self._masks[r], out=psi_r)
-                c = self.times[self.k] * self._mass[r]
-                wick_square_values(self.grid, psi_r, c, out=wick)
-                new_hat = self.grid.forward_values(wick)
+                new_hat = self._wick_hat_now(r, *scratch)
                 if self.track_ipsi2:
-                    duhamel_update(self.ipsi2[r], phase, self._wick_hat[r], new_hat, dt)
+                    rung_phase = self._rung(r).phase(phase, dt)
+                    duhamel_update(self._ipsi2[r], rung_phase, self._wick_hat[r], new_hat, dt)
                 self._wick_hat[r] = new_hat
 
     def run(self) -> None:
@@ -225,12 +338,12 @@ def sample_path(
     )
     psi_snaps = [Field(grid, ens.psi[0].copy(), "frequency")]
     wick_snaps = [Field(grid, ens.wick_values(params.n)[0], "physical")]
-    ipsi2_snaps = [Field(grid, ens.ipsi2[params.n][0].copy(), "frequency")]
+    ipsi2_snaps = [Field(grid, ens.ipsi2_values(params.n)[0], "frequency")]
     while ens.k + 1 < len(times):
         ens.advance()
         psi_snaps.append(Field(grid, ens.psi[0].copy(), "frequency"))
         wick_snaps.append(Field(grid, ens.wick_values(params.n)[0], "physical"))
-        ipsi2_snaps.append(Field(grid, ens.ipsi2[params.n][0].copy(), "frequency"))
+        ipsi2_snaps.append(Field(grid, ens.ipsi2_values(params.n)[0], "frequency"))
     return StochasticPath(
         params=params,
         grid=grid,

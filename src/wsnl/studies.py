@@ -33,7 +33,7 @@ import numpy as np
 
 # default_config stays importable from here, next to run_study
 from .config import ONE_SIDED_Z, StudyConfig, default_config  # noqa: F401
-from .grid import CutoffRho, GridError, SpectralGrid, hs_norm_sq, l2_norm
+from .grid import CutoffRho, GridError, SpectralGrid, hs_norm_sq, l2_norm, padded_points
 from .noise import increment_values
 from .reference import covariance_oracle, renorm_constant
 # step_values is not called here; it stays a module attribute because the
@@ -155,6 +155,15 @@ def run_study(config: StudyConfig) -> StudyResult:
         "solver_convergence": run_solver_convergence_study,
     }[config.kind]
     return runner(config)
+
+
+def resolution_note(grid: SpectralGrid, radii: Iterable[float]) -> str:
+    """Each tracked rung's padded points per axis M and 2n against Nyquist."""
+    rungs = "; ".join(
+        f"n={r:g}: M={padded_points(grid, r)}, 2n/Nyquist={2.0 * r / grid.nyquist:.4g}"
+        for r in radii
+    )
+    return f"padded Wick squares: {rungs}"
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +541,7 @@ def run_smoothing_study(config: StudyConfig) -> StudyResult:
         out_w = {sg: [] for sg in sigmas_wick}
         for n in ladder:
             wick_loc = rho2 * ens.wick_values(n)
-            ipsi2_loc = rho2 * grid.inverse_values(ens.ipsi2[n])
+            ipsi2_loc = rho2 * grid.inverse_values(ens.ipsi2_values(n))
             for sg in sigmas:
                 out_i[sg].append(hs_norm_sq(grid, ipsi2_loc, sg))
             for sg in sigmas_wick:
@@ -563,7 +572,8 @@ def run_smoothing_study(config: StudyConfig) -> StudyResult:
     notes = [
         f"kappa = {params.kappa:.4g}, s = {params.s:.4g}; gain probe straddles "
         f"-2s = {-2*params.s:.4g} and -2s+kappa = {gain_threshold:.4g}; bounded and "
-        f"growing sides are read from the dyadic-increment exponent"
+        f"growing sides are read from the dyadic-increment exponent",
+        resolution_note(grid, ladder),
     ]
     if config.d == 1:
         # Exact Wick-pairing expectations of the unlocalized object at every probe
@@ -777,7 +787,7 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
                 grid,
                 np.zeros(shape, dtype=np.complex128),
                 ens.psi_values(r),
-                ens.ipsi2[r],
+                ens.ipsi2_values(r),
                 ens.t,
                 strict=False,
             )
@@ -786,7 +796,7 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         for _ in range(config.K):
             ens.advance()
             for r, stepper in steppers.items():
-                stepper.step(stepper.level(ens.psi_values(r), ens.ipsi2[r], ens.t))
+                stepper.step(stepper.level(ens.psi_values(r), ens.ipsi2_values(r), ens.t))
         cols = []
         for n in ladder:
             u_n = steppers[n].v_hat + ens.psi_values(n)
@@ -826,6 +836,7 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         notes=[
             f"coupled solves, chi = rho, excluded realizations: {failed_total}",
             f"s = {s:.4g}, T = {config.T}, K = {config.K}",
+            resolution_note(grid, radii),
         ],
     )
 

@@ -191,6 +191,16 @@ def test_main_error_paths(tmp_path, capsys):
     assert "M must be >= 100" in err and "2*max(ladder) <= Nyquist" in err
 
 
+def test_padded_grid_over_the_point_budget_exits_2(tmp_path, capsys):
+    # d = 2, N = 4096: the study grid holds 4096^2 points, within the 2^26
+    # budget, but the rung n = 2048 (its Nyquist bound) squares psi_n on 8640^2
+    assert main(["sample", "--set", "d=2", "--set", "N=4096", "--set", "n=2048",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "rung 2048 needs a padded grid of 8640 points per axis" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    assert parse_config("d = 2\nN = 4096\nn = 1024\n").for_kind("sample").n == 1024
+
+
 @pytest.mark.parametrize("subcommand", ["smoothing", "converge"])
 def test_study_pinned_values_fill_unset_keys(subcommand):
     # L, N and chunk the user did not set come from the study, not the generic defaults

@@ -184,7 +184,7 @@ def test_expectations_match_monte_carlo():
     )
     ens.run()
     for sigma in (0.23, -0.32):
-        vals_i = hs_norm_sq(grid, grid.inverse_values(ens.ipsi2[8.0]), sigma)
+        vals_i = hs_norm_sq(grid, grid.inverse_values(ens.ipsi2_values(8.0)), sigma)
         z_i = (np.mean(vals_i) - ipsi2_norm_sq_expectation(grid, 8.0, alpha, T, sigma)) / (
             np.std(vals_i, ddof=1) / np.sqrt(M)
         )

@@ -249,13 +249,15 @@ def test_ensemble_march_matches_solve_per_member():
     )
     v0 = np.zeros((2,) + GRID.shape, dtype=complex)
     steppers = {
-        r: RemainderStepper(config, GRID, v0, ens.psi_values(r), ens.ipsi2[r], ens.t, strict=False)
+        r: RemainderStepper(
+            config, GRID, v0, ens.psi_values(r), ens.ipsi2_values(r), ens.t, strict=False
+        )
         for r in (n, 2 * n)
     }
     for _ in range(K):
         ens.advance()
         for r, stepper in steppers.items():
-            stepper.step(stepper.level(ens.psi_values(r), ens.ipsi2[r], ens.t))
+            stepper.step(stepper.level(ens.psi_values(r), ens.ipsi2_values(r), ens.t))
     for r, stepper in steppers.items():
         assert not stepper.failed.any()
         params = PaperParams(d=1, alpha=PARAMS.alpha, eps=PARAMS.eps, n=r)

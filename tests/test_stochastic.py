@@ -8,6 +8,7 @@ from wsnl.grid import (
     SpectralGrid,
     bump_profile,
     l2_norm,
+    padded_points,
     propagator_phase,
     truncation_mask,
 )
@@ -180,14 +181,22 @@ class TestDuhamel:
         assert e1 / e2 == pytest.approx(4.0, rel=0.25)
 
 
+def _signed_modes(grid):
+    """Integer wavenumbers k (xi = 2 pi k / L) of one axis, in fft order."""
+    return np.rint(grid.xi_axis * grid.L / (2 * np.pi)).astype(int)
+
+
 def test_in_place_advance_matches_an_out_of_place_reference_step():
-    # 40 tracked steps on a 4-rung ladder, against the step written out of place
+    # 40 tracked steps on a 4-rung ladder, against the padded step written out
+    # of place: psi_n zero-padded to the rung's padded size, squared there, and
+    # its modes |k| <= 2P (P the ball's reach) put back on the study grid
     grid = SpectralGrid(1, 4 * np.pi, 64)
     radii, alpha, seed, size = [1.0, 2.0, 4.0, 8.0], 0.3, 21, 3
     times = uniform_times(0.5, 40)
     ens = PathEnsemble(
         grid, alpha, radii, times, seed=seed, size=size, track_wick=True, track_ipsi2=True
     )
+    ks = _signed_modes(grid)
     masks = {r: truncation_mask(grid, r) for r in radii}
     gain = (1.0 + grid.xi2) ** (-alpha / 2) * masks[radii[-1]]
     psi = np.zeros((size,) + grid.shape, dtype=complex)
@@ -199,15 +208,107 @@ def test_in_place_advance_matches_an_out_of_place_reference_step():
         gauss = np.stack([increment_values(grid, dt, seed, b, k) for b in range(size)])
         psi = phase * psi + (-1j) * gain * grid.forward_values(gauss)
         for r in radii:
+            reach = int(np.abs(ks[masks[r] > 0]).max())
+            padded = SpectralGrid(1, grid.L, padded_points(grid, r))
+            ball, kept = np.abs(ks) <= reach, np.abs(ks) <= 2 * reach
+            pad = np.zeros((size, padded.N), dtype=complex)
+            pad[:, ks[ball] % padded.N] = (psi * masks[r])[:, ball]
             c = times[k + 1] * spectral_mass(grid, r, alpha)
-            new_hat = grid.forward_values(np.abs(grid.inverse_values(psi * masks[r])) ** 2 - c)
+            square = padded.forward_values(np.abs(padded.inverse_values(pad)) ** 2 - c)
+            new_hat = np.zeros_like(psi)
+            new_hat[:, kept] = square[:, ks[kept] % padded.N]
             ipsi2[r] = phase * ipsi2[r] + (-0.5j * dt) * (phase * wick_hat[r] + new_hat)
             wick_hat[r] = new_hat
         ens.advance()
         assert np.array_equal(ens.psi, psi)
         for r in radii:
-            assert np.array_equal(ens.ipsi2[r], ipsi2[r])
+            assert np.array_equal(ens.ipsi2_values(r), ipsi2[r])
+            assert np.array_equal(ens.wick_values(r), grid.inverse_values(wick_hat[r]).real)
             assert np.array_equal(ens.psi_values(r), psi * masks[r])
+
+
+def _relative_gap(got, ref):
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+
+def test_top_rungs_match_a_doubly_padded_reference():
+    # N = 1024, L = 8 pi: Nyquist 128, so 2n = Nyquist at n = 64 and 2 Nyquist
+    # at n = 128.  The reference pads psi_n to 2N + 2 points, where |psi_n|^2
+    # cannot alias, and restricts its square back to the study grid.
+    grid = SpectralGrid(1, 8 * np.pi, 1024)
+    radii, alpha, seed, size = [64.0, 128.0], 0.3, 31, 2
+    times = uniform_times(1.0 / 32, 4)
+    ens = PathEnsemble(
+        grid, alpha, radii, times, seed=seed, size=size, track_wick=True, track_ipsi2=True
+    )
+    fine = SpectralGrid(1, grid.L, 2 * grid.N + 2)
+    at = _signed_modes(grid) % fine.N
+    wick_hat = {r: np.zeros((size, grid.N), dtype=complex) for r in radii}
+    ipsi2 = {r: np.zeros((size, grid.N), dtype=complex) for r in radii}
+    aliased = {}
+    while ens.k + 1 < len(times):
+        dt = float(times[ens.k + 1] - times[ens.k])
+        phase = propagator_phase(grid, dt)
+        ens.advance()
+        for r in radii:
+            psi_r = ens.psi_values(r)
+            c = ens.t * spectral_mass(grid, r, alpha)
+            pad = np.zeros((size, fine.N), dtype=complex)
+            pad[:, at] = psi_r
+            new_hat = fine.forward_values(np.abs(fine.inverse_values(pad)) ** 2 - c)[:, at]
+            ipsi2[r] = phase * ipsi2[r] + (-0.5j * dt) * (phase * wick_hat[r] + new_hat)
+            wick_hat[r] = new_hat
+            wick = grid.inverse_values(new_hat).real
+            assert _relative_gap(ens.wick_values(r), wick) < 1e-12
+            assert _relative_gap(ens.ipsi2_values(r), ipsi2[r]) < 1e-12
+            # the study-grid square the ensemble formed before padding
+            on_grid = grid.forward_values(np.abs(grid.inverse_values(psi_r)) ** 2 - c)
+            aliased[r] = _relative_gap(on_grid, new_hat)
+    assert aliased[128.0] > 0.1 and aliased[64.0] > 1e-5
+
+
+@pytest.mark.parametrize(
+    "grid, alpha, radii",
+    [
+        (SpectralGrid(1, 4 * np.pi, 64), 0.3, [1.0, 2.5, 7.0]),
+        (SpectralGrid(2, 2 * np.pi, 32), 0.9, [2.0, 4.0, 7.0]),
+    ],
+    ids=["d1", "d2"],
+)
+def test_compact_tracking_matches_full_grid_tracking_below_half_nyquist(grid, alpha, radii):
+    # with 2n < Nyquist the study grid squares psi_n without aliasing, so the
+    # full-grid step (the tracking before padding) is a round-off reference
+    assert 2 * max(radii) < grid.nyquist
+    seed, size, times = 41, 2, uniform_times(0.25, 8)
+    ens = PathEnsemble(
+        grid, alpha, radii, times, seed=seed, size=size, track_wick=True, track_ipsi2=True
+    )
+    wick_hat = {r: np.zeros((size,) + grid.shape, dtype=complex) for r in radii}
+    ipsi2 = {r: np.zeros((size,) + grid.shape, dtype=complex) for r in radii}
+    while ens.k + 1 < len(times):
+        dt = float(times[ens.k + 1] - times[ens.k])
+        phase = propagator_phase(grid, dt)
+        ens.advance()
+        for r in radii:
+            c = ens.t * spectral_mass(grid, r, alpha)
+            wick = np.abs(grid.inverse_values(ens.psi_values(r))) ** 2 - c
+            new_hat = grid.forward_values(wick)
+            ipsi2[r] = phase * ipsi2[r] + (-0.5j * dt) * (phase * wick_hat[r] + new_hat)
+            wick_hat[r] = new_hat
+            scale_w, scale_i = np.max(np.abs(wick)), np.max(np.abs(ipsi2[r]))
+            assert np.max(np.abs(ens.wick_values(r) - wick)) < 1e-13 * scale_w
+            assert np.max(np.abs(ens.ipsi2_values(r) - ipsi2[r])) < 1e-13 * scale_i
+
+
+def test_untracked_wick_values_equal_the_tracked_ones():
+    grid, radii, times = SpectralGrid(1, 4 * np.pi, 64), [2.0, 8.0], uniform_times(0.25, 4)
+    tracked = PathEnsemble(grid, 0.3, radii, times, seed=5, size=2, track_wick=True)
+    plain = PathEnsemble(grid, 0.3, radii, times, seed=5, size=2)
+    while tracked.k + 1 < len(times):
+        tracked.advance()
+        plain.advance()
+        for r in radii:
+            assert np.array_equal(tracked.wick_values(r), plain.wick_values(r))
 
 
 def test_truncation_coupling_is_exact_masking():

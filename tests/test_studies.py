@@ -167,6 +167,9 @@ def test_smoothing_reduced_wick_diverges_and_exact_gain_visible():
     # phase) but is not what makes its plain log-log slope large
     free, full = res.slopes["exact_ipsi2_no_zero_mode"].slope, res.slopes["exact_ipsi2"].slope
     assert 0.3 < free < full
+    # the resolution diagnostic names each rung's padded size and 2n / Nyquist
+    assert "padded Wick squares: n=2: M=36, 2n/Nyquist=0.125;" in res.notes[1]
+    assert res.notes[1].endswith("; n=16: M=270, 2n/Nyquist=1")
 
 
 def test_exact_increment_exponent_needs_the_large_box():
@@ -191,6 +194,8 @@ def test_solver_convergence_reduced():
         default_config("solver_convergence", M=100, chunk=100, seed=42, K=64)
     )
     assert res.passed
+    # radius 128 squares psi on 2160 points: its 2n is twice the Nyquist bound
+    assert res.notes[-1].endswith("; n=64: M=1080, 2n/Nyquist=1; n=128: M=2160, 2n/Nyquist=2")
 
 
 @pytest.mark.slow
