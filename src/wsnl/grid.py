@@ -293,7 +293,11 @@ def sobolev_norm_hat(grid: SpectralGrid, f_hat: np.ndarray, s: float, p: float) 
     L^p norm (cell-volume weighted) of the Bessel-weighted field."""
     axes = tuple(range(-grid.d, 0))
     g = grid.inverse_values(bessel_weight(grid, s) * f_hat)
-    return (grid.cell_volume * np.sum(np.abs(g) ** p, axis=axes)) ** (1.0 / p)
+    sums = grid.cell_volume * np.sum(np.abs(g) ** p, axis=axes)
+    # the root is taken row by row with numpy's scalar power, so that a row's
+    # norm does not depend on the batch around it: the array power takes other
+    # paths (sqrt at p = 2, SIMD pow elsewhere) that differ in the last bit
+    return np.array([x ** (1.0 / p) for x in np.ravel(sums)]).reshape(np.shape(sums))
 
 
 def localized_norm_hat(

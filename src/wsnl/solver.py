@@ -21,13 +21,16 @@ d = 1 its transform takes the rfft path of SpectralGrid.forward_values.
 
 This module is the only place that marches the equation.  RemainderStepper is
 the step-local loop: it carries v, the previous time level's localized inputs
-and the last Picard evaluation of N at that level, so every level is localized
-once and N(t_k) costs no transform.  solve() drives one stepper over a path's
-snapshots; the coupled convergence study drives one per truncation radius over
-a batch of ensemble members.  solve(mode="global") is a separate
-algorithm, the fixed-point iteration of the whole-trajectory contraction map;
-it shares with the stepper the input localization (localized_inputs), the
-initial data, and the assembly of traces and SolverOutput.  All norms come
+and the last Picard evaluation of N at that level, so N(t_k) costs no
+transform.  The coupled convergence study drives one stepper per truncation
+radius over a batch of ensemble members.  solve() stacks a path's K+1 time
+levels once and localizes them in one batched localized_inputs call; its
+step-local mode drives one stepper over the rows of that stack.
+solve(mode="global") is a separate algorithm, the fixed-point iteration of the
+whole-trajectory contraction map: each sweep evaluates N at every level in one
+batched call and measures the step between iterates with one batched traces
+call, and only the Duhamel recurrence runs level by level.  Both modes take
+the traces of the trajectory they reach in one batched call.  All norms come
 from grid.py.
 
 Loss of regularity (norm above BLOWUP_NORM, or non-finite values) is a
@@ -60,6 +63,9 @@ from .reference import PaperParams
 from .stochastic import StochasticPath
 
 BLOWUP_NORM = 1e8
+
+# the Y(T) integrands of a stack of time levels, one array of values per norm
+Traces = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -106,7 +112,9 @@ class SolverConfig:
 class Level(NamedTuple):
     """The inputs of one time level t, already localized: rho Psi in physical
     space (None without a cutoff), the transform of rho^2 <I Psi^2>, and the
-    physical-space forcing (None without one)."""
+    physical-space forcing (None without one).  solve() also keeps a whole
+    path in one Level, each array with a leading axis of time levels and t
+    the time grid."""
 
     rho_psi: np.ndarray | None
     r_hat: np.ndarray
@@ -391,15 +399,19 @@ def _initial_hat(config: SolverConfig, grid: SpectralGrid) -> np.ndarray:
 
 def _make_traces(
     grid: SpectralGrid, params: PaperParams, rho_vals: np.ndarray | None
-) -> Callable[[np.ndarray], tuple[float, float, float]]:
-    """The Y(T) integrands at one time level: H^{-s}, W^{-s,q} and localized H^{-s+eta}."""
+) -> Traces:
+    """The Y(T) integrands of a stack of time levels, one value per row:
+    H^{-s}, W^{-s,q} and localized H^{-s+eta}."""
     s, eta = params.s, params.eta
     q = params.pair[1]
 
-    def traces(v_hat: np.ndarray) -> tuple[float, float, float]:
-        h = float(np.sqrt(hs_norm_sq_hat(grid, v_hat, -s)))
-        wq = float(sobolev_norm_hat(grid, v_hat, -s, q))
-        loc = 0.0 if rho_vals is None else float(localized_norm_hat(grid, v_hat, rho_vals, -s + eta))
+    def traces(v_hats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        h = np.sqrt(hs_norm_sq_hat(grid, v_hats, -s))
+        wq = sobolev_norm_hat(grid, v_hats, -s, q)
+        if rho_vals is None:
+            loc = np.zeros(len(v_hats))
+        else:
+            loc = localized_norm_hat(grid, v_hats, rho_vals, -s + eta)
         return h, wq, loc
 
     return traces
@@ -429,16 +441,17 @@ def _y_summary(
 def _output(
     config: SolverConfig,
     path: StochasticPath,
-    traces: Callable[[np.ndarray], tuple[float, float, float]],
-    v_hats: list[np.ndarray],
+    traces: Traces,
+    v_hats: np.ndarray,
     picard_iterations: np.ndarray,
     residuals: np.ndarray,
     monotone_flags: np.ndarray,
     failure: StepFailure | None,
 ) -> SolverOutput:
-    """Traces, Y(T) norms and u = v + Psi over the time levels v_hats reached."""
+    """Traces, Y(T) norms and u = v + Psi over the time levels v_hats reached,
+    one row per level."""
     grid = path.grid
-    trace_h, trace_wq, trace_loc = (np.array(col) for col in zip(*map(traces, v_hats)))
+    trace_h, trace_wq, trace_loc = traces(v_hats)
     return SolverOutput(
         config=config,
         times=path.times[: len(v_hats)],
@@ -455,6 +468,35 @@ def _output(
     )
 
 
+def _path_levels(
+    config: SolverConfig, path: StochasticPath, rho_vals: np.ndarray | None
+) -> Level:
+    """Every time level of the path, localized in one batched call: a Level
+    whose arrays carry a leading axis of K+1 levels and whose t is the time
+    grid.  The stacked psi and <I Psi^2> are freed on return."""
+    rho_psi, r_hat = localized_inputs(
+        path.grid,
+        rho_vals,
+        np.stack([f.values for f in path.psi]),
+        np.stack([f.values for f in path.ipsi2]),
+    )
+    forcing = None
+    if config.forcing is not None:
+        forcing = np.stack([config.forcing(float(t)) for t in path.times])
+    return Level(rho_psi, r_hat, forcing, path.times)
+
+
+def _row(levels: Level, k: int) -> Level:
+    """Time level k of a stacked Level, as views."""
+    rho_psi, r_hat, forcing, times = levels
+    return Level(
+        None if rho_psi is None else rho_psi[k],
+        r_hat[k],
+        None if forcing is None else forcing[k],
+        float(times[k]),
+    )
+
+
 def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
     """March the remainder over the path's time grid and assemble u = v + Psi."""
     grid = path.grid
@@ -465,28 +507,39 @@ def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
         raise GridError("phi lives on a different grid than the path")
     rho_vals = None if config.rho is None else config.rho.evaluate(grid)
     traces = _make_traces(grid, config.params, rho_vals)
-
+    levels = _path_levels(config, path, rho_vals)
     if config.mode == "global":
-        return _solve_global(config, path, rho_vals, traces)
+        trajectory = _march_global(config, path, levels, rho_vals, traces)
+    else:
+        trajectory = _march_step_local(config, path, levels)
+    del levels  # freed before the traces allocate theirs
+    return _output(config, path, traces, *trajectory)
 
+
+def _march_step_local(
+    config: SolverConfig, path: StochasticPath, levels: Level
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, StepFailure | None]:
+    """One RemainderStepper over the path's levels: the v reached at each
+    level, the per-step Picard records and the failure, if any."""
+    grid = path.grid
+    times = path.times
     stepper = RemainderStepper(
         config, grid, _initial_hat(config, grid), path.psi[0].values, path.ipsi2[0].values,
         float(times[0]),
     )
-    v_hats = [stepper.v_hat]
+    v_hats = np.empty((len(times),) + grid.shape, dtype=np.complex128)
+    v_hats[0] = stepper.v_hat
+    reached = len(times)
     failure: StepFailure | None = None
     for k in range(1, len(times)):
         try:
-            stepper.step(stepper.level(path.psi[k].values, path.ipsi2[k].values, float(times[k])))
+            stepper.step(_row(levels, k))
         except StepFailure as exc:
-            failure = exc
+            failure, reached = exc, k
             break
-        v_hats.append(stepper.v_hat)
-    return _output(
-        config,
-        path,
-        traces,
-        v_hats,
+        v_hats[k] = stepper.v_hat
+    return (
+        v_hats[:reached],
         np.array(stepper.iterations, dtype=int),
         np.array(stepper.residuals, dtype=np.float64),
         np.array(stepper.monotone, dtype=bool),
@@ -494,50 +547,71 @@ def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
     )
 
 
-def _solve_global(
+def _march_global(
     config: SolverConfig,
     path: StochasticPath,
+    levels: Level,
     rho_vals: np.ndarray | None,
-    traces: Callable[[np.ndarray], tuple[float, float, float]],
-) -> SolverOutput:
-    """Whole-trajectory fixed-point iteration of the contraction map."""
+    traces: Traces,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, StepFailure | None]:
+    """Whole-trajectory fixed-point iteration of the contraction map.
+
+    Each sweep evaluates N at every level in one batched call and measures
+    the distance between successive iterates with one batched traces call;
+    only the Duhamel recurrence runs level by level.
+    """
     grid = path.grid
     times = path.times
     steps = len(times) - 1
     dealias_mask = two_thirds_mask(grid) if config.dealias else None
     dts = [float(times[k + 1] - times[k]) for k in range(steps)]
     phases = {dt: propagator_phase(grid, dt) for dt in set(dts)}
-    levels = [
-        _level(config, grid, rho_vals, path.psi[k].values, path.ipsi2[k].values, float(times[k]))
-        for k in range(steps + 1)
-    ]
-    free = [_initial_hat(config, grid)]
-    for dt in dts:
-        free.append(phases[dt] * free[-1])
+    phi_hat = _initial_hat(config, grid)
+    r_hat = levels.r_hat
 
-    current = [free[k] + levels[k].r_hat for k in range(steps + 1)]
+    def free():
+        """The free evolution of phi at each level, formed by the same products
+        in every sweep."""
+        f = phi_hat
+        yield f
+        for dt in dts:
+            f = phases[dt] * f
+            yield f
+
+    current = np.empty_like(r_hat)
+    for k, f in enumerate(free()):
+        np.add(f, r_hat[k], out=current[k])
+    new = np.empty_like(current)
+    duhamel, term = grid.zeros(), grid.zeros()
     iterations = 0
     distance = np.inf
     # a diverging iterate overflows on its way to inf; the cut below handles it
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, config.picard_max + 1):
-            n_hats = [
-                nonlinearity_values(
-                    grid, current[k], rho_vals, levels[k].rho_psi, levels[k].forcing, dealias_mask
-                )
-                for k in range(steps + 1)
-            ]
-            duhamel = grid.zeros()
-            new = [free[0] + levels[0].r_hat]
-            for k, dt in enumerate(dts):
+            n_hats = nonlinearity_values(
+                grid, current, rho_vals, levels.rho_psi, levels.forcing, dealias_mask
+            )
+            # new[k+1] = free[k+1] + duhamel_{k+1} + r_hat[k+1], where
+            # duhamel_{k+1} = phase duhamel_k + (-i dt/2)(phase N_k + N_{k+1});
+            # operands in this order (see stochastic.duhamel_update)
+            sweep = free()
+            np.add(next(sweep), r_hat[0], out=new[0])
+            duhamel.fill(0.0)
+            for k, (dt, f) in enumerate(zip(dts, sweep)):
                 phase = phases[dt]
-                duhamel = phase * duhamel + (-0.5j * dt) * (phase * n_hats[k] + n_hats[k + 1])
-                new.append(free[k + 1] + duhamel + levels[k + 1].r_hat)
-            diffs = [traces(new[k] - current[k]) for k in range(steps + 1)]
-            dh, dq, dl = (np.array(col) for col in zip(*diffs))
-            y = _y_summary(times, dh, dq, dl, config.params)
+                np.multiply(phase, n_hats[k], out=term)
+                term += n_hats[k + 1]
+                np.multiply(-0.5j * dt, term, out=term)
+                np.multiply(phase, duhamel, out=duhamel)
+                duhamel += term
+                np.add(f, duhamel, out=new[k + 1])
+                new[k + 1] += r_hat[k + 1]
+            del n_hats
+            # the old iterate becomes the difference, then the two buffers swap roles
+            np.subtract(new, current, out=current)
+            y = _y_summary(times, *traces(current), config.params)
             distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
-            current = new
+            current, new = new, current
             iterations = m
             if not np.isfinite(distance):
                 break
@@ -547,7 +621,7 @@ def _solve_global(
     # As in the step-local march, the trajectory ends before the first level
     # whose H^{-s} norm is non-finite or above BLOWUP_NORM, and the failure is
     # dated there.
-    norms = np.sqrt(hs_norm_sq_hat(grid, np.array(current[1:]), -config.params.s))
+    norms = np.sqrt(hs_norm_sq_hat(grid, current[1:], -config.params.s))
     blown = np.flatnonzero(~(norms <= BLOWUP_NORM))
     failure = None
     if blown.size:
@@ -563,10 +637,7 @@ def _solve_global(
             iterations,
         )
     steps = len(current) - 1
-    return _output(
-        config,
-        path,
-        traces,
+    return (
         current,
         np.full(steps, iterations, dtype=int),
         np.full(steps, distance),

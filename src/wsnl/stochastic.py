@@ -181,7 +181,9 @@ class PathEnsemble:
     accumulators in place (the previous Wick transform is the Duhamel step's
     scratch): an array taken from them before a step changes during it, so
     callers copy what they keep.  Callers read study-grid arrays through
-    psi_values(), wick_values() and ipsi2_values(), which return fresh arrays.
+    psi_values(), wick_values() and ipsi2_values(), which return fresh arrays;
+    sample_path copies the compact arrays instead and puts a whole path on the
+    study grid at once.
     """
 
     def __init__(
@@ -336,14 +338,21 @@ def sample_path(
         track_wick=True,
         track_ipsi2=True,
     )
-    psi_snaps = [Field(grid, ens.psi[0].copy(), "frequency")]
-    wick_snaps = [Field(grid, ens.wick_values(params.n)[0], "physical")]
-    ipsi2_snaps = [Field(grid, ens.ipsi2_values(params.n)[0], "frequency")]
-    while ens.k + 1 < len(times):
-        ens.advance()
-        psi_snaps.append(Field(grid, ens.psi[0].copy(), "frequency"))
-        wick_snaps.append(Field(grid, ens.wick_values(params.n)[0], "physical"))
-        ipsi2_snaps.append(Field(grid, ens.ipsi2_values(params.n)[0], "frequency"))
+    # the march keeps the tracked rung's compact transforms; they are put on
+    # the study grid, and the Wick snapshots transformed, once at the end
+    n, rung = params.n, ens._rung(params.n)
+    psi = np.empty((len(times),) + grid.shape, dtype=np.complex128)
+    wick_hat = np.empty((len(times),) + rung.shape, dtype=np.complex128)
+    ipsi2_hat = np.empty_like(wick_hat)
+    for k in range(len(times)):
+        if k:
+            ens.advance()
+        psi[k], wick_hat[k], ipsi2_hat[k] = ens.psi[0], ens._wick_hat[n][0], ens._ipsi2[n][0]
+    wick = grid.inverse_values(rung.to_study(wick_hat)).real
+    ipsi2 = rung.to_study(ipsi2_hat)
+    psi_snaps = [Field(grid, values, "frequency") for values in psi]
+    wick_snaps = [Field(grid, values, "physical") for values in wick]
+    ipsi2_snaps = [Field(grid, values, "frequency") for values in ipsi2]
     return StochasticPath(
         params=params,
         grid=grid,

@@ -21,6 +21,7 @@ from wsnl.grid import (
     localized_norm,
     pointwise_product,
     sobolev_norm,
+    sobolev_norm_hat,
     truncation_mask,
 )
 
@@ -188,6 +189,16 @@ class TestSobolevNorm:
         f = random_field(self.grid, seed=8)
         norms = [sobolev_norm(f, s, 2) for s in (-1.0, -0.3, 0.0, 0.4, 1.2)]
         assert all(a <= b * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_batched_rows_equal_single_calls_bit_for_bit(self, p):
+        # numpy's array power differs from its scalar power in the last bit
+        # (sqrt at 1/2, a SIMD pow elsewhere), so the root is taken per row
+        grid = SpectralGrid(1, 2 * np.pi, 8)
+        f_hat = random_field(grid, seed=10).values * np.linspace(0.5, 2.0, 4096)[:, None]
+        batched = sobolev_norm_hat(grid, f_hat, -0.3, p)
+        assert batched.shape == (4096,)
+        assert np.array_equal(batched, [sobolev_norm_hat(grid, row, -0.3, p) for row in f_hat])
 
     def test_rejects_bad_input(self):
         f = random_field(self.grid, seed=9)

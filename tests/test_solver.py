@@ -1,5 +1,6 @@
 """Remainder-equation solver: free evolution, convergence order, failure policy."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -11,8 +12,11 @@ from wsnl.grid import (
     SpectralGrid,
     bessel_weight,
     hs_norm_sq_hat,
+    localized_norm_hat,
     propagator_phase,
     sobolev_norm,
+    sobolev_norm_hat,
+    to_frequency,
     two_thirds_mask,
 )
 from wsnl.reference import PaperParams
@@ -20,6 +24,7 @@ from wsnl.solver import (
     RemainderStepper,
     SolverConfig,
     StepFailure,
+    _y_summary,
     localized_inputs,
     nonlinearity_values,
     solve,
@@ -365,3 +370,170 @@ def test_full_stochastic_run_completes_at_study_scale():
     assert out.completed
     assert np.all(out.picard_iterations <= 50)
     assert all(np.isfinite(v) for v in out.y_norms.values())
+
+
+def per_level_traces(config, grid):
+    """The Y(T) integrands of one time level, as solve() took them level by
+    level before it stacked the levels."""
+    rho_vals = None if config.rho is None else config.rho.evaluate(grid)
+    s, eta, q = config.params.s, config.params.eta, config.params.pair[1]
+
+    def traces(v_hat):
+        h = float(np.sqrt(hs_norm_sq_hat(grid, v_hat, -s)))
+        wq = float(sobolev_norm_hat(grid, v_hat, -s, q))
+        loc = 0.0 if rho_vals is None else float(localized_norm_hat(grid, v_hat, rho_vals, -s + eta))
+        return h, wq, loc
+
+    return traces
+
+
+def per_level_global(config, path, traces):
+    """Global mode as it ran level by level before its sweeps were batched:
+    one nonlinearity_values call and one traces call per level and sweep.
+    Returns the v reached at each level, the Picard records and the failure."""
+    grid = path.grid
+    times = path.times
+    steps = len(times) - 1
+    rho_vals = None if config.rho is None else config.rho.evaluate(grid)
+    dealias_mask = two_thirds_mask(grid) if config.dealias else None
+    dts = [float(times[k + 1] - times[k]) for k in range(steps)]
+    phases = {dt: propagator_phase(grid, dt) for dt in set(dts)}
+    levels = []
+    for k, t in enumerate(times):
+        rho_psi, r_hat = localized_inputs(grid, rho_vals, path.psi[k].values, path.ipsi2[k].values)
+        levels.append((rho_psi, r_hat, None if config.forcing is None else config.forcing(float(t))))
+    free = [grid.zeros() if config.phi is None else to_frequency(config.phi).values.copy()]
+    for dt in dts:
+        free.append(phases[dt] * free[-1])
+    current = [free[k] + levels[k][1] for k in range(steps + 1)]
+    iterations, distance = 0, np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, config.picard_max + 1):
+            n_hats = [
+                nonlinearity_values(grid, current[k], rho_vals, levels[k][0], levels[k][2], dealias_mask)
+                for k in range(steps + 1)
+            ]
+            duhamel = grid.zeros()
+            new = [free[0] + levels[0][1]]
+            for k, dt in enumerate(dts):
+                phase = phases[dt]
+                duhamel = phase * duhamel + (-0.5j * dt) * (phase * n_hats[k] + n_hats[k + 1])
+                new.append(free[k + 1] + duhamel + levels[k + 1][1])
+            dh, dq, dl = (np.array(c) for c in zip(*(traces(a - b) for a, b in zip(new, current))))
+            y = _y_summary(times, dh, dq, dl, config.params)
+            distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
+            current, iterations = new, m
+            if not np.isfinite(distance) or distance <= config.picard_tol:
+                break
+    norms = np.sqrt(hs_norm_sq_hat(grid, np.array(current[1:]), -config.params.s))
+    blown = np.flatnonzero(~(norms <= 1e8))
+    failure = None
+    if blown.size:
+        k = int(blown[0]) + 1
+        current = current[:k]
+        failure = StepFailure("blowup", float(times[k]), k - 1, float(distance), iterations)
+    elif not distance <= config.picard_tol:
+        kind = "blowup" if not np.isfinite(distance) else "picard"
+        failure = StepFailure(kind, float(times[-1]), steps - 1, float(distance), iterations)
+    n = len(current) - 1
+    records = (np.full(n, iterations, dtype=int), np.full(n, distance), np.ones(n, dtype=bool))
+    return current, records, failure
+
+
+def per_level_reference(config, path):
+    """solve() as it ran level by level, for both modes: every time level
+    localized on its own, traces taken one level at a time."""
+    grid = path.grid
+    times = path.times
+    traces = per_level_traces(config, grid)
+    if config.mode == "global":
+        v_hats, records, failure = per_level_global(config, path, traces)
+    else:
+        phi_hat = grid.zeros() if config.phi is None else to_frequency(config.phi).values.copy()
+        stepper = RemainderStepper(
+            config, grid, phi_hat, path.psi[0].values, path.ipsi2[0].values, float(times[0])
+        )
+        v_hats, failure = [stepper.v_hat], None
+        for k in range(1, len(times)):
+            try:
+                stepper.step(stepper.level(path.psi[k].values, path.ipsi2[k].values, float(times[k])))
+            except StepFailure as exc:
+                failure = exc
+                break
+            v_hats.append(stepper.v_hat)
+        records = (
+            np.array(stepper.iterations, dtype=int),
+            np.array(stepper.residuals, dtype=np.float64),
+            np.array(stepper.monotone, dtype=bool),
+        )
+    trace_h, trace_wq, trace_loc = (np.array(c) for c in zip(*map(traces, v_hats)))
+    return {
+        "times": times[: len(v_hats)],
+        "v": np.array(v_hats),
+        "u": np.array([vh + path.psi[k].values for k, vh in enumerate(v_hats)]),
+        "picard_iterations": records[0],
+        "residuals": records[1],
+        "monotone_flags": records[2],
+        "trace_h": trace_h,
+        "trace_wq": trace_wq,
+        "trace_localized": trace_loc,
+        "y_norms": _y_summary(times, trace_h, trace_wq, trace_loc, config.params),
+        "failure": failure,
+    }
+
+
+def manufactured_forcing(rho):
+    """Complex forcing of the manufactured solution v*(t) = e^{-it} g, g three_mode_field(amp=0.3)."""
+    g = three_mode_field(GRID, amp=0.3)
+    h = GRID.inverse_values((1.0 + GRID.xi2) * GRID.forward_values(g.values))
+    envelope = rho.evaluate(GRID) ** 2 * np.abs(g.values) ** 2
+    return g, lambda t: np.exp(-1j * t) * h - envelope
+
+
+def stacked_case(name, mode):
+    """(config, path) of one case the stacked solver must reproduce bit for bit."""
+    T, K = 0.25, 32
+    rho = CutoffRho.for_grid(GRID)
+    phi = three_mode_field(GRID, amp=0.2)
+    if name == "sample path, complex phi":
+        return make_config(GRID, PARAMS, rho, phi, T, K, mode=mode), sample_path(
+            PARAMS, GRID, seed=51, T=T, K=K
+        )
+    if name == "manufactured forcing":
+        g, forcing = manufactured_forcing(rho)
+        config = make_config(GRID, PARAMS, rho, g, T, K, dealias=False, forcing=forcing, mode=mode)
+        return config, zero_path(PARAMS, GRID, T=T, K=K)
+    if name == "blow-up":
+        config = make_config(
+            GRID, PARAMS, rho, None, T, 16, forcing=lambda t: np.full(GRID.shape, 1e12), mode=mode
+        )
+        return config, zero_path(PARAMS, GRID, T=T, K=16)
+    assert name == "no cutoff"
+    return make_config(GRID, PARAMS, None, phi, T, K, mode=mode), sample_path(
+        PARAMS, GRID, seed=52, T=T, K=K
+    )
+
+
+@pytest.mark.parametrize("mode", ["step-local", "global"])
+@pytest.mark.parametrize(
+    "name", ["sample path, complex phi", "manufactured forcing", "blow-up", "no cutoff"]
+)
+def test_stacked_solve_matches_the_per_level_reference_bit_for_bit(name, mode):
+    config, path = stacked_case(name, mode)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = solve(config, path)
+        ref = per_level_reference(config, path)
+    assert np.array_equal(out.times, ref["times"])
+    assert np.array_equal(np.array([f.values for f in out.v]), ref["v"])
+    assert np.array_equal(np.array([f.values for f in out.u]), ref["u"])
+    for key in (
+        "picard_iterations", "residuals", "monotone_flags", "trace_h", "trace_wq", "trace_localized"
+    ):
+        assert getattr(out, key).dtype == ref[key].dtype, key
+        assert np.array_equal(getattr(out, key), ref[key]), key
+    assert repr(out.y_norms) == repr(ref["y_norms"])
+    assert str(out.failure) == str(ref["failure"])
+    if out.failure is not None:
+        assert repr(dataclasses.astuple(out.failure)) == repr(dataclasses.astuple(ref["failure"]))
+    assert (out.failure is None) == (name != "blow-up")
