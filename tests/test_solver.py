@@ -21,6 +21,7 @@ from wsnl.grid import (
 )
 from wsnl.reference import PaperParams
 from wsnl.solver import (
+    BLOWUP_NORM,
     RemainderStepper,
     SolverConfig,
     StepFailure,
@@ -426,7 +427,7 @@ def per_level_global(config, path, traces):
             if not np.isfinite(distance) or distance <= config.picard_tol:
                 break
     norms = np.sqrt(hs_norm_sq_hat(grid, np.array(current[1:]), -config.params.s))
-    blown = np.flatnonzero(~(norms <= 1e8))
+    blown = np.flatnonzero(~(norms <= BLOWUP_NORM))
     failure = None
     if blown.size:
         k = int(blown[0]) + 1
