@@ -205,14 +205,19 @@ def ball_extent(grid: SpectralGrid, radius: float) -> int:
 
 
 def padded_points(grid: SpectralGrid, radius: float) -> int:
-    """Points per axis of a grid on which |psi_n|^2 does not alias.
+    """Points per axis of a grid on which |psi_n|^2 does not alias onto the
+    modes the study grid keeps of it.
 
     psi_n lives on the modes |k| <= P per axis (P = ball_extent), so |psi_n|^2
-    lives on |k| <= 2P, and a grid of M > 4P points maps no two of those modes
-    onto one (padding dealiasing, Orszag 1971).  M is the smallest such even
+    lives on |k| <= 2P, and the study grid keeps its modes |k| <= K with
+    K = min(2P, N/2).  On M points a mode k' aliases onto k' - M j, so
+    M > 2P + K keeps every kept mode clear of the others (padding dealiasing,
+    Orszag 1971): M > 4P while 2P < N/2, and M > 2P + N/2 once the square
+    reaches the study grid's Nyquist bound.  M is the smallest such even
     2-3-5-smooth count, and at least 4.
     """
-    m = max(4, 4 * ball_extent(grid, radius) + 1)
+    reach = ball_extent(grid, radius)
+    m = max(4, 2 * reach + min(2 * reach, grid.N // 2) + 1)
     while m % 2 or not _five_smooth(m):
         m += 1
     return m

@@ -7,10 +7,11 @@ are exact expectations of the continuous-time lattice objects, so they serve as
 deterministic oracles for the Monte Carlo ladders and as a scan tool: the pair
 (xi2 = 0, xi1 = beta) has resonance phase exactly zero and is the finite-box
 channel that escapes the oscillatory gain.  The time-stepped objects of
-stochastic.py match them up to step-size errors: the mode recursion is exact
-for the conjugate pairing E[psi psi-bar] but carries a left-endpoint
-O(dt |xi|^2) error in the plain pairing E[psi(xi) psi(-xi)], and the Duhamel
-convolution is a trapezoid sum.
+stochastic.py match them up to the Duhamel convolution's step-size error:
+psi is exact in distribution at every grid time, for the conjugate pairing
+E[psi psi-bar] and the plain pairing E[psi(xi) psi(-xi)] alike (each step
+adds its exact phase-weighted noise increment), and the Duhamel convolution
+is a trapezoid sum.
 
 The oracle evaluates its kernels once over a flattened table of every pair
 (xi2, xi1) and reduces per shift beta; the per-beta sums are cached per

@@ -314,13 +314,15 @@ class RemainderStepper:
     and <I Psi^2> transforms given to the constructor (time t) and to level()
     carry the same axes.  A step is two calls, step(level(psi_hat, ipsi2_hat,
     t_next)), so the caller's psi block can be freed before the Picard loop
-    runs.  Each time level is localized once, and the last Picard evaluation
-    of N at t_{k+1} is carried as the next step's N at t_k, except after a
-    step in which a member failed.  With strict=True a failed step raises
-    StepFailure and leaves the state at the last accepted step; with
-    strict=False failed members are zeroed, flagged in `failed`, and the march
-    goes on.  Per-step Picard iterations, worst residuals and monotone flags
-    are collected in lists.
+    runs.  A caller that holds the starting level localized already passes
+    it as `start` instead of psi_hat and ipsi2_hat (solve() does, with row 0
+    of its stacked levels).  Each time level is localized once, and the last
+    Picard evaluation of N at t_{k+1} is carried as the next step's N at t_k,
+    except after a step in which a member failed.  With strict=True a failed
+    step raises StepFailure and leaves the state at the last accepted step;
+    with strict=False failed members are zeroed, flagged in `failed`, and the
+    march goes on.  Per-step Picard iterations, worst residuals and monotone
+    flags are collected in lists.
     """
 
     def __init__(
@@ -328,10 +330,11 @@ class RemainderStepper:
         config: SolverConfig,
         grid: SpectralGrid,
         v_hat: np.ndarray,
-        psi_hat: np.ndarray,
-        ipsi2_hat: np.ndarray,
+        psi_hat: np.ndarray | None,
+        ipsi2_hat: np.ndarray | None,
         t: float,
         strict: bool = True,
+        start: Level | None = None,
     ) -> None:
         self.config = config
         self.grid = grid
@@ -342,7 +345,7 @@ class RemainderStepper:
         self._dt, self._phase = None, None
         self.v_hat = v_hat
         self.k = 0
-        self._prev = self.level(psi_hat, ipsi2_hat, t)
+        self._prev = self.level(psi_hat, ipsi2_hat, t) if start is None else start
         self._n_prev: np.ndarray | None = None
         self.iterations: list[int] = []
         self.residuals: list[float] = []
@@ -524,8 +527,8 @@ def _march_step_local(
     grid = path.grid
     times = path.times
     stepper = RemainderStepper(
-        config, grid, _initial_hat(config, grid), path.psi[0].values, path.ipsi2[0].values,
-        float(times[0]),
+        config, grid, _initial_hat(config, grid), None, None, float(times[0]),
+        start=_row(levels, 0),
     )
     v_hats = np.empty((len(times),) + grid.shape, dtype=np.complex128)
     v_hats[0] = stepper.v_hat

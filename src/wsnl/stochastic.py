@@ -2,31 +2,33 @@
 
 For one realization the frequency-space mode recursion
 
-    psi_{k+1}(xi) = e^{i dt |xi|^2} psi_k(xi)
-                    + (-i) (1+|xi|^2)^{-alpha/2} 1_{|xi|<=n} G_k(xi)
+    psi_{k+1}(xi) = e^{i dt |xi|^2} psi_k(xi) + (-i) (1+|xi|^2)^{-alpha/2} I_k(xi),
 
-adds each step's noise increment without its phase.  That is exact in
-distribution for the conjugate pairing E[psi psi-bar] at any step size: the
-Duhamel integrand has unimodular phase, so the increment variance
-dt * L^d * (1+|xi|^2)^{-alpha} carries no time-discretization bias.  The plain
-pairing E[psi(xi) psi(-xi)] is a left-endpoint Riemann sum of its phase
-integral and carries an O(dt |xi|^2) error: at n = 32, T = 0.5, x = y its
-oracle value is -0.1695 and the recursion gives -0.778, -0.248 and -0.1717 at
-K = 2, 16 and 256 steps.  The Wick square subtracts the exact discrete constant
-c_n(t) (see reference.renorm_constant), and the Duhamel convolution of the Wick
-square is accumulated per mode with the trapezoid rule (second order in dt).
+on the truncation ball |xi| <= n, adds each step's exact exponentially
+weighted noise increment I_k(xi) = int e^{i(t_{k+1}-s)|xi|^2} dW(s, xi)
+(noise.ModeNoise), sampled per mode on the ball only: no other mode is drawn
+and no transform is taken.  psi is therefore exact in distribution at any
+step size, for the conjugate pairing E[psi psi-bar] and for the plain pairing
+E[psi(xi) psi(-xi)] alike, at every time of the grid and jointly across times.
+The Wick square subtracts the exact discrete constant c_n(t) (see
+reference.renorm_constant), and the Duhamel convolution of the Wick square is
+accumulated per mode with the trapezoid rule (second order in dt).
 
 Each radius n forms its Wick square on its own padded grid: psi_n is zero-padded
-onto more than 4 n/h points per axis (h = 2 pi / L), squared there and
-transformed back, so |Psi_n|^2 carries every mode up to 2n without aliasing
-(padding dealiasing, Orszag 1971), whether or not 2n is below the study grid's
-Nyquist bound.  The Wick transform and the Duhamel accumulator are then kept on
-the compact modes |beta| <= min(2n, Nyquist) only: those the study grid holds
-and the Wick square reaches.
+onto enough points per axis (grid.padded_points) that no mode of its square
+aliases onto a mode kept, squared there and transformed back (padding
+dealiasing, Orszag 1971), whether or not 2n is below the study grid's Nyquist
+bound.  The Wick transform and the Duhamel accumulator are then kept on the
+compact modes |beta| <= min(2n, Nyquist) only: those the study grid holds and
+the Wick square reaches.
 
 Coupling: one noise stream drives every truncation radius of a ladder, so the
 difference psi_m - psi_n is exactly the coupled object; psi_n equals the
-truncation mask applied to psi_m bit for bit.
+truncation mask applied to psi_m bit for bit.  A member's normals are keyed by
+(seed, member, block of steps) alone, so its path does not depend on the chunk
+it runs in, its neighbours or the thread count.  They are drawn for the ball
+of the ladder's top radius, so a standalone path of radius n is not the rung
+n of a taller ladder's member.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .grid import (
     propagator_phase,
     truncation_mask,
 )
-from .noise import gaussian_block
+from .noise import ModeNoise, gaussian_block
 from .reference import PaperParams, spectral_mass
 
 
@@ -121,8 +123,8 @@ class _Rung:
     """The padded grid and compact modes of one truncation radius.
 
     psi_n lives on the modes |k| <= P per axis (P = ball_extent) and |psi_n|^2
-    on |k| <= 2P.  The padded grid holds the latter without aliasing; the
-    compact modes are those of |k| <= 2P that the study grid holds.  Study,
+    on |k| <= 2P.  The compact modes are those of |k| <= 2P that the study
+    grid holds, and the padded grid holds them free of aliasing.  Study,
     padded and compact arrays are all in numpy fft order.
     """
 
@@ -171,11 +173,15 @@ class PathEnsemble:
 
     Every truncation radius in `radii` is driven by the same per-member noise,
     with the master state evolved at max(radii) and the others obtained by
-    masking.  Wick transforms and Duhamel accumulators are kept per radius only
-    when requested.  They cost two transforms per radius per step, each on the
-    radius's padded grid of more than 4 n/h points per axis (36 points for
-    n = 2 at h = 1/4), and they are stored on the radius's compact modes
-    |beta| <= min(2n, Nyquist), not on the study grid.
+    masking.  Each member draws its normals for the ball of max(radii) only,
+    one key block of steps_per_key steps at a time (noise.ModeNoise); the
+    ensemble turns every member's block into that block's increments at its
+    first step and holds them through its last.  Wick transforms and
+    Duhamel accumulators are kept per radius only when requested.  They cost
+    two transforms per radius per step, each on the radius's padded grid
+    (grid.padded_points: 36 points for n = 2 at h = 1/4), and they are stored
+    on the radius's compact modes |beta| <= min(2n, Nyquist), not on the
+    study grid.
 
     advance() updates `psi` and the compact Wick transforms and Duhamel
     accumulators in place (the previous Wick transform is the Duhamel step's
@@ -215,14 +221,18 @@ class PathEnsemble:
 
         n_max = self.radii[-1]
         grid.check_radius(n_max)
-        self._phase_cache: dict[float, np.ndarray] = {}
-        self._bessel = bessel_weight(grid, -alpha)
+        self._phase_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._masks = {r: truncation_mask(grid, r) for r in self.radii}
-        self._gain_master = self._bessel * self._masks[n_max]
-        self._drive = (-1j) * self._gain_master
         self._mass = {r: spectral_mass(grid, r, alpha) for r in self.radii}
         self._rungs: dict[float, _Rung] = {}
 
+        # the noise is drawn and psi advanced on the ball's modes only, in
+        # the sampler's order; psi stays zero outside the ball
+        self._noise = ModeNoise(grid, self._masks[n_max] > 0)
+        self._drive = (-1j) * bessel_weight(grid, -alpha).reshape(-1)[self._noise.modes]
+        self._rows = np.arange(size)[:, None]  # with modes, the ball's entries of psi
+        # drive * I for the steps of every member's current key block
+        self._block: np.ndarray | None = None
         self.psi = np.zeros((size,) + grid.shape, dtype=np.complex128)
         if self.track_wick:
             # psi(0) = 0 and c_n(0) = 0, so the initial Wick transform is zero.
@@ -238,9 +248,11 @@ class PathEnsemble:
     def _compact_zeros(self, radius: float) -> np.ndarray:
         return np.zeros((self.size,) + self._rung(radius).shape, dtype=np.complex128)
 
-    def _phase(self, dt: float) -> np.ndarray:
+    def _phase(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
+        """The propagator phase for step dt on the study grid and on the ball."""
         if dt not in self._phase_cache:
-            self._phase_cache[dt] = propagator_phase(self.grid, dt)
+            phase = propagator_phase(self.grid, dt)
+            self._phase_cache[dt] = phase, phase.reshape(-1)[self._noise.modes]
         return self._phase_cache[dt]
 
     def psi_values(self, radius: float) -> np.ndarray:
@@ -290,18 +302,40 @@ class PathEnsemble:
         if self.k + 1 >= len(self.times):
             raise GridError("time grid exhausted")
         dt = float(self.times[self.k + 1] - self.times[self.k])
-        phase = self._phase(dt)
-        noise = np.empty(self.psi.shape)
-        for b in range(self.size):
-            noise[b] = gaussian_block(self.seed, self.stream_offset + b, self.k, self.grid.shape)
-        np.multiply(np.sqrt(dt / self.grid.cell_volume), noise, out=noise)
-        g_hat = self.grid.forward_values(noise)
-        # psi <- phase * psi + drive * g_hat, operands in this order (see duhamel_update)
-        np.multiply(self._drive, g_hat, out=g_hat)
-        np.multiply(phase, self.psi, out=self.psi)
-        self.psi += g_hat
+        phase, ball_phase = self._phase(dt)
+        noise = self._noise
+        block, row = noise.key(self.k)
+        if row == 0:
+            # a key block is drawn whole and turned at once into the
+            # increments of the steps it covers on this time grid
+            normals = np.empty((self.size,) + noise.block_shape)
+            for b in range(self.size):
+                gaussian_block(
+                    self.seed, self.stream_offset + b, block, noise.block_shape, out=normals[b]
+                )
+            dts = np.diff(self.times[self.k : self.k + noise.steps_per_key + 1])
+            shape = (self.size, len(dts), len(noise.modes))
+            if self._block is None or self._block.shape != shape:
+                self._block = np.empty(shape, dtype=np.complex128)
+            noise.increments(normals[:, : len(dts)], dts, out=self._block)
+            del normals
+            # operands in the formula's order: numpy's complex multiply is
+            # not bit-commutative
+            np.multiply(self._drive, self._block, out=self._block)
+        # psi <- phase * psi + drive * I on the ball
+        entries = (self._rows, noise.modes)
+        psi = self.psi.reshape(self.size, -1)
+        ball = psi[entries]
+        np.multiply(ball_phase, ball, out=ball)
+        ball += self._block[:, row]
+        psi[entries] = ball
+        if noise.steps_per_key == 1 or self.k + 2 == len(self.times):
+            # spent, and freed before the tracking scratch is allocated; a
+            # block of several steps is held through them anyway, so its
+            # array is kept for the next block
+            self._block = None
         self.k += 1
-        del noise, g_hat  # spent: freed before the tracking scratch is allocated
+        del ball
         if self.track_wick:
             scratch = self._scratch(self.radii)
             for r in self.radii:

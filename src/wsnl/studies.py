@@ -34,7 +34,7 @@ import numpy as np
 # default_config stays importable from here, next to run_study
 from .config import ONE_SIDED_Z, StudyConfig, default_config  # noqa: F401
 from .grid import CutoffRho, GridError, SpectralGrid, hs_norm_sq, l2_norm, padded_points
-from .noise import increment_values
+from .noise import ModeNoise
 from .reference import covariance_oracle, renorm_constant
 # step_values is not called here; it stays a module attribute because the
 # perfbench tracer patches it in this module
@@ -184,30 +184,36 @@ def _map_chunks(config: StudyConfig, fn) -> list[object]:
 
 
 class MeanAccumulator:
-    """Streaming mean and standard error for a vector of statistics."""
+    """Streaming mean and standard error for a vector of statistics.
+
+    Each block's count, mean and sum of squared deviations M2 are merged into
+    the running ones with the pairwise update of Chan, Golub and LeVeque
+    (1983), in the order the blocks arrive, so the variance never comes from a
+    difference of large sums of squares."""
 
     def __init__(self, width: int) -> None:
         self.count = 0
-        self.total = np.zeros(width)
-        self.total_sq = np.zeros(width)
+        self.mean = np.zeros(width)
+        self._m2 = np.zeros(width)
 
     def add(self, block: np.ndarray) -> None:
-        block = np.asarray(block)
+        block = np.asarray(block, dtype=np.float64)
         if block.ndim != 2:
             raise GridError("MeanAccumulator expects (members, width) blocks")
-        self.count += block.shape[0]
-        self.total += block.sum(axis=0)
-        self.total_sq += (block**2).sum(axis=0)
-
-    @property
-    def mean(self) -> np.ndarray:
-        return self.total / self.count
+        n = block.shape[0]
+        if n == 0:
+            return
+        mean = block.mean(axis=0)
+        m2 = np.square(block - mean).sum(axis=0)
+        total = self.count + n
+        delta = mean - self.mean
+        self.mean = self.mean + delta * (n / total)
+        self._m2 = self._m2 + m2 + delta * delta * (self.count * n / total)
+        self.count = total
 
     @property
     def stderr(self) -> np.ndarray:
-        m = self.mean
-        var = (self.total_sq - self.count * m**2) / (self.count - 1)
-        return np.sqrt(np.maximum(var, 0.0) / self.count)
+        return np.sqrt(self._m2 / (self.count - 1) / self.count)
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +228,18 @@ def white_noise_variance_check(
     test_functions: list[np.ndarray],
     rel_tol: float = 0.05,
 ) -> StudyResult:
-    """Var[<increment, f>] against dt * ||f||_{L2}^2 for each test function."""
-    pairings = np.zeros((M, len(test_functions)))
-    vol = grid.cell_volume
-    for m in range(M):
-        inc = increment_values(grid, dt, seed, m, 0)
-        for j, f in enumerate(test_functions):
-            pairings[m, j] = vol * float(np.sum(f * inc))
+    """E|<increment, f>|^2 against dt * ||f||_{L2}^2 for each test function.
+
+    The increments are the ensemble's exact one-step increments, drawn by its
+    sampler on the whole lattice: member m's first step, in physical space.
+    Their phases leave every mode's variance at dt L^d, so by Parseval the
+    complex pairing has E|<increment, f>|^2 = dt ||f||^2 for real f."""
+    noise = ModeNoise(grid, np.ones(grid.shape, dtype=bool))
+    z = np.stack([noise.normals_at(seed, m, 0) for m in range(M)])
+    inc = grid.inverse_values(noise.on_grid(noise.increments(z, dt))).reshape(M, -1)
+    pairings = np.stack(
+        [grid.cell_volume * np.sum(inc * f.reshape(-1), axis=1) for f in test_functions], axis=1
+    )
     rows: list[list[object]] = []
     verdicts: list[Verdict] = []
     for j, f in enumerate(test_functions):
@@ -273,25 +284,33 @@ def run_covariance_study(config: StudyConfig) -> StudyResult:
         for name in ("conj_re", "conj_im", "plain_re", "plain_im")
     }
 
+    # psi is read at the base point x and at each shifted point y; the
+    # first shift is 0, so column 0 of a snapshot is x
+    points = [(base_idx,) * (grid.d - 1) + ((base_idx - shift) % grid.N,) for shift in shifts]
+
     def chunk(lo: int, hi: int) -> dict[str, np.ndarray]:
         ens = PathEnsemble(
             grid, alpha, [n], times, seed=config.seed, size=hi - lo, stream_offset=lo
         )
+
+        def snapshot() -> np.ndarray:
+            # n is the ensemble's only radius, so psi is psi_values(n) already
+            field = grid.inverse_values(ens.psi)
+            return np.stack([field[(slice(None),) + p] for p in points], axis=-1)
+
         snaps = {}
         if 0 in probe_ks:
-            snaps[0] = grid.inverse_values(ens.psi_values(n))
+            snaps[0] = snapshot()
         while ens.k + 1 < len(times):
             ens.advance()
             if ens.k in probe_ks:
-                snaps[ens.k] = grid.inverse_values(ens.psi_values(n))
+                snaps[ens.k] = snapshot()
         out = {name: [] for name in acc}
-        base_sel = (base_idx,) * grid.d
         for ks in probe_ks:
             for kt in probe_ks:
-                a = snaps[ks][(slice(None),) + base_sel]
-                for shift in shifts:
-                    yi = (base_idx - shift) % grid.N
-                    b = snaps[kt][(slice(None),) + base_sel[:-1] + (yi,)]
+                a = snaps[ks][:, 0]
+                for j in range(len(shifts)):
+                    b = snaps[kt][:, j]
                     conj_prod = a * np.conj(b)
                     plain_prod = a * b
                     out["conj_re"].append(conj_prod.real)

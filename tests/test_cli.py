@@ -192,13 +192,14 @@ def test_main_error_paths(tmp_path, capsys):
 
 
 def test_padded_grid_over_the_point_budget_exits_2(tmp_path, capsys):
-    # d = 2, N = 4096: the study grid holds 4096^2 points, within the 2^26
-    # budget, but the rung n = 2048 (its Nyquist bound) squares psi_n on 8640^2
-    assert main(["sample", "--set", "d=2", "--set", "N=4096", "--set", "n=2048",
+    # d = 2, N = 8192: the study grid holds 8192^2 points, exactly the 2^26
+    # budget, but the rung n = 4096 (its Nyquist bound) squares psi_n on
+    # 12500^2, the smallest even 2-3-5-smooth size above 2P + N/2 = 12288
+    assert main(["sample", "--set", "d=2", "--set", "N=8192", "--set", "n=4096",
                  "--out", str(tmp_path / "run")]) == 2
-    assert "rung 2048 needs a padded grid of 8640 points per axis" in capsys.readouterr().err
+    assert "rung 4096 needs a padded grid of 12500 points per axis" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
-    assert parse_config("d = 2\nN = 4096\nn = 1024\n").for_kind("sample").n == 1024
+    assert parse_config("d = 2\nN = 8192\nn = 1024\n").for_kind("sample").n == 1024
 
 
 @pytest.mark.parametrize("subcommand", ["smoothing", "converge"])

@@ -30,7 +30,7 @@ from wsnl.solver import (
     nonlinearity_values,
     solve,
 )
-from wsnl.stochastic import PathEnsemble, sample_path, uniform_times, zero_path
+from wsnl.stochastic import PathEnsemble, StochasticPath, sample_path, uniform_times, zero_path
 
 GRID = SpectralGrid(1, 2 * np.pi, 64)
 PARAMS = PaperParams(d=1, alpha=0.3, eps=0.01, n=8)
@@ -244,8 +244,28 @@ def test_global_mode_matches_step_local_fixed_point():
     assert gap < 1e-7
 
 
+def rung_path(params, grid, seed, stream_id, T, K, top):
+    """The path of radius params.n that a ladder topped by `top` drives: its
+    noise is drawn on the ball of `top`, as the ensemble draws it."""
+    times = uniform_times(T, K)
+    ens = PathEnsemble(
+        grid, params.alpha, [params.n, top], times, seed=seed, size=1,
+        stream_offset=stream_id, track_ipsi2=True,
+    )
+    psi, ipsi2 = [], []
+    for k in range(K + 1):
+        if k:
+            ens.advance()
+        psi.append(Field(grid, ens.psi_values(params.n)[0], "frequency"))
+        ipsi2.append(Field(grid, ens.ipsi2_values(params.n)[0], "frequency"))
+    zero = [Field(grid, np.zeros(grid.shape), "physical") for _ in times]
+    return StochasticPath(params, grid, times, psi, zero, ipsi2, seed, stream_id)
+
+
 def test_ensemble_march_matches_solve_per_member():
-    # the converge study's batched march and solve() advance the same equation
+    # the converge study's batched march and solve() advance the same equation;
+    # the top radius's path is sample_path's, the lower one is the rung of
+    # the same member's ladder
     T, K, n, seed = 0.25, 32, 8.0, 31
     rho = CutoffRho.for_grid(GRID)
     config = make_config(GRID, PARAMS, rho, None, T, K)
@@ -268,7 +288,10 @@ def test_ensemble_march_matches_solve_per_member():
         assert not stepper.failed.any()
         params = PaperParams(d=1, alpha=PARAMS.alpha, eps=PARAMS.eps, n=r)
         for m in range(2):
-            path = sample_path(params, GRID, seed=seed, stream_id=m, T=T, K=K)
+            if r == 2 * n:
+                path = sample_path(params, GRID, seed=seed, stream_id=m, T=T, K=K)
+            else:
+                path = rung_path(params, GRID, seed, m, T, K, top=2 * n)
             out = solve(make_config(GRID, params, rho, None, T, K), path)
             assert out.completed
             ref = out.v[-1].values

@@ -1,5 +1,7 @@
 """Stochastic objects: the mode recursion, Wick centering, Duhamel accumulation."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from wsnl.grid import (
     propagator_phase,
     truncation_mask,
 )
-from wsnl.noise import increment_values
+from wsnl.noise import ModeNoise, gaussian_block
 from wsnl.reference import PaperParams, covariance_oracle, renorm_constant, spectral_mass
 from wsnl.snapshots import SnapshotError, read_snapshot, write_snapshot
 from wsnl.solver import localized_inputs
@@ -39,17 +41,34 @@ def test_psi_starts_at_zero_and_stays_in_ball():
 
 
 def test_mild_form_recursion_against_independent_multipliers():
-    # recompute each step with multipliers built from scratch in this test
+    # recompute each step with multipliers built from scratch in this test: the
+    # increment of each pair (k, -k) from its 4 normals through numpy's
+    # Cholesky factor of the covariance of (int cos(ua) dB, int sin(ua) dB)
     T, K = 0.5, 8
     path = sample_path(PARAMS, GRID, seed=2, T=T, K=K)
     dt = T / K
     k_int = np.fft.fftfreq(GRID.N, d=GRID.L / GRID.N) * 2 * np.pi
     phase = np.exp(1j * dt * k_int**2)
     gain = (1 + k_int**2) ** (-PARAMS.alpha / 2) * (np.abs(k_int) <= PARAMS.n)
+    P = 8  # modes k = 0, +-1, ..., +-8: 1 + 4 * 8 normals per step
+    steps = 1024 // (1 + 4 * P)
     for k in range(K):
-        inc = increment_values(GRID, dt, seed=2, stream_id=0, step=k)
-        g_hat = GRID.forward_values(inc.astype(complex))
-        predicted = phase * path.psi[k].values + (-1j) * gain * g_hat
+        z = gaussian_block(2, 0, k // steps, (steps, 1 + 4 * P))[k % steps]
+        inc = np.zeros(GRID.N, dtype=complex)
+        inc[0] = np.sqrt(GRID.L * dt) * z[0]
+        for j in range(1, P + 1):
+            a = k_int[j] ** 2
+            cov = np.array(
+                [
+                    [dt / 2 + np.sin(2 * a * dt) / (4 * a), np.sin(a * dt) ** 2 / (2 * a)],
+                    [np.sin(a * dt) ** 2 / (2 * a), dt / 2 - np.sin(2 * a * dt) / (4 * a)],
+                ]
+            )
+            chol = np.linalg.cholesky(cov) * np.sqrt(GRID.L / 2)
+            c1, s1 = chol @ z[[j, P + j]]
+            c2, s2 = chol @ z[[2 * P + j, 3 * P + j]]
+            inc[j], inc[-j] = (c1 - s2) + 1j * (s1 + c2), (c1 + s2) + 1j * (s1 - c2)
+        predicted = phase * path.psi[k].values + (-1j) * gain * inc
         gap = np.max(np.abs(path.psi[k + 1].values - predicted))
         assert gap < 1e-12 * max(1.0, np.max(np.abs(predicted)))
 
@@ -199,14 +218,15 @@ def test_in_place_advance_matches_an_out_of_place_reference_step():
     ks = _signed_modes(grid)
     masks = {r: truncation_mask(grid, r) for r in radii}
     gain = (1.0 + grid.xi2) ** (-alpha / 2) * masks[radii[-1]]
+    noise = ModeNoise(grid, masks[radii[-1]] > 0)
     psi = np.zeros((size,) + grid.shape, dtype=complex)
     wick_hat = {r: np.zeros_like(psi) for r in radii}
     ipsi2 = {r: np.zeros_like(psi) for r in radii}
     for k in range(len(times) - 1):
         dt = float(times[k + 1] - times[k])
         phase = propagator_phase(grid, dt)
-        gauss = np.stack([increment_values(grid, dt, seed, b, k) for b in range(size)])
-        psi = phase * psi + (-1j) * gain * grid.forward_values(gauss)
+        z = np.stack([noise.normals_at(seed, b, k) for b in range(size)])
+        psi = phase * psi + ((-1j) * gain) * noise.on_grid(noise.increments(z, dt))
         for r in radii:
             reach = int(np.abs(ks[masks[r] > 0]).max())
             padded = SpectralGrid(1, grid.L, padded_points(grid, r))
@@ -309,6 +329,29 @@ def test_untracked_wick_values_equal_the_tracked_ones():
         plain.advance()
         for r in radii:
             assert np.array_equal(tracked.wick_values(r), plain.wick_values(r))
+
+
+def test_a_members_path_does_not_depend_on_its_chunk_or_thread():
+    # 8 members in one chunk, in 8 chunks of 1, and in 2 chunks of 4 run on 2
+    # threads at once: psi and the tracked objects agree bit for bit, over
+    # steps that cross key blocks (15 steps per key here)
+    grid, radii, times = SpectralGrid(1, 2 * np.pi, 64), [8.0, 16.0], uniform_times(0.25, 20)
+
+    def run(lo, hi):
+        ens = PathEnsemble(
+            grid, 0.3, radii, times, seed=71, size=hi - lo, stream_offset=lo, track_ipsi2=True
+        )
+        ens.run()
+        return [ens.psi] + [ens.ipsi2_values(r) for r in radii] + [ens.wick_values(r) for r in radii]
+
+    assert ModeNoise(grid, truncation_mask(grid, 16.0) > 0).steps_per_key == 15
+    whole = run(0, 8)
+    singles = [np.concatenate(parts) for parts in zip(*(run(b, b + 1) for b in range(8)))]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        halves = list(pool.map(lambda lo: run(lo, lo + 4), [0, 4]))
+    threaded = [np.concatenate(parts) for parts in zip(*halves)]
+    for a, b, c in zip(whole, singles, threaded):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def test_truncation_coupling_is_exact_masking():

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import wsnl.studies
 from wsnl.grid import SpectralGrid
 from wsnl.studies import (
     MeanAccumulator,
@@ -76,6 +79,32 @@ def test_standard_error_scales_as_inverse_sqrt_m():
     assert ratio == pytest.approx(1 / np.sqrt(2), abs=0.1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    blocks=st.lists(
+        st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=1, max_size=5),
+        min_size=1,
+        max_size=6,
+    ).filter(lambda b: sum(map(len, b)) >= 2),
+    offset=st.sampled_from([0.0, -3.0, 1e4, 1e8, -1e12]),
+    scale=st.sampled_from([1e-6, 1.0, 1e3]),
+)
+def test_merged_blocks_match_a_two_pass_variance(blocks, offset, scale):
+    # blocks merged in order, including mean^2 >> variance (offset 1e8 or 1e12
+    # on a spread of 1e-6), where sums of squares cancel to nothing
+    arrays = [offset + scale * np.array(b) for b in blocks]
+    acc = MeanAccumulator(2)
+    for block in arrays:
+        acc.add(block)
+    x = np.concatenate(arrays)
+    mean = x.mean(axis=0)
+    se = np.sqrt(np.sum((x - mean) ** 2, axis=0) / (len(x) - 1) / len(x))
+    size = abs(offset) + scale
+    assert acc.count == len(x)
+    assert np.all(np.abs(acc.mean - mean) <= 1e-15 * size * len(arrays))
+    assert np.all(np.abs(acc.stderr - se) <= 1e-9 * se + 1e-15 * size)
+
+
 def test_study_config_validation():
     with pytest.raises(Exception):
         StudyConfig(kind="covariance", M=50)  # statistical verdict needs M >= 100
@@ -138,19 +167,44 @@ def test_covariance_reduced():
     assert len(res.columns) == len(res.rows[0])
 
 
-def test_covariance_round_off_components_are_not_divided_by_their_standard_error():
-    # after one step psi is purely imaginary in physical space, so the
-    # imaginary parts of both pairings at s = t are round-off in every member
-    res = run_study(default_config("covariance", K=2, N=32, n=4.0, M=100, seed=20260808))
+@pytest.mark.slow
+@pytest.mark.parametrize("K", [2, 16])
+def test_covariance_is_exact_at_coarse_steps(K):
+    # each step's increment carries its phase integral, so both pairings meet
+    # the oracle however coarse the step.  A recursion that adds the increment
+    # without its phase misses the plain pairing at n = 32, T = 0.5, x = y:
+    # -0.778 (K = 2) and -0.248 (K = 16) against -0.1695.
+    res = run_study(default_config("covariance", K=K, M=2000, seed=SEED))
+    assert res.passed
+    (row,) = [r for r in res.rows if r[0] == r[1] == 0.5 and r[2] == 0.0]
+    assert row[9] == pytest.approx(-0.1695, abs=5e-5)
+
+
+def test_covariance_round_off_components_are_not_divided_by_their_standard_error(monkeypatch):
+    # at s = t and no shift the conjugate pairing is |psi|^2, whose imaginary
+    # part is round-off in every member; at s = 0 psi is zero
+    config = default_config("covariance", K=2, N=32, n=4.0, M=100, seed=20260808)
+    res = run_study(config)
     verdict = res.verdicts[0]
-    assert verdict.value < 10.0
-    # the plain pairing's one-step bias still fails, held to its oracle within round-off
-    assert not verdict.passed
+    assert verdict.passed and verdict.value < 10.0
     note = res.notes[-1]
-    assert "s=0.25 t=0.25 shift=0: conj_im plain_im (misses its oracle by 0.0662)" in note
-    assert "s=0.5 t=0.5 shift=0: conj_im" in note
+    assert "s=0 t=0.5 shift=8: conj_re conj_im plain_re plain_im;" in note
+    assert "s=0.25 t=0.25 shift=0: conj_im;" in note
+    assert note.endswith("s=0.5 t=0.5 shift=0: conj_im")
+    assert "misses" not in note
     z = {(row[0], row[1], row[2]): row[-2] for row in res.rows}
     assert all(np.isfinite(value) and value < 10.0 for value in z.values())
+    # a round-off component that misses its oracle fails the verdict and is named
+    oracle = wsnl.studies.covariance_oracle
+
+    def shifted(grid, n, alpha, s, t, x, y):
+        oc, op = oracle(grid, n, alpha, s, t, x, y)
+        return oc + 0.05j * (s == t == 0.25), op
+
+    monkeypatch.setattr(wsnl.studies, "covariance_oracle", shifted)
+    res = run_study(config)
+    assert not res.passed
+    assert "s=0.25 t=0.25 shift=0: conj_im (misses its oracle by 0.05);" in res.notes[-1]
 
 
 @pytest.mark.slow
@@ -194,8 +248,9 @@ def test_solver_convergence_reduced():
         default_config("solver_convergence", M=100, chunk=100, seed=42, K=64)
     )
     assert res.passed
-    # radius 128 squares psi on 2160 points: its 2n is twice the Nyquist bound
-    assert res.notes[-1].endswith("; n=64: M=1080, 2n/Nyquist=1; n=128: M=2160, 2n/Nyquist=2")
+    # radius 128 squares psi on 1600 points: its 2n is twice the Nyquist bound,
+    # and 1600 > 2P + N/2 keeps the modes up to Nyquist unaliased
+    assert res.notes[-1].endswith("; n=64: M=1080, 2n/Nyquist=1; n=128: M=1600, 2n/Nyquist=2")
 
 
 @pytest.mark.slow
