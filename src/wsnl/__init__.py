@@ -8,24 +8,14 @@ from .grid import (  # noqa: F401
     Field,
     GridError,
     SpectralGrid,
-    apply_bessel,
-    apply_multiplier,
-    apply_propagator,
-    apply_truncation,
     bessel_weight,
-    forward,
-    inverse,
-    localized_norm,
-    pointwise_product,
     propagator_phase,
-    sobolev_norm,
     truncation_mask,
 )
 from .noise import mode_increment_variance  # noqa: F401
 from .reference import (  # noqa: F401
     PaperParams,
     ParameterError,
-    SmoothingGain,
     alpha_threshold,
     covariance_oracle,
     is_admissible,

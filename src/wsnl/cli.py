@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, StudyConfig, parse_config
-from .grid import CutoffRho, Field, GridError
+from .grid import CutoffRho, GridError
 from .output import write_csv, write_resolved_config, write_study_csv, write_verdicts
 from .reference import ParameterError, constants_table
 from .snapshots import write_snapshot
@@ -87,7 +87,6 @@ def _run_solve(config: StudyConfig, out_dir: Path) -> int:
     solver_cfg = SolverConfig(
         params=params,
         rho=CutoffRho.for_grid(grid),
-        phi=Field(grid, np.zeros(grid.shape), "physical"),
         dt=config.T / config.K,
         T=config.T,
         dealias=config.dealias,

@@ -1,5 +1,10 @@
 """Periodic-box spectral substrate: grids, transforms, multipliers, norms, cutoffs.
 
+Transforms, multipliers and norms act on plain arrays whose trailing d axes
+are the grid, batched over any leading axes.  Field is not an operand of any
+of them: it is the tagged record of one snapshot level of a stochastic path
+and of a solver's initial data, and callers pass its values.
+
 Conventions used by every module and every oracle in this package:
 
   forward transform    F f(xi_k) = dx^d * fftn(f)        (~ integral of f e^{-i<x,xi>} dx)
@@ -8,7 +13,7 @@ Conventions used by every module and every oracle in this package:
 
 Frequencies are xi_k = 2*pi*k/L for integer k in [-N/2, N/2) per axis, stored in
 numpy fft order.  Physical coordinates are x_j = j*L/N on [0, L).  With these
-choices the round trip inverse(forward(f)) == f holds exactly, and Parseval reads
+choices inverse_values(forward_values(f)) == f to round-off, and Parseval reads
 ||f||_{L2}^2 = dx^d * sum|f|^2 = L^{-d} * sum|Ff|^2.
 """
 
@@ -135,7 +140,9 @@ def _fft(values, d: int, one_d, n_d, out=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Field:
-    """One complex scalar field on a grid, tagged physical- or frequency-space."""
+    """One complex scalar field on a grid, tagged physical- or frequency-space:
+    a snapshot level of a StochasticPath or the initial data of SolverConfig.
+    Its values are checked against the grid's shape and stored as complex."""
 
     grid: SpectralGrid
     values: np.ndarray
@@ -150,33 +157,6 @@ class Field:
                 f"values shape {values.shape} does not match grid shape {self.grid.shape}"
             )
         object.__setattr__(self, "values", values)
-
-    @property
-    def is_frequency(self) -> bool:
-        return self.space == "frequency"
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values, self.space)
-
-
-def forward(f: Field) -> Field:
-    if f.space != "physical":
-        raise GridError("forward transform expects a physical-space field")
-    return Field(f.grid, f.grid.forward_values(f.values), "frequency")
-
-
-def inverse(f: Field) -> Field:
-    if f.space != "frequency":
-        raise GridError("inverse transform expects a frequency-space field")
-    return Field(f.grid, f.grid.inverse_values(f.values), "physical")
-
-
-def to_frequency(f: Field) -> Field:
-    return f if f.space == "frequency" else forward(f)
-
-
-def to_physical(f: Field) -> Field:
-    return f if f.space == "physical" else inverse(f)
 
 
 # ---------------------------------------------------------------------------
@@ -235,30 +215,6 @@ def propagator_phase(grid: SpectralGrid, dt: float) -> np.ndarray:
     return np.exp(1j * dt * grid.xi2)
 
 
-def apply_multiplier(f: Field, multiplier: np.ndarray) -> Field:
-    if f.space != "frequency":
-        raise GridError("multipliers act on frequency-space fields")
-    if np.shape(multiplier) != f.grid.shape:
-        raise GridError(
-            f"multiplier shape {np.shape(multiplier)} does not match grid {f.grid.shape}"
-        )
-    return Field(f.grid, f.values * multiplier, "frequency")
-
-
-def apply_bessel(f: Field, order: float) -> Field:
-    return apply_multiplier(f, bessel_weight(f.grid, order))
-
-
-def apply_truncation(f: Field, radius: float) -> Field:
-    return apply_multiplier(f, truncation_mask(f.grid, radius))
-
-
-def apply_propagator(f: Field, dt: float) -> Field:
-    if dt < 0:
-        raise GridError(f"propagator time step must be >= 0, got {dt}")
-    return apply_multiplier(f, propagator_phase(f.grid, dt))
-
-
 def two_thirds_mask(grid: SpectralGrid) -> np.ndarray:
     """2/3-rule dealiasing mask: keep |k| <= N/3 per axis."""
     keep = np.abs(np.fft.fftfreq(grid.N) * grid.N) <= grid.N / 3.0
@@ -315,29 +271,12 @@ def localized_norm_hat(
     return np.sqrt(grid.cell_volume * np.sum(np.abs(rho_vals * g) ** 2, axis=axes))
 
 
-def sobolev_norm(f: Field, s: float, p: float = 2.0) -> float:
-    """Discrete W^{s,p} norm: L^p norm (cell-volume weighted) of the Bessel-weighted field."""
-    if not np.isfinite(p) or p < 2:
-        raise GridError(f"integrability exponent p must be in [2, inf), got {p}")
-    if not np.all(np.isfinite(f.values)):
-        raise GridError("sobolev_norm given non-finite values")
-    return float(sobolev_norm_hat(f.grid, to_frequency(f).values, s, p))
-
-
 def hs_norm_sq(grid: SpectralGrid, phys_values: np.ndarray, s: float) -> np.ndarray:
     """Squared H^s norm of physical-space values; supports leading batch axes.
 
-    Equals sobolev_norm(f, s, 2)**2 by Parseval.
+    Equals sobolev_norm_hat(grid, forward_values(f), s, 2)**2 by Parseval.
     """
     return hs_norm_sq_hat(grid, grid.forward_values(phys_values), s)
-
-
-def pointwise_product(f: Field, g: Field) -> Field:
-    if f.space != "physical" or g.space != "physical":
-        raise GridError("pointwise_product expects physical-space fields")
-    if f.grid != g.grid:
-        raise GridError("pointwise_product requires a shared grid")
-    return Field(f.grid, f.values * g.values, "physical")
 
 
 def l2_norm(grid: SpectralGrid, phys_values: np.ndarray) -> float:
@@ -438,11 +377,3 @@ class CutoffRho:
         k = np.abs(np.fft.fftfreq(probe_n) * probe_n)
         return float(mags[k >= band * (probe_n / 2)].max() / mags.max())
 
-
-def localized_norm(f: Field, rho: CutoffRho, s: float) -> float:
-    """||rho * (Id - Laplacian)^{s/2} f||_{L2}: weight first, localize after."""
-    if not np.isfinite(s):
-        raise GridError("regularity exponent must be finite")
-    if not np.all(np.isfinite(f.values)):
-        raise GridError("localized_norm given non-finite values")
-    return float(localized_norm_hat(f.grid, to_frequency(f).values, rho.evaluate(f.grid), s))

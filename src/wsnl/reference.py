@@ -152,18 +152,6 @@ class PaperParams:
         return kappa(self.d, self.alpha)
 
 
-@dataclass(frozen=True)
-class SmoothingGain:
-    """Gain exponent record; validates against the kappa table."""
-
-    d: int
-    alpha: float
-    kappa: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "kappa", kappa(self.d, self.alpha))
-
-
 # ---------------------------------------------------------------------------
 # Lattice covariance oracles
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .grid import SpectralGrid
 
 def _e0(r: np.ndarray, T: float) -> np.ndarray:
     """int_0^T e^{iru} du."""
-    out = np.empty(np.shape(r), dtype=np.complex128)
     z = r == 0
     rs = np.where(z, 1.0, r)
     out = (np.exp(1j * rs * T) - 1.0) / (1j * rs)

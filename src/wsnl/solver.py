@@ -55,7 +55,6 @@ from .grid import (
     localized_norm_hat,
     propagator_phase,
     sobolev_norm_hat,
-    to_frequency,
     two_thirds_mask,
     weighted_norm_sq_hat,
 )
@@ -126,8 +125,8 @@ class Level(NamedTuple):
 class SolverOutput:
     config: SolverConfig
     times: np.ndarray
-    v: list[Field]
-    u: list[Field]
+    v: np.ndarray  # transforms, one row per time level reached: (levels, *grid.shape)
+    u: np.ndarray  # v + Psi, likewise
     picard_iterations: np.ndarray
     residuals: np.ndarray
     monotone_flags: np.ndarray
@@ -394,10 +393,13 @@ class RemainderStepper:
 
 
 def _initial_hat(config: SolverConfig, grid: SpectralGrid) -> np.ndarray:
-    """Transform of the initial data phi (zero when unset), as a fresh array."""
+    """Transform of the initial data phi (zero when unset), as a fresh array;
+    Field stores phi's values as complex, so they take the complex transform."""
     if config.phi is None:
         return grid.zeros()
-    return to_frequency(config.phi).values.copy()
+    if config.phi.space == "frequency":
+        return config.phi.values.copy()
+    return grid.forward_values(config.phi.values)
 
 
 def _make_traces(
@@ -452,14 +454,16 @@ def _output(
     failure: StepFailure | None,
 ) -> SolverOutput:
     """Traces, Y(T) norms and u = v + Psi over the time levels v_hats reached,
-    one row per level."""
-    grid = path.grid
+    one row per level; v is v_hats itself."""
     trace_h, trace_wq, trace_loc = traces(v_hats)
+    u = np.empty_like(v_hats)
+    for k, vh in enumerate(v_hats):
+        np.add(vh, path.psi[k].values, out=u[k])
     return SolverOutput(
         config=config,
         times=path.times[: len(v_hats)],
-        v=[Field(grid, vh, "frequency") for vh in v_hats],
-        u=[Field(grid, vh + path.psi[k].values, "frequency") for k, vh in enumerate(v_hats)],
+        v=v_hats,
+        u=u,
         picard_iterations=picard_iterations,
         residuals=residuals,
         monotone_flags=monotone_flags,

@@ -148,8 +148,8 @@ class StudyResult:
 def run_study(config: StudyConfig) -> StudyResult:
     runner = {
         "covariance": run_covariance_study,
-        "renorm_rate": lambda c: run_rate_study("renorm_rate", c),
-        "cauchy_rate": lambda c: run_rate_study("cauchy_rate", c),
+        "renorm_rate": run_renorm_study,
+        "cauchy_rate": run_cauchy_study,
         "smoothing": run_smoothing_study,
         "hoelder": run_hoelder_study,
         "solver_convergence": run_solver_convergence_study,
@@ -170,17 +170,40 @@ def resolution_note(grid: SpectralGrid, radii: Iterable[float]) -> str:
 # chunked ensemble execution
 # ---------------------------------------------------------------------------
 
-def _chunk_ranges(M: int, chunk: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + chunk, M)) for lo in range(0, M, chunk)]
+def _ensemble_blocks(
+    config: StudyConfig, radii: list[float], times: np.ndarray, measure, track: bool = False
+) -> list:
+    """measure(ens) for each chunk of config.chunk members, in member order.
 
+    Each chunk's ensemble starts at its first member's noise stream, so a
+    member's values depend on neither the chunking nor the thread count.
+    track=True tracks the Wick squares and their Duhamel convolutions."""
+    grid = config.grid()
 
-def _map_chunks(config: StudyConfig, fn) -> list[object]:
-    """Run fn(lo, hi) over member ranges; merge in index order for determinism."""
-    ranges = _chunk_ranges(config.M, config.chunk)
+    def block(lo: int):
+        size = min(config.chunk, config.M - lo)
+        return measure(PathEnsemble(
+            grid, config.alpha, radii, times, seed=config.seed, size=size, stream_offset=lo,
+            track_wick=track, track_ipsi2=track,
+        ))
+
+    starts = range(0, config.M, config.chunk)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(lambda r: fn(*r), ranges))
-    return [fn(lo, hi) for lo, hi in ranges]
+            return list(pool.map(block, starts))
+    return [block(lo) for lo in starts]
+
+
+def _at_steps(ens: PathEnsemble, steps: Iterable[int], read) -> dict[int, object]:
+    """read(ens) at each distinct time step of `steps`, marching the ensemble
+    up to the last one; step 0 is read before the first advance."""
+    wanted = set(steps)
+    out = {0: read(ens)} if 0 in wanted else {}
+    while ens.k < max(wanted):
+        ens.advance()
+        if ens.k in wanted:
+            out[ens.k] = read(ens)
+    return out
 
 
 class MeanAccumulator:
@@ -214,6 +237,18 @@ class MeanAccumulator:
     @property
     def stderr(self) -> np.ndarray:
         return np.sqrt(self._m2 / (self.count - 1) / self.count)
+
+
+def _means(blocks: list[dict]) -> dict:
+    """One MeanAccumulator per named (members, width) array of the blocks,
+    fed block by block in member order."""
+    acc: dict = {}
+    for block in blocks:
+        for name, values in block.items():
+            if name not in acc:
+                acc[name] = MeanAccumulator(values.shape[1])
+            acc[name].add(values)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -277,51 +312,26 @@ def run_covariance_study(config: StudyConfig) -> StudyResult:
     base_idx = grid.N // 3
     shifts = [0, grid.N // 8, grid.N // 4]
 
-    n_probe = len(probe_ks)
-    width = n_probe * n_probe * len(shifts)
-    acc = {
-        name: MeanAccumulator(width)
-        for name in ("conj_re", "conj_im", "plain_re", "plain_im")
-    }
-
     # psi is read at the base point x and at each shifted point y; the
     # first shift is 0, so column 0 of a snapshot is x
     points = [(base_idx,) * (grid.d - 1) + ((base_idx - shift) % grid.N,) for shift in shifts]
 
-    def chunk(lo: int, hi: int) -> dict[str, np.ndarray]:
-        ens = PathEnsemble(
-            grid, alpha, [n], times, seed=config.seed, size=hi - lo, stream_offset=lo
-        )
+    def snapshot(ens: PathEnsemble) -> np.ndarray:
+        # n is the ensemble's only radius, so psi is psi_values(n) already
+        field = grid.inverse_values(ens.psi)
+        return np.stack([field[(slice(None),) + p] for p in points], axis=-1)
 
-        def snapshot() -> np.ndarray:
-            # n is the ensemble's only radius, so psi is psi_values(n) already
-            field = grid.inverse_values(ens.psi)
-            return np.stack([field[(slice(None),) + p] for p in points], axis=-1)
+    def measure(ens: PathEnsemble) -> dict[str, np.ndarray]:
+        snaps = _at_steps(ens, probe_ks, snapshot)
+        pairs = [
+            (snaps[ks][:, 0], snaps[kt][:, j])
+            for ks in probe_ks for kt in probe_ks for j in range(len(shifts))
+        ]
+        conj = np.stack([a * np.conj(b) for a, b in pairs], axis=-1)
+        plain = np.stack([a * b for a, b in pairs], axis=-1)
+        return dict(conj_re=conj.real, conj_im=conj.imag, plain_re=plain.real, plain_im=plain.imag)
 
-        snaps = {}
-        if 0 in probe_ks:
-            snaps[0] = snapshot()
-        while ens.k + 1 < len(times):
-            ens.advance()
-            if ens.k in probe_ks:
-                snaps[ens.k] = snapshot()
-        out = {name: [] for name in acc}
-        for ks in probe_ks:
-            for kt in probe_ks:
-                a = snaps[ks][:, 0]
-                for j in range(len(shifts)):
-                    b = snaps[kt][:, j]
-                    conj_prod = a * np.conj(b)
-                    plain_prod = a * b
-                    out["conj_re"].append(conj_prod.real)
-                    out["conj_im"].append(conj_prod.imag)
-                    out["plain_re"].append(plain_prod.real)
-                    out["plain_im"].append(plain_prod.imag)
-        return {name: np.stack(vals, axis=-1) for name, vals in out.items()}
-
-    for block in _map_chunks(config, chunk):
-        for name in acc:
-            acc[name].add(block[name])
+    acc = _means(_ensemble_blocks(config, [n], times, measure))
 
     z_bound = 5.0
     rows: list[list[object]] = []
@@ -423,15 +433,7 @@ def run_covariance_study(config: StudyConfig) -> StudyResult:
 # rate studies (renormalization divergence, Cauchy-in-n decay)
 # ---------------------------------------------------------------------------
 
-def run_rate_study(kind: str, config: StudyConfig) -> StudyResult:
-    if kind == "renorm_rate":
-        return _run_renorm_rate(config)
-    if kind == "cauchy_rate":
-        return _run_cauchy_rate(config)
-    raise GridError(f"unknown rate study {kind!r}")
-
-
-def _run_renorm_rate(config: StudyConfig) -> StudyResult:
+def run_renorm_study(config: StudyConfig) -> StudyResult:
     grid = config.grid()
     target = config.d - 2.0 * config.alpha
     c_values = [renorm_constant(grid, n, config.alpha, config.T) for n in config.ladder]
@@ -462,7 +464,7 @@ def _run_renorm_rate(config: StudyConfig) -> StudyResult:
     )
 
 
-def _run_cauchy_rate(config: StudyConfig) -> StudyResult:
+def run_cauchy_study(config: StudyConfig) -> StudyResult:
     grid = config.grid()
     params = config.params()
     s = params.s
@@ -471,13 +473,7 @@ def _run_cauchy_rate(config: StudyConfig) -> StudyResult:
     radii = sorted({r for n in ladder for r in (n, 2 * n)})
     times = np.array([0.0, config.T])
 
-    acc = MeanAccumulator(len(ladder))
-    diff_acc = MeanAccumulator(len(ladder) - 1)
-
-    def chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        ens = PathEnsemble(
-            grid, config.alpha, radii, times, seed=config.seed, size=hi - lo, stream_offset=lo
-        )
+    def measure(ens: PathEnsemble) -> dict[str, np.ndarray]:
         ens.run()
         cols = []
         for n in ladder:
@@ -485,11 +481,10 @@ def _run_cauchy_rate(config: StudyConfig) -> StudyResult:
             loc = rho_vals * grid.inverse_values(diff_hat)
             cols.append(hs_norm_sq(grid, loc, -s))
         block = np.stack(cols, axis=-1)
-        return block, block[:, :-1] - block[:, 1:]
+        return {"point": block, "decrement": block[:, :-1] - block[:, 1:]}
 
-    for block, diffs in _map_chunks(config, chunk):
-        acc.add(block)
-        diff_acc.add(diffs)
+    means = _means(_ensemble_blocks(config, radii, times, measure))
+    acc, diff_acc = means["point"], means["decrement"]
 
     z = one_sided_z(config.confidence)
     rows: list[list[object]] = []
@@ -543,50 +538,29 @@ def run_smoothing_study(config: StudyConfig) -> StudyResult:
     ladder = list(config.ladder)
     times = uniform_times(config.T, config.K)
 
-    def chunk(lo: int, hi: int) -> dict:
-        ens = PathEnsemble(
-            grid,
-            config.alpha,
-            ladder,
-            times,
-            seed=config.seed,
-            size=hi - lo,
-            stream_offset=lo,
-            track_wick=True,
-            track_ipsi2=True,
-        )
+    def measure(ens: PathEnsemble) -> dict[tuple[str, float], np.ndarray]:
         ens.run()
-        out_i = {sg: [] for sg in sigmas}
-        out_w = {sg: [] for sg in sigmas_wick}
+        cols = {("ipsi2", sg): [] for sg in sigmas} | {("wick", sg): [] for sg in sigmas_wick}
         for n in ladder:
             wick_loc = rho2 * ens.wick_values(n)
-            ipsi2_loc = rho2 * grid.inverse_values(ens.ipsi2_values(n))
-            for sg in sigmas:
-                out_i[sg].append(hs_norm_sq(grid, ipsi2_loc, sg))
-            for sg in sigmas_wick:
-                out_w[sg].append(hs_norm_sq(grid, wick_loc, sg))
-        return {
-            "i": {sg: np.stack(v, axis=-1) for sg, v in out_i.items()},
-            "w": {sg: np.stack(v, axis=-1) for sg, v in out_w.items()},
-        }
+            loc = {"wick": wick_loc, "ipsi2": rho2 * grid.inverse_values(ens.ipsi2_values(n))}
+            for (obj, sg), col in cols.items():
+                col.append(hs_norm_sq(grid, loc[obj], sg))
+        return {key: np.stack(col, axis=-1) for key, col in cols.items()}
 
     # per-member samples (members x rungs) are kept: the increment exponent's
     # standard error needs the covariance between rungs of one member
-    blocks = _map_chunks(config, chunk)
-    samples_i = {sg: np.concatenate([b["i"][sg] for b in blocks]) for sg in sigmas}
-    samples_w = {sg: np.concatenate([b["w"][sg] for b in blocks]) for sg in sigmas_wick}
+    blocks = _ensemble_blocks(config, ladder, times, measure, track=True)
+    samples = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
 
     rows: list[list[object]] = []
     slopes: dict[str, RegressionResult] = {}
-    for obj, samples in (("ipsi2", samples_i), ("wick", samples_w)):
-        for sg, x in samples.items():
-            acc = MeanAccumulator(len(ladder))
-            acc.add(x)
-            for j, n in enumerate(ladder):
-                rows.append([obj, sg, n, float(acc.mean[j]), float(acc.stderr[j])])
-            slopes[f"{obj}_sigma{sg:.4g}"] = loglog_ols(ladder, acc.mean)
+    for (obj, sg), acc in _means([samples]).items():
+        for j, n in enumerate(ladder):
+            rows.append([obj, sg, n, float(acc.mean[j]), float(acc.stderr[j])])
+        slopes[f"{obj}_sigma{sg:.4g}"] = loglog_ols(ladder, acc.mean)
     for sg in sigmas:
-        slopes[f"ipsi2_increment_sigma{sg:.4g}"] = increment_exponent(ladder, samples_i[sg])
+        slopes[f"ipsi2_increment_sigma{sg:.4g}"] = increment_exponent(ladder, samples["ipsi2", sg])
 
     notes = [
         f"kappa = {params.kappa:.4g}, s = {params.s:.4g}; gain probe straddles "
@@ -701,14 +675,9 @@ def run_hoelder_study(config: StudyConfig) -> StudyResult:
     rho_vals = CutoffRho.for_grid(grid).evaluate(grid)
     times = np.array([0.0, t0] + [t0 + h for h in lags])
 
-    acc = MeanAccumulator(len(lags))
-    acc_ctrl = MeanAccumulator(len(lags))
     zero_mode = (0,) * grid.d
 
-    def chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        ens = PathEnsemble(
-            grid, config.alpha, [config.n], times, seed=config.seed, size=hi - lo, stream_offset=lo
-        )
+    def measure(ens: PathEnsemble) -> dict[str, np.ndarray]:
         ens.advance()  # reach t0
         base = ens.psi_values(config.n).copy()
         base_zero = base[(slice(None),) + zero_mode].copy()
@@ -720,11 +689,10 @@ def run_hoelder_study(config: StudyConfig) -> StudyResult:
             cols.append(hs_norm_sq(grid, loc, -s))
             dz = ens.psi[(slice(None),) + zero_mode] - base_zero
             ctrl.append(np.abs(dz) ** 2)
-        return np.stack(cols, axis=-1), np.stack(ctrl, axis=-1)
+        return {"field": np.stack(cols, axis=-1), "control": np.stack(ctrl, axis=-1)}
 
-    for block, ctrl in _map_chunks(config, chunk):
-        acc.add(block)
-        acc_ctrl.add(ctrl)
+    means = _means(_ensemble_blocks(config, [config.n], times, measure))
+    acc, acc_ctrl = means["field"], means["control"]
 
     z = one_sided_z(config.confidence)
     rows: list[list[object]] = []
@@ -784,22 +752,8 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         dealias=config.dealias,
     )
 
-    per_member: list[np.ndarray] = []
-    failed_total = 0
-
-    def chunk(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        ens = PathEnsemble(
-            grid,
-            config.alpha,
-            radii,
-            times,
-            seed=config.seed,
-            size=hi - lo,
-            stream_offset=lo,
-            track_wick=True,
-            track_ipsi2=True,
-        )
-        shape = (hi - lo,) + grid.shape
+    def measure(ens: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
+        shape = (ens.size,) + grid.shape
         steppers = {
             r: RemainderStepper(
                 solver_config,
@@ -825,12 +779,9 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         failed = np.logical_or.reduce([stepper.failed for stepper in steppers.values()])
         return np.stack(cols, axis=-1), failed
 
-    blocks = _map_chunks(config, chunk)
-    for block, failed in blocks:
-        per_member.append(block[~failed])
-        failed_total += int(failed.sum())
-
-    samples = np.concatenate(per_member, axis=0)
+    blocks = _ensemble_blocks(config, radii, times, measure, track=True)
+    samples = np.concatenate([block[~failed] for block, failed in blocks], axis=0)
+    failed_total = sum(int(failed.sum()) for _, failed in blocks)
     medians = np.median(samples, axis=0)
     acc = MeanAccumulator(len(ladder))
     acc.add(samples)
@@ -870,31 +821,24 @@ def wick_centering_check(
     """Per-cell 4-sigma zero test of the ensemble mean of the Wick square."""
     grid = config.grid()
     times = uniform_times(config.T, config.K)
-    probe_ks = probe_ks or [config.K // 4, config.K // 2, 3 * config.K // 4, config.K]
+    # distinct steps >= 1: psi(0) = 0, so the Wick square at step 0 has no
+    # spread and its z-score is 0/0
+    probe_ks = sorted(set(probe_ks or (max(1, config.K * j // 4) for j in (1, 2, 3, 4))))
     cells = int(np.prod(grid.shape))
-    acc = {k: MeanAccumulator(cells) for k in probe_ks}
 
-    def chunk(lo: int, hi: int) -> dict[int, np.ndarray]:
-        ens = PathEnsemble(
-            grid, config.alpha, [config.n], times, seed=config.seed, size=hi - lo, stream_offset=lo
-        )
-        out = {}
-        while ens.k + 1 < len(times):
-            ens.advance()
-            if ens.k in probe_ks:
-                out[ens.k] = ens.wick_values(config.n).reshape(hi - lo, cells)
-        return out
+    def measure(ens: PathEnsemble) -> dict[int, np.ndarray]:
+        return _at_steps(ens, probe_ks, lambda e: e.wick_values(config.n).reshape(e.size, cells))
 
-    for block in _map_chunks(config, chunk):
-        for k, vals in block.items():
-            acc[k].add(vals)
+    acc = _means(_ensemble_blocks(config, [config.n], times, measure))
 
     rows: list[list[object]] = []
-    worst = 0.0
+    z_max = []
     for k in probe_ks:
         z = np.abs(acc[k].mean) / acc[k].stderr
-        worst = max(worst, float(z.max()))
-        rows.append([float(times[k]), float(np.abs(acc[k].mean).max()), float(z.max())])
+        z_max.append(float(z.max()))
+        rows.append([float(times[k]), float(np.abs(acc[k].mean).max()), z_max[-1]])
+    # np.max keeps a NaN, so a probe without a finite z fails the verdict
+    worst = float(np.max(z_max))
     verdict = Verdict(
         name="wick_mean_zero_4sigma",
         passed=worst <= z_bound,

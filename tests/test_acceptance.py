@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wsnl.cli import dispatch, main, parse_config
-from wsnl.grid import CutoffRho, Field, SpectralGrid, sobolev_norm
+from wsnl.grid import CutoffRho, Field, SpectralGrid, sobolev_norm_hat
 from wsnl.reference import PaperParams, constants_table
 from wsnl.solver import SolverConfig, solve
 from wsnl.stochastic import zero_path
@@ -139,8 +139,9 @@ def test_criterion_07_solver_sanity():
         SolverConfig(params=params, rho=None, phi=phi, dt=T / K, T=T),
         zero_path(params, grid, T=T, K=K),
     )
-    drift = abs(sobolev_norm(out.v[-1], 0.0, 2) - sobolev_norm(out.v[0], 0.0, 2))
-    conserved = out.completed and drift < 1e-10 * sobolev_norm(out.v[0], 0.0, 2)
+    l2_0, l2_T = (sobolev_norm_hat(grid, out.v[k], 0.0, 2) for k in (0, -1))
+    drift = abs(l2_T - l2_0)
+    conserved = out.completed and drift < 1e-10 * l2_0
 
     # manufactured solution v*(t) = e^{-it} g: order 2.0 +/- 0.2
     rho = CutoffRho.for_grid(grid)
@@ -160,7 +161,7 @@ def test_criterion_07_solver_sanity():
         )
         out2 = solve(cfg, zero_path(params, grid, T=T2, K=K2))
         assert out2.completed
-        return np.max(np.abs(out2.v[-1].values - np.exp(-1j * T2) * g_hat))
+        return np.max(np.abs(out2.v[-1] - np.exp(-1j * T2) * g_hat))
 
     order = float(np.log2(error(16) / error(32)))
     ok = conserved and abs(order - 2.0) <= 0.2

@@ -10,7 +10,6 @@ from wsnl.reference import (
     DEFAULT_PAIRS,
     PaperParams,
     ParameterError,
-    SmoothingGain,
     alpha_threshold,
     constants_table,
     covariance_oracle,
@@ -46,8 +45,8 @@ class TestKappa:
         assert kappa(2, 0.95) > 0.5
         assert kappa(3, 0.8) > 0.5
 
-    def test_smoothing_gain_record(self):
-        assert SmoothingGain(2, 1.0 - 1e-9).kappa == pytest.approx(0.5)
+    def test_smoothing_gain_near_alpha_one(self):
+        assert kappa(2, 1 - 1e-9) == pytest.approx(0.5)
 
 
 class TestThresholds:

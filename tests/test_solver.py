@@ -14,9 +14,7 @@ from wsnl.grid import (
     hs_norm_sq_hat,
     localized_norm_hat,
     propagator_phase,
-    sobolev_norm,
     sobolev_norm_hat,
-    to_frequency,
     two_thirds_mask,
 )
 from wsnl.reference import PaperParams
@@ -57,23 +55,22 @@ class TestFreeEvolution:
         assert out.completed
         phi_hat = GRID.forward_values(phi.values)
         expected = np.exp(1j * T * GRID.xi2) * phi_hat
-        assert np.max(np.abs(out.v[-1].values - expected)) < 1e-10 * np.max(np.abs(phi_hat))
+        assert np.max(np.abs(out.v[-1] - expected)) < 1e-10 * np.max(np.abs(phi_hat))
 
     def test_l2_conserved_over_256_steps(self):
         T, K = 0.5, 256
         phi = three_mode_field(GRID)
         config = make_config(GRID, PARAMS, None, phi, T, K)
         out = solve(config, zero_path(PARAMS, GRID, T=T, K=K))
-        l2_0 = sobolev_norm(out.v[0], 0.0, 2)
-        l2_T = sobolev_norm(out.v[-1], 0.0, 2)
+        l2_0 = sobolev_norm_hat(GRID, out.v[0], 0.0, 2)
+        l2_T = sobolev_norm_hat(GRID, out.v[-1], 0.0, 2)
         assert abs(l2_T - l2_0) < 1e-10 * l2_0
 
     def test_zero_data_stays_zero(self):
         config = make_config(GRID, PARAMS, None, None, 0.25, 16)
         out = solve(config, zero_path(PARAMS, GRID, T=0.25, K=16))
-        for v, u in zip(out.v, out.u):
-            assert np.all(v.values == 0)
-            assert np.all(u.values == 0)
+        assert out.v.shape == out.u.shape == (17,) + GRID.shape
+        assert np.all(out.v == 0) and np.all(out.u == 0)
 
 
 class TestQuadraticNonlinearity:
@@ -124,7 +121,7 @@ class TestConvergence:
         )
         out = solve(config, zero_path(PARAMS, GRID, T=self.T, K=K))
         assert out.completed
-        return out.v[-1].values
+        return out.v[-1]
 
     def test_richardson_self_convergence_order_two(self):
         ref = self._final(128)
@@ -177,7 +174,7 @@ def test_da_prato_debussche_bookkeeping_is_assembly_exact():
     out = solve(config, path)
     assert out.completed
     for k in range(len(out.times)):
-        assert np.array_equal(out.u[k].values, out.v[k].values + path.psi[k].values)
+        assert np.array_equal(out.u[k], out.v[k] + path.psi[k].values)
 
 
 def test_picard_contraction_evidence_on_stochastic_run():
@@ -227,7 +224,7 @@ def test_global_mode_blowup_is_dated_like_step_local():
         assert out.failure.kind == "blowup" and out.failure.step_index == 0
         assert out.failure.time == path.times[1]
         assert len(out.v) == 1 and len(out.trace_h) == 1 and len(out.picard_iterations) == 0
-    assert np.array_equal(outs[0].v[0].values, outs[1].v[0].values)
+    assert np.array_equal(outs[0].v[0], outs[1].v[0])
 
 
 def test_global_mode_matches_step_local_fixed_point():
@@ -238,10 +235,7 @@ def test_global_mode_matches_step_local_fixed_point():
     local = solve(make_config(GRID, PARAMS, rho, phi, T, K, mode="step-local"), path)
     glob = solve(make_config(GRID, PARAMS, rho, phi, T, K, mode="global"), path)
     assert local.completed and glob.completed
-    gap = max(
-        np.max(np.abs(a.values - b.values)) for a, b in zip(local.v, glob.v)
-    )
-    assert gap < 1e-7
+    assert np.max(np.abs(local.v - glob.v)) < 1e-7
 
 
 def rung_path(params, grid, seed, stream_id, T, K, top):
@@ -294,7 +288,7 @@ def test_ensemble_march_matches_solve_per_member():
                 path = rung_path(params, GRID, seed, m, T, K, top=2 * n)
             out = solve(make_config(GRID, params, rho, None, T, K), path)
             assert out.completed
-            ref = out.v[-1].values
+            ref = out.v[-1]
             assert np.max(np.abs(stepper.v_hat[m] - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
@@ -334,7 +328,7 @@ def test_step_local_march_matches_the_plain_reference():
     out = solve(config, path)
     assert out.completed
     ref, ref_iterations = reference_march(config, path)
-    assert np.max(np.abs(out.v[-1].values - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert np.max(np.abs(out.v[-1] - ref)) <= 1e-9 * np.max(np.abs(ref))
     # the predictor start saves iterations
     assert int(np.sum(out.picard_iterations)) < ref_iterations
 
@@ -379,7 +373,7 @@ def test_y_norm_traces_finite_and_windowed():
         assert np.all(np.isfinite(trace))
     # H^{-s} trace is the frequency-side formula: cross-check one snapshot
     k = len(out.times) // 2
-    direct = sobolev_norm(out.v[k], -PARAMS.s, 2)
+    direct = sobolev_norm_hat(GRID, out.v[k], -PARAMS.s, 2)
     assert out.trace_h[k] == pytest.approx(direct, rel=1e-10)
 
 
@@ -426,7 +420,7 @@ def per_level_global(config, path, traces):
     for k, t in enumerate(times):
         rho_psi, r_hat = localized_inputs(grid, rho_vals, path.psi[k].values, path.ipsi2[k].values)
         levels.append((rho_psi, r_hat, None if config.forcing is None else config.forcing(float(t))))
-    free = [grid.zeros() if config.phi is None else to_frequency(config.phi).values.copy()]
+    free = [grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)]
     for dt in dts:
         free.append(phases[dt] * free[-1])
     current = [free[k] + levels[k][1] for k in range(steps + 1)]
@@ -473,7 +467,7 @@ def per_level_reference(config, path):
     if config.mode == "global":
         v_hats, records, failure = per_level_global(config, path, traces)
     else:
-        phi_hat = grid.zeros() if config.phi is None else to_frequency(config.phi).values.copy()
+        phi_hat = grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)
         stepper = RemainderStepper(
             config, grid, phi_hat, path.psi[0].values, path.ipsi2[0].values, float(times[0])
         )
@@ -549,8 +543,8 @@ def test_stacked_solve_matches_the_per_level_reference_bit_for_bit(name, mode):
         out = solve(config, path)
         ref = per_level_reference(config, path)
     assert np.array_equal(out.times, ref["times"])
-    assert np.array_equal(np.array([f.values for f in out.v]), ref["v"])
-    assert np.array_equal(np.array([f.values for f in out.u]), ref["u"])
+    assert np.array_equal(out.v, ref["v"])
+    assert np.array_equal(out.u, ref["u"])
     for key in (
         "picard_iterations", "residuals", "monotone_flags", "trace_h", "trace_wq", "trace_localized"
     ):

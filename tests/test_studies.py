@@ -260,6 +260,18 @@ def test_wick_centering_reduced():
     assert res.passed
 
 
+def test_wick_centering_probes_are_distinct_measured_steps():
+    # at K < 4 the quarter steps repeat and reach step 0, where psi = 0 and
+    # every cell's z-score is 0/0: no probe may pass unmeasured
+    cfg = default_config("covariance", K=2, M=100, N=64)
+    res = wick_centering_check(cfg)
+    times = [row[0] for row in res.rows]
+    assert times == sorted(set(times)) and times[0] > 0
+    assert all(np.isfinite(row[2]) for row in res.rows)
+    with np.errstate(invalid="ignore"):
+        assert not wick_centering_check(cfg, probe_ks=[0, 2]).passed
+
+
 @pytest.mark.slow
 def test_smoother_noise_gives_flatter_ipsi2_ladder():
     """Raising alpha (smoother noise) lowers the zero-mode-free ladder slope.
