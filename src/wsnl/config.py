@@ -1,8 +1,11 @@
 """One configuration schema for the command line and the studies.
 
-Every configuration key is a field of StudyConfig.  Its metadata carries the
-generic default, the parser of the `key = value` grammar and the check, whose
-message names the violated constraint.  A config resolves in one order: the
+Every configuration key is a field of StudyConfig, and every field is a key;
+the values no key sets are constants (HOELDER_LAGS here, the Picard limits in
+solver.py, the smoothing probes and the renormalization slope tolerance in
+studies.py).  A field's metadata carries the generic default, the parser of
+the `key = value` grammar and the check, whose message names the violated
+constraint.  A config resolves in one order: the
 generic defaults, then its kind's defaults (KIND_DEFAULTS), then the values
 the caller set; an alpha still unset then takes its per-dimension default.
 Validation (validate_config) reports every error at once, field checks and
@@ -66,7 +69,7 @@ KIND_DEFAULTS: dict[str, dict[str, object]] = {
     "smoothing": dict(
         M=2000, ladder=(2.0, 4.0, 8.0, 16.0), T=1.0, K=512, L=8.0 * math.pi, N=256
     ),
-    "hoelder": dict(M=1000, n=32.0, lags=(0.5 / 32, 0.5 / 16, 0.5 / 8, 0.5 / 4)),
+    "hoelder": dict(M=1000, n=32.0),
     # finer frequency lattice (L = 8 pi): more modes per dyadic shell, which
     # suppresses the small-shell median bias that otherwise masks the decay
     "solver_convergence": dict(
@@ -81,6 +84,8 @@ KIND_DEFAULTS: dict[str, dict[str, object]] = {
     ),
 }
 KINDS = tuple(KIND_DEFAULTS)
+# the hoelder study's time lags h, each measured from the base time T/2
+HOELDER_LAGS = (0.5 / 32, 0.5 / 16, 0.5 / 8, 0.5 / 4)
 
 
 class ConfigError(Exception):
@@ -112,11 +117,10 @@ def _increasing_radii(ladder) -> bool:
     )
 
 
-def _key(default, parse=None, ok=None, must="", key=None, record=False):
-    """A config field: generic default, `key = value` parser (None for fields
-    the command line does not set), check `ok` with the constraint it tests,
-    and whether verdict.txt records it.  Unset fields hold None until the
-    config resolves."""
+def _key(default, parse, ok=None, must="", key=None, record=False):
+    """A config field: generic default, `key = value` parser, check `ok` with
+    the constraint it tests, and whether verdict.txt records it.  Unset fields
+    hold None until the config resolves."""
     meta = dict(default=default, parse=parse, ok=ok, must=must, key=key, record=record)
     return field(default=None, metadata=meta)
 
@@ -162,22 +166,14 @@ class StudyConfig:
     threads: int = _key(1, int, lambda v: v >= 1, "be >= 1")
     chunk: int = _key(500, int, lambda v: v >= 1, "be >= 1")
     out: str = _key("out", str)
-    sigmas: tuple[float, ...] = _key(())
-    sigmas_wick: tuple[float, ...] = _key(())
-    lags: tuple[float, ...] = _key(())
-    picard_tol: float = _key(1e-10)
-    picard_max: int = _key(50)
-    slope_tol: float = _key(0.05)
-    # the fields the caller set (all but kind), which for_kind carries over
-    provided: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        schema = [f for f in fields(self) if f.init]
+        # the fields the caller set (all but kind), which for_kind carries over
         self.provided = frozenset(
-            f.name for f in schema if f.name != "kind" and getattr(self, f.name) is not None
+            f.name for f in fields(self) if f.name != "kind" and getattr(self, f.name) is not None
         )
         kind_defaults = KIND_DEFAULTS.get(self.kind, {})
-        for f in schema:
+        for f in fields(self):
             if getattr(self, f.name) is None:
                 setattr(self, f.name, kind_defaults.get(f.name, f.metadata["default"]))
         if self.alpha is None:
@@ -186,10 +182,6 @@ class StudyConfig:
         errors = validate_config(self)
         if errors:
             raise ConfigError(errors)
-        if self.kind == "smoothing":
-            p = self.params()
-            self.sigmas = self.sigmas or (-2 * p.s + p.kappa - 0.05, -2 * p.s + p.kappa + 0.1)
-            self.sigmas_wick = self.sigmas_wick or (-2 * p.s + 0.1, 0.0)
 
     def for_kind(self, kind: str) -> StudyConfig:
         """The values this config's caller set, resolved for `kind`."""
@@ -218,7 +210,7 @@ class StudyConfig:
         """The values verdict.txt records, in schema order."""
         out: dict[str, object] = {"package_version": __version__}
         for f in fields(self):
-            if f.metadata.get("record"):
+            if f.metadata["record"]:
                 out[f.name] = _text(getattr(self, f.name))
         return out
 
@@ -237,7 +229,7 @@ class StudyConfig:
         return pairs
 
 
-KEYS = {f.metadata["key"] or f.name: f for f in fields(StudyConfig) if f.metadata.get("parse")}
+KEYS = {f.metadata["key"] or f.name: f for f in fields(StudyConfig)}
 
 
 def _text(value: object) -> object:
@@ -249,7 +241,7 @@ def validate_config(config: StudyConfig) -> list[str]:
     errors: list[str] = []
     bad: set[str] = set()
     for f in fields(config):
-        ok, value = f.metadata.get("ok"), getattr(config, f.name)
+        ok, value = f.metadata["ok"], getattr(config, f.name)
         if ok is not None and value is not None and not ok(value):
             errors.append(f"{f.metadata['key'] or f.name} must {f.metadata['must']}, got {value!r}")
             bad.add(f.name)
@@ -261,6 +253,14 @@ def validate_config(config: StudyConfig) -> list[str]:
     if config.kind in STUDY_KINDS and config.kind != "renorm_rate" and "M" not in bad:
         if config.M < 100:
             errors.append(f"M must be >= 100 for a statistical verdict, got {config.M}")
+    if config.kind == "hoelder" and "T" not in bad:
+        # every lag is measured from the base time T/2 inside [0, T]
+        end = config.T / 2.0 + max(HOELDER_LAGS)
+        if end > config.T + 1e-12:
+            errors.append(
+                f"hoelder lags need T/2 + max(lags) <= T: "
+                f"{config.T / 2.0:g} + {max(HOELDER_LAGS):g} = {end:g} > T = {config.T:g}"
+            )
     rungs = MIN_RUNGS.get(config.kind, 0)
     if "ladder" not in bad and len(config.ladder) < rungs:
         errors.append(

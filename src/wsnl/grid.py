@@ -25,7 +25,7 @@ from typing import Callable, Literal
 import numpy as np
 
 # Guard against accidental huge allocations (N^d complex points per field).
-MAX_POINTS_DEFAULT = 2**26
+MAX_POINTS = 2**26
 
 SpaceTag = Literal["physical", "frequency"]
 
@@ -34,10 +34,10 @@ class GridError(ValueError):
     """Contract violation on grids, tags, or multiplier shapes."""
 
 
-def check_points(d: int, N: int, max_points: int = MAX_POINTS_DEFAULT) -> None:
+def check_points(d: int, N: int) -> None:
     """Reject N points per axis in d dimensions when N^d exceeds the budget."""
-    if N**d > max_points:
-        raise GridError(f"N^d = {N**d} exceeds the point budget {max_points}")
+    if N**d > MAX_POINTS:
+        raise GridError(f"N^d = {N**d} exceeds the point budget {MAX_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class SpectralGrid:
     d: int
     L: float
     N: int
-    max_points: int = MAX_POINTS_DEFAULT
 
     # derived arrays, filled in __post_init__
     x: np.ndarray = field(init=False, repr=False, compare=False)
@@ -71,7 +70,7 @@ class SpectralGrid:
             raise GridError(f"N must be even and >= 4, got {self.N}")
         if not (self.L > 0 and np.isfinite(self.L)):
             raise GridError(f"L must be positive and finite, got {self.L}")
-        check_points(self.d, self.N, self.max_points)
+        check_points(self.d, self.N)
         object.__setattr__(self, "x", np.arange(self.N) * (self.L / self.N))
         xi = 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.L / self.N)
         object.__setattr__(self, "xi_axis", xi)
@@ -311,18 +310,12 @@ class CutoffRho:
     profiles: tuple[Callable[[np.ndarray], np.ndarray], ...]
 
     @classmethod
-    def for_grid(
-        cls,
-        grid: SpectralGrid,
-        radius: float | None = None,
-        profile: Callable[[np.ndarray], np.ndarray] = bump_profile,
-    ) -> "CutoffRho":
+    def for_grid(cls, grid: SpectralGrid) -> "CutoffRho":
         """Default cutoff: centered bumps of radius L/4 on every axis."""
-        r = grid.L / 4.0 if radius is None else radius
         return cls(
-            radii=(r,) * grid.d,
+            radii=(grid.L / 4.0,) * grid.d,
             centers=(grid.L / 2.0,) * grid.d,
-            profiles=(profile,) * grid.d,
+            profiles=(bump_profile,) * grid.d,
         )
 
     def axis_values(self, grid: SpectralGrid, axis: int) -> np.ndarray:

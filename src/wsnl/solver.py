@@ -34,8 +34,9 @@ the traces of the trajectory they reach in one batched call.  All norms come
 from grid.py.
 
 Loss of regularity (norm above BLOWUP_NORM, or non-finite values) is a
-first-class outcome: solve() returns the partial trajectory and a failure
-record, never crashes.
+first-class outcome: a failed step is flagged, never raised; the convergence
+study excludes the flagged members, and solve() returns the partial
+trajectory and a failure record.
 """
 
 from __future__ import annotations
@@ -62,14 +63,18 @@ from .reference import PaperParams
 from .stochastic import StochasticPath
 
 BLOWUP_NORM = 1e8
+# Picard stops once the worst healthy residual is at most PICARD_TOL, or
+# after PICARD_MAX iterations
+PICARD_TOL = 1e-10
+PICARD_MAX = 50
 
 # the Y(T) integrands of a stack of time levels, one array of values per norm
 Traces = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass
-class StepFailure(Exception):
-    """A time step could not be accepted."""
+class StepFailure:
+    """The time step a solve could not accept: where its trajectory ends."""
 
     kind: str  # "picard" or "blowup"
     time: float
@@ -91,8 +96,6 @@ class SolverConfig:
     phi: Field | None = None
     dt: float = 0.5 / 256
     T: float = 0.5
-    picard_tol: float = 1e-10
-    picard_max: int = 50
     dealias: bool = True
     mode: str = "step-local"  # or "global"
     forcing: Callable[[float], np.ndarray] | None = None
@@ -102,8 +105,6 @@ class SolverConfig:
             raise GridError(f"dt must be > 0, got {self.dt}")
         if not 0 < self.T <= 1.0:
             raise GridError(f"T must lie in (0, 1], got {self.T}")
-        if self.picard_max < 1:
-            raise GridError("picard_max must be >= 1")
         if self.mode not in ("step-local", "global"):
             raise GridError(f"unknown solver mode {self.mode!r}")
 
@@ -219,12 +220,8 @@ def step_values(
     phase: np.ndarray,
     norm_weight: np.ndarray,
     rho_vals: np.ndarray | None,
-    picard_tol: float,
-    picard_max: int,
     dealias_mask: np.ndarray | None,
-    step_index: int,
     n_prev: np.ndarray | None = None,
-    strict: bool = True,
 ):
     """One Picard-resolved Duhamel step from level prev to level nxt on raw
     arrays (leading batch axes allowed).
@@ -239,9 +236,11 @@ def step_values(
     n_next), where history holds the worst healthy residual of each iteration
     and n_next is the last evaluation of N at nxt (at the iterate before
     v_next).  In batched mode iteration continues until every healthy
-    member's residual clears picard_tol.  With strict=True any failure raises
-    StepFailure; with strict=False failed members are zeroed and flagged in
-    the returned mask so ensemble studies can exclude them and keep going.
+    member's residual clears PICARD_TOL.  A member fails when a residual is
+    non-finite, when its residual is still above PICARD_TOL after PICARD_MAX
+    iterations, or when its norm is non-finite or above BLOWUP_NORM; failed
+    members are zeroed and flagged in the returned mask, so ensemble studies
+    exclude them and keep going and solve() ends its trajectory there.
     """
     dt = nxt.t - prev.t
     if n_prev is None:
@@ -265,7 +264,7 @@ def step_values(
     history: list[float] = []
     monotone_ok = True
     iterations = 0
-    for m in range(1, picard_max + 1):
+    for m in range(1, PICARD_MAX + 1):
         n_next = None  # free the last evaluation before making the next
         n_next = nonlinearity_values(
             grid, v_iter, rho_vals, nxt.rho_psi, nxt.forcing, dealias_mask
@@ -277,28 +276,18 @@ def step_values(
         residuals = np.sqrt(weighted_norm_sq_hat(grid, v_iter, norm_weight))
         v_iter, v_new = v_new, v_iter
         failed = failed | ~np.isfinite(residuals)
-        if strict and failed.any():
-            raise StepFailure("blowup", nxt.t, step_index, float("nan"), m)
         healthy = residuals[~failed]
         worst = float(np.max(healthy)) if healthy.size else 0.0
         history.append(worst)
         if len(history) >= 3 and history[-1] > history[-2]:
             monotone_ok = False
         iterations = m
-        if worst <= picard_tol:
+        if worst <= PICARD_TOL:
             break
     else:
-        if strict:
-            raise StepFailure(
-                "picard", nxt.t, step_index, float(np.max(residuals)), iterations
-            )
-        failed = failed | (residuals > picard_tol)
+        failed = failed | (residuals > PICARD_TOL)
     norms = np.sqrt(weighted_norm_sq_hat(grid, v_iter, norm_weight))
     big = ~np.isfinite(norms) | (norms > BLOWUP_NORM)
-    if strict and big.any():
-        raise StepFailure(
-            "blowup", nxt.t, step_index, float(np.max(residuals)), iterations
-        )
     failed = failed | big
     if failed.any():
         v_iter = np.where(failed.reshape(failed.shape + (1,) * grid.d), 0.0, v_iter)
@@ -317,11 +306,9 @@ class RemainderStepper:
     it as `start` instead of psi_hat and ipsi2_hat (solve() does, with row 0
     of its stacked levels).  Each time level is localized once, and the last
     Picard evaluation of N at t_{k+1} is carried as the next step's N at t_k,
-    except after a step in which a member failed.  With strict=True a failed
-    step raises StepFailure and leaves the state at the last accepted step;
-    with strict=False failed members are zeroed, flagged in `failed`, and the
-    march goes on.  Per-step Picard iterations, worst residuals and monotone
-    flags are collected in lists.
+    except after a step in which a member failed.  Failed members are zeroed
+    and flagged in `failed`, and the march goes on.  Per-step Picard
+    iterations, worst residuals and monotone flags are collected in lists.
     """
 
     def __init__(
@@ -332,12 +319,10 @@ class RemainderStepper:
         psi_hat: np.ndarray | None,
         ipsi2_hat: np.ndarray | None,
         t: float,
-        strict: bool = True,
         start: Level | None = None,
     ) -> None:
         self.config = config
         self.grid = grid
-        self.strict = strict
         self.rho_vals = None if config.rho is None else config.rho.evaluate(grid)
         self.dealias_mask = two_thirds_mask(grid) if config.dealias else None
         self.norm_weight = bessel_weight(grid, -2.0 * config.params.s)
@@ -372,12 +357,8 @@ class RemainderStepper:
             self._phase,
             self.norm_weight,
             self.rho_vals,
-            self.config.picard_tol,
-            self.config.picard_max,
             self.dealias_mask,
-            self.k,
             n_prev=self._n_prev,
-            strict=self.strict,
         )
         self.v_hat = v_next
         if failed.any():
@@ -527,7 +508,11 @@ def _march_step_local(
     config: SolverConfig, path: StochasticPath, levels: Level
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, StepFailure | None]:
     """One RemainderStepper over the path's levels: the v reached at each
-    level, the per-step Picard records and the failure, if any."""
+    level, the Picard records of the accepted steps and the failure, if any.
+
+    The march ends at the first flagged step.  Its failure is "picard" when
+    the step's residual is finite and above PICARD_TOL, and "blowup"
+    otherwise; a non-finite residual is recorded as NaN."""
     grid = path.grid
     times = path.times
     stepper = RemainderStepper(
@@ -539,17 +524,22 @@ def _march_step_local(
     reached = len(times)
     failure: StepFailure | None = None
     for k in range(1, len(times)):
-        try:
-            stepper.step(_row(levels, k))
-        except StepFailure as exc:
-            failure, reached = exc, k
+        stepper.step(_row(levels, k))
+        if stepper.failed.any():
+            residual = stepper.residuals[-1]
+            kind = "picard" if np.isfinite(residual) and residual > PICARD_TOL else "blowup"
+            if not np.isfinite(residual):
+                residual = float("nan")
+            failure = StepFailure(kind, stepper.t, k - 1, residual, stepper.iterations[-1])
+            reached = k
             break
         v_hats[k] = stepper.v_hat
+    accepted = reached - 1
     return (
         v_hats[:reached],
-        np.array(stepper.iterations, dtype=int),
-        np.array(stepper.residuals, dtype=np.float64),
-        np.array(stepper.monotone, dtype=bool),
+        np.array(stepper.iterations[:accepted], dtype=int),
+        np.array(stepper.residuals[:accepted], dtype=np.float64),
+        np.array(stepper.monotone[:accepted], dtype=bool),
         failure,
     )
 
@@ -594,7 +584,7 @@ def _march_global(
     distance = np.inf
     # a diverging iterate overflows on its way to inf; the cut below handles it
     with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, config.picard_max + 1):
+        for m in range(1, PICARD_MAX + 1):
             n_hats = nonlinearity_values(
                 grid, current, rho_vals, levels.rho_psi, levels.forcing, dealias_mask
             )
@@ -622,7 +612,7 @@ def _march_global(
             iterations = m
             if not np.isfinite(distance):
                 break
-            if distance <= config.picard_tol:
+            if distance <= PICARD_TOL:
                 break
 
     # As in the step-local march, the trajectory ends before the first level
@@ -635,7 +625,7 @@ def _march_global(
         k = int(blown[0]) + 1
         current = current[:k]
         failure = StepFailure("blowup", float(times[k]), k - 1, float(distance), iterations)
-    elif not distance <= config.picard_tol:
+    elif not distance <= PICARD_TOL:
         failure = StepFailure(
             "blowup" if not np.isfinite(distance) else "picard",
             float(times[-1]),

@@ -177,7 +177,7 @@ class PathEnsemble:
     one key block of steps_per_key steps at a time (noise.ModeNoise); the
     ensemble turns every member's block into that block's increments at its
     first step and holds them through its last.  Wick transforms and
-    Duhamel accumulators are kept per radius only when requested.  They cost
+    Duhamel accumulators are kept per radius only when `track` is set.  They cost
     two transforms per radius per step, each on the radius's padded grid
     (grid.padded_points: 36 points for n = 2 at h = 1/4), and they are stored
     on the radius's compact modes |beta| <= min(2n, Nyquist), not on the
@@ -201,8 +201,7 @@ class PathEnsemble:
         seed: int,
         size: int,
         stream_offset: int = 0,
-        track_wick: bool = False,
-        track_ipsi2: bool = False,
+        track: bool = False,
     ) -> None:
         if len(times) < 2 or np.any(np.diff(times) <= 0):
             raise GridError("times must be strictly increasing with at least one step")
@@ -215,8 +214,7 @@ class PathEnsemble:
         self.seed = int(seed)
         self.size = int(size)
         self.stream_offset = int(stream_offset)
-        self.track_wick = track_wick or track_ipsi2
-        self.track_ipsi2 = track_ipsi2
+        self.track = track
         self.k = 0
 
         n_max = self.radii[-1]
@@ -234,10 +232,9 @@ class PathEnsemble:
         # drive * I for the steps of every member's current key block
         self._block: np.ndarray | None = None
         self.psi = np.zeros((size,) + grid.shape, dtype=np.complex128)
-        if self.track_wick:
+        if track:
             # psi(0) = 0 and c_n(0) = 0, so the initial Wick transform is zero.
             self._wick_hat = {r: self._compact_zeros(r) for r in self.radii}
-        if self.track_ipsi2:
             self._ipsi2 = {r: self._compact_zeros(r) for r in self.radii}
 
     def _rung(self, radius: float) -> _Rung:
@@ -263,7 +260,7 @@ class PathEnsemble:
         """Physical-space Wick square block at the current time: the real part
         of the study-grid field whose transform is the radius's compact Wick
         transform.  A tracked radius reuses its tracked transform."""
-        if self.track_wick:
+        if self.track:
             wick_hat = self._wick_hat[radius]
         else:
             wick_hat = self._wick_hat_now(radius, *self._scratch([radius]))
@@ -336,13 +333,12 @@ class PathEnsemble:
             self._block = None
         self.k += 1
         del ball
-        if self.track_wick:
+        if self.track:
             scratch = self._scratch(self.radii)
             for r in self.radii:
                 new_hat = self._wick_hat_now(r, *scratch)
-                if self.track_ipsi2:
-                    rung_phase = self._rung(r).phase(phase, dt)
-                    duhamel_update(self._ipsi2[r], rung_phase, self._wick_hat[r], new_hat, dt)
+                rung_phase = self._rung(r).phase(phase, dt)
+                duhamel_update(self._ipsi2[r], rung_phase, self._wick_hat[r], new_hat, dt)
                 self._wick_hat[r] = new_hat
 
     def run(self) -> None:
@@ -369,8 +365,7 @@ def sample_path(
         seed=seed,
         size=1,
         stream_offset=stream_id,
-        track_wick=True,
-        track_ipsi2=True,
+        track=True,
     )
     # the march keeps the tracked rung's compact transforms; they are put on
     # the study grid, and the Wick snapshots transformed, once at the end

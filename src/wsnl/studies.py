@@ -32,10 +32,10 @@ from typing import Iterable
 import numpy as np
 
 # default_config stays importable from here, next to run_study
-from .config import ONE_SIDED_Z, StudyConfig, default_config  # noqa: F401
+from .config import HOELDER_LAGS, ONE_SIDED_Z, StudyConfig, default_config  # noqa: F401
 from .grid import CutoffRho, GridError, SpectralGrid, hs_norm_sq, l2_norm, padded_points
 from .noise import ModeNoise
-from .reference import covariance_oracle, renorm_constant
+from .reference import PaperParams, covariance_oracle, renorm_constant
 # step_values is not called here; it stays a module attribute because the
 # perfbench tracer patches it in this module
 from .solver import RemainderStepper, SolverConfig, step_values  # noqa: F401
@@ -45,6 +45,8 @@ from .stochastic import PathEnsemble, uniform_times
 # A Monte Carlo standard error below this fraction of the largest one at the
 # same probe is round-off: the component is zero in every member.
 ROUNDOFF_REL = 1e-9
+# the renormalization study's tolerance on its divergence exponent d - 2 alpha
+RENORM_SLOPE_TOL = 0.05
 
 
 def one_sided_z(confidence: float) -> float:
@@ -184,7 +186,7 @@ def _ensemble_blocks(
         size = min(config.chunk, config.M - lo)
         return measure(PathEnsemble(
             grid, config.alpha, radii, times, seed=config.seed, size=size, stream_offset=lo,
-            track_wick=track, track_ipsi2=track,
+            track=track,
         ))
 
     starts = range(0, config.M, config.chunk)
@@ -307,7 +309,9 @@ def run_covariance_study(config: StudyConfig) -> StudyResult:
     grid = config.grid()
     alpha, n = config.alpha, config.n
     times = uniform_times(config.T, config.K)
-    probe_ks = [config.K // 4, config.K // 2, config.K]
+    # distinct steps >= 1: psi(0) = 0, so a probe at step 0 compares zero
+    # with a zero oracle
+    probe_ks = sorted({max(1, config.K * j // 4) for j in (1, 2, 4)})
     probe_times = [float(times[k]) for k in probe_ks]
     base_idx = grid.N // 3
     shifts = [0, grid.N // 8, grid.N // 4]
@@ -446,9 +450,9 @@ def run_renorm_study(config: StudyConfig) -> StudyResult:
     rows.append(["slope_ols", "", "", ols.slope, ols.stderr])
     verdict = Verdict(
         name="renorm_divergence_exponent",
-        passed=abs(inc.slope - target) <= config.slope_tol,
+        passed=abs(inc.slope - target) <= RENORM_SLOPE_TOL,
         value=inc.slope,
-        tolerance=f"dyadic-increment slope within {target} +/- {config.slope_tol}",
+        tolerance=f"dyadic-increment slope within {target} +/- {RENORM_SLOPE_TOL}",
     )
     return StudyResult(
         study="renorm_rate",
@@ -527,12 +531,19 @@ def run_cauchy_study(config: StudyConfig) -> StudyResult:
 # multilinear smoothing ladder (the centerpiece)
 # ---------------------------------------------------------------------------
 
+def smoothing_sigmas(params: PaperParams) -> tuple[list[float], list[float]]:
+    """The smoothing study's sigma probes: those of <I Psi^2>_n just below and
+    above the gain threshold -2s+kappa, and those of the Wick square at -2s+0.1
+    (where it diverges) and at 0."""
+    s, kappa = params.s, params.kappa
+    return [-2 * s + kappa - 0.05, -2 * s + kappa + 0.1], [-2 * s + 0.1, 0.0]
+
+
 def run_smoothing_study(config: StudyConfig) -> StudyResult:
     grid = config.grid()
     params = config.params()
     gain_threshold = -2 * params.s + params.kappa
-    sigmas = list(config.sigmas)
-    sigmas_wick = list(config.sigmas_wick)
+    sigmas, sigmas_wick = smoothing_sigmas(params)
     rho_vals = CutoffRho.for_grid(grid).evaluate(grid)
     rho2 = rho_vals * rho_vals
     ladder = list(config.ladder)
@@ -666,12 +677,9 @@ def run_hoelder_study(config: StudyConfig) -> StudyResult:
     grid = config.grid()
     params = config.params()
     s = params.s
-    lags = sorted(float(h) for h in config.lags)
-    if not lags or lags[0] <= 0:
-        raise GridError("hoelder study needs positive lags")
+    # validate_config keeps the largest lag inside [T/2, T]
+    lags = HOELDER_LAGS
     t0 = config.T / 2.0
-    if t0 + lags[-1] > config.T + 1e-12:
-        raise GridError("largest lag exceeds T/2 window")
     rho_vals = CutoffRho.for_grid(grid).evaluate(grid)
     times = np.array([0.0, t0] + [t0 + h for h in lags])
 
@@ -747,8 +755,6 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         rho=rho,
         dt=config.T / config.K,
         T=config.T,
-        picard_tol=config.picard_tol,
-        picard_max=config.picard_max,
         dealias=config.dealias,
     )
 
@@ -762,7 +768,6 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
                 ens.psi_values(r),
                 ens.ipsi2_values(r),
                 ens.t,
-                strict=False,
             )
             for r in radii
         }

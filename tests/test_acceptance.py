@@ -18,6 +18,7 @@ from wsnl.stochastic import zero_path
 from wsnl.studies import (
     default_config,
     run_study,
+    smoothing_sigmas,
     white_noise_variance_check,
     wick_centering_check,
 )
@@ -103,6 +104,8 @@ def test_criterion_06_multilinear_smoothing():
     def fmt(v):
         return "ok" if v.passed else "fail"
 
+    sigmas = smoothing_sigmas(cfg.params())[0]
+
     def side(sigma, mc, exact, need):
         se = res.slopes[f"ipsi2_increment_sigma{sigma:.4g}"].stderr
         return (
@@ -112,9 +115,9 @@ def test_criterion_06_multilinear_smoothing():
 
     detail = (
         f"wick slope {wick_v.value:.3f} (need >= 0.1): {fmt(wick_v)}; "
-        + side(cfg.sigmas[0], bounded_v, exact_bounded_v, "< 0")
+        + side(sigmas[0], bounded_v, exact_bounded_v, "< 0")
         + "; "
-        + side(cfg.sigmas[1], growing_v, exact_growing_v, "> 0")
+        + side(sigmas[1], growing_v, exact_growing_v, "> 0")
     )
     report(6, "multilinear smoothing centerpiece", res.passed, detail)
     assert wick_v.passed, "Wick square must diverge below the gain"

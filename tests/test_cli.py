@@ -1,6 +1,8 @@
 """Configuration grammar, dispatch, persistence, and byte-level reproducibility."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,16 @@ from wsnl.cli import (
     main,
     parse_config,
 )
-from wsnl.config import validate_config
+from wsnl.config import KEYS, validate_config
 from wsnl.studies import default_config
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Recognized keys: `([^`]*)`", readme).group(1)
+    names = [name.strip() for name in listed.split(",")]
+    assert len(names) == len(KEYS) == 19
+    assert set(names) == set(KEYS)
 
 
 class TestParseConfig:
@@ -189,6 +199,11 @@ def test_main_error_paths(tmp_path, capsys):
     assert main(["smoothing", "--set", "M=50", "--set", "ladder=8,32", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "M must be >= 100" in err and "2*max(ladder) <= Nyquist" in err
+    # the hoelder lags, measured from T/2, must end inside [0, T]
+    assert main(["hoelder", "--set", "T=0.2", "--set", "M=50", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "M must be >= 100" in err
+    assert "hoelder lags need T/2 + max(lags) <= T: 0.1 + 0.125 = 0.225 > T = 0.2" in err
 
 
 def test_padded_grid_over_the_point_budget_exits_2(tmp_path, capsys):

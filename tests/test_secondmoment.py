@@ -180,7 +180,7 @@ def test_expectations_match_monte_carlo():
     T, K, M, alpha = 1 / 32, 1024, 600, 0.3
     times = uniform_times(T, K)
     ens = PathEnsemble(
-        grid, alpha, [8.0], times, seed=5, size=M, track_wick=True, track_ipsi2=True
+        grid, alpha, [8.0], times, seed=5, size=M, track=True
     )
     ens.run()
     for sigma in (0.23, -0.32):

@@ -213,7 +213,7 @@ def test_in_place_advance_matches_an_out_of_place_reference_step():
     radii, alpha, seed, size = [1.0, 2.0, 4.0, 8.0], 0.3, 21, 3
     times = uniform_times(0.5, 40)
     ens = PathEnsemble(
-        grid, alpha, radii, times, seed=seed, size=size, track_wick=True, track_ipsi2=True
+        grid, alpha, radii, times, seed=seed, size=size, track=True
     )
     ks = _signed_modes(grid)
     masks = {r: truncation_mask(grid, r) for r in radii}
@@ -259,7 +259,7 @@ def test_top_rungs_match_a_doubly_padded_reference():
     radii, alpha, seed, size = [64.0, 128.0], 0.3, 31, 2
     times = uniform_times(1.0 / 32, 4)
     ens = PathEnsemble(
-        grid, alpha, radii, times, seed=seed, size=size, track_wick=True, track_ipsi2=True
+        grid, alpha, radii, times, seed=seed, size=size, track=True
     )
     fine = SpectralGrid(1, grid.L, 2 * grid.N + 2)
     at = _signed_modes(grid) % fine.N
@@ -301,7 +301,7 @@ def test_compact_tracking_matches_full_grid_tracking_below_half_nyquist(grid, al
     assert 2 * max(radii) < grid.nyquist
     seed, size, times = 41, 2, uniform_times(0.25, 8)
     ens = PathEnsemble(
-        grid, alpha, radii, times, seed=seed, size=size, track_wick=True, track_ipsi2=True
+        grid, alpha, radii, times, seed=seed, size=size, track=True
     )
     wick_hat = {r: np.zeros((size,) + grid.shape, dtype=complex) for r in radii}
     ipsi2 = {r: np.zeros((size,) + grid.shape, dtype=complex) for r in radii}
@@ -322,7 +322,7 @@ def test_compact_tracking_matches_full_grid_tracking_below_half_nyquist(grid, al
 
 def test_untracked_wick_values_equal_the_tracked_ones():
     grid, radii, times = SpectralGrid(1, 4 * np.pi, 64), [2.0, 8.0], uniform_times(0.25, 4)
-    tracked = PathEnsemble(grid, 0.3, radii, times, seed=5, size=2, track_wick=True)
+    tracked = PathEnsemble(grid, 0.3, radii, times, seed=5, size=2, track=True)
     plain = PathEnsemble(grid, 0.3, radii, times, seed=5, size=2)
     while tracked.k + 1 < len(times):
         tracked.advance()
@@ -339,7 +339,7 @@ def test_a_members_path_does_not_depend_on_its_chunk_or_thread():
 
     def run(lo, hi):
         ens = PathEnsemble(
-            grid, 0.3, radii, times, seed=71, size=hi - lo, stream_offset=lo, track_ipsi2=True
+            grid, 0.3, radii, times, seed=71, size=hi - lo, stream_offset=lo, track=True
         )
         ens.run()
         return [ens.psi] + [ens.ipsi2_values(r) for r in radii] + [ens.wick_values(r) for r in radii]

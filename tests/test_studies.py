@@ -16,6 +16,7 @@ from wsnl.studies import (
     loglog_ols,
     one_sided_z,
     run_study,
+    smoothing_sigmas,
     white_noise_variance_check,
     wick_centering_check,
 )
@@ -182,13 +183,13 @@ def test_covariance_is_exact_at_coarse_steps(K):
 
 def test_covariance_round_off_components_are_not_divided_by_their_standard_error(monkeypatch):
     # at s = t and no shift the conjugate pairing is |psi|^2, whose imaginary
-    # part is round-off in every member; at s = 0 psi is zero
+    # part is round-off in every member; no probe sits at s = 0, where psi is zero
     config = default_config("covariance", K=2, N=32, n=4.0, M=100, seed=20260808)
     res = run_study(config)
     verdict = res.verdicts[0]
     assert verdict.passed and verdict.value < 10.0
     note = res.notes[-1]
-    assert "s=0 t=0.5 shift=8: conj_re conj_im plain_re plain_im;" in note
+    assert "s=0 " not in note and "t=0 " not in note
     assert "s=0.25 t=0.25 shift=0: conj_im;" in note
     assert note.endswith("s=0.5 t=0.5 shift=0: conj_im")
     assert "misses" not in note
@@ -205,6 +206,15 @@ def test_covariance_round_off_components_are_not_divided_by_their_standard_error
     res = run_study(config)
     assert not res.passed
     assert "s=0.25 t=0.25 shift=0: conj_im (misses its oracle by 0.05);" in res.notes[-1]
+
+
+@pytest.mark.parametrize("K", [1, 2])
+def test_covariance_probes_are_distinct_steps_after_the_start(K):
+    # psi(0) = 0, so a probe at step 0 would compare zero with a zero oracle
+    res = run_study(default_config("covariance", K=K, N=32, n=4.0, M=100, seed=20260808))
+    keys = [(row[0], row[1], row[2]) for row in res.rows]
+    assert len(keys) == len(set(keys)) == 3 * K * K
+    assert min(min(s, t) for s, t, _ in keys) > 0.0
 
 
 @pytest.mark.slow
@@ -231,7 +241,7 @@ def test_exact_increment_exponent_needs_the_large_box():
     from wsnl.secondmoment import ipsi2_norm_sq_expectation
 
     cfg = default_config("smoothing")
-    sigma_b = cfg.sigmas[0]
+    sigma_b = smoothing_sigmas(cfg.params())[0][0]
 
     def exponent(L):
         grid = SpectralGrid(1, L, cfg.N)
