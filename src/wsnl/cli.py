@@ -58,23 +58,26 @@ def _run_sample(config: StudyConfig, out_dir: Path) -> int:
     grid = config.grid()
     params = config.params()
     count = config.M or 1
+    # the summary takes one reduction per column over the stacked levels, one
+    # stack at a time; each row's sum has the bits of its level's own sum
+    axes = tuple(range(1, grid.d + 1))
+
+    def stacked(fields):
+        return np.stack([f.values for f in fields])
+
     for member in range(count):
         path = sample_path(params, grid, seed=config.seed, stream_id=member, T=config.T, K=config.K)
         write_snapshot(path, out_dir / f"path-{member:04d}.wsnl")
-        rows = []
-        for k, t in enumerate(path.times):
-            rows.append(
-                [
-                    float(t),
-                    float(np.sqrt(np.sum(np.abs(path.psi[k].values) ** 2) / grid.L**grid.d)),
-                    float(np.mean(path.wick[k].values.real)),
-                    float(np.sqrt(np.sum(np.abs(path.ipsi2[k].values) ** 2) / grid.L**grid.d)),
-                ]
-            )
+        columns = (
+            path.times,
+            np.sqrt(np.sum(np.abs(stacked(path.psi)) ** 2, axis=axes) / grid.L**grid.d),
+            np.mean(stacked(path.wick).real, axis=axes),
+            np.sqrt(np.sum(np.abs(stacked(path.ipsi2)) ** 2, axis=axes) / grid.L**grid.d),
+        )
         write_csv(
             out_dir / f"path-{member:04d}.csv",
             ["t", "psi_l2", "wick_spatial_mean", "ipsi2_l2"],
-            rows,
+            np.stack(columns, axis=1).tolist(),
         )
     print(f"wrote {count} snapshot(s) to {out_dir}")
     return 0

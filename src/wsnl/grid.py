@@ -107,10 +107,19 @@ class SpectralGrid:
     # arrays work unchanged.
     # Both transforms write into the complex array `out` when one is given;
     # it may be the input itself.
-    def forward_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def forward_values(
+        self,
+        values: np.ndarray,
+        out: np.ndarray | None = None,
+        scale: float | np.ndarray | None = None,
+    ) -> np.ndarray:
         """Forward transform.  For d = 1, real input goes through rfft and the
         output is its exact Hermitian completion, F(-xi) == conj(F(xi)) bit for
-        bit; every other input takes the full complex transform."""
+        bit; every other input takes the full complex transform.  The raw
+        transform is multiplied by `scale`, the cell volume when None; a
+        caller that multiplies the result by a mask of 0s and 1s passes
+        cell_volume * mask instead, which gives the same bits wherever the
+        transform times the cell volume is finite."""
         if self.d > 1 or np.iscomplexobj(values):
             out = _fft(values, self.d, np.fft.fft, np.fft.fftn, out)
         else:
@@ -120,7 +129,7 @@ class SpectralGrid:
             # rfft leaves the modes 0 and N/2 exactly real
             np.fft.rfft(np.asarray(values, dtype=np.float64), axis=-1, out=out[..., :h])
             np.conjugate(out[..., N // 2 - 1 : 0 : -1], out=out[..., h:])
-        out *= self.cell_volume
+        out *= self.cell_volume if scale is None else scale
         return out
 
     def inverse_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -252,8 +261,12 @@ def sobolev_norm_hat(grid: SpectralGrid, f_hat: np.ndarray, s: float, p: float) 
     """Discrete W^{s,p} norm of frequency-space values, batched over leading axes:
     L^p norm (cell-volume weighted) of the Bessel-weighted field."""
     axes = tuple(range(-grid.d, 0))
-    g = grid.inverse_values(bessel_weight(grid, s) * f_hat)
-    sums = grid.cell_volume * np.sum(np.abs(g) ** p, axis=axes)
+    g = bessel_weight(grid, s) * f_hat
+    grid.inverse_values(g, out=g)
+    g_p = np.abs(g)
+    del g
+    g_p **= p
+    sums = grid.cell_volume * np.sum(g_p, axis=axes)
     # the root is taken row by row with numpy's scalar power, so that a row's
     # norm does not depend on the batch around it: the array power takes other
     # paths (sqrt at p = 2, SIMD pow elsewhere) that differ in the last bit
@@ -266,8 +279,13 @@ def localized_norm_hat(
     """||rho * (Id - Laplacian)^{s/2} f||_{L2} of frequency-space values, batched
     over leading axes: weight first, localize after."""
     axes = tuple(range(-grid.d, 0))
-    g = grid.inverse_values(bessel_weight(grid, s) * f_hat)
-    return np.sqrt(grid.cell_volume * np.sum(np.abs(rho_vals * g) ** 2, axis=axes))
+    g = bessel_weight(grid, s) * f_hat
+    grid.inverse_values(g, out=g)
+    np.multiply(rho_vals, g, out=g)
+    g_sq = np.abs(g)
+    del g
+    g_sq **= 2
+    return np.sqrt(grid.cell_volume * np.sum(g_sq, axis=axes))
 
 
 def hs_norm_sq(grid: SpectralGrid, phys_values: np.ndarray, s: float) -> np.ndarray:

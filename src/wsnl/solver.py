@@ -7,9 +7,10 @@ One step advances v by
               + [ R(t_{k+1}) - e^{-i dt Lap} R(t_k) ]
 
 with N = rho^2 |v|^2 + (rho conj(v))(rho Psi) + (rho v) conj(rho Psi) evaluated
-pointwise in physical space (nonlinearity_values), R = rho^2 <I Psi^2> (cutoff
-applied before the propagator), and the implicit endpoint resolved by Picard
-iteration (step_values).  Picard starts from the explicit exponential predictor
+pointwise in physical space (nonlinearity_values, from 2 rho Psi formed once
+per time level), R = rho^2 <I Psi^2> (cutoff applied before the propagator),
+and the implicit endpoint resolved by Picard iteration (step_values).  Picard
+starts from the explicit exponential predictor
 
     v_{k+1}^(0) = e^{-i dt Lap} v_k - i dt e^{-i dt Lap} N(t_k)
                   + [ R(t_{k+1}) - e^{-i dt Lap} R(t_k) ],
@@ -28,10 +29,12 @@ levels once and localizes them in one batched localized_inputs call; its
 step-local mode drives one stepper over the rows of that stack.
 solve(mode="global") is a separate algorithm, the fixed-point iteration of the
 whole-trajectory contraction map: each sweep evaluates N at every level in one
-batched call and measures the step between iterates with one batched traces
-call, and only the Duhamel recurrence runs level by level.  Both modes take
-the traces of the trajectory they reach in one batched call.  All norms come
-from grid.py.
+batched call, forms every step's Duhamel term with array operations over the
+steps of each distinct dt, and measures the step between iterates with one
+batched traces call.  Only the two-operation Duhamel recurrence
+D_{k+1} = e^{-i dt Lap} D_k + term_k runs level by level; its prefix-sum form
+would change the bits.  Both modes take the traces of the trajectory they
+reach in one batched call.  All norms come from grid.py.
 
 Loss of regularity (norm above BLOWUP_NORM, or non-finite values) is a
 first-class outcome: a failed step is flagged, never raised; the convergence
@@ -110,13 +113,13 @@ class SolverConfig:
 
 
 class Level(NamedTuple):
-    """The inputs of one time level t, already localized: rho Psi in physical
-    space (None without a cutoff), the transform of rho^2 <I Psi^2>, and the
-    physical-space forcing (None without one).  solve() also keeps a whole
-    path in one Level, each array with a leading axis of time levels and t
-    the time grid."""
+    """The inputs of one time level t, already localized: 2 rho Psi in
+    physical space (None without a cutoff), the transform of rho^2 <I Psi^2>,
+    and the physical-space forcing (None without one).  solve() also keeps a
+    whole path in one Level, each array with a leading axis of time levels
+    and t the time grid."""
 
-    rho_psi: np.ndarray | None
+    two_rho_psi: np.ndarray | None
     r_hat: np.ndarray
     forcing: np.ndarray | None
     t: float
@@ -142,43 +145,50 @@ class SolverOutput:
         return self.failure is None
 
 
+def nonlinearity_scale(grid: SpectralGrid, dealias: bool) -> np.ndarray | None:
+    """The multiplier of N's forward transform: the cell volume (None), times
+    the 2/3 mask when dealiasing, so that one pass scales and dealiases."""
+    return grid.cell_volume * two_thirds_mask(grid) if dealias else None
+
+
 def nonlinearity_values(
     grid: SpectralGrid,
     v_hat: np.ndarray,
     rho_vals: np.ndarray | None,
-    rho_psi_phys: np.ndarray | None,
+    two_rho_psi: np.ndarray | None,
     forcing: np.ndarray | None,
-    dealias_mask: np.ndarray | None,
+    scale: np.ndarray | None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Transform of N(v) + forcing; batched over leading axes of v_hat.
 
     N(v) = |rho v|^2 + 2 Re(conj(rho v) rho Psi), products taken in physical
     space as the real array Re w (Re w + 2 Re rho Psi) + Im w (Im w + 2 Im rho
-    Psi) with w = rho v, computed on the interleaved (re, im) float view;
-    rho_psi_phys = None drops the cross term and rho_vals = None (no cutoff)
-    makes N vanish.  The mask, when given, dealiases the transform.
+    Psi) with w = rho v, computed on the interleaved (re, im) float view.
+    two_rho_psi is 2 rho Psi as localized_inputs returns it, a C-contiguous
+    complex array; None drops the cross term, and rho_vals = None (no cutoff)
+    makes N vanish.  scale multiplies the raw transform (nonlinearity_scale).
+    out, when given, is a complex array of v_hat's shape, not v_hat itself,
+    that holds rho v and then the result.
     """
     total = None
     if rho_vals is not None:
-        w = grid.inverse_values(v_hat)
+        w = grid.inverse_values(v_hat, out=out)
         w *= rho_vals
         pairs = w.view(np.float64)
-        if rho_psi_phys is None:
+        if two_rho_psi is None:
             prod = pairs * pairs
         else:
-            prod = np.ascontiguousarray(rho_psi_phys, dtype=np.complex128).view(np.float64) * 2.0
-            prod += pairs
+            prod = two_rho_psi.view(np.float64) + pairs
             prod *= pairs
+        del w, pairs  # freed before the sum and the transform allocate theirs
         total = prod[..., 0::2] + prod[..., 1::2]
-        del w, pairs, prod  # freed before the transform allocates its output
+        del prod
     if forcing is not None:
         total = forcing if total is None else total + forcing
     if total is None:
         return np.zeros(np.shape(v_hat), dtype=np.complex128)
-    n_hat = grid.forward_values(total)
-    if dealias_mask is not None:
-        n_hat *= dealias_mask
-    return n_hat
+    return grid.forward_values(total, out=out, scale=scale)
 
 
 def localized_inputs(
@@ -189,14 +199,19 @@ def localized_inputs(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """One time level's stochastic inputs, batched over leading axes.
 
-    Returns (rho Psi in physical space, transform of rho^2 <I Psi^2>); without a
-    cutoff nothing couples to Psi and the pair is (None, zeros).
+    Returns (2 rho Psi in physical space, transform of rho^2 <I Psi^2>); without
+    a cutoff nothing couples to Psi and the pair is (None, zeros).  The factor
+    2 of N's cross term is applied here, once per level, on the interleaved
+    float view, where doubling is exact.
     """
     if rho_vals is None:
         return None, np.zeros(np.shape(ipsi2_hat), dtype=np.complex128)
-    rho_psi = rho_vals * grid.inverse_values(psi_hat)
+    two_rho_psi = grid.inverse_values(psi_hat)
+    np.multiply(rho_vals, two_rho_psi, out=two_rho_psi)
+    pairs = two_rho_psi.view(np.float64)
+    pairs *= 2.0
     r_hat = grid.forward_values(rho_vals * rho_vals * grid.inverse_values(ipsi2_hat))
-    return rho_psi, r_hat
+    return two_rho_psi, r_hat
 
 
 def _level(
@@ -220,7 +235,7 @@ def step_values(
     phase: np.ndarray,
     norm_weight: np.ndarray,
     rho_vals: np.ndarray | None,
-    dealias_mask: np.ndarray | None,
+    n_scale: np.ndarray | None,
     n_prev: np.ndarray | None = None,
 ):
     """One Picard-resolved Duhamel step from level prev to level nxt on raw
@@ -228,9 +243,10 @@ def step_values(
 
     phase is the propagator multiplier for dt = nxt.t - prev.t and norm_weight
     the H^{-s} weight bessel_weight(grid, -2s) of the residual and blow-up
-    norms.  n_prev is the transform of N at prev, when the caller carries it
-    from the previous step; None evaluates it here.  Picard starts from the
-    explicit exponential predictor, which takes N(t_{k+1}) ~ e^{-i dt Lap} N(t_k).
+    norms; n_scale is nonlinearity_scale(grid, dealias).  n_prev is the
+    transform of N at prev, when the caller carries it from the previous
+    step; None evaluates it here.  Picard starts from the explicit
+    exponential predictor, which takes N(t_{k+1}) ~ e^{-i dt Lap} N(t_k).
 
     Returns (v_next, iterations, residuals, monotone_ok, history, failed,
     n_next), where history holds the worst healthy residual of each iteration
@@ -245,7 +261,7 @@ def step_values(
     dt = nxt.t - prev.t
     if n_prev is None:
         n_prev = nonlinearity_values(
-            grid, v_hat, rho_vals, prev.rho_psi, prev.forcing, dealias_mask
+            grid, v_hat, rho_vals, prev.two_rho_psi, prev.forcing, n_scale
         )
     half_dt = -0.5j * dt
     # fixed holds every term but the implicit -i (dt/2) N(t_{k+1}); the
@@ -267,7 +283,7 @@ def step_values(
     for m in range(1, PICARD_MAX + 1):
         n_next = None  # free the last evaluation before making the next
         n_next = nonlinearity_values(
-            grid, v_iter, rho_vals, nxt.rho_psi, nxt.forcing, dealias_mask
+            grid, v_iter, rho_vals, nxt.two_rho_psi, nxt.forcing, n_scale
         )
         np.multiply(n_next, half_dt, out=v_new)
         v_new += fixed
@@ -324,7 +340,7 @@ class RemainderStepper:
         self.config = config
         self.grid = grid
         self.rho_vals = None if config.rho is None else config.rho.evaluate(grid)
-        self.dealias_mask = two_thirds_mask(grid) if config.dealias else None
+        self.n_scale = nonlinearity_scale(grid, config.dealias)
         self.norm_weight = bessel_weight(grid, -2.0 * config.params.s)
         self._dt, self._phase = None, None
         self.v_hat = v_hat
@@ -357,7 +373,7 @@ class RemainderStepper:
             self._phase,
             self.norm_weight,
             self.rho_vals,
-            self.dealias_mask,
+            self.n_scale,
             n_prev=self._n_prev,
         )
         self.v_hat = v_next
@@ -365,7 +381,7 @@ class RemainderStepper:
             self._prev, self._n_prev = nxt, None
         else:
             # N at nxt is carried, so the next step reads only r_hat and t there
-            self._prev, self._n_prev = nxt._replace(rho_psi=None, forcing=None), n_next
+            self._prev, self._n_prev = nxt._replace(two_rho_psi=None, forcing=None), n_next
         self.k += 1
         self.iterations.append(iterations)
         self.residuals.append(float(np.max(residuals)))
@@ -462,7 +478,7 @@ def _path_levels(
     """Every time level of the path, localized in one batched call: a Level
     whose arrays carry a leading axis of K+1 levels and whose t is the time
     grid.  The stacked psi and <I Psi^2> are freed on return."""
-    rho_psi, r_hat = localized_inputs(
+    two_rho_psi, r_hat = localized_inputs(
         path.grid,
         rho_vals,
         np.stack([f.values for f in path.psi]),
@@ -471,14 +487,14 @@ def _path_levels(
     forcing = None
     if config.forcing is not None:
         forcing = np.stack([config.forcing(float(t)) for t in path.times])
-    return Level(rho_psi, r_hat, forcing, path.times)
+    return Level(two_rho_psi, r_hat, forcing, path.times)
 
 
 def _row(levels: Level, k: int) -> Level:
     """Time level k of a stacked Level, as views."""
-    rho_psi, r_hat, forcing, times = levels
+    two_rho_psi, r_hat, forcing, times = levels
     return Level(
-        None if rho_psi is None else rho_psi[k],
+        None if two_rho_psi is None else two_rho_psi[k],
         r_hat[k],
         None if forcing is None else forcing[k],
         float(times[k]),
@@ -544,6 +560,23 @@ def _march_step_local(
     )
 
 
+def _dt_groups(dts: list[float]) -> list[tuple[float, slice | np.ndarray, slice | np.ndarray]]:
+    """(dt, the steps k of that dt, the levels k + 1 they reach) for each
+    distinct dt: slices when the steps are consecutive (every step of a
+    uniform grid), else index arrays."""
+    steps: dict[float, list[int]] = {}
+    for k, dt in enumerate(dts):
+        steps.setdefault(dt, []).append(k)
+    groups = []
+    for dt, ks in steps.items():
+        if ks[-1] - ks[0] + 1 == len(ks):
+            groups.append((dt, slice(ks[0], ks[-1] + 1), slice(ks[0] + 1, ks[-1] + 2)))
+        else:
+            k = np.array(ks)
+            groups.append((dt, k, k + 1))
+    return groups
+
+
 def _march_global(
     config: SolverConfig,
     path: StochasticPath,
@@ -553,57 +586,59 @@ def _march_global(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, StepFailure | None]:
     """Whole-trajectory fixed-point iteration of the contraction map.
 
-    Each sweep evaluates N at every level in one batched call and measures
-    the distance between successive iterates with one batched traces call;
-    only the Duhamel recurrence runs level by level.
+    Each sweep evaluates N at every level in one batched call, forms every
+    step's Duhamel term with a few array operations per distinct dt, and
+    measures the distance between successive iterates with one batched
+    traces call; only the two-operation Duhamel recurrence runs level by
+    level.  The free evolution of phi is formed once.  A non-finite sweep
+    distance is recorded in the failure as NaN, as in the step-local march.
     """
     grid = path.grid
     times = path.times
     steps = len(times) - 1
-    dealias_mask = two_thirds_mask(grid) if config.dealias else None
+    n_scale = nonlinearity_scale(grid, config.dealias)
     dts = [float(times[k + 1] - times[k]) for k in range(steps)]
     phases = {dt: propagator_phase(grid, dt) for dt in set(dts)}
-    phi_hat = _initial_hat(config, grid)
+    groups = _dt_groups(dts)
     r_hat = levels.r_hat
+    # the free evolution of phi at each level, by the sequential products
+    free = np.empty_like(r_hat)
+    free[0] = _initial_hat(config, grid)
+    for k, dt in enumerate(dts):
+        np.multiply(phases[dt], free[k], out=free[k + 1])
 
-    def free():
-        """The free evolution of phi at each level, formed by the same products
-        in every sweep."""
-        f = phi_hat
-        yield f
-        for dt in dts:
-            f = phases[dt] * f
-            yield f
-
-    current = np.empty_like(r_hat)
-    for k, f in enumerate(free()):
-        np.add(f, r_hat[k], out=current[k])
+    current = free + r_hat
     new = np.empty_like(current)
-    duhamel, term = grid.zeros(), grid.zeros()
     iterations = 0
     distance = np.inf
     # a diverging iterate overflows on its way to inf; the cut below handles it
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, PICARD_MAX + 1):
+            # new[k+1] = (free[k+1] + D[k+1]) + r_hat[k+1], where
+            # D[k+1] = phase D[k] + term_k, term_k = (-i dt/2)(phase N_k + N_{k+1})
+            # and D[0] = 0; operands in this order (see stochastic.duhamel_update).
+            # N is evaluated into new, the terms of the steps of one dt are
+            # formed together (in place when the steps are consecutive), and
+            # D then replaces N in new.
             n_hats = nonlinearity_values(
-                grid, current, rho_vals, levels.rho_psi, levels.forcing, dealias_mask
+                grid, current, rho_vals, levels.two_rho_psi, levels.forcing, n_scale, out=new
             )
-            # new[k+1] = free[k+1] + duhamel_{k+1} + r_hat[k+1], where
-            # duhamel_{k+1} = phase duhamel_k + (-i dt/2)(phase N_k + N_{k+1});
-            # operands in this order (see stochastic.duhamel_update)
-            sweep = free()
-            np.add(next(sweep), r_hat[0], out=new[0])
-            duhamel.fill(0.0)
-            for k, (dt, f) in enumerate(zip(dts, sweep)):
-                phase = phases[dt]
-                np.multiply(phase, n_hats[k], out=term)
-                term += n_hats[k + 1]
-                np.multiply(-0.5j * dt, term, out=term)
-                np.multiply(phase, duhamel, out=duhamel)
-                duhamel += term
-                np.add(f, duhamel, out=new[k + 1])
-                new[k + 1] += r_hat[k + 1]
-            del n_hats
+            terms = np.empty_like(new[1:])
+            for dt, k, k1 in groups:
+                term = np.multiply(
+                    phases[dt], n_hats[k], out=terms[k] if isinstance(k, slice) else None
+                )
+                term += n_hats[k1]
+                terms[k] = np.multiply(-0.5j * dt, term, out=term)
+            del n_hats, term
+            new[0] = 0.0
+            for k, dt in enumerate(dts):
+                np.multiply(phases[dt], new[k], out=new[k + 1])
+                new[k + 1] += terms[k]
+            del terms
+            np.add(free[1:], new[1:], out=new[1:])
+            new[1:] += r_hat[1:]
+            np.add(free[0], r_hat[0], out=new[0])
             # the old iterate becomes the difference, then the two buffers swap roles
             np.subtract(new, current, out=current)
             y = _y_summary(times, *traces(current), config.params)
@@ -618,19 +653,20 @@ def _march_global(
     # As in the step-local march, the trajectory ends before the first level
     # whose H^{-s} norm is non-finite or above BLOWUP_NORM, and the failure is
     # dated there.
+    residual = float(distance) if np.isfinite(distance) else float("nan")
     norms = np.sqrt(hs_norm_sq_hat(grid, current[1:], -config.params.s))
     blown = np.flatnonzero(~(norms <= BLOWUP_NORM))
     failure = None
     if blown.size:
         k = int(blown[0]) + 1
         current = current[:k]
-        failure = StepFailure("blowup", float(times[k]), k - 1, float(distance), iterations)
+        failure = StepFailure("blowup", float(times[k]), k - 1, residual, iterations)
     elif not distance <= PICARD_TOL:
         failure = StepFailure(
             "blowup" if not np.isfinite(distance) else "picard",
             float(times[-1]),
             steps - 1,
-            float(distance),
+            residual,
             iterations,
         )
     steps = len(current) - 1

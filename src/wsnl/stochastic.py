@@ -228,7 +228,9 @@ class PathEnsemble:
         # the sampler's order; psi stays zero outside the ball
         self._noise = ModeNoise(grid, self._masks[n_max] > 0)
         self._drive = (-1j) * bessel_weight(grid, -alpha).reshape(-1)[self._noise.modes]
-        self._rows = np.arange(size)[:, None]  # with modes, the ball's entries of psi
+        # the ball's entries of the flattened psi block, member by member
+        points = int(np.prod(grid.shape))
+        self._ball = (np.arange(size)[:, None] * points + self._noise.modes).reshape(-1)
         # drive * I for the steps of every member's current key block
         self._block: np.ndarray | None = None
         self.psi = np.zeros((size,) + grid.shape, dtype=np.complex128)
@@ -320,12 +322,10 @@ class PathEnsemble:
             # not bit-commutative
             np.multiply(self._drive, self._block, out=self._block)
         # psi <- phase * psi + drive * I on the ball
-        entries = (self._rows, noise.modes)
-        psi = self.psi.reshape(self.size, -1)
-        ball = psi[entries]
+        ball = np.take(self.psi.reshape(self.size, -1), noise.modes, axis=1)
         np.multiply(ball_phase, ball, out=ball)
         ball += self._block[:, row]
-        psi[entries] = ball
+        self.psi.reshape(-1)[self._ball] = ball.reshape(-1)
         if noise.steps_per_key == 1 or self.k + 2 == len(self.times):
             # spent, and freed before the tracking scratch is allocated; a
             # block of several steps is held through them anyway, so its

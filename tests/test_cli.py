@@ -16,6 +16,7 @@ from wsnl.cli import (
     parse_config,
 )
 from wsnl.config import KEYS, validate_config
+from wsnl.snapshots import read_snapshot
 from wsnl.studies import default_config
 
 
@@ -119,6 +120,27 @@ def test_sample_snapshot_reproducible(tmp_path):
     summary = (tmp_path / "a" / "path-0000.csv").read_text().splitlines()
     assert summary[0] == "schema_version,t,psi_l2,wick_spatial_mean,ipsi2_l2"
     assert len(summary) == 10  # header + K+1 rows
+
+
+@pytest.mark.parametrize("d, alpha, N, n", [(1, 0.3, 64, 8), (2, 0.9, 16, 4)])
+def test_sample_rows_are_the_per_level_formulas_bit_for_bit(tmp_path, d, alpha, N, n):
+    text = f"d = {d}\nalpha = {alpha}\nN = {N}\nn = {n}\nK = 8\nT = 0.25\nM = 2\nseed = 7\n"
+    assert dispatch("sample", parse_config(text), out_dir=tmp_path) == 0
+    for member in range(2):
+        path = read_snapshot(tmp_path / f"path-{member:04d}.wsnl")
+        volume = path.grid.L**d
+        expected = [
+            [
+                float(t),
+                float(np.sqrt(np.sum(np.abs(path.psi[k].values) ** 2) / volume)),
+                float(np.mean(path.wick[k].values.real)),
+                float(np.sqrt(np.sum(np.abs(path.ipsi2[k].values) ** 2) / volume)),
+            ]
+            for k, t in enumerate(path.times)
+        ]
+        lines = (tmp_path / f"path-{member:04d}.csv").read_text().splitlines()[1:]
+        rows = [[float(cell) for cell in line.split(",")[1:]] for line in lines]
+        assert repr(rows) == repr(expected)
 
 
 def test_renorm_subcommand_writes_slope_row(tmp_path):

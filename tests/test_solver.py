@@ -28,6 +28,7 @@ from wsnl.solver import (
     StepFailure,
     _y_summary,
     localized_inputs,
+    nonlinearity_scale,
     nonlinearity_values,
     solve,
 )
@@ -81,8 +82,9 @@ class TestQuadraticNonlinearity:
 
     def nonlinearity(self, v_phys, rho_psi=None):
         """N(v; rho Psi) in physical space, no forcing, no dealiasing."""
+        two_rho_psi = None if rho_psi is None else 2.0 * rho_psi
         n_hat = nonlinearity_values(
-            GRID, GRID.forward_values(v_phys), self.rho_vals, rho_psi, None, None
+            GRID, GRID.forward_values(v_phys), self.rho_vals, two_rho_psi, None, None
         )
         return GRID.inverse_values(n_hat)
 
@@ -247,6 +249,8 @@ def test_global_mode_blowup_is_dated_like_step_local():
         assert out.failure.time == path.times[1]
         assert len(out.v) == 1 and len(out.trace_h) == 1 and len(out.picard_iterations) == 0
     assert np.array_equal(outs[0].v[0], outs[1].v[0])
+    # the non-finite residual reads the same in both: NaN
+    assert repr(outs[0].failure.residual) == repr(outs[1].failure.residual) == "nan"
 
 
 def test_global_mode_matches_step_local_fixed_point():
@@ -317,7 +321,7 @@ def reference_march(config, path):
     Returns v at the last level and the total number of Picard iterations."""
     grid = path.grid
     rho_vals = config.rho.evaluate(grid)
-    mask = two_thirds_mask(grid)
+    scale = grid.cell_volume * two_thirds_mask(grid)
     v = grid.zeros()
     prev = localized_inputs(grid, rho_vals, path.psi[0].values, path.ipsi2[0].values)
     total = 0
@@ -325,11 +329,11 @@ def reference_march(config, path):
         dt = float(path.times[k] - path.times[k - 1])
         phase = propagator_phase(grid, dt)
         nxt = localized_inputs(grid, rho_vals, path.psi[k].values, path.ipsi2[k].values)
-        n_prev = nonlinearity_values(grid, v, rho_vals, prev[0], None, mask)
+        n_prev = nonlinearity_values(grid, v, rho_vals, prev[0], None, scale)
         fixed = phase * v + (-0.5j * dt) * phase * n_prev + (nxt[1] - phase * prev[1])
         iterate = phase * v
         for _ in range(PICARD_MAX):
-            n_next = nonlinearity_values(grid, iterate, rho_vals, nxt[0], None, mask)
+            n_next = nonlinearity_values(grid, iterate, rho_vals, nxt[0], None, scale)
             new = fixed + (-0.5j * dt) * n_next
             residual = np.sqrt(hs_norm_sq_hat(grid, new - iterate, -config.params.s))
             iterate = new
@@ -402,7 +406,7 @@ def per_level_global(config, path, traces):
     times = path.times
     steps = len(times) - 1
     rho_vals = None if config.rho is None else config.rho.evaluate(grid)
-    dealias_mask = two_thirds_mask(grid) if config.dealias else None
+    scale = nonlinearity_scale(grid, config.dealias)
     dts = [float(times[k + 1] - times[k]) for k in range(steps)]
     phases = {dt: propagator_phase(grid, dt) for dt in set(dts)}
     levels = []
@@ -417,7 +421,7 @@ def per_level_global(config, path, traces):
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(1, PICARD_MAX + 1):
             n_hats = [
-                nonlinearity_values(grid, current[k], rho_vals, levels[k][0], levels[k][2], dealias_mask)
+                nonlinearity_values(grid, current[k], rho_vals, levels[k][0], levels[k][2], scale)
                 for k in range(steps + 1)
             ]
             duhamel = grid.zeros()
@@ -432,16 +436,18 @@ def per_level_global(config, path, traces):
             current, iterations = new, m
             if not np.isfinite(distance) or distance <= PICARD_TOL:
                 break
+    # a non-finite distance is recorded as NaN, as the step-local march does
+    residual = float(distance) if np.isfinite(distance) else float("nan")
     norms = np.sqrt(hs_norm_sq_hat(grid, np.array(current[1:]), -config.params.s))
     blown = np.flatnonzero(~(norms <= BLOWUP_NORM))
     failure = None
     if blown.size:
         k = int(blown[0]) + 1
         current = current[:k]
-        failure = StepFailure("blowup", float(times[k]), k - 1, float(distance), iterations)
+        failure = StepFailure("blowup", float(times[k]), k - 1, residual, iterations)
     elif not distance <= PICARD_TOL:
         kind = "blowup" if not np.isfinite(distance) else "picard"
-        failure = StepFailure(kind, float(times[-1]), steps - 1, float(distance), iterations)
+        failure = StepFailure(kind, float(times[-1]), steps - 1, residual, iterations)
     n = len(current) - 1
     records = (np.full(n, iterations, dtype=int), np.full(n, distance), np.ones(n, dtype=bool))
     return current, records, failure
@@ -516,6 +522,16 @@ def stacked_case(name, mode):
         g, forcing = manufactured_forcing(rho)
         config = make_config(GRID, PARAMS, rho, g, T, K, dealias=False, forcing=forcing, mode=mode)
         return config, zero_path(PARAMS, GRID, T=T, K=K)
+    if name == "non-uniform times":
+        # three distinct steps, the first one config.dt: the steps of dt run
+        # consecutively, those of 2 dt and dt/2 interleave
+        dt = T / K
+        steps = np.concatenate([np.full(8, dt), np.tile([2 * dt, 0.5 * dt, 0.5 * dt], 8)])
+        times = np.concatenate([[0.0], np.cumsum(steps)])
+        assert times[-1] == T and len(set(np.diff(times).tolist())) == 3
+        return make_config(GRID, PARAMS, rho, phi, T, K, mode=mode), sample_path(
+            PARAMS, GRID, seed=53, times=times
+        )
     if name == "blow-up":
         config = make_config(
             GRID, PARAMS, rho, None, T, 16, forcing=lambda t: np.full(GRID.shape, 1e12), mode=mode
@@ -529,7 +545,8 @@ def stacked_case(name, mode):
 
 @pytest.mark.parametrize("mode", ["step-local", "global"])
 @pytest.mark.parametrize(
-    "name", ["sample path, complex phi", "manufactured forcing", "blow-up", "no cutoff"]
+    "name",
+    ["sample path, complex phi", "manufactured forcing", "non-uniform times", "blow-up", "no cutoff"],
 )
 def test_stacked_solve_matches_the_per_level_reference_bit_for_bit(name, mode):
     config, path = stacked_case(name, mode)

@@ -369,21 +369,22 @@ class TestLocalize:
         rho = CutoffRho(radii=(np.pi / 4,), centers=(np.pi,), profiles=(zero_profile,))
         path = sample_path(PARAMS, GRID, seed=9, T=0.25, K=4)
         for k in range(len(path.times)):
-            rho_psi, r_hat = localized_inputs(
+            two_rho_psi, r_hat = localized_inputs(
                 GRID, rho.evaluate(GRID), path.psi[k].values, path.ipsi2[k].values
             )
-            assert np.all(rho_psi == 0) and np.all(r_hat == 0)
+            assert np.all(two_rho_psi == 0) and np.all(r_hat == 0)
 
     def test_localization_is_an_l2_contraction_up_to_sup(self):
         rho = CutoffRho.for_grid(GRID)
         sup = float(rho.evaluate(GRID).max())
         path = sample_path(PARAMS, GRID, seed=10, T=0.25, K=4)
-        rho_psi, r_hat = localized_inputs(
+        two_rho_psi, r_hat = localized_inputs(
             GRID, rho.evaluate(GRID), path.psi[-1].values, path.ipsi2[-1].values
         )
         psi_phys = GRID.inverse_values(path.psi[-1].values)
         ipsi2_phys = GRID.inverse_values(path.ipsi2[-1].values)
-        assert l2_norm(GRID, rho_psi) <= sup * l2_norm(GRID, psi_phys) * (1 + 1e-10)
+        # localized_inputs returns 2 rho Psi
+        assert l2_norm(GRID, 0.5 * two_rho_psi) <= sup * l2_norm(GRID, psi_phys) * (1 + 1e-10)
         r_phys = GRID.inverse_values(r_hat)
         assert l2_norm(GRID, r_phys) <= sup**2 * l2_norm(GRID, ipsi2_phys) * (1 + 1e-10)
 
