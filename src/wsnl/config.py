@@ -196,11 +196,10 @@ class StudyConfig:
         )
 
     def _radii(self) -> list[float]:
-        """The truncation radii this config runs at; without a kind, the ones set."""
-        if self.kind is None:
-            set_n = [self.n] if "n" in self.provided else []
-            return set_n + (list(self.ladder) if "ladder" in self.provided else [])
-        if self.kind == "constants":
+        """The truncation radii this config runs at; none until a kind is
+        bound, since only the kind says which of n and ladder it reads and on
+        which grid."""
+        if self.kind in (None, "constants"):
             return []
         if self.kind in DOUBLING_KINDS:
             return [2.0 * max(self.ladder)]

@@ -20,13 +20,15 @@ above (Hochbruck & Ostermann, Acta Numerica 19, 2010).  Residuals are
 successive-iterate distances in the discrete H^{-s} norm.  N is real, so at
 d = 1 its transform takes the rfft path of SpectralGrid.forward_values.
 
-This module is the only place that marches the equation.  RemainderStepper is
-the step-local loop: it carries v, the previous time level's localized inputs
-and the last Picard evaluation of N at that level, so N(t_k) costs no
-transform.  The coupled convergence study drives one stepper per truncation
-radius over a batch of ensemble members.  solve() stacks a path's K+1 time
-levels once and localizes them in one batched localized_inputs call; its
-step-local mode drives one stepper over the rows of that stack.
+This module is the only place that marches the equation.  level() is the one
+builder of a march's inputs: it localizes Psi and <I Psi^2> at one time, or at
+every time of a stacked path, and adds the forcing.  RemainderStepper is the
+step-local loop: it starts from a Level built so, and carries v, the previous
+time level's localized inputs and the last Picard evaluation of N at that
+level, so N(t_k) costs no transform.  The coupled convergence study drives one
+stepper per truncation radius over a batch of ensemble members.  solve()
+stacks a path's K+1 time levels once and localizes them in one level() call;
+its step-local mode drives one stepper over the rows of that stack.
 solve(mode="global") is a separate algorithm, the fixed-point iteration of the
 whole-trajectory contraction map: each sweep evaluates N at every level in one
 batched call, forms every step's Duhamel term with array operations over the
@@ -39,7 +41,7 @@ reach in one batched call.  All norms come from grid.py.
 Loss of regularity (norm above BLOWUP_NORM, or non-finite values) is a
 first-class outcome: a failed step is flagged, never raised; the convergence
 study excludes the flagged members, and solve() returns the partial
-trajectory and a failure record.
+trajectory and a failure record, built by one rule for both modes.
 """
 
 from __future__ import annotations
@@ -110,6 +112,8 @@ class SolverConfig:
             raise GridError(f"T must lie in (0, 1], got {self.T}")
         if self.mode not in ("step-local", "global"):
             raise GridError(f"unknown solver mode {self.mode!r}")
+        if self.phi is not None and self.phi.space != "physical":
+            raise GridError(f"phi must be given in physical space, got {self.phi.space!r}")
 
 
 class Level(NamedTuple):
@@ -214,16 +218,25 @@ def localized_inputs(
     return two_rho_psi, r_hat
 
 
-def _level(
+def level(
     config: SolverConfig,
     grid: SpectralGrid,
     rho_vals: np.ndarray | None,
     psi_hat: np.ndarray,
     ipsi2_hat: np.ndarray,
-    t: float,
+    t: float | np.ndarray,
 ) -> Level:
-    """The inputs at time t: localized stochastic data plus the forcing."""
-    forcing = None if config.forcing is None else config.forcing(t)
+    """The inputs at time t, where Psi and <I Psi^2> have the given
+    transforms: localized stochastic data plus the forcing.  Given an array
+    of times, psi_hat and ipsi2_hat carry a leading axis of those levels, and
+    so does every array of the Level returned, the forcing evaluated at each
+    time and stacked; t is then the time grid."""
+    if config.forcing is None:
+        forcing = None
+    elif np.ndim(t):
+        forcing = np.stack([config.forcing(float(t_k)) for t_k in t])
+    else:
+        forcing = config.forcing(t)
     return Level(*localized_inputs(grid, rho_vals, psi_hat, ipsi2_hat), forcing, t)
 
 
@@ -314,28 +327,20 @@ class RemainderStepper:
     """The step-local march: v, the previous time level's localized inputs,
     and the transform of N there.
 
-    v_hat may carry leading batch axes, one row per ensemble member; the psi
-    and <I Psi^2> transforms given to the constructor (time t) and to level()
-    carry the same axes.  A step is two calls, step(level(psi_hat, ipsi2_hat,
-    t_next)), so the caller's psi block can be freed before the Picard loop
-    runs.  A caller that holds the starting level localized already passes
-    it as `start` instead of psi_hat and ipsi2_hat (solve() does, with row 0
-    of its stacked levels).  Each time level is localized once, and the last
-    Picard evaluation of N at t_{k+1} is carried as the next step's N at t_k,
-    except after a step in which a member failed.  Failed members are zeroed
-    and flagged in `failed`, and the march goes on.  Per-step Picard
-    iterations, worst residuals and monotone flags are collected in lists.
+    v_hat may carry leading batch axes, one row per ensemble member; start,
+    the Level at the starting time, and the psi and <I Psi^2> transforms
+    given to level() carry the same axes.  A step is two calls,
+    step(level(psi_hat, ipsi2_hat, t_next)), so the caller's psi block can be
+    freed before the Picard loop runs; solve() passes the rows of its stacked
+    levels instead.  Each time level is localized once, and the last Picard
+    evaluation of N at t_{k+1} is carried as the next step's N at t_k, except
+    after a step in which a member failed.  Failed members are zeroed and
+    flagged in `failed`, and the march goes on.  Per-step Picard iterations,
+    worst residuals and monotone flags are collected in lists.
     """
 
     def __init__(
-        self,
-        config: SolverConfig,
-        grid: SpectralGrid,
-        v_hat: np.ndarray,
-        psi_hat: np.ndarray | None,
-        ipsi2_hat: np.ndarray | None,
-        t: float,
-        start: Level | None = None,
+        self, config: SolverConfig, grid: SpectralGrid, v_hat: np.ndarray, start: Level
     ) -> None:
         self.config = config
         self.grid = grid
@@ -344,8 +349,7 @@ class RemainderStepper:
         self.norm_weight = bessel_weight(grid, -2.0 * config.params.s)
         self._dt, self._phase = None, None
         self.v_hat = v_hat
-        self.k = 0
-        self._prev = self.level(psi_hat, ipsi2_hat, t) if start is None else start
+        self._prev = start
         self._n_prev: np.ndarray | None = None
         self.iterations: list[int] = []
         self.residuals: list[float] = []
@@ -358,7 +362,7 @@ class RemainderStepper:
 
     def level(self, psi_hat: np.ndarray, ipsi2_hat: np.ndarray, t: float) -> Level:
         """The localized inputs at time t, where Psi and <I Psi^2> have the given transforms."""
-        return _level(self.config, self.grid, self.rho_vals, psi_hat, ipsi2_hat, t)
+        return level(self.config, self.grid, self.rho_vals, psi_hat, ipsi2_hat, t)
 
     def step(self, nxt: Level) -> None:
         """Advance v to the time of level nxt."""
@@ -382,7 +386,6 @@ class RemainderStepper:
         else:
             # N at nxt is carried, so the next step reads only r_hat and t there
             self._prev, self._n_prev = nxt._replace(two_rho_psi=None, forcing=None), n_next
-        self.k += 1
         self.iterations.append(iterations)
         self.residuals.append(float(np.max(residuals)))
         self.monotone.append(monotone)
@@ -394,8 +397,6 @@ def _initial_hat(config: SolverConfig, grid: SpectralGrid) -> np.ndarray:
     Field stores phi's values as complex, so they take the complex transform."""
     if config.phi is None:
         return grid.zeros()
-    if config.phi.space == "frequency":
-        return config.phi.values.copy()
     return grid.forward_values(config.phi.values)
 
 
@@ -472,24 +473,6 @@ def _output(
     )
 
 
-def _path_levels(
-    config: SolverConfig, path: StochasticPath, rho_vals: np.ndarray | None
-) -> Level:
-    """Every time level of the path, localized in one batched call: a Level
-    whose arrays carry a leading axis of K+1 levels and whose t is the time
-    grid.  The stacked psi and <I Psi^2> are freed on return."""
-    two_rho_psi, r_hat = localized_inputs(
-        path.grid,
-        rho_vals,
-        np.stack([f.values for f in path.psi]),
-        np.stack([f.values for f in path.ipsi2]),
-    )
-    forcing = None
-    if config.forcing is not None:
-        forcing = np.stack([config.forcing(float(t)) for t in path.times])
-    return Level(two_rho_psi, r_hat, forcing, path.times)
-
-
 def _row(levels: Level, k: int) -> Level:
     """Time level k of a stacked Level, as views."""
     two_rho_psi, r_hat, forcing, times = levels
@@ -511,7 +494,14 @@ def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
         raise GridError("phi lives on a different grid than the path")
     rho_vals = None if config.rho is None else config.rho.evaluate(grid)
     traces = _make_traces(grid, config.params, rho_vals)
-    levels = _path_levels(config, path, rho_vals)
+    levels = level(
+        config,
+        grid,
+        rho_vals,
+        np.stack([f.values for f in path.psi]),
+        np.stack([f.values for f in path.ipsi2]),
+        times,
+    )
     if config.mode == "global":
         trajectory = _march_global(config, path, levels, rho_vals, traces)
     else:
@@ -520,21 +510,29 @@ def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
     return _output(config, path, traces, *trajectory)
 
 
+def _failure(
+    times: np.ndarray, k: int, residual: float, iterations: int, blown: bool
+) -> StepFailure:
+    """The failure of the step that reaches level k, for both marches: "picard"
+    when its residual is finite and above PICARD_TOL and no level blew up,
+    else "blowup"; a non-finite residual reads NaN.  blown is the global
+    march's norm test; step_values folds its own into the failed mask, so the
+    step-local march passes False."""
+    finite = bool(np.isfinite(residual))
+    kind = "picard" if finite and residual > PICARD_TOL and not blown else "blowup"
+    residual = float(residual) if finite else float("nan")
+    return StepFailure(kind, float(times[k]), k - 1, residual, iterations)
+
+
 def _march_step_local(
     config: SolverConfig, path: StochasticPath, levels: Level
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, StepFailure | None]:
     """One RemainderStepper over the path's levels: the v reached at each
     level, the Picard records of the accepted steps and the failure, if any.
-
-    The march ends at the first flagged step.  Its failure is "picard" when
-    the step's residual is finite and above PICARD_TOL, and "blowup"
-    otherwise; a non-finite residual is recorded as NaN."""
+    The march ends at the first flagged step."""
     grid = path.grid
     times = path.times
-    stepper = RemainderStepper(
-        config, grid, _initial_hat(config, grid), None, None, float(times[0]),
-        start=_row(levels, 0),
-    )
+    stepper = RemainderStepper(config, grid, _initial_hat(config, grid), _row(levels, 0))
     v_hats = np.empty((len(times),) + grid.shape, dtype=np.complex128)
     v_hats[0] = stepper.v_hat
     reached = len(times)
@@ -542,11 +540,7 @@ def _march_step_local(
     for k in range(1, len(times)):
         stepper.step(_row(levels, k))
         if stepper.failed.any():
-            residual = stepper.residuals[-1]
-            kind = "picard" if np.isfinite(residual) and residual > PICARD_TOL else "blowup"
-            if not np.isfinite(residual):
-                residual = float("nan")
-            failure = StepFailure(kind, stepper.t, k - 1, residual, stepper.iterations[-1])
+            failure = _failure(times, k, stepper.residuals[-1], stepper.iterations[-1], blown=False)
             reached = k
             break
         v_hats[k] = stepper.v_hat
@@ -592,6 +586,8 @@ def _march_global(
     traces call; only the two-operation Duhamel recurrence runs level by
     level.  The free evolution of phi is formed once.  A non-finite sweep
     distance is recorded in the failure as NaN, as in the step-local march.
+    When a level blows up, the levels kept before it record the last sweep's
+    distance taken over those levels alone.
     """
     grid = path.grid
     times = path.times
@@ -606,6 +602,10 @@ def _march_global(
     free[0] = _initial_hat(config, grid)
     for k, dt in enumerate(dts):
         np.multiply(phases[dt], free[k], out=free[k + 1])
+
+    def sweep_distance(diffs: np.ndarray) -> float:
+        y = _y_summary(times, *traces(diffs), config.params)
+        return y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
 
     current = free + r_hat
     new = np.empty_like(current)
@@ -641,8 +641,7 @@ def _march_global(
             np.add(free[0], r_hat[0], out=new[0])
             # the old iterate becomes the difference, then the two buffers swap roles
             np.subtract(new, current, out=current)
-            y = _y_summary(times, *traces(current), config.params)
-            distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
+            distance = sweep_distance(current)
             current, new = new, current
             iterations = m
             if not np.isfinite(distance):
@@ -653,22 +652,19 @@ def _march_global(
     # As in the step-local march, the trajectory ends before the first level
     # whose H^{-s} norm is non-finite or above BLOWUP_NORM, and the failure is
     # dated there.
-    residual = float(distance) if np.isfinite(distance) else float("nan")
     norms = np.sqrt(hs_norm_sq_hat(grid, current[1:], -config.params.s))
     blown = np.flatnonzero(~(norms <= BLOWUP_NORM))
     failure = None
     if blown.size:
         k = int(blown[0]) + 1
+        failure = _failure(times, k, distance, iterations, blown=True)
+        # the kept levels record the last sweep's distance over them alone;
+        # new still holds that sweep's difference
+        with np.errstate(over="ignore", invalid="ignore"):
+            distance = sweep_distance(new[:k])
         current = current[:k]
-        failure = StepFailure("blowup", float(times[k]), k - 1, residual, iterations)
     elif not distance <= PICARD_TOL:
-        failure = StepFailure(
-            "blowup" if not np.isfinite(distance) else "picard",
-            float(times[-1]),
-            steps - 1,
-            residual,
-            iterations,
-        )
+        failure = _failure(times, steps, distance, iterations, blown=False)
     steps = len(current) - 1
     return (
         current,

@@ -38,7 +38,7 @@ from .noise import ModeNoise
 from .reference import PaperParams, covariance_oracle, renorm_constant
 # step_values is not called here; it stays a module attribute because the
 # perfbench tracer patches it in this module
-from .solver import RemainderStepper, SolverConfig, step_values  # noqa: F401
+from .solver import RemainderStepper, SolverConfig, level, step_values  # noqa: F401
 from .stochastic import PathEnsemble, uniform_times
 
 
@@ -765,9 +765,7 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
                 solver_config,
                 grid,
                 np.zeros(shape, dtype=np.complex128),
-                ens.psi_values(r),
-                ens.ipsi2_values(r),
-                ens.t,
+                level(solver_config, grid, rho_vals, ens.psi_values(r), ens.ipsi2_values(r), ens.t),
             )
             for r in radii
         }

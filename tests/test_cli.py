@@ -71,7 +71,7 @@ class TestParseConfig:
 
     def test_nyquist_reported_before_compute(self):
         with pytest.raises(ConfigError) as err:
-            parse_config("N = 64\nn = 64\n")
+            parse_config("N = 64\nn = 64\n").for_kind("solve")
         assert "Nyquist" in err.value.errors[0]
 
     def test_default_alpha_per_dimension(self):
@@ -226,6 +226,20 @@ def test_main_error_paths(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "M must be >= 100" in err
     assert "hoelder lags need T/2 + max(lags) <= T: 0.1 + 0.125 = 0.225 > T = 0.2" in err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        # renorm runs at N = 512, whose Nyquist bound 256 admits the top rung
+        ["ladder=8,16,32,64,128,256"],
+        # renorm reads the ladder, so n, above every Nyquist bound here, is not a radius
+        ["n=1000"],
+    ],
+)
+def test_radii_are_checked_against_the_kind_that_runs_them(overrides, tmp_path):
+    args = [item for pair in overrides for item in ("--set", pair)]
+    assert main(["renorm", *args, "--out", str(tmp_path)]) == 0
 
 
 def test_padded_grid_over_the_point_budget_exits_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ import wsnl.solver
 from wsnl.grid import (
     CutoffRho,
     Field,
+    GridError,
     SpectralGrid,
     bessel_weight,
     hs_norm_sq_hat,
@@ -26,13 +27,16 @@ from wsnl.solver import (
     RemainderStepper,
     SolverConfig,
     StepFailure,
+    _make_traces,
     _y_summary,
+    level,
     localized_inputs,
     nonlinearity_scale,
     nonlinearity_values,
     solve,
 )
 from wsnl.stochastic import PathEnsemble, StochasticPath, sample_path, uniform_times, zero_path
+from wsnl.studies import default_config
 
 GRID = SpectralGrid(1, 2 * np.pi, 64)
 PARAMS = PaperParams(d=1, alpha=0.3, eps=0.01, n=8)
@@ -210,22 +214,58 @@ def test_blowup_is_reported_not_raised():
     assert len(out.v) < K + 1  # partial trajectory returned
 
 
-def test_picard_failure_ends_the_march_at_the_unconverged_step(monkeypatch):
+@pytest.mark.parametrize("mode", ["step-local", "global"])
+def test_picard_failure_ends_the_march_at_the_unconverged_step(mode, monkeypatch):
     T, K = 0.25, 16
     path = sample_path(PARAMS, GRID, seed=42, T=T, K=K)
-    config = make_config(GRID, PARAMS, CutoffRho.for_grid(GRID), None, T, K)
+    config = make_config(GRID, PARAMS, CutoffRho.for_grid(GRID), None, T, K, mode=mode)
+    rho_vals = config.rho.evaluate(GRID)
     monkeypatch.setattr(wsnl.solver, "PICARD_MAX", 1)
     out = solve(config, path)
-    # the first step taken on its own: one iteration leaves it unconverged
-    stepper = RemainderStepper(
-        config, GRID, GRID.zeros(), path.psi[0].values, path.ipsi2[0].values, 0.0
+    if mode == "step-local":
+        # the first step taken on its own: one iteration leaves it unconverged
+        start = level(config, GRID, rho_vals, path.psi[0].values, path.ipsi2[0].values, 0.0)
+        stepper = RemainderStepper(config, GRID, GRID.zeros(), start)
+        stepper.step(stepper.level(path.psi[1].values, path.ipsi2[1].values, float(path.times[1])))
+        residual = stepper.residuals[0]
+        assert stepper.failed.all() and PICARD_TOL < residual < np.inf
+        assert dataclasses.astuple(out.failure) == ("picard", float(path.times[1]), 0, residual, 1)
+        assert len(out.v) == 1 and np.all(out.v[0] == 0)
+        assert len(out.picard_iterations) == len(out.residuals) == len(out.monotone_flags) == 0
+        return
+    # one sweep from the first iterate, rho^2 <I Psi^2> at every level (phi is
+    # unset): its distance is the Y-norm of the step to the levels reached,
+    # all of them kept
+    levels = level(
+        config,
+        GRID,
+        rho_vals,
+        np.stack([f.values for f in path.psi]),
+        np.stack([f.values for f in path.ipsi2]),
+        path.times,
     )
-    stepper.step(stepper.level(path.psi[1].values, path.ipsi2[1].values, float(path.times[1])))
-    residual = stepper.residuals[0]
-    assert stepper.failed.all() and PICARD_TOL < residual < np.inf
-    assert dataclasses.astuple(out.failure) == ("picard", float(path.times[1]), 0, residual, 1)
-    assert len(out.v) == 1 and np.all(out.v[0] == 0)
-    assert len(out.picard_iterations) == len(out.residuals) == len(out.monotone_flags) == 0
+    traces = _make_traces(GRID, PARAMS, rho_vals)
+    y = _y_summary(path.times, *traces(out.v - levels.r_hat), PARAMS)
+    distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
+    assert distance == pytest.approx(0.0039527, rel=1e-4)
+    assert dataclasses.astuple(out.failure) == ("picard", T, K - 1, distance, 1)
+    assert len(out.v) == K + 1
+    assert np.all(out.picard_iterations == 1) and np.all(out.residuals == distance)
+
+
+def test_global_blowup_keeps_the_records_of_the_levels_before_it():
+    # the last sweep diverges at t = 1 only: the three levels kept before it
+    # record that sweep's distance over themselves, not the whole
+    # trajectory's inf
+    cfg = default_config("solve", n=64, N=128, K=4, T=1.0, seed=3)
+    grid, params = cfg.grid(), cfg.params()
+    path = sample_path(params, grid, seed=cfg.seed, T=cfg.T, K=cfg.K)
+    config = make_config(grid, params, CutoffRho.for_grid(grid), None, cfg.T, cfg.K, mode="global")
+    out = solve(config, path)
+    assert str(out.failure) == "blowup failure at t = 1 (step 3): residual nan after 19 iterations"
+    assert len(out.v) == 4 and np.all(out.picard_iterations == 19)
+    assert np.all(np.isfinite(out.residuals)) and np.all(out.residuals == out.residuals[0])
+    assert out.residuals[0] == pytest.approx(6.84e-7, rel=1e-3)
 
 
 def test_global_mode_blowup_is_dated_like_step_local():
@@ -264,6 +304,13 @@ def test_global_mode_matches_step_local_fixed_point():
     assert np.max(np.abs(local.v - glob.v)) < 1e-7
 
 
+def test_initial_data_must_be_physical():
+    # phi has one form: a frequency-tagged Field is rejected, not read as a transform
+    phi = Field(GRID, GRID.zeros(), "frequency")
+    with pytest.raises(GridError, match="phi must be given in physical space"):
+        make_config(GRID, PARAMS, None, phi, 0.25, 16)
+
+
 def rung_path(params, grid, seed, stream_id, T, K, top):
     """The path of radius params.n that a ladder topped by `top` drives: its
     noise is drawn on the ball of `top`, as the ensemble draws it."""
@@ -293,8 +340,14 @@ def test_ensemble_march_matches_solve_per_member():
         GRID, PARAMS.alpha, [n, 2 * n], uniform_times(T, K), seed=seed, size=2, track=True
     )
     v0 = np.zeros((2,) + GRID.shape, dtype=complex)
+    rho_vals = rho.evaluate(GRID)
     steppers = {
-        r: RemainderStepper(config, GRID, v0, ens.psi_values(r), ens.ipsi2_values(r), ens.t)
+        r: RemainderStepper(
+            config,
+            GRID,
+            v0,
+            level(config, GRID, rho_vals, ens.psi_values(r), ens.ipsi2_values(r), ens.t),
+        )
         for r in (n, 2 * n)
     }
     for _ in range(K):
@@ -445,6 +498,9 @@ def per_level_global(config, path, traces):
         k = int(blown[0]) + 1
         current = current[:k]
         failure = StepFailure("blowup", float(times[k]), k - 1, residual, iterations)
+        # the kept levels record the last sweep's distance over them alone
+        y = _y_summary(times, dh[:k], dq[:k], dl[:k], config.params)
+        distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
     elif not distance <= PICARD_TOL:
         kind = "blowup" if not np.isfinite(distance) else "picard"
         failure = StepFailure(kind, float(times[-1]), steps - 1, residual, iterations)
@@ -463,9 +519,11 @@ def per_level_reference(config, path):
         v_hats, records, failure = per_level_global(config, path, traces)
     else:
         phi_hat = grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)
-        stepper = RemainderStepper(
-            config, grid, phi_hat, path.psi[0].values, path.ipsi2[0].values, float(times[0])
+        rho_vals = None if config.rho is None else config.rho.evaluate(grid)
+        start = level(
+            config, grid, rho_vals, path.psi[0].values, path.ipsi2[0].values, float(times[0])
         )
+        stepper = RemainderStepper(config, grid, phi_hat, start)
         v_hats, failure = [stepper.v_hat], None
         for k in range(1, len(times)):
             stepper.step(stepper.level(path.psi[k].values, path.ipsi2[k].values, float(times[k])))
