@@ -1,4 +1,4 @@
-"""Periodic-box spectral substrate: grids, transforms, multipliers, norms, cutoffs.
+"""Periodic-box spectral substrate: grids, transforms, multipliers, two norms, one cutoff.
 
 Transforms, multipliers and norms act on plain arrays whose trailing d axes
 are the grid, batched over any leading axes.  Field is not an operand of any
@@ -20,7 +20,7 @@ choices inverse_values(forward_values(f)) == f to round-off, and Parseval reads
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -236,16 +236,10 @@ def two_thirds_mask(grid: SpectralGrid) -> np.ndarray:
 # Norms and products
 # ---------------------------------------------------------------------------
 
-def hs_norm_sq_hat(grid: SpectralGrid, f_hat: np.ndarray, s: float) -> np.ndarray:
-    """Squared H^s norm of frequency-space values, batched over leading axes:
-    L^{-d} sum (1+|xi|^2)^s |f_hat|^2."""
-    return weighted_norm_sq_hat(grid, f_hat, bessel_weight(grid, 2.0 * s))
-
-
 def weighted_norm_sq_hat(grid: SpectralGrid, f_hat: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """L^{-d} sum weight |f_hat|^2, batched over leading axes; with weight =
-    bessel_weight(grid, 2s) this is hs_norm_sq_hat, for callers that take many
-    norms of one order and build the weight once.
+    """L^{-d} sum weight |f_hat|^2, batched over leading axes: the one spectral
+    norm.  With weight = bessel_weight(grid, 2s) it is the squared H^s norm;
+    callers that take many norms of one order build the weight once.
 
     Values are not checked: non-finite input gives a non-finite norm without a
     warning, which is what the solver's blow-up test looks for.
@@ -257,12 +251,18 @@ def weighted_norm_sq_hat(grid: SpectralGrid, f_hat: np.ndarray, weight: np.ndarr
         return sq / grid.L**grid.d
 
 
-def sobolev_norm_hat(grid: SpectralGrid, f_hat: np.ndarray, s: float, p: float) -> np.ndarray:
+def sobolev_norm_hat(
+    grid: SpectralGrid, f_hat: np.ndarray, s: float, p: float, chi: np.ndarray | None = None
+) -> np.ndarray:
     """Discrete W^{s,p} norm of frequency-space values, batched over leading axes:
-    L^p norm (cell-volume weighted) of the Bessel-weighted field."""
+    L^p norm (cell-volume weighted) of the Bessel-weighted field, the one
+    physical-space norm.  Given physical-space values chi, it is the norm of
+    chi * (Id - Laplacian)^{s/2} f: weight first, localize after."""
     axes = tuple(range(-grid.d, 0))
     g = bessel_weight(grid, s) * f_hat
     grid.inverse_values(g, out=g)
+    if chi is not None:
+        np.multiply(chi, g, out=g)
     g_p = np.abs(g)
     del g
     g_p **= p
@@ -273,27 +273,12 @@ def sobolev_norm_hat(grid: SpectralGrid, f_hat: np.ndarray, s: float, p: float) 
     return np.array([x ** (1.0 / p) for x in np.ravel(sums)]).reshape(np.shape(sums))
 
 
-def localized_norm_hat(
-    grid: SpectralGrid, f_hat: np.ndarray, rho_vals: np.ndarray, s: float
-) -> np.ndarray:
-    """||rho * (Id - Laplacian)^{s/2} f||_{L2} of frequency-space values, batched
-    over leading axes: weight first, localize after."""
-    axes = tuple(range(-grid.d, 0))
-    g = bessel_weight(grid, s) * f_hat
-    grid.inverse_values(g, out=g)
-    np.multiply(rho_vals, g, out=g)
-    g_sq = np.abs(g)
-    del g
-    g_sq **= 2
-    return np.sqrt(grid.cell_volume * np.sum(g_sq, axis=axes))
-
-
 def hs_norm_sq(grid: SpectralGrid, phys_values: np.ndarray, s: float) -> np.ndarray:
     """Squared H^s norm of physical-space values; supports leading batch axes.
 
     Equals sobolev_norm_hat(grid, forward_values(f), s, 2)**2 by Parseval.
     """
-    return hs_norm_sq_hat(grid, grid.forward_values(phys_values), s)
+    return weighted_norm_sq_hat(grid, grid.forward_values(phys_values), bessel_weight(grid, 2.0 * s))
 
 
 def l2_norm(grid: SpectralGrid, phys_values: np.ndarray) -> float:
@@ -316,51 +301,20 @@ def bump_profile(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CutoffRho:
-    """Product-form cutoff rho(x) = rho_1(x_1) ... rho_d(x_d).
-
-    Each axis profile is a function of the scaled coordinate u = (x - center)/radius,
-    supported on |u| < 1.  Support must sit strictly inside the box with a margin of
-    at least L/8 per axis so the periodization sees no wrap-around.
-    """
-
-    radii: tuple[float, ...]
-    centers: tuple[float, ...]
-    profiles: tuple[Callable[[np.ndarray], np.ndarray], ...]
+    """Product-form cutoff rho(x) = b(u_1) ... b(u_d), b = bump_profile and
+    u = (x - L/2)/(L/4) per axis: its support [L/4, 3L/4]^d leaves an L/4
+    margin on every axis, so the periodization sees no wrap-around."""
 
     @classmethod
     def for_grid(cls, grid: SpectralGrid) -> "CutoffRho":
-        """Default cutoff: centered bumps of radius L/4 on every axis."""
-        return cls(
-            radii=(grid.L / 4.0,) * grid.d,
-            centers=(grid.L / 2.0,) * grid.d,
-            profiles=(bump_profile,) * grid.d,
-        )
-
-    def axis_values(self, grid: SpectralGrid, axis: int) -> np.ndarray:
-        u = (grid.x - self.centers[axis]) / self.radii[axis]
-        vals = np.asarray(self.profiles[axis](u), dtype=np.float64)
-        vals[np.abs(u) >= 1.0] = 0.0
-        return vals
-
-    def check_margin(self, grid: SpectralGrid) -> None:
-        margin = grid.L / 8.0
-        for axis in range(grid.d):
-            lo = self.centers[axis] - self.radii[axis]
-            hi = self.centers[axis] + self.radii[axis]
-            if lo < margin or hi > grid.L - margin:
-                raise GridError(
-                    f"cutoff support [{lo:.4g}, {hi:.4g}] on axis {axis} violates the "
-                    f"L/8 periodization margin of box [0, {grid.L:.4g})"
-                )
+        """The cutoff of a grid's box, the one every caller uses."""
+        return cls()
 
     def evaluate(self, grid: SpectralGrid) -> np.ndarray:
         """rho on the grid, exactly the product of the per-axis samples."""
-        if len(self.radii) != grid.d:
-            raise GridError(f"cutoff has {len(self.radii)} axes, grid has {grid.d}")
-        self.check_margin(grid)
-        out = self.axis_values(grid, 0)
-        for axis in range(1, grid.d):
-            out = np.multiply.outer(out, self.axis_values(grid, axis))
+        out = axis = bump_profile((grid.x - grid.L / 2.0) / (grid.L / 4.0))
+        for _ in range(grid.d - 1):
+            out = np.multiply.outer(out, axis)
         return out
 
     def spectral_tail_ratio(self, grid: SpectralGrid, band: float = 0.85) -> float:
@@ -373,18 +327,3 @@ class CutoffRho:
         for _ in range(grid.d - 1):
             high = np.logical_or.outer(high, np.abs(grid.xi_axis) >= band * grid.nyquist)
         return float(mags[high].max() / mags.max())
-
-    def axis_tail_ratio(self, axis: int, probe_n: int = 1024, band: float = 0.85) -> float:
-        """Smoothness proxy for one axis profile, independent of any box.
-
-        Samples the profile on a fine 1-D probe covering two support widths and
-        returns the max relative Fourier coefficient in the top band; the default
-        bump decays below 1e-10 before the probe's Nyquist frequency.
-        """
-        u = (np.arange(probe_n) / probe_n) * 4.0 - 2.0
-        vals = np.asarray(self.profiles[axis](u), dtype=np.float64)
-        vals[np.abs(u) >= 1.0] = 0.0
-        mags = np.abs(np.fft.fft(vals))
-        k = np.abs(np.fft.fftfreq(probe_n) * probe_n)
-        return float(mags[k >= band * (probe_n / 2)].max() / mags.max())
-

@@ -57,8 +57,6 @@ from .grid import (
     GridError,
     SpectralGrid,
     bessel_weight,
-    hs_norm_sq_hat,
-    localized_norm_hat,
     propagator_phase,
     sobolev_norm_hat,
     two_thirds_mask,
@@ -407,14 +405,15 @@ def _make_traces(
     H^{-s}, W^{-s,q} and localized H^{-s+eta}."""
     s, eta = params.s, params.eta
     q = params.pair[1]
+    h_weight = bessel_weight(grid, -2.0 * s)
 
     def traces(v_hats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        h = np.sqrt(hs_norm_sq_hat(grid, v_hats, -s))
+        h = np.sqrt(weighted_norm_sq_hat(grid, v_hats, h_weight))
         wq = sobolev_norm_hat(grid, v_hats, -s, q)
         if rho_vals is None:
             loc = np.zeros(len(v_hats))
         else:
-            loc = localized_norm_hat(grid, v_hats, rho_vals, -s + eta)
+            loc = sobolev_norm_hat(grid, v_hats, -s + eta, 2, rho_vals)
         return h, wq, loc
 
     return traces
@@ -586,85 +585,83 @@ def _march_global(
     traces call; only the two-operation Duhamel recurrence runs level by
     level.  The free evolution of phi is formed once.  A non-finite sweep
     distance is recorded in the failure as NaN, as in the step-local march.
-    When a level blows up, the levels kept before it record the last sweep's
-    distance taken over those levels alone.
+    The trapezoid map on [0, t_j] reads only levels <= j, so when a level
+    blows up, the levels kept before it are swept on alone from the last
+    iterate, and their rows record those sweeps and their distance.
     """
     grid = path.grid
     times = path.times
-    steps = len(times) - 1
     n_scale = nonlinearity_scale(grid, config.dealias)
-    dts = [float(times[k + 1] - times[k]) for k in range(steps)]
+    dts = [float(times[k + 1] - times[k]) for k in range(len(times) - 1)]
     phases = {dt: propagator_phase(grid, dt) for dt in set(dts)}
-    groups = _dt_groups(dts)
-    r_hat = levels.r_hat
     # the free evolution of phi at each level, by the sequential products
-    free = np.empty_like(r_hat)
+    free = np.empty_like(levels.r_hat)
     free[0] = _initial_hat(config, grid)
     for k, dt in enumerate(dts):
         np.multiply(phases[dt], free[k], out=free[k + 1])
 
-    def sweep_distance(diffs: np.ndarray) -> float:
-        y = _y_summary(times, *traces(diffs), config.params)
-        return y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
-
-    current = free + r_hat
-    new = np.empty_like(current)
-    iterations = 0
-    distance = np.inf
-    # a diverging iterate overflows on its way to inf; the cut below handles it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, PICARD_MAX + 1):
-            # new[k+1] = (free[k+1] + D[k+1]) + r_hat[k+1], where
-            # D[k+1] = phase D[k] + term_k, term_k = (-i dt/2)(phase N_k + N_{k+1})
-            # and D[0] = 0; operands in this order (see stochastic.duhamel_update).
-            # N is evaluated into new, the terms of the steps of one dt are
-            # formed together (in place when the steps are consecutive), and
-            # D then replaces N in new.
-            n_hats = nonlinearity_values(
-                grid, current, rho_vals, levels.two_rho_psi, levels.forcing, n_scale, out=new
-            )
-            terms = np.empty_like(new[1:])
-            for dt, k, k1 in groups:
-                term = np.multiply(
-                    phases[dt], n_hats[k], out=terms[k] if isinstance(k, slice) else None
+    def sweeps(levels: Level, current: np.ndarray) -> tuple[np.ndarray, int, float]:
+        """Sweep the levels of current from it until their distance is at most
+        PICARD_TOL or non-finite, or PICARD_MAX times: (iterate, sweeps, distance)."""
+        n = len(current)
+        groups = _dt_groups(dts[: n - 1])
+        new = np.empty_like(current)
+        # a diverging iterate overflows on its way to inf; the cut below handles it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(1, PICARD_MAX + 1):
+                # new[k+1] = (free[k+1] + D[k+1]) + r_hat[k+1], where
+                # D[k+1] = phase D[k] + term_k, term_k = (-i dt/2)(phase N_k + N_{k+1})
+                # and D[0] = 0; operands in this order (see stochastic.duhamel_update).
+                # N is evaluated into new, the terms of the steps of one dt are
+                # formed together (in place when the steps are consecutive), and
+                # D then replaces N in new.
+                n_hats = nonlinearity_values(
+                    grid, current, rho_vals, levels.two_rho_psi, levels.forcing, n_scale, out=new
                 )
-                term += n_hats[k1]
-                terms[k] = np.multiply(-0.5j * dt, term, out=term)
-            del n_hats, term
-            new[0] = 0.0
-            for k, dt in enumerate(dts):
-                np.multiply(phases[dt], new[k], out=new[k + 1])
-                new[k + 1] += terms[k]
-            del terms
-            np.add(free[1:], new[1:], out=new[1:])
-            new[1:] += r_hat[1:]
-            np.add(free[0], r_hat[0], out=new[0])
-            # the old iterate becomes the difference, then the two buffers swap roles
-            np.subtract(new, current, out=current)
-            distance = sweep_distance(current)
-            current, new = new, current
-            iterations = m
-            if not np.isfinite(distance):
-                break
-            if distance <= PICARD_TOL:
-                break
+                terms = np.empty_like(new[1:])
+                for dt, k, k1 in groups:
+                    term = np.multiply(
+                        phases[dt], n_hats[k], out=terms[k] if isinstance(k, slice) else None
+                    )
+                    term += n_hats[k1]
+                    terms[k] = np.multiply(-0.5j * dt, term, out=term)
+                    del term
+                del n_hats
+                new[0] = 0.0
+                for k, dt in enumerate(dts[: n - 1]):
+                    np.multiply(phases[dt], new[k], out=new[k + 1])
+                    new[k + 1] += terms[k]
+                del terms
+                np.add(free[1:n], new[1:], out=new[1:])
+                new[1:] += levels.r_hat[1:]
+                np.add(free[0], levels.r_hat[0], out=new[0])
+                # the old iterate becomes the difference, then the two buffers swap roles
+                np.subtract(new, current, out=current)
+                y = _y_summary(times, *traces(current), config.params)
+                distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
+                current, new = new, current
+                if not np.isfinite(distance):
+                    break
+                if distance <= PICARD_TOL:
+                    break
+        return current, m, distance
 
+    current, iterations, distance = sweeps(levels, free + levels.r_hat)
     # As in the step-local march, the trajectory ends before the first level
     # whose H^{-s} norm is non-finite or above BLOWUP_NORM, and the failure is
     # dated there.
-    norms = np.sqrt(hs_norm_sq_hat(grid, current[1:], -config.params.s))
+    norm_weight = bessel_weight(grid, -2.0 * config.params.s)
+    norms = np.sqrt(weighted_norm_sq_hat(grid, current[1:], norm_weight))
     blown = np.flatnonzero(~(norms <= BLOWUP_NORM))
+    k = len(times) - 1
     failure = None
     if blown.size:
         k = int(blown[0]) + 1
         failure = _failure(times, k, distance, iterations, blown=True)
-        # the kept levels record the last sweep's distance over them alone;
-        # new still holds that sweep's difference
-        with np.errstate(over="ignore", invalid="ignore"):
-            distance = sweep_distance(new[:k])
-        current = current[:k]
-    elif not distance <= PICARD_TOL:
-        failure = _failure(times, steps, distance, iterations, blown=False)
+        kept = Level(*(None if a is None else a[:k] for a in levels))
+        current, iterations, distance = sweeps(kept, current[:k])
+    if not distance <= PICARD_TOL:
+        failure = _failure(times, k, distance, iterations, blown=False)
     steps = len(current) - 1
     return (
         current,

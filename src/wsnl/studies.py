@@ -498,16 +498,16 @@ def run_cauchy_study(config: StudyConfig) -> StudyResult:
         gap = float(diff_acc.mean[j])
         se = float(diff_acc.stderr[j])
         rows.append(["decrement", ladder[j], gap, se, gap > z * se])
+    decrements = [row for row in rows if row[0] == "decrement"]
     ols = loglog_ols(ladder, acc.mean)
     rows.append(["slope_ols", "", "", ols.slope, ols.stderr])
-    monotone = bool(np.all(np.diff(acc.mean) < 0.0))
     slope_neg = ols.slope + z * ols.stderr < 0.0
     verdicts = [
         Verdict(
             name="cauchy_means_strictly_decreasing",
-            passed=monotone,
-            value=float(np.max(np.diff(acc.mean))),
-            tolerance=f"sample means strictly decreasing across the ladder at M={config.M}",
+            passed=all(row[4] for row in decrements),
+            value=min(gap / se for _, _, gap, se, _ in decrements),
+            tolerance=f"min decrement gap/stderr > {z} (confidence {config.confidence})",
         ),
         Verdict(
             name="cauchy_slope_negative",

@@ -84,7 +84,8 @@ def test_criterion_05_cauchy_decay():
     res = run_study(cfg)
     slope = res.slopes["ols"]
     report(5, "Cauchy-in-n decay (coupled noise)", res.passed,
-           f"means decreasing, slope {slope.slope:.4f} +/- {slope.stderr:.4f} (M=2000)")
+           f"decrements min gap/SE {res.verdicts[0].value:.2f}, "
+           f"slope {slope.slope:.4f} +/- {slope.stderr:.4f} (M=2000)")
     assert res.passed
 
 

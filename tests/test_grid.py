@@ -12,10 +12,10 @@ from wsnl.grid import (
     bessel_weight,
     bump_profile,
     l2_norm,
-    localized_norm_hat,
     propagator_phase,
     sobolev_norm_hat,
     truncation_mask,
+    weighted_norm_sq_hat,
 )
 
 GRID_MATRIX = [(1, 2 * np.pi, 64), (1, 4.0, 128), (2, 2 * np.pi, 32), (3, 2 * np.pi, 16)]
@@ -182,6 +182,29 @@ class TestSobolevNorm:
         assert np.array_equal(batched, [sobolev_norm_hat(grid, row, -0.3, p) for row in f_hat])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    half_n=st.integers(2, 8),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    s=st.floats(-1.5, 1.5),
+    p=st.sampled_from([2, 4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_physical_norm_and_one_spectral_norm_agree(d, half_n, batch, s, p, seed):
+    # a cutoff of ones localizes nothing, bit for bit, and at p = 2 the
+    # physical-space norm is the spectral one by Parseval
+    grid = SpectralGrid(d, 2 * np.pi, 2 * half_n)
+    rng = np.random.default_rng(seed)
+    shape = tuple(batch) + grid.shape
+    f_hat = grid.forward_values(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    plain = sobolev_norm_hat(grid, f_hat, s, p)
+    assert np.array_equal(sobolev_norm_hat(grid, f_hat, s, p, np.ones(grid.shape)), plain)
+    if p == 2:
+        spectral = weighted_norm_sq_hat(grid, f_hat, bessel_weight(grid, 2 * s))
+        assert np.allclose(plain**2, spectral, rtol=1e-12, atol=0)
+
+
 class TestPointwiseProduct:
     grid = SpectralGrid(1, 2 * np.pi, 64)
 
@@ -227,20 +250,27 @@ class TestCutoffRho:
 
     def test_product_form_exact(self):
         grid2 = SpectralGrid(2, 2 * np.pi, 32)
-        rho = CutoffRho.for_grid(grid2)
-        vals = rho.evaluate(grid2)
-        ax0 = rho.axis_values(grid2, 0)
-        ax1 = rho.axis_values(grid2, 1)
-        assert np.array_equal(vals, np.multiply.outer(ax0, ax1))
+        vals = CutoffRho.for_grid(grid2).evaluate(grid2)
+        axis = bump_profile((grid2.x - np.pi) / (np.pi / 2))
+        assert np.array_equal(vals, np.multiply.outer(axis, axis))
 
-    def test_margin_enforced(self):
-        rho = CutoffRho(radii=(3.0,), centers=(np.pi,), profiles=(bump_profile,))
-        with pytest.raises(GridError):
-            rho.evaluate(self.grid)  # support reaches within L/8 of the boundary
+    @pytest.mark.parametrize("d,L,N", [(1, 2 * np.pi, 256), (2, 4.0, 32), (3, 2 * np.pi, 16)])
+    def test_support_keeps_the_periodization_margin(self, d, L, N):
+        # rho vanishes outside (L/4, 3L/4) on every axis: an L/4 margin to the
+        # box's edges, so the periodization sees no wrap-around
+        grid = SpectralGrid(d, L, N)
+        vals = CutoffRho.for_grid(grid).evaluate(grid)
+        outside = (grid.x <= L / 4) | (grid.x >= 3 * L / 4)
+        for axis in range(d):
+            assert np.all(np.compress(outside, vals, axis=axis) == 0.0)
+        inside = ~outside
+        assert np.all(vals[np.ix_(*[inside] * d)] > 0.0)
 
     def test_smoothness_proxy(self):
-        rho = CutoffRho.for_grid(self.grid)
-        assert rho.axis_tail_ratio(0) < 1e-10
+        # on the 2pi box at N = 1024 the grid samples the bump as a fine probe
+        # over two support widths does: its top band decays below 1e-10
+        fine = SpectralGrid(1, 2 * np.pi, 1024)
+        assert CutoffRho.for_grid(fine).spectral_tail_ratio(fine) < 1e-10
 
     def test_grid_tail_diagnostic_decreases_with_resolution(self):
         rho = CutoffRho.for_grid(self.grid)
@@ -253,34 +283,34 @@ class TestCutoffRho:
 class TestLocalizedNorm:
     grid = SpectralGrid(1, 2 * np.pi, 256)
 
-    def norm(self, f, rho, s):
-        return localized_norm_hat(self.grid, self.grid.forward_values(f), rho.evaluate(self.grid), s)
+    def norm(self, f, chi, s):
+        return sobolev_norm_hat(self.grid, self.grid.forward_values(f), s, 2, chi)
 
     def test_zero_field(self):
-        rho = CutoffRho.for_grid(self.grid)
+        rho = CutoffRho.for_grid(self.grid).evaluate(self.grid)
         assert self.norm(np.zeros(256), rho, 0.3) == 0.0
 
     def test_plateau_restriction_matches_masked_l2(self):
-        # rho == 1 on its inner plateau; f supported there; s = 0
-        rho = CutoffRho(radii=(np.pi / 2,), centers=(np.pi,), profiles=(plateau_profile,))
+        # chi == 1 on its inner plateau; f supported there; s = 0
+        chi = plateau_profile((self.grid.x - np.pi) / (np.pi / 2))
         envelope = np.exp(-(((self.grid.x - np.pi) / 0.35) ** 2) * 4)
         envelope[np.abs(self.grid.x - np.pi) > np.pi / 4] = 0.0
         direct = l2_norm(self.grid, envelope)
-        assert self.norm(envelope, rho, 0.0) == pytest.approx(direct, rel=1e-10)
+        assert self.norm(envelope, chi, 0.0) == pytest.approx(direct, rel=1e-10)
 
     def test_single_mode_cauchy_schwarz_bound(self):
-        rho = CutoffRho.for_grid(self.grid)
+        rho = CutoffRho.for_grid(self.grid).evaluate(self.grid)
         idx, s = 9, 0.6
         xi0 = self.grid.xi_axis[idx]
         f = np.exp(1j * xi0 * self.grid.x)
-        bound = (1 + xi0**2) ** (s / 2) * l2_norm(self.grid, rho.evaluate(self.grid))
+        bound = (1 + xi0**2) ** (s / 2) * l2_norm(self.grid, rho)
         assert self.norm(f, rho, s) <= bound * (1 + 1e-10)
 
     def test_operator_order_weight_before_cutoff(self):
         # weighting after localization would differ; check we match the direct construction
-        rho = CutoffRho.for_grid(self.grid)
+        rho = CutoffRho.for_grid(self.grid).evaluate(self.grid)
         f = random_values(self.grid, seed=13)
         fhat = self.grid.forward_values(f)
         weighted = self.grid.inverse_values(bessel_weight(self.grid, -0.4) * fhat)
-        direct = l2_norm(self.grid, rho.evaluate(self.grid) * weighted)
+        direct = l2_norm(self.grid, rho * weighted)
         assert self.norm(f, rho, -0.4) == pytest.approx(direct, rel=1e-12)

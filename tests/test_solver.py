@@ -13,11 +13,10 @@ from wsnl.grid import (
     GridError,
     SpectralGrid,
     bessel_weight,
-    hs_norm_sq_hat,
-    localized_norm_hat,
     propagator_phase,
     sobolev_norm_hat,
     two_thirds_mask,
+    weighted_norm_sq_hat,
 )
 from wsnl.reference import PaperParams
 from wsnl.solver import (
@@ -253,19 +252,32 @@ def test_picard_failure_ends_the_march_at_the_unconverged_step(mode, monkeypatch
     assert np.all(out.picard_iterations == 1) and np.all(out.residuals == distance)
 
 
-def test_global_blowup_keeps_the_records_of_the_levels_before_it():
-    # the last sweep diverges at t = 1 only: the three levels kept before it
-    # record that sweep's distance over themselves, not the whole
-    # trajectory's inf
+def global_blowup_case(mode):
+    """A solve whose sweeps diverge at t = 1 only (n=64, N=128, K=4, seed 3)."""
     cfg = default_config("solve", n=64, N=128, K=4, T=1.0, seed=3)
     grid, params = cfg.grid(), cfg.params()
     path = sample_path(params, grid, seed=cfg.seed, T=cfg.T, K=cfg.K)
-    config = make_config(grid, params, CutoffRho.for_grid(grid), None, cfg.T, cfg.K, mode="global")
-    out = solve(config, path)
+    config = make_config(grid, params, CutoffRho.for_grid(grid), None, cfg.T, cfg.K, mode=mode)
+    return solve(config, path)
+
+
+def test_global_blowup_keeps_the_records_of_the_levels_before_it():
+    # the three levels kept before t = 1 are swept on by themselves: their
+    # rows record those sweeps and their distance, the failure the cut
+    out = global_blowup_case("global")
     assert str(out.failure) == "blowup failure at t = 1 (step 3): residual nan after 19 iterations"
-    assert len(out.v) == 4 and np.all(out.picard_iterations == 19)
+    assert len(out.v) == 4 and np.all(out.picard_iterations == 13)
     assert np.all(np.isfinite(out.residuals)) and np.all(out.residuals == out.residuals[0])
-    assert out.residuals[0] == pytest.approx(6.84e-7, rel=1e-3)
+    assert out.residuals[0] == pytest.approx(8.07e-11, rel=1e-3)
+
+
+def test_global_blowup_kept_levels_converge_to_the_step_local_solution():
+    # the kept levels clear PICARD_TOL and reach the fixed point that the
+    # step-local march converges to step by step
+    glob, local = global_blowup_case("global"), global_blowup_case("step-local")
+    assert len(glob.v) == len(local.v) == 4
+    assert np.all(glob.residuals <= 1e-10)
+    assert np.allclose(glob.trace_h, local.trace_h, rtol=1e-8, atol=0)
 
 
 def test_global_mode_blowup_is_dated_like_step_local():
@@ -375,6 +387,7 @@ def reference_march(config, path):
     grid = path.grid
     rho_vals = config.rho.evaluate(grid)
     scale = grid.cell_volume * two_thirds_mask(grid)
+    weight = bessel_weight(grid, -2.0 * config.params.s)
     v = grid.zeros()
     prev = localized_inputs(grid, rho_vals, path.psi[0].values, path.ipsi2[0].values)
     total = 0
@@ -388,7 +401,7 @@ def reference_march(config, path):
         for _ in range(PICARD_MAX):
             n_next = nonlinearity_values(grid, iterate, rho_vals, nxt[0], None, scale)
             new = fixed + (-0.5j * dt) * n_next
-            residual = np.sqrt(hs_norm_sq_hat(grid, new - iterate, -config.params.s))
+            residual = np.sqrt(weighted_norm_sq_hat(grid, new - iterate, weight))
             iterate = new
             total += 1
             if residual <= PICARD_TOL:
@@ -441,11 +454,12 @@ def per_level_traces(config, grid):
     level before it stacked the levels."""
     rho_vals = None if config.rho is None else config.rho.evaluate(grid)
     s, eta, q = config.params.s, config.params.eta, config.params.pair[1]
+    weight = bessel_weight(grid, -2.0 * s)
 
     def traces(v_hat):
-        h = float(np.sqrt(hs_norm_sq_hat(grid, v_hat, -s)))
+        h = float(np.sqrt(weighted_norm_sq_hat(grid, v_hat, weight)))
         wq = float(sobolev_norm_hat(grid, v_hat, -s, q))
-        loc = 0.0 if rho_vals is None else float(localized_norm_hat(grid, v_hat, rho_vals, -s + eta))
+        loc = 0.0 if rho_vals is None else float(sobolev_norm_hat(grid, v_hat, -s + eta, 2, rho_vals))
         return h, wq, loc
 
     return traces
@@ -469,41 +483,50 @@ def per_level_global(config, path, traces):
     free = [grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)]
     for dt in dts:
         free.append(phases[dt] * free[-1])
-    current = [free[k] + levels[k][1] for k in range(steps + 1)]
-    iterations, distance = 0, np.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m in range(1, PICARD_MAX + 1):
-            n_hats = [
-                nonlinearity_values(grid, current[k], rho_vals, levels[k][0], levels[k][2], scale)
-                for k in range(steps + 1)
-            ]
-            duhamel = grid.zeros()
-            new = [free[0] + levels[0][1]]
-            for k, dt in enumerate(dts):
-                phase = phases[dt]
-                duhamel = phase * duhamel + (-0.5j * dt) * (phase * n_hats[k] + n_hats[k + 1])
-                new.append(free[k + 1] + duhamel + levels[k + 1][1])
-            dh, dq, dl = (np.array(c) for c in zip(*(traces(a - b) for a, b in zip(new, current))))
-            y = _y_summary(times, dh, dq, dl, config.params)
-            distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
-            current, iterations = new, m
-            if not np.isfinite(distance) or distance <= PICARD_TOL:
-                break
-    # a non-finite distance is recorded as NaN, as the step-local march does
-    residual = float(distance) if np.isfinite(distance) else float("nan")
-    norms = np.sqrt(hs_norm_sq_hat(grid, np.array(current[1:]), -config.params.s))
+
+    def sweeps(current):
+        """Sweep the levels of current from it, as the whole trajectory is swept."""
+        n = len(current)
+        iterations, distance = 0, np.inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(1, PICARD_MAX + 1):
+                n_hats = [
+                    nonlinearity_values(grid, current[k], rho_vals, levels[k][0], levels[k][2], scale)
+                    for k in range(n)
+                ]
+                duhamel = grid.zeros()
+                new = [free[0] + levels[0][1]]
+                for k, dt in enumerate(dts[: n - 1]):
+                    phase = phases[dt]
+                    duhamel = phase * duhamel + (-0.5j * dt) * (phase * n_hats[k] + n_hats[k + 1])
+                    new.append(free[k + 1] + duhamel + levels[k + 1][1])
+                diffs = (traces(a - b) for a, b in zip(new, current))
+                dh, dq, dl = (np.array(c) for c in zip(*diffs))
+                y = _y_summary(times, dh, dq, dl, config.params)
+                distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
+                current, iterations = new, m
+                if not np.isfinite(distance) or distance <= PICARD_TOL:
+                    break
+        return current, iterations, distance
+
+    def failure_at(k, kind):
+        # a non-finite distance is recorded as NaN, as the step-local march does
+        residual = float(distance) if np.isfinite(distance) else float("nan")
+        return StepFailure(kind, float(times[k]), k - 1, residual, iterations)
+
+    current, iterations, distance = sweeps([free[k] + levels[k][1] for k in range(steps + 1)])
+    weight = bessel_weight(grid, -2.0 * config.params.s)
+    norms = np.sqrt(weighted_norm_sq_hat(grid, np.array(current[1:]), weight))
     blown = np.flatnonzero(~(norms <= BLOWUP_NORM))
-    failure = None
+    k, failure = steps, None
     if blown.size:
+        # the levels kept before the blow-up are swept on as their own
+        # fixed-point problem: the map on [0, t_j] reads only levels <= j
         k = int(blown[0]) + 1
-        current = current[:k]
-        failure = StepFailure("blowup", float(times[k]), k - 1, residual, iterations)
-        # the kept levels record the last sweep's distance over them alone
-        y = _y_summary(times, dh[:k], dq[:k], dl[:k], config.params)
-        distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
-    elif not distance <= PICARD_TOL:
-        kind = "blowup" if not np.isfinite(distance) else "picard"
-        failure = StepFailure(kind, float(times[-1]), steps - 1, residual, iterations)
+        failure = failure_at(k, "blowup")
+        current, iterations, distance = sweeps(current[:k])
+    if not distance <= PICARD_TOL:
+        failure = failure_at(k, "blowup" if not np.isfinite(distance) else "picard")
     n = len(current) - 1
     records = (np.full(n, iterations, dtype=int), np.full(n, distance), np.ones(n, dtype=bool))
     return current, records, failure

@@ -365,12 +365,11 @@ def test_truncation_coupling_is_exact_masking():
 
 class TestLocalize:
     def test_zero_cutoff_gives_zero_fields(self):
-        zero_profile = lambda u: np.zeros_like(u)  # noqa: E731
-        rho = CutoffRho(radii=(np.pi / 4,), centers=(np.pi,), profiles=(zero_profile,))
+        rho_vals = np.zeros(GRID.shape)
         path = sample_path(PARAMS, GRID, seed=9, T=0.25, K=4)
         for k in range(len(path.times)):
             two_rho_psi, r_hat = localized_inputs(
-                GRID, rho.evaluate(GRID), path.psi[k].values, path.ipsi2[k].values
+                GRID, rho_vals, path.psi[k].values, path.ipsi2[k].values
             )
             assert np.all(two_rho_psi == 0) and np.all(r_hat == 0)
 
@@ -389,12 +388,11 @@ class TestLocalize:
         assert l2_norm(GRID, r_phys) <= sup**2 * l2_norm(GRID, ipsi2_phys) * (1 + 1e-10)
 
     def test_masked_region_leaves_norm_unchanged(self):
-        rho = CutoffRho(radii=(np.pi / 4,), centers=(np.pi,), profiles=(bump_profile,))
+        r = bump_profile((GRID.x - np.pi) / (np.pi / 4))
         path = sample_path(PARAMS, GRID, seed=11, T=0.25, K=4)
         psi_phys = GRID.inverse_values(path.psi[-1].values)
         support = np.abs(GRID.x - np.pi) < np.pi / 4
         zeroed = np.where(support, psi_phys, 0.0)
-        r = rho.evaluate(GRID)
         assert l2_norm(GRID, r * psi_phys) == pytest.approx(
             l2_norm(GRID, r * zeroed), rel=1e-12
         )

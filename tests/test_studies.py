@@ -151,6 +151,19 @@ def test_cauchy_rate_reduced():
     assert -0.15 < slope.slope < -0.02
 
 
+def test_cauchy_decrease_is_read_from_the_decrement_rows():
+    # at M=100, seed 2 the means decrease strictly, but two of the three
+    # decrements are within their standard errors: the verdict is not resolved
+    res = run_study(default_config("cauchy_rate", M=100, seed=2))
+    points = [row[2] for row in res.rows if row[0] == "point"]
+    assert np.all(np.diff(points) < 0)
+    decrements = [row for row in res.rows if row[0] == "decrement"]
+    verdict = {v.name: v for v in res.verdicts}["cauchy_means_strictly_decreasing"]
+    assert not verdict.passed
+    assert verdict.value == min(row[2] / row[3] for row in decrements)
+    assert [row[4] for row in decrements] == [True, False, False]
+
+
 @pytest.mark.slow
 def test_hoelder_reduced():
     res = run_study(default_config("hoelder", M=500, chunk=500, seed=SEED))
