@@ -29,4 +29,4 @@ from .stochastic import (  # noqa: F401
     sample_path,
     zero_path,
 )
-from .studies import StudyConfig, StudyResult, default_config, run_study  # noqa: F401
+from .studies import StudyConfig, StudyResult, run_study  # noqa: F401

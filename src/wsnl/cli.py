@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, StudyConfig, parse_config
-from .grid import CutoffRho, GridError
+from .grid import GridError
 from .output import write_csv, write_resolved_config, write_study_csv, write_verdicts
 from .reference import ParameterError, constants_table
 from .snapshots import write_snapshot
-from .solver import SolverConfig, solve
+from .solver import solve
 from .stochastic import sample_path
 from .studies import run_study
 
@@ -84,18 +84,8 @@ def _run_sample(config: StudyConfig, out_dir: Path) -> int:
 
 
 def _run_solve(config: StudyConfig, out_dir: Path) -> int:
-    grid = config.grid()
-    params = config.params()
-    path = sample_path(params, grid, seed=config.seed, T=config.T, K=config.K)
-    solver_cfg = SolverConfig(
-        params=params,
-        rho=CutoffRho.for_grid(grid),
-        dt=config.T / config.K,
-        T=config.T,
-        dealias=config.dealias,
-        mode=config.solver_mode,
-    )
-    output = solve(solver_cfg, path)
+    path = sample_path(config.params(), config.grid(), seed=config.seed, T=config.T, K=config.K)
+    output = solve(config.solver(), path)
     rows = []
     for k, t in enumerate(output.times):
         rows.append(
@@ -174,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.config is not None:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
     overrides = list(args.overrides)
@@ -191,6 +181,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (GridError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write outputs: {exc}", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,9 @@ generic defaults, then its kind's defaults (KIND_DEFAULTS), then the values
 the caller set; an alpha still unset then takes its per-dimension default.
 Validation (validate_config) reports every error at once, field checks and
 per-kind checks together.  A config parsed from text has no kind unless the
-text sets `study`: the subcommand that runs it binds one (for_kind).
+text sets `study`: the subcommand that runs it binds one (for_kind).  The
+kind decides the rest of a run: its radii, whether it tracks the Wick
+squares, its z and its solver settings; the studies and the CLI read them here.
 
 Grammar: UTF-8 text, one `key = value` per line, `#` starts a comment, blank
 lines ignored.  Unknown keys are rejected and duplicate keys are reported with
@@ -23,8 +25,9 @@ import math
 from dataclasses import dataclass, field, fields
 
 from . import __version__
-from .grid import GridError, SpectralGrid, check_points, padded_points
+from .grid import CutoffRho, GridError, SpectralGrid, check_points, padded_points
 from .reference import PaperParams, ParameterError
+from .solver import SolverConfig
 
 STUDY_KINDS = (
     "covariance",
@@ -195,15 +198,33 @@ class StudyConfig:
             d=self.d, alpha=self.alpha, eps=self.eps, n=self.n if n is None else n, eta=self.eta
         )
 
-    def _radii(self) -> list[float]:
-        """The truncation radii this config runs at; none until a kind is
-        bound, since only the kind says which of n and ladder it reads and on
-        which grid."""
+    def radii(self) -> list[float]:
+        """The truncation radii a run of this kind uses, ascending; none until
+        a kind is bound, since only the kind says which of n and ladder it
+        reads.  The doubling kinds run every rung n and its 2n."""
         if self.kind in (None, "constants"):
             return []
         if self.kind in DOUBLING_KINDS:
-            return [2.0 * max(self.ladder)]
+            return sorted({r for n in self.ladder for r in (n, 2 * n)})
         return list(self.ladder) if self.kind in LADDER_KINDS else [self.n]
+
+    @property
+    def tracks(self) -> bool:
+        """Whether a run of this kind tracks the Wick squares and their
+        Duhamel convolutions."""
+        return self.kind in TRACKING_KINDS
+
+    @property
+    def z(self) -> float:
+        """The one-sided normal quantile at this config's confidence."""
+        return ONE_SIDED_Z[round(self.confidence, 4)]
+
+    def solver(self) -> SolverConfig:
+        """The solver settings of this config's solves, with the box's cutoff."""
+        return SolverConfig(
+            params=self.params(), rho=CutoffRho.for_grid(self.grid()), dt=self.T / self.K,
+            T=self.T, dealias=self.dealias, mode=self.solver_mode,
+        )
 
     def provenance(self) -> dict[str, object]:
         """The values verdict.txt records, in schema order."""
@@ -252,6 +273,9 @@ def validate_config(config: StudyConfig) -> list[str]:
     if config.kind in STUDY_KINDS and config.kind != "renorm_rate" and "M" not in bad:
         if config.M < 100:
             errors.append(f"M must be >= 100 for a statistical verdict, got {config.M}")
+    if config.kind == "solver_convergence" and config.solver_mode == "global":
+        # its coupled solves march step by step, one stepper per radius
+        errors.append("solver_mode must be step-local for a solver_convergence study, got 'global'")
     if config.kind == "hoelder" and "T" not in bad:
         # every lag is measured from the base time T/2 inside [0, T]
         end = config.T / 2.0 + max(HOELDER_LAGS)
@@ -266,7 +290,7 @@ def validate_config(config: StudyConfig) -> list[str]:
             f"ladder must have >= {rungs} rungs for a {config.kind} study, "
             f"got {len(config.ladder)}"
         )
-    radii = config._radii()
+    radii = config.radii()
     if radii and not bad & {"kind", "d", "L", "N", "n", "ladder"}:
         # the radius bound and the padded sizes are read off one axis, so no
         # N^d array is built to check them
@@ -278,7 +302,7 @@ def validate_config(config: StudyConfig) -> list[str]:
         except GridError as exc:
             errors.append(str(exc))
         else:
-            if config.kind in TRACKING_KINDS:
+            if config.tracks:
                 M = padded_points(axis, top)
                 try:
                     check_points(config.d, M)
@@ -294,11 +318,6 @@ def validate_config(config: StudyConfig) -> list[str]:
                 f"2*{max(config.ladder):g} > {nyquist:.6g}"
             )
     return errors
-
-
-def default_config(kind: str, **overrides) -> StudyConfig:
-    """The config of `kind` at its pinned scale, with `overrides` set."""
-    return StudyConfig(kind=kind, **overrides)
 
 
 def parse_config(text: str, overrides: list[str] | None = None) -> StudyConfig:

@@ -198,7 +198,6 @@ def _equal_time_gain(a: np.ndarray, T: float) -> np.ndarray:
     return np.where(z, T, (1 - np.exp(-2j * T * safe)) / (2j * safe))
 
 
-_CHANNELS = ("both", "conjugate", "plain")
 _CHUNK = 1 << 13  # pairs per kernel evaluation, which bounds the temporaries
 
 
@@ -207,7 +206,7 @@ def _beta_sums(
     grid: SpectralGrid, n: float, alpha: float, T: float, drop_zero_mode: bool, kernel: str
 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """(B, S) per shift beta: B = |beta|^2 and S the real part of the weighted
-    sum over its pairs of the time kernel ("wick" or an ipsi2 channel).  sigma
+    sum over its pairs of the time kernel, "wick" or "ipsi2".  sigma
     only weights these sums, so they are cached per configuration.  Each S is
     one np.sum over its beta's pairs, so the sums are those of a loop over beta."""
     h, betas, starts, xi1, xi2, weights = _pair_table(grid, n, alpha, drop_zero_mode)
@@ -227,11 +226,7 @@ def _beta_sums(
             acc = T**2 + np.exp(2j * T * (a - b)) * g_a * np.conj(g_b)
         else:
             B = np.repeat(B_beta[j:stop], np.diff(bounds[j : stop + 1]))
-            acc = np.zeros(a.shape, dtype=np.complex128)
-            if kernel in ("both", "conjugate"):
-                acc += conjugate_kernel(a - b - B, T)
-            if kernel in ("both", "plain"):
-                acc += plain_kernel(a, b, B, T)
+            acc = conjugate_kernel(a - b - B, T) + plain_kernel(a, b, B, T)
         terms = weights[lo:hi] * acc
         sums += [
             float(np.sum(terms[start - lo : end - lo]).real)
@@ -255,17 +250,13 @@ def ipsi2_norm_sq_expectation(
     T: float,
     sigma: float,
     drop_zero_mode: bool = False,
-    channels: str = "both",
 ) -> float:
     """Exact E || <I Psi^2>_n(T) ||_{H^sigma}^2 (no cutoff localization).
 
-    channels: "both", "conjugate", or "plain".  drop_zero_mode removes the
-    xi = 0 mode from the truncation ball, isolating the finite-box resonance
-    atom discussed in the module docstring.
+    drop_zero_mode removes the xi = 0 mode from the truncation ball,
+    isolating the finite-box resonance atom discussed in the module docstring.
     """
-    if channels not in _CHANNELS:
-        raise ValueError(f"channels must be one of {_CHANNELS}, got {channels!r}")
-    sums = _beta_sums(grid, float(n), float(alpha), float(T), bool(drop_zero_mode), channels)
+    sums = _beta_sums(grid, float(n), float(alpha), float(T), bool(drop_zero_mode), "ipsi2")
     return _sigma_total(grid, sums, sigma)
 
 

@@ -31,14 +31,13 @@ from typing import Iterable
 
 import numpy as np
 
-# default_config stays importable from here, next to run_study
-from .config import HOELDER_LAGS, ONE_SIDED_Z, StudyConfig, default_config  # noqa: F401
+from .config import HOELDER_LAGS, StudyConfig
 from .grid import CutoffRho, GridError, SpectralGrid, hs_norm_sq, l2_norm, padded_points
 from .noise import ModeNoise
 from .reference import PaperParams, covariance_oracle, renorm_constant
 # step_values is not called here; it stays a module attribute because the
 # perfbench tracer patches it in this module
-from .solver import RemainderStepper, SolverConfig, level, step_values  # noqa: F401
+from .solver import RemainderStepper, level, step_values  # noqa: F401
 from .stochastic import PathEnsemble, uniform_times
 
 
@@ -47,15 +46,6 @@ from .stochastic import PathEnsemble, uniform_times
 ROUNDOFF_REL = 1e-9
 # the renormalization study's tolerance on its divergence exponent d - 2 alpha
 RENORM_SLOPE_TOL = 0.05
-
-
-def one_sided_z(confidence: float) -> float:
-    try:
-        return ONE_SIDED_Z[round(confidence, 4)]
-    except KeyError:
-        raise GridError(
-            f"confidence {confidence} not in the supported set {sorted(ONE_SIDED_Z)}"
-        ) from None
 
 
 @dataclass
@@ -172,21 +162,20 @@ def resolution_note(grid: SpectralGrid, radii: Iterable[float]) -> str:
 # chunked ensemble execution
 # ---------------------------------------------------------------------------
 
-def _ensemble_blocks(
-    config: StudyConfig, radii: list[float], times: np.ndarray, measure, track: bool = False
-) -> list:
+def _ensemble_blocks(config: StudyConfig, times: np.ndarray, measure) -> list:
     """measure(ens) for each chunk of config.chunk members, in member order.
 
-    Each chunk's ensemble starts at its first member's noise stream, so a
-    member's values depend on neither the chunking nor the thread count.
-    track=True tracks the Wick squares and their Duhamel convolutions."""
+    Each chunk's ensemble runs at config.radii() and tracks the Wick squares
+    and their Duhamel convolutions when config.tracks.  It starts at its first
+    member's noise stream, so a member's values depend on neither the chunking
+    nor the thread count."""
     grid = config.grid()
 
     def block(lo: int):
         size = min(config.chunk, config.M - lo)
         return measure(PathEnsemble(
-            grid, config.alpha, radii, times, seed=config.seed, size=size, stream_offset=lo,
-            track=track,
+            grid, config.alpha, config.radii(), times, seed=config.seed, size=size,
+            stream_offset=lo, track=config.tracks,
         ))
 
     starts = range(0, config.M, config.chunk)
@@ -335,7 +324,7 @@ def run_covariance_study(config: StudyConfig) -> StudyResult:
         plain = np.stack([a * b for a, b in pairs], axis=-1)
         return dict(conj_re=conj.real, conj_im=conj.imag, plain_re=plain.real, plain_im=plain.imag)
 
-    acc = _means(_ensemble_blocks(config, [n], times, measure))
+    acc = _means(_ensemble_blocks(config, times, measure))
 
     z_bound = 5.0
     rows: list[list[object]] = []
@@ -474,7 +463,6 @@ def run_cauchy_study(config: StudyConfig) -> StudyResult:
     s = params.s
     rho_vals = CutoffRho.for_grid(grid).evaluate(grid)
     ladder = list(config.ladder)
-    radii = sorted({r for n in ladder for r in (n, 2 * n)})
     times = np.array([0.0, config.T])
 
     def measure(ens: PathEnsemble) -> dict[str, np.ndarray]:
@@ -487,10 +475,10 @@ def run_cauchy_study(config: StudyConfig) -> StudyResult:
         block = np.stack(cols, axis=-1)
         return {"point": block, "decrement": block[:, :-1] - block[:, 1:]}
 
-    means = _means(_ensemble_blocks(config, radii, times, measure))
+    means = _means(_ensemble_blocks(config, times, measure))
     acc, diff_acc = means["point"], means["decrement"]
 
-    z = one_sided_z(config.confidence)
+    z = config.z
     rows: list[list[object]] = []
     for j, n in enumerate(ladder):
         rows.append(["point", n, float(acc.mean[j]), float(acc.stderr[j]), ""])
@@ -561,7 +549,7 @@ def run_smoothing_study(config: StudyConfig) -> StudyResult:
 
     # per-member samples (members x rungs) are kept: the increment exponent's
     # standard error needs the covariance between rungs of one member
-    blocks = _ensemble_blocks(config, ladder, times, measure, track=True)
+    blocks = _ensemble_blocks(config, times, measure)
     samples = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
 
     rows: list[list[object]] = []
@@ -611,7 +599,7 @@ def run_smoothing_study(config: StudyConfig) -> StudyResult:
     for name, reg in slopes.items():
         rows.append(["slope", name, "", reg.slope, reg.stderr])
 
-    z = one_sided_z(config.confidence)
+    z = config.z
     bounded = slopes[f"ipsi2_increment_sigma{sigmas[0]:.4g}"]
     growing = slopes[f"ipsi2_increment_sigma{sigmas[1]:.4g}"]
     diverging_slope = slopes[f"wick_sigma{sigmas_wick[0]:.4g}"].slope
@@ -699,10 +687,10 @@ def run_hoelder_study(config: StudyConfig) -> StudyResult:
             ctrl.append(np.abs(dz) ** 2)
         return {"field": np.stack(cols, axis=-1), "control": np.stack(ctrl, axis=-1)}
 
-    means = _means(_ensemble_blocks(config, [config.n], times, measure))
+    means = _means(_ensemble_blocks(config, times, measure))
     acc, acc_ctrl = means["field"], means["control"]
 
-    z = one_sided_z(config.confidence)
+    z = config.z
     rows: list[list[object]] = []
     for j, h in enumerate(lags):
         rows.append(["field", h, float(acc.mean[j]), float(acc.stderr[j])])
@@ -745,18 +733,11 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
     grid = config.grid()
     params = config.params()
     s = params.s
-    rho = CutoffRho.for_grid(grid)
-    rho_vals = rho.evaluate(grid)
+    solver_config = config.solver()
+    rho_vals = solver_config.rho.evaluate(grid)
     ladder = list(config.ladder)
-    radii = sorted({r for n in ladder for r in (n, 2 * n)})
+    radii = config.radii()
     times = uniform_times(config.T, config.K)
-    solver_config = SolverConfig(
-        params=params,
-        rho=rho,
-        dt=config.T / config.K,
-        T=config.T,
-        dealias=config.dealias,
-    )
 
     def measure(ens: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
         shape = (ens.size,) + grid.shape
@@ -782,7 +763,7 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         failed = np.logical_or.reduce([stepper.failed for stepper in steppers.values()])
         return np.stack(cols, axis=-1), failed
 
-    blocks = _ensemble_blocks(config, radii, times, measure, track=True)
+    blocks = _ensemble_blocks(config, times, measure)
     samples = np.concatenate([block[~failed] for block, failed in blocks], axis=0)
     failed_total = sum(int(failed.sum()) for _, failed in blocks)
     medians = np.median(samples, axis=0)
@@ -821,7 +802,8 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
 def wick_centering_check(
     config: StudyConfig, probe_ks: list[int] | None = None, z_bound: float = 4.0
 ) -> StudyResult:
-    """Per-cell 4-sigma zero test of the ensemble mean of the Wick square."""
+    """Per-cell 4-sigma zero test of the ensemble mean of the Wick square at
+    rung config.n, the one radius of the covariance-kind config it takes."""
     grid = config.grid()
     times = uniform_times(config.T, config.K)
     # distinct steps >= 1: psi(0) = 0, so the Wick square at step 0 has no
@@ -832,7 +814,7 @@ def wick_centering_check(
     def measure(ens: PathEnsemble) -> dict[int, np.ndarray]:
         return _at_steps(ens, probe_ks, lambda e: e.wick_values(config.n).reshape(e.size, cells))
 
-    acc = _means(_ensemble_blocks(config, [config.n], times, measure))
+    acc = _means(_ensemble_blocks(config, times, measure))
 
     rows: list[list[object]] = []
     z_max = []

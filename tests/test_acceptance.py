@@ -16,7 +16,7 @@ from wsnl.reference import PaperParams, constants_table
 from wsnl.solver import SolverConfig, solve
 from wsnl.stochastic import zero_path
 from wsnl.studies import (
-    default_config,
+    StudyConfig,
     run_study,
     smoothing_sigmas,
     white_noise_variance_check,
@@ -46,7 +46,7 @@ def test_criterion_01_white_noise_identity():
 
 @pytest.mark.acceptance
 def test_criterion_02_covariance_agreement():
-    cfg = default_config("covariance", seed=SEED)
+    cfg = StudyConfig(kind="covariance", seed=SEED)
     assert cfg.M == 4000 and cfg.N == 256 and cfg.n == 32.0 and cfg.d == 1
     res = run_study(cfg)
     worst = res.verdicts[0].value
@@ -58,7 +58,7 @@ def test_criterion_02_covariance_agreement():
 def test_criterion_03_renorm_divergence():
     results = []
     for d, alpha, N in ((1, 0.3, 512), (2, 0.9, 512)):
-        res = run_study(default_config("renorm_rate", d=d, alpha=alpha, N=N, seed=SEED))
+        res = run_study(StudyConfig(kind="renorm_rate", d=d, alpha=alpha, N=N, seed=SEED))
         slope = res.slopes["increment"].slope
         target = d - 2 * alpha
         results.append((d, alpha, slope, target, res.passed))
@@ -70,7 +70,7 @@ def test_criterion_03_renorm_divergence():
 
 @pytest.mark.acceptance
 def test_criterion_04_wick_centering():
-    cfg = default_config("covariance", M=10_000, chunk=2500, seed=SEED, K=4)
+    cfg = StudyConfig(kind="covariance", M=10_000, chunk=2500, seed=SEED, K=4)
     res = wick_centering_check(cfg)
     report(4, "Wick centering 4-sigma zero test", res.passed,
            f"max per-cell |z| = {res.verdicts[0].value:.2f} over 4 times x 256 cells (M=1e4)")
@@ -79,7 +79,7 @@ def test_criterion_04_wick_centering():
 
 @pytest.mark.acceptance
 def test_criterion_05_cauchy_decay():
-    cfg = default_config("cauchy_rate", seed=SEED)
+    cfg = StudyConfig(kind="cauchy_rate", seed=SEED)
     assert cfg.M == 2000 and cfg.d == 1
     res = run_study(cfg)
     slope = res.slopes["ols"]
@@ -91,7 +91,7 @@ def test_criterion_05_cauchy_decay():
 
 @pytest.mark.acceptance
 def test_criterion_06_multilinear_smoothing():
-    cfg = default_config("smoothing", seed=SEED)
+    cfg = StudyConfig(kind="smoothing", seed=SEED)
     assert cfg.M == 2000 and cfg.ladder == (2.0, 4.0, 8.0, 16.0)
     assert (cfg.L, cfg.N, cfg.T, cfg.K) == (8 * np.pi, 256, 1.0, 512)
     res = run_study(cfg)
@@ -176,7 +176,7 @@ def test_criterion_07_solver_sanity():
 
 @pytest.mark.acceptance
 def test_criterion_08_solver_convergence():
-    cfg = default_config("solver_convergence", seed=SEED)
+    cfg = StudyConfig(kind="solver_convergence", seed=SEED)
     assert cfg.M == 200 and cfg.ladder == (8.0, 16.0, 32.0, 64.0)
     res = run_study(cfg)
     medians = [row[2] for row in res.rows if row[0] == "point"]

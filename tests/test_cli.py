@@ -15,9 +15,8 @@ from wsnl.cli import (
     main,
     parse_config,
 )
-from wsnl.config import KEYS, validate_config
+from wsnl.config import KEYS, StudyConfig, validate_config
 from wsnl.snapshots import read_snapshot
-from wsnl.studies import default_config
 
 
 def test_readme_lists_every_config_key():
@@ -79,7 +78,7 @@ class TestParseConfig:
         assert validate_config(cfg) == []
         assert cfg.alpha == 0.9
         # the library resolves alpha in the same place: 0.3 is outside the d=2 window
-        assert default_config("renorm_rate", d=2).alpha == 0.9
+        assert StudyConfig(kind="renorm_rate", d=2).alpha == 0.9
 
 
 class TestConstants:
@@ -228,6 +227,22 @@ def test_main_error_paths(tmp_path, capsys):
     assert "hoelder lags need T/2 + max(lags) <= T: 0.1 + 0.125 = 0.225 > T = 0.2" in err
 
 
+def test_output_directory_that_is_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["constants", "--out", str(taken)]) == 2
+    assert "error: cannot write outputs:" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes("d = 1  # dimension \xb9\n".encode("latin-1"))
+    assert main(["constants", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    assert "error: cannot read config:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -257,7 +272,7 @@ def test_padded_grid_over_the_point_budget_exits_2(tmp_path, capsys):
 def test_study_pinned_values_fill_unset_keys(subcommand):
     # L, N and chunk the user did not set come from the study, not the generic defaults
     kind = STUDY_OF_SUBCOMMAND[subcommand]
-    assert parse_config("").for_kind(kind) == default_config(kind)
+    assert parse_config("").for_kind(kind) == StudyConfig(kind=kind)
     explicit = parse_config("N = 2048\nchunk = 250\n").for_kind(kind)
     assert (explicit.N, explicit.chunk) == (2048, 250)
 

@@ -39,7 +39,7 @@ def riemann_plain(a, b, B, T, q=600):
     return complex(val)
 
 
-def per_beta_reference(grid, n, alpha, T, sigma, drop_zero_mode, channels):
+def per_beta_reference(grid, n, alpha, T, sigma, drop_zero_mode):
     """The oracles as a Python loop over the shift beta: (ipsi2, wick) values."""
     h = 2 * np.pi / grid.L
     k = np.sort(np.round(grid.xi_axis / h).astype(np.int64))
@@ -58,11 +58,7 @@ def per_beta_reference(grid, n, alpha, T, sigma, drop_zero_mode, channels):
         a = (h * (xi2 + beta).astype(np.float64)) ** 2
         b = (h * xi2.astype(np.float64)) ** 2
         B = (h * float(beta)) ** 2
-        acc = np.zeros(xi2.shape, dtype=np.complex128)
-        if channels in ("both", "conjugate"):
-            acc += conjugate_kernel(a - b - B, T)
-        if channels in ("both", "plain"):
-            acc += plain_kernel(a, b, np.full_like(a, B), T)
+        acc = conjugate_kernel(a - b - B, T) + plain_kernel(a, b, np.full_like(a, B), T)
         total_i += (1.0 + B) ** sigma * float(np.sum(w * acc).real)
         a1, b1 = np.where(a == 0, 1, a), np.where(b == 0, 1, b)
         g_a = np.where(a == 0, T, (1 - np.exp(-2j * T * a1)) / (2j * a1))
@@ -72,7 +68,6 @@ def per_beta_reference(grid, n, alpha, T, sigma, drop_zero_mode, channels):
     return total_i / grid.L, total_w / grid.L
 
 
-@pytest.mark.parametrize("channels", ["both", "conjugate", "plain"])
 @pytest.mark.parametrize("drop_zero_mode", [False, True])
 @pytest.mark.parametrize(
     "L,N,n",
@@ -83,11 +78,11 @@ def per_beta_reference(grid, n, alpha, T, sigma, drop_zero_mode, channels):
         (2 * np.pi, 64, 32.0),  # Nyquist edge
     ],
 )
-def test_pair_table_oracles_match_the_per_beta_loop(L, N, n, drop_zero_mode, channels):
+def test_pair_table_oracles_match_the_per_beta_loop(L, N, n, drop_zero_mode):
     grid = SpectralGrid(1, L, N)
     for T, sigma in ((1.0, 0.23), (0.5, -0.32), (1 / 32, 0.38)):
-        ref_i, ref_w = per_beta_reference(grid, n, 0.3, T, sigma, drop_zero_mode, channels)
-        got_i = ipsi2_norm_sq_expectation(grid, n, 0.3, T, sigma, drop_zero_mode, channels)
+        ref_i, ref_w = per_beta_reference(grid, n, 0.3, T, sigma, drop_zero_mode)
+        got_i = ipsi2_norm_sq_expectation(grid, n, 0.3, T, sigma, drop_zero_mode)
         got_w = wick_norm_sq_expectation(grid, n, 0.3, T, sigma, drop_zero_mode)
         assert type(got_i) is float and type(got_w) is float
         assert got_i == pytest.approx(ref_i, rel=1e-13, abs=0)
@@ -100,7 +95,7 @@ def test_kernel_chunks_split_only_between_shifts(monkeypatch):
     for chunk in (5, 40):
         monkeypatch.setattr(wsnl.secondmoment, "_CHUNK", chunk)
         wsnl.secondmoment._beta_sums.cache_clear()
-        ref_i, ref_w = per_beta_reference(grid, 8.0, 0.3, 0.5, 0.23, False, "both")
+        ref_i, ref_w = per_beta_reference(grid, 8.0, 0.3, 0.5, 0.23, False)
         got_i = ipsi2_norm_sq_expectation(grid, 8.0, 0.3, 0.5, 0.23)
         got_w = wick_norm_sq_expectation(grid, 8.0, 0.3, 0.5, 0.23)
         assert got_i == pytest.approx(ref_i, rel=1e-13)
@@ -130,11 +125,6 @@ def test_second_sigma_reuses_the_cached_pair_sums(monkeypatch):
     ipsi2_norm_sq_expectation(grid, 8.0, 0.3, 0.5, 0.23)  # a new T is a new table
     assert len(calls) == 4
     wsnl.secondmoment._beta_sums.cache_clear()
-
-
-def test_unknown_channel_is_rejected():
-    with pytest.raises(ValueError, match="channels"):
-        ipsi2_norm_sq_expectation(SpectralGrid(1, 2 * np.pi, 64), 8, 0.3, 1, 0.23, channels="x")
 
 
 class TestKernels:

@@ -35,7 +35,7 @@ from wsnl.solver import (
     solve,
 )
 from wsnl.stochastic import PathEnsemble, StochasticPath, sample_path, uniform_times, zero_path
-from wsnl.studies import default_config
+from wsnl.studies import StudyConfig
 
 GRID = SpectralGrid(1, 2 * np.pi, 64)
 PARAMS = PaperParams(d=1, alpha=0.3, eps=0.01, n=8)
@@ -252,13 +252,24 @@ def test_picard_failure_ends_the_march_at_the_unconverged_step(mode, monkeypatch
     assert np.all(out.picard_iterations == 1) and np.all(out.residuals == distance)
 
 
+def test_study_config_gives_the_solver_settings_of_its_solves():
+    cfg = StudyConfig(kind="solve", n=16.0, N=64, K=8, T=0.25, eta=0.45, dealias=False,
+                      solver_mode="global")
+    got = cfg.solver()
+    assert got.params == cfg.params() == PaperParams(d=1, alpha=0.3, eps=0.01, n=16.0, eta=0.45)
+    assert (got.dt, got.T, got.dealias, got.mode) == (0.25 / 8, 0.25, False, "global")
+    assert isinstance(got.rho, CutoffRho) and got.phi is None and got.forcing is None
+    defaults = StudyConfig(kind="solve").solver()
+    assert (defaults.dt, defaults.T, defaults.dealias, defaults.mode) == (
+        0.5 / 256, 0.5, True, "step-local"
+    )
+
+
 def global_blowup_case(mode):
     """A solve whose sweeps diverge at t = 1 only (n=64, N=128, K=4, seed 3)."""
-    cfg = default_config("solve", n=64, N=128, K=4, T=1.0, seed=3)
-    grid, params = cfg.grid(), cfg.params()
-    path = sample_path(params, grid, seed=cfg.seed, T=cfg.T, K=cfg.K)
-    config = make_config(grid, params, CutoffRho.for_grid(grid), None, cfg.T, cfg.K, mode=mode)
-    return solve(config, path)
+    cfg = StudyConfig(kind="solve", n=64, N=128, K=4, T=1.0, seed=3, solver_mode=mode)
+    path = sample_path(cfg.params(), cfg.grid(), seed=cfg.seed, T=cfg.T, K=cfg.K)
+    return solve(cfg.solver(), path)
 
 
 def test_global_blowup_keeps_the_records_of_the_levels_before_it():

@@ -6,15 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wsnl.studies
+from wsnl.cli import main
+from wsnl.config import ConfigError
 from wsnl.grid import SpectralGrid
 from wsnl.studies import (
     MeanAccumulator,
     StudyConfig,
-    default_config,
     increment_exponent,
     increment_slope,
     loglog_ols,
-    one_sided_z,
     run_study,
     smoothing_sigmas,
     white_noise_variance_check,
@@ -65,9 +65,8 @@ class TestRegression:
             loglog_ols([1.0, 2.0], [1.0, 2.0])
 
     def test_one_sided_z_table(self):
-        assert one_sided_z(0.95) == pytest.approx(1.6449)
-        with pytest.raises(Exception):
-            one_sided_z(0.93)
+        assert StudyConfig(kind="covariance").z == pytest.approx(1.6449)
+        assert StudyConfig(kind="hoelder", confidence=0.99).z == pytest.approx(2.3263)
 
 
 def test_standard_error_scales_as_inverse_sqrt_m():
@@ -117,6 +116,77 @@ def test_study_config_validation():
         StudyConfig(kind="smoothing", ladder=(8.0, 128.0), N=256)  # |Psi_n|^2 would alias
 
 
+@pytest.mark.parametrize(
+    "kind, radii, tracks",
+    [
+        ("constants", [], False),
+        ("sample", [4.0], True),
+        ("solve", [4.0], True),
+        ("covariance", [4.0], False),
+        ("hoelder", [4.0], False),
+        ("renorm_rate", [2.0, 3.0, 4.0, 8.0], False),
+        ("smoothing", [2.0, 3.0, 4.0, 8.0], True),
+        ("cauchy_rate", [2.0, 3.0, 4.0, 6.0, 8.0, 16.0], False),
+        ("solver_convergence", [2.0, 3.0, 4.0, 6.0, 8.0, 16.0], True),
+    ],
+)
+def test_each_kind_has_one_radii_rule_and_one_tracking_flag(kind, radii, tracks):
+    # [n], the ladder, or every rung with its 2n: ascending, each radius once
+    config = StudyConfig(kind=kind, n=4.0, ladder=(2.0, 3.0, 4.0, 8.0))
+    assert config.radii() == radii
+    assert config.tracks is tracks
+
+
+class Recorded(Exception):
+    """Raised by the PathEnsemble stand-in once it has its arguments."""
+
+
+@pytest.mark.parametrize(
+    "run, kind, overrides, radii, track",
+    [
+        (run_study, "covariance", dict(n=4.0, K=4), [4.0], False),
+        (run_study, "cauchy_rate", dict(ladder=(2.0, 4.0, 8.0)), [2.0, 4.0, 8.0, 16.0], False),
+        (run_study, "smoothing", dict(K=16, ladder=(0.5, 1, 2, 4)), [0.5, 1.0, 2.0, 4.0], True),
+        (run_study, "hoelder", dict(n=4.0), [4.0], False),
+        (run_study, "solver_convergence", dict(K=8, ladder=(2.0, 4.0)), [2.0, 4.0, 8.0], True),
+        (wick_centering_check, "covariance", dict(n=8.0, K=4), [8.0], False),
+    ],
+    ids=["covariance", "cauchy", "smoothing", "hoelder", "converge", "wick_centering"],
+)
+def test_every_ensemble_runs_at_the_radii_and_tracking_of_its_config(
+    run, kind, overrides, radii, track, monkeypatch
+):
+    # the studies build their ensembles from config.radii() and config.tracks
+    # alone, and those are the kind's rule: [n], the ladder, or each rung and 2n
+    seen = []
+
+    def recorder(grid, alpha, ens_radii, times, **kwargs):
+        seen.append((sorted(ens_radii), kwargs["track"]))
+        raise Recorded
+
+    monkeypatch.setattr(wsnl.studies, "PathEnsemble", recorder)
+    config = StudyConfig(kind=kind, M=100, N=64, **overrides)
+    with pytest.raises(Recorded):
+        run(config)
+    assert seen == [(config.radii(), config.tracks)] == [(radii, track)]
+
+
+def test_converge_rejects_the_global_solver_mode(tmp_path, capsys):
+    # its coupled solves march step by step, one stepper per radius
+    with pytest.raises(ConfigError) as err:
+        StudyConfig(kind="solver_convergence", solver_mode="global")
+    assert err.value.errors == [
+        "solver_mode must be step-local for a solver_convergence study, got 'global'"
+    ]
+    with pytest.raises(ConfigError) as err:
+        StudyConfig(kind="solver_convergence", solver_mode="spectral")
+    assert err.value.errors == ["solver_mode must be step-local or global, got 'spectral'"]
+    out = tmp_path / "run"
+    assert main(["converge", "--set", "solver_mode=global", "--out", str(out)]) == 2
+    assert "solver_mode must be step-local" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_white_noise_variance_check():
     grid = SpectralGrid(1, 2 * np.pi, 64)
     fns = [
@@ -130,23 +200,23 @@ def test_white_noise_variance_check():
 
 class TestRenormRate:
     def test_d1(self):
-        res = run_study(default_config("renorm_rate", seed=SEED))
+        res = run_study(StudyConfig(kind="renorm_rate", seed=SEED))
         assert res.passed
         assert res.slopes["increment"].slope == pytest.approx(0.4, abs=0.05)
         # the plain OLS slope is reported and visibly contaminated
         assert res.slopes["ols"].slope > 0.45
 
     def test_d2(self):
-        res = run_study(default_config("renorm_rate", d=2, alpha=0.9, N=512, seed=SEED))
+        res = run_study(StudyConfig(kind="renorm_rate", d=2, alpha=0.9, N=512, seed=SEED))
         assert res.passed
         assert res.slopes["increment"].slope == pytest.approx(0.2, abs=0.05)
 
 
 @pytest.mark.slow
 def test_cauchy_rate_reduced():
-    res = run_study(default_config("cauchy_rate", M=800, chunk=400, seed=SEED))
+    res = run_study(StudyConfig(kind="cauchy_rate", M=800, chunk=400, seed=SEED))
     slope = res.slopes["ols"]
-    assert slope.slope + one_sided_z(0.95) * slope.stderr < 0.0
+    assert slope.slope + res.config.z * slope.stderr < 0.0
     # expected decay is about -2*eps with lattice transients
     assert -0.15 < slope.slope < -0.02
 
@@ -154,7 +224,7 @@ def test_cauchy_rate_reduced():
 def test_cauchy_decrease_is_read_from_the_decrement_rows():
     # at M=100, seed 2 the means decrease strictly, but two of the three
     # decrements are within their standard errors: the verdict is not resolved
-    res = run_study(default_config("cauchy_rate", M=100, seed=2))
+    res = run_study(StudyConfig(kind="cauchy_rate", M=100, seed=2))
     points = [row[2] for row in res.rows if row[0] == "point"]
     assert np.all(np.diff(points) < 0)
     decrements = [row for row in res.rows if row[0] == "decrement"]
@@ -166,7 +236,7 @@ def test_cauchy_decrease_is_read_from_the_decrement_rows():
 
 @pytest.mark.slow
 def test_hoelder_reduced():
-    res = run_study(default_config("hoelder", M=500, chunk=500, seed=SEED))
+    res = run_study(StudyConfig(kind="hoelder", M=500, chunk=500, seed=SEED))
     assert res.passed
     assert res.slopes["control"].slope == pytest.approx(1.0, abs=0.1)
     assert res.slopes["field"].slope > 0
@@ -174,7 +244,7 @@ def test_hoelder_reduced():
 
 @pytest.mark.slow
 def test_covariance_reduced():
-    res = run_study(default_config("covariance", M=800, chunk=400, seed=77))
+    res = run_study(StudyConfig(kind="covariance", M=800, chunk=400, seed=77))
     assert res.passed
     # rows carry both pairings with oracle values; spot-check column count
     assert len(res.rows) == 27
@@ -188,7 +258,7 @@ def test_covariance_is_exact_at_coarse_steps(K):
     # the oracle however coarse the step.  A recursion that adds the increment
     # without its phase misses the plain pairing at n = 32, T = 0.5, x = y:
     # -0.778 (K = 2) and -0.248 (K = 16) against -0.1695.
-    res = run_study(default_config("covariance", K=K, M=2000, seed=SEED))
+    res = run_study(StudyConfig(kind="covariance", K=K, M=2000, seed=SEED))
     assert res.passed
     (row,) = [r for r in res.rows if r[0] == r[1] == 0.5 and r[2] == 0.0]
     assert row[9] == pytest.approx(-0.1695, abs=5e-5)
@@ -197,7 +267,7 @@ def test_covariance_is_exact_at_coarse_steps(K):
 def test_covariance_round_off_components_are_not_divided_by_their_standard_error(monkeypatch):
     # at s = t and no shift the conjugate pairing is |psi|^2, whose imaginary
     # part is round-off in every member; no probe sits at s = 0, where psi is zero
-    config = default_config("covariance", K=2, N=32, n=4.0, M=100, seed=20260808)
+    config = StudyConfig(kind="covariance", K=2, N=32, n=4.0, M=100, seed=20260808)
     res = run_study(config)
     verdict = res.verdicts[0]
     assert verdict.passed and verdict.value < 10.0
@@ -224,7 +294,7 @@ def test_covariance_round_off_components_are_not_divided_by_their_standard_error
 @pytest.mark.parametrize("K", [1, 2])
 def test_covariance_probes_are_distinct_steps_after_the_start(K):
     # psi(0) = 0, so a probe at step 0 would compare zero with a zero oracle
-    res = run_study(default_config("covariance", K=K, N=32, n=4.0, M=100, seed=20260808))
+    res = run_study(StudyConfig(kind="covariance", K=K, N=32, n=4.0, M=100, seed=20260808))
     keys = [(row[0], row[1], row[2]) for row in res.rows]
     assert len(keys) == len(set(keys)) == 3 * K * K
     assert min(min(s, t) for s, t, _ in keys) > 0.0
@@ -232,7 +302,7 @@ def test_covariance_probes_are_distinct_steps_after_the_start(K):
 
 @pytest.mark.slow
 def test_smoothing_reduced_wick_diverges_and_exact_gain_visible():
-    res = run_study(default_config("smoothing", M=200, chunk=200, seed=301))
+    res = run_study(StudyConfig(kind="smoothing", M=200, chunk=200, seed=301))
     wick_key = [k for k in res.slopes if k.startswith("wick_sigma-")][0]
     assert res.slopes[wick_key].slope >= 0.1
     # exact rows show the gain: increments shrink just below -2s+kappa and grow
@@ -253,7 +323,7 @@ def test_exact_increment_exponent_needs_the_large_box():
     """The criterion-6 estimator fails on the 2 pi torus and passes on the pinned box."""
     from wsnl.secondmoment import ipsi2_norm_sq_expectation
 
-    cfg = default_config("smoothing")
+    cfg = StudyConfig(kind="smoothing")
     sigma_b = smoothing_sigmas(cfg.params())[0][0]
 
     def exponent(L):
@@ -268,7 +338,7 @@ def test_exact_increment_exponent_needs_the_large_box():
 @pytest.mark.slow
 def test_solver_convergence_reduced():
     res = run_study(
-        default_config("solver_convergence", M=100, chunk=100, seed=42, K=64)
+        StudyConfig(kind="solver_convergence", M=100, chunk=100, seed=42, K=64)
     )
     assert res.passed
     # radius 128 squares psi on 1600 points: its 2n is twice the Nyquist bound,
@@ -278,7 +348,7 @@ def test_solver_convergence_reduced():
 
 @pytest.mark.slow
 def test_wick_centering_reduced():
-    cfg = default_config("covariance", M=1000, chunk=500, seed=88, N=64, K=4, n=8.0)
+    cfg = StudyConfig(kind="covariance", M=1000, chunk=500, seed=88, N=64, K=4, n=8.0)
     res = wick_centering_check(cfg)
     assert res.passed
 
@@ -286,7 +356,7 @@ def test_wick_centering_reduced():
 def test_wick_centering_probes_are_distinct_measured_steps():
     # at K < 4 the quarter steps repeat and reach step 0, where psi = 0 and
     # every cell's z-score is 0/0: no probe may pass unmeasured
-    cfg = default_config("covariance", K=2, M=100, N=64)
+    cfg = StudyConfig(kind="covariance", K=2, M=100, N=64)
     res = wick_centering_check(cfg)
     times = [row[0] for row in res.rows]
     assert times == sorted(set(times)) and times[0] > 0
@@ -320,13 +390,13 @@ def test_smoother_noise_gives_flatter_ipsi2_ladder():
 
 
 def test_reproducibility_same_config_same_rows():
-    cfg = default_config("cauchy_rate", M=200, chunk=100, seed=9)
+    cfg = StudyConfig(kind="cauchy_rate", M=200, chunk=100, seed=9)
     a = run_study(cfg)
-    b = run_study(default_config("cauchy_rate", M=200, chunk=100, seed=9))
+    b = run_study(StudyConfig(kind="cauchy_rate", M=200, chunk=100, seed=9))
     assert a.rows == b.rows
 
 
 def test_threads_do_not_change_results():
-    base = run_study(default_config("cauchy_rate", M=200, chunk=50, seed=9))
-    threaded = run_study(default_config("cauchy_rate", M=200, chunk=50, seed=9, threads=4))
+    base = run_study(StudyConfig(kind="cauchy_rate", M=200, chunk=50, seed=9))
+    threaded = run_study(StudyConfig(kind="cauchy_rate", M=200, chunk=50, seed=9, threads=4))
     assert base.rows == threaded.rows
