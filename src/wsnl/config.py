@@ -193,10 +193,8 @@ class StudyConfig:
     def grid(self) -> SpectralGrid:
         return SpectralGrid(self.d, self.L, self.N)
 
-    def params(self, n: float | None = None) -> PaperParams:
-        return PaperParams(
-            d=self.d, alpha=self.alpha, eps=self.eps, n=self.n if n is None else n, eta=self.eta
-        )
+    def params(self) -> PaperParams:
+        return PaperParams(d=self.d, alpha=self.alpha, eps=self.eps, n=self.n, eta=self.eta)
 
     def radii(self) -> list[float]:
         """The truncation radii a run of this kind uses, ascending; none until
@@ -290,6 +288,13 @@ def validate_config(config: StudyConfig) -> list[str]:
             f"ladder must have >= {rungs} rungs for a {config.kind} study, "
             f"got {len(config.ladder)}"
         )
+    if config.kind in ("renorm_rate", "smoothing") and "ladder" not in bad:
+        # their exponents fit the increments between rungs as dyadic ones
+        ladder = config.ladder
+        if any(b != 2 * a for a, b in zip(ladder, ladder[1:])):
+            errors.append(
+                f"ladder must double at every rung for a {config.kind} study, got {ladder!r}"
+            )
     radii = config.radii()
     if radii and not bad & {"kind", "d", "L", "N", "n", "ladder"}:
         # the radius bound and the padded sizes are read off one axis, so no

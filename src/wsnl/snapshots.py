@@ -79,7 +79,15 @@ def read_snapshot(filename: str | Path) -> StochasticPath:
     off = 8
     header = struct.unpack_from("<12d", raw, off)
     off += 12 * 8
-    d, N, L, K = int(header[0]), int(header[1]), header[2], int(header[3])
+    d, N, L, K = header[:4]
+    # checked before int() can truncate them or the implied length is formed
+    if d not in (1.0, 2.0, 3.0):
+        raise SnapshotError(f"snapshot header has d = {d}, not 1, 2 or 3")
+    if not (N.is_integer() and N >= 4 and N % 2 == 0):
+        raise SnapshotError(f"snapshot header has N = {N}, not an even integer >= 4")
+    if not (K.is_integer() and K >= 1):
+        raise SnapshotError(f"snapshot header has K = {K}, not an integer >= 1")
+    d, N, K = int(d), int(N), int(K)
     expected = HEADER_BYTES + (K + 1) * 8 + 3 * (K + 1) * N**d * 16
     if len(raw) != expected:
         raise SnapshotError(

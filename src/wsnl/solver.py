@@ -28,7 +28,8 @@ time level's localized inputs and the last Picard evaluation of N at that
 level, so N(t_k) costs no transform.  The coupled convergence study drives one
 stepper per truncation radius over a batch of ensemble members.  solve()
 stacks a path's K+1 time levels once and localizes them in one level() call;
-its step-local mode drives one stepper over the rows of that stack.
+its step-local mode drives one stepper over the rows of that stack.  Every
+caller reads v, never u = v + Psi, which a caller that wants it forms itself.
 solve(mode="global") is a separate algorithm, the fixed-point iteration of the
 whole-trajectory contraction map: each sweep evaluates N at every level in one
 batched call, forms every step's Duhamel term with array operations over the
@@ -129,10 +130,8 @@ class Level(NamedTuple):
 
 @dataclass
 class SolverOutput:
-    config: SolverConfig
     times: np.ndarray
     v: np.ndarray  # transforms, one row per time level reached: (levels, *grid.shape)
-    u: np.ndarray  # v + Psi, likewise
     picard_iterations: np.ndarray
     residuals: np.ndarray
     monotone_flags: np.ndarray
@@ -167,9 +166,9 @@ def nonlinearity_values(
     N(v) = |rho v|^2 + 2 Re(conj(rho v) rho Psi), products taken in physical
     space as the real array Re w (Re w + 2 Re rho Psi) + Im w (Im w + 2 Im rho
     Psi) with w = rho v, computed on the interleaved (re, im) float view.
-    two_rho_psi is 2 rho Psi as localized_inputs returns it, a C-contiguous
-    complex array; None drops the cross term, and rho_vals = None (no cutoff)
-    makes N vanish.  scale multiplies the raw transform (nonlinearity_scale).
+    two_rho_psi is 2 rho Psi as level() forms it, a C-contiguous complex
+    array (zeros drop the cross term), and rho_vals = None (no cutoff) makes
+    N vanish.  scale multiplies the raw transform (nonlinearity_scale).
     out, when given, is a complex array of v_hat's shape, not v_hat itself,
     that holds rho v and then the result.
     """
@@ -178,11 +177,8 @@ def nonlinearity_values(
         w = grid.inverse_values(v_hat, out=out)
         w *= rho_vals
         pairs = w.view(np.float64)
-        if two_rho_psi is None:
-            prod = pairs * pairs
-        else:
-            prod = two_rho_psi.view(np.float64) + pairs
-            prod *= pairs
+        prod = two_rho_psi.view(np.float64) + pairs
+        prod *= pairs
         del w, pairs  # freed before the sum and the transform allocate theirs
         total = prod[..., 0::2] + prod[..., 1::2]
         del prod
@@ -191,29 +187,6 @@ def nonlinearity_values(
     if total is None:
         return np.zeros(np.shape(v_hat), dtype=np.complex128)
     return grid.forward_values(total, out=out, scale=scale)
-
-
-def localized_inputs(
-    grid: SpectralGrid,
-    rho_vals: np.ndarray | None,
-    psi_hat: np.ndarray,
-    ipsi2_hat: np.ndarray,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """One time level's stochastic inputs, batched over leading axes.
-
-    Returns (2 rho Psi in physical space, transform of rho^2 <I Psi^2>); without
-    a cutoff nothing couples to Psi and the pair is (None, zeros).  The factor
-    2 of N's cross term is applied here, once per level, on the interleaved
-    float view, where doubling is exact.
-    """
-    if rho_vals is None:
-        return None, np.zeros(np.shape(ipsi2_hat), dtype=np.complex128)
-    two_rho_psi = grid.inverse_values(psi_hat)
-    np.multiply(rho_vals, two_rho_psi, out=two_rho_psi)
-    pairs = two_rho_psi.view(np.float64)
-    pairs *= 2.0
-    r_hat = grid.forward_values(rho_vals * rho_vals * grid.inverse_values(ipsi2_hat))
-    return two_rho_psi, r_hat
 
 
 def level(
@@ -225,17 +198,27 @@ def level(
     t: float | np.ndarray,
 ) -> Level:
     """The inputs at time t, where Psi and <I Psi^2> have the given
-    transforms: localized stochastic data plus the forcing.  Given an array
-    of times, psi_hat and ipsi2_hat carry a leading axis of those levels, and
-    so does every array of the Level returned, the forcing evaluated at each
-    time and stacked; t is then the time grid."""
+    transforms: localized stochastic data plus the forcing, batched over
+    leading axes.  Given an array of times, psi_hat and ipsi2_hat carry a
+    leading axis of those levels, and so does every array of the Level
+    returned, the forcing evaluated at each time and stacked; t is then the
+    time grid.  Without a cutoff nothing couples to Psi (None, zeros).  The
+    factor 2 of 2 rho Psi is applied on the float view, where it is exact."""
+    if rho_vals is None:
+        two_rho_psi, r_hat = None, np.zeros(np.shape(ipsi2_hat), dtype=np.complex128)
+    else:
+        two_rho_psi = grid.inverse_values(psi_hat)
+        np.multiply(rho_vals, two_rho_psi, out=two_rho_psi)
+        pairs = two_rho_psi.view(np.float64)
+        pairs *= 2.0
+        r_hat = grid.forward_values(rho_vals * rho_vals * grid.inverse_values(ipsi2_hat))
     if config.forcing is None:
         forcing = None
     elif np.ndim(t):
         forcing = np.stack([config.forcing(float(t_k)) for t_k in t])
     else:
         forcing = config.forcing(t)
-    return Level(*localized_inputs(grid, rho_vals, psi_hat, ipsi2_hat), forcing, t)
+    return Level(two_rho_psi, r_hat, forcing, t)
 
 
 def step_values(
@@ -326,21 +309,21 @@ class RemainderStepper:
     and the transform of N there.
 
     v_hat may carry leading batch axes, one row per ensemble member; start,
-    the Level at the starting time, and the psi and <I Psi^2> transforms
-    given to level() carry the same axes.  A step is two calls,
-    step(level(psi_hat, ipsi2_hat, t_next)), so the caller's psi block can be
-    freed before the Picard loop runs; solve() passes the rows of its stacked
-    levels instead.  Each time level is localized once, and the last Picard
-    evaluation of N at t_{k+1} is carried as the next step's N at t_k, except
-    after a step in which a member failed.  Failed members are zeroed and
-    flagged in `failed`, and the march goes on.  Per-step Picard iterations,
-    worst residuals and monotone flags are collected in lists.
+    the Level at the starting time, and every Level given to step() carry the
+    same axes.  A step is two calls, step(level(config, grid, rho_vals,
+    psi_hat, ipsi2_hat, t_next)) with the stepper's rho_vals, so the caller's
+    psi block can be freed before the Picard loop runs; solve() passes the
+    rows of its stacked levels instead.  Each time level is localized once,
+    and the last Picard evaluation of N at t_{k+1} is carried as the next
+    step's N at t_k, except after a step in which a member failed.  Failed
+    members are zeroed and flagged in `failed`, and the march goes on.
+    Per-step Picard iterations, worst residuals and monotone flags are
+    collected in lists.
     """
 
     def __init__(
         self, config: SolverConfig, grid: SpectralGrid, v_hat: np.ndarray, start: Level
     ) -> None:
-        self.config = config
         self.grid = grid
         self.rho_vals = None if config.rho is None else config.rho.evaluate(grid)
         self.n_scale = nonlinearity_scale(grid, config.dealias)
@@ -357,10 +340,6 @@ class RemainderStepper:
     @property
     def t(self) -> float:
         return self._prev.t
-
-    def level(self, psi_hat: np.ndarray, ipsi2_hat: np.ndarray, t: float) -> Level:
-        """The localized inputs at time t, where Psi and <I Psi^2> have the given transforms."""
-        return level(self.config, self.grid, self.rho_vals, psi_hat, ipsi2_hat, t)
 
     def step(self, nxt: Level) -> None:
         """Advance v to the time of level nxt."""
@@ -430,9 +409,9 @@ def _y_summary(
     k = len(trace_h)
     dt = np.diff(times[:k])
     p = params.pair[0]
-    sup_h = float(np.max(trace_h)) if k else float("nan")
+    sup_h = float(np.max(trace_h))
     if not np.isfinite(p):
-        lp_wq = float(np.max(trace_wq)) if k else float("nan")
+        lp_wq = float(np.max(trace_wq))
     else:
         lp_wq = float(np.sum(dt * trace_wq[:-1] ** p) ** (1.0 / p)) if k > 1 else 0.0
     inv_eta = 1.0 / params.eta
@@ -441,8 +420,8 @@ def _y_summary(
 
 
 def _output(
-    config: SolverConfig,
-    path: StochasticPath,
+    params: PaperParams,
+    times: np.ndarray,
     traces: Traces,
     v_hats: np.ndarray,
     picard_iterations: np.ndarray,
@@ -450,24 +429,19 @@ def _output(
     monotone_flags: np.ndarray,
     failure: StepFailure | None,
 ) -> SolverOutput:
-    """Traces, Y(T) norms and u = v + Psi over the time levels v_hats reached,
-    one row per level; v is v_hats itself."""
+    """Traces and Y(T) norms over the time levels v_hats reached, one row per
+    level; v is v_hats itself."""
     trace_h, trace_wq, trace_loc = traces(v_hats)
-    u = np.empty_like(v_hats)
-    for k, vh in enumerate(v_hats):
-        np.add(vh, path.psi[k].values, out=u[k])
     return SolverOutput(
-        config=config,
-        times=path.times[: len(v_hats)],
+        times=times[: len(v_hats)],
         v=v_hats,
-        u=u,
         picard_iterations=picard_iterations,
         residuals=residuals,
         monotone_flags=monotone_flags,
         trace_h=trace_h,
         trace_wq=trace_wq,
         trace_localized=trace_loc,
-        y_norms=_y_summary(path.times, trace_h, trace_wq, trace_loc, config.params),
+        y_norms=_y_summary(times, trace_h, trace_wq, trace_loc, params),
         failure=failure,
     )
 
@@ -484,7 +458,7 @@ def _row(levels: Level, k: int) -> Level:
 
 
 def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
-    """March the remainder over the path's time grid and assemble u = v + Psi."""
+    """March the remainder v = u - Psi over the path's time grid."""
     grid = path.grid
     times = path.times
     if abs(float(times[-1]) - config.T) > 1e-12 or abs(float(times[1] - times[0]) - config.dt) > 1e-12:
@@ -506,7 +480,7 @@ def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
     else:
         trajectory = _march_step_local(config, path, levels)
     del levels  # freed before the traces allocate theirs
-    return _output(config, path, traces, *trajectory)
+    return _output(config.params, times, traces, *trajectory)
 
 
 def _failure(

@@ -69,7 +69,7 @@ def loglog_ols(n_values: Iterable[float], y_values: Iterable[float]) -> Regressi
     resid = y - (intercept + slope * x)
     ss_res = float(np.dot(resid, resid))
     ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
-    stderr = float(np.sqrt(ss_res / (m - 2) / np.dot(xc, xc))) if m > 2 else float("nan")
+    stderr = float(np.sqrt(ss_res / (m - 2) / np.dot(xc, xc)))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return RegressionResult(slope, stderr, r2, m)
 
@@ -753,7 +753,7 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         for _ in range(config.K):
             ens.advance()
             for r, stepper in steppers.items():
-                stepper.step(stepper.level(ens.psi_values(r), ens.ipsi2_values(r), ens.t))
+                stepper.step(level(solver_config, grid, rho_vals, ens.psi_values(r), ens.ipsi2_values(r), ens.t))
         cols = []
         for n in ladder:
             u_n = steppers[n].v_hat + ens.psi_values(n)

@@ -213,6 +213,16 @@ def test_main_error_paths(tmp_path, capsys):
         (["renorm", "--set", "ladder=8,16,32"], "ladder must have >= 4 rungs for a renorm_rate"),
         (["cauchy", "--set", "ladder=8,16"], "ladder must have >= 3 rungs for a cauchy_rate"),
         (["converge", "--set", "ladder=8"], "ladder must have >= 2 rungs for a solver_convergence"),
+        # the exponent fits read each increment as a dyadic one
+        (
+            ["renorm", "--set", "ladder=8,16,32,48,64"],
+            "ladder must double at every rung for a renorm_rate study, "
+            "got (8.0, 16.0, 32.0, 48.0, 64.0)",
+        ),
+        (
+            ["smoothing", "--set", "M=100", "--set", "N=64", "--set", "K=16", "--set", "ladder=1,2,3,4"],
+            "ladder must double at every rung for a smoothing study, got (1.0, 2.0, 3.0, 4.0)",
+        ),
     ]:
         assert main([*argv, "--out", str(tmp_path)]) == 2
         assert constraint in capsys.readouterr().err

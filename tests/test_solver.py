@@ -29,7 +29,6 @@ from wsnl.solver import (
     _make_traces,
     _y_summary,
     level,
-    localized_inputs,
     nonlinearity_scale,
     nonlinearity_values,
     solve,
@@ -76,8 +75,8 @@ class TestFreeEvolution:
     def test_zero_data_stays_zero(self):
         config = make_config(GRID, PARAMS, None, None, 0.25, 16)
         out = solve(config, zero_path(PARAMS, GRID, T=0.25, K=16))
-        assert out.v.shape == out.u.shape == (17,) + GRID.shape
-        assert np.all(out.v == 0) and np.all(out.u == 0)
+        assert out.v.shape == (17,) + GRID.shape
+        assert np.all(out.v == 0)
 
 
 class TestQuadraticNonlinearity:
@@ -85,7 +84,7 @@ class TestQuadraticNonlinearity:
 
     def nonlinearity(self, v_phys, rho_psi=None):
         """N(v; rho Psi) in physical space, no forcing, no dealiasing."""
-        two_rho_psi = None if rho_psi is None else 2.0 * rho_psi
+        two_rho_psi = np.zeros(GRID.shape, dtype=complex) if rho_psi is None else 2.0 * rho_psi
         n_hat = nonlinearity_values(
             GRID, GRID.forward_values(v_phys), self.rho_vals, two_rho_psi, None, None
         )
@@ -174,17 +173,6 @@ def test_spectral_accuracy_under_resolution_doubling():
     assert abs(results[1] - results[0]) < 0.01 * results[0]
 
 
-def test_da_prato_debussche_bookkeeping_is_assembly_exact():
-    T, K = 0.25, 32
-    path = sample_path(PARAMS, GRID, seed=21, T=T, K=K)
-    rho = CutoffRho.for_grid(GRID)
-    config = make_config(GRID, PARAMS, rho, None, T, K)
-    out = solve(config, path)
-    assert out.completed
-    for k in range(len(out.times)):
-        assert np.array_equal(out.u[k], out.v[k] + path.psi[k].values)
-
-
 def test_picard_contraction_evidence_on_stochastic_run():
     T, K = 0.25, 64
     path = sample_path(PARAMS, GRID, seed=22, T=T, K=K)
@@ -225,7 +213,8 @@ def test_picard_failure_ends_the_march_at_the_unconverged_step(mode, monkeypatch
         # the first step taken on its own: one iteration leaves it unconverged
         start = level(config, GRID, rho_vals, path.psi[0].values, path.ipsi2[0].values, 0.0)
         stepper = RemainderStepper(config, GRID, GRID.zeros(), start)
-        stepper.step(stepper.level(path.psi[1].values, path.ipsi2[1].values, float(path.times[1])))
+        t1 = float(path.times[1])
+        stepper.step(level(config, GRID, rho_vals, path.psi[1].values, path.ipsi2[1].values, t1))
         residual = stepper.residuals[0]
         assert stepper.failed.all() and PICARD_TOL < residual < np.inf
         assert dataclasses.astuple(out.failure) == ("picard", float(path.times[1]), 0, residual, 1)
@@ -376,7 +365,8 @@ def test_ensemble_march_matches_solve_per_member():
     for _ in range(K):
         ens.advance()
         for r, stepper in steppers.items():
-            stepper.step(stepper.level(ens.psi_values(r), ens.ipsi2_values(r), ens.t))
+            nxt = level(config, GRID, rho_vals, ens.psi_values(r), ens.ipsi2_values(r), ens.t)
+            stepper.step(nxt)
     for r, stepper in steppers.items():
         assert not stepper.failed.any()
         params = PaperParams(d=1, alpha=PARAMS.alpha, eps=PARAMS.eps, n=r)
@@ -400,12 +390,13 @@ def reference_march(config, path):
     scale = grid.cell_volume * two_thirds_mask(grid)
     weight = bessel_weight(grid, -2.0 * config.params.s)
     v = grid.zeros()
-    prev = localized_inputs(grid, rho_vals, path.psi[0].values, path.ipsi2[0].values)
+    prev = level(config, grid, rho_vals, path.psi[0].values, path.ipsi2[0].values, 0.0)
     total = 0
     for k in range(1, len(path.times)):
         dt = float(path.times[k] - path.times[k - 1])
         phase = propagator_phase(grid, dt)
-        nxt = localized_inputs(grid, rho_vals, path.psi[k].values, path.ipsi2[k].values)
+        t = float(path.times[k])
+        nxt = level(config, grid, rho_vals, path.psi[k].values, path.ipsi2[k].values, t)
         n_prev = nonlinearity_values(grid, v, rho_vals, prev[0], None, scale)
         fixed = phase * v + (-0.5j * dt) * phase * n_prev + (nxt[1] - phase * prev[1])
         iterate = phase * v
@@ -489,8 +480,10 @@ def per_level_global(config, path, traces):
     phases = {dt: propagator_phase(grid, dt) for dt in set(dts)}
     levels = []
     for k, t in enumerate(times):
-        rho_psi, r_hat = localized_inputs(grid, rho_vals, path.psi[k].values, path.ipsi2[k].values)
-        levels.append((rho_psi, r_hat, None if config.forcing is None else config.forcing(float(t))))
+        # (2 rho Psi, r_hat, forcing, t), the forcing evaluated at float(t)
+        levels.append(
+            level(config, grid, rho_vals, path.psi[k].values, path.ipsi2[k].values, float(t))
+        )
     free = [grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)]
     for dt in dts:
         free.append(phases[dt] * free[-1])
@@ -560,7 +553,8 @@ def per_level_reference(config, path):
         stepper = RemainderStepper(config, grid, phi_hat, start)
         v_hats, failure = [stepper.v_hat], None
         for k in range(1, len(times)):
-            stepper.step(stepper.level(path.psi[k].values, path.ipsi2[k].values, float(times[k])))
+            t = float(times[k])
+            stepper.step(level(config, grid, rho_vals, path.psi[k].values, path.ipsi2[k].values, t))
             if stepper.failed.any():
                 # the flagged step ends the march and leaves the records: a
                 # finite residual above the tolerance is a Picard failure,
@@ -581,7 +575,6 @@ def per_level_reference(config, path):
     return {
         "times": times[: len(v_hats)],
         "v": np.array(v_hats),
-        "u": np.array([vh + path.psi[k].values for k, vh in enumerate(v_hats)]),
         "picard_iterations": records[0],
         "residuals": records[1],
         "monotone_flags": records[2],
@@ -648,7 +641,6 @@ def test_stacked_solve_matches_the_per_level_reference_bit_for_bit(name, mode):
         ref = per_level_reference(config, path)
     assert np.array_equal(out.times, ref["times"])
     assert np.array_equal(out.v, ref["v"])
-    assert np.array_equal(out.u, ref["u"])
     for key in (
         "picard_iterations", "residuals", "monotone_flags", "trace_h", "trace_wq", "trace_localized"
     ):

@@ -1,6 +1,7 @@
 """Stochastic objects: the mode recursion, Wick centering, Duhamel accumulation."""
 
 from concurrent.futures import ThreadPoolExecutor
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from wsnl.grid import (
 from wsnl.noise import ModeNoise, gaussian_block
 from wsnl.reference import PaperParams, covariance_oracle, renorm_constant, spectral_mass
 from wsnl.snapshots import SnapshotError, read_snapshot, write_snapshot
-from wsnl.solver import localized_inputs
+from wsnl.solver import SolverConfig, level
 from wsnl.stochastic import (
     PathEnsemble,
     duhamel_update,
@@ -363,13 +364,17 @@ def test_truncation_coupling_is_exact_masking():
         assert np.array_equal(ens.psi_values(small), masked)
 
 
+# level() reads only the config's forcing, here none
+NO_FORCING = SolverConfig(params=PARAMS, rho=None)
+
+
 class TestLocalize:
     def test_zero_cutoff_gives_zero_fields(self):
         rho_vals = np.zeros(GRID.shape)
         path = sample_path(PARAMS, GRID, seed=9, T=0.25, K=4)
         for k in range(len(path.times)):
-            two_rho_psi, r_hat = localized_inputs(
-                GRID, rho_vals, path.psi[k].values, path.ipsi2[k].values
+            two_rho_psi, r_hat, _, _ = level(
+                NO_FORCING, GRID, rho_vals, path.psi[k].values, path.ipsi2[k].values, 0.0
             )
             assert np.all(two_rho_psi == 0) and np.all(r_hat == 0)
 
@@ -377,12 +382,12 @@ class TestLocalize:
         rho = CutoffRho.for_grid(GRID)
         sup = float(rho.evaluate(GRID).max())
         path = sample_path(PARAMS, GRID, seed=10, T=0.25, K=4)
-        two_rho_psi, r_hat = localized_inputs(
-            GRID, rho.evaluate(GRID), path.psi[-1].values, path.ipsi2[-1].values
+        two_rho_psi, r_hat, _, _ = level(
+            NO_FORCING, GRID, rho.evaluate(GRID), path.psi[-1].values, path.ipsi2[-1].values, 0.25
         )
         psi_phys = GRID.inverse_values(path.psi[-1].values)
         ipsi2_phys = GRID.inverse_values(path.ipsi2[-1].values)
-        # localized_inputs returns 2 rho Psi
+        # level() localizes to 2 rho Psi
         assert l2_norm(GRID, 0.5 * two_rho_psi) <= sup * l2_norm(GRID, psi_phys) * (1 + 1e-10)
         r_phys = GRID.inverse_values(r_hat)
         assert l2_norm(GRID, r_phys) <= sup**2 * l2_norm(GRID, ipsi2_phys) * (1 + 1e-10)
@@ -429,6 +434,21 @@ def test_snapshot_length_must_match_its_header(tmp_path, cut):
         read_snapshot(target)
     target.write_bytes(raw[:50])
     with pytest.raises(SnapshotError, match="has 50 bytes, fewer than its 120-byte header"):
+        read_snapshot(target)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("K", -1.0), ("K", 0.0), ("N", 16.5), ("N", 2.0), ("d", 1.9), ("d", float("nan"))],
+)
+def test_snapshot_header_must_hold_a_valid_d_n_and_k(tmp_path, field, value):
+    target = tmp_path / "path.wsnl"
+    write_snapshot(sample_path(PARAMS, GRID, seed=12, T=0.25, K=4), target)
+    raw = bytearray(target.read_bytes())
+    # the header's float64 fields start at byte 8 in the order d, N, L, K
+    struct.pack_into("<d", raw, 8 + 8 * "dNLK".index(field), value)
+    target.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotError, match=f"header has {field} = {value}, not "):
         read_snapshot(target)
 
 

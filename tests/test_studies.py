@@ -124,15 +124,17 @@ def test_study_config_validation():
         ("solve", [4.0], True),
         ("covariance", [4.0], False),
         ("hoelder", [4.0], False),
-        ("renorm_rate", [2.0, 3.0, 4.0, 8.0], False),
-        ("smoothing", [2.0, 3.0, 4.0, 8.0], True),
-        ("cauchy_rate", [2.0, 3.0, 4.0, 6.0, 8.0, 16.0], False),
-        ("solver_convergence", [2.0, 3.0, 4.0, 6.0, 8.0, 16.0], True),
+        ("renorm_rate", [2.0, 4.0, 8.0, 16.0], False),
+        ("smoothing", [2.0, 4.0, 8.0, 16.0], True),
+        ("cauchy_rate", [2.0, 4.0, 8.0, 16.0, 32.0], False),
+        ("solver_convergence", [2.0, 4.0, 8.0, 16.0, 32.0], True),
     ],
 )
 def test_each_kind_has_one_radii_rule_and_one_tracking_flag(kind, radii, tracks):
     # [n], the ladder, or every rung with its 2n: ascending, each radius once
-    config = StudyConfig(kind=kind, n=4.0, ladder=(2.0, 3.0, 4.0, 8.0))
+    # (a rung's 2n is the next rung of a dyadic ladder, the only kind renorm
+    # and smoothing accept)
+    config = StudyConfig(kind=kind, n=4.0, ladder=(2.0, 4.0, 8.0, 16.0))
     assert config.radii() == radii
     assert config.tracks is tracks
 

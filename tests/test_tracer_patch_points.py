@@ -1,8 +1,11 @@
 """The benchmark tracer's patch points: every name it wraps still exists in
-the package, and its undo puts every original object back."""
+the package, its undo puts every original object back, and the solver step
+returns what its step counter reads."""
 
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 import wsnl.cli
 import wsnl.secondmoment
@@ -10,8 +13,10 @@ import wsnl.snapshots
 import wsnl.solver
 import wsnl.stochastic
 import wsnl.studies
-from wsnl.grid import SpectralGrid
+from wsnl.grid import CutoffRho, SpectralGrid, bessel_weight, propagator_phase
+from wsnl.reference import PaperParams
 from wsnl.stochastic import PathEnsemble
+from wsnl.solver import SolverConfig, level, nonlinearity_scale, step_values
 from wsnl.studies import MeanAccumulator
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -54,3 +59,29 @@ def test_install_wraps_existing_names_and_undo_restores_them():
     for owner, attrs in zip(OWNERS, before):
         for name, orig in attrs.items():
             assert vars(owner)[name] is orig, (owner, name)
+
+
+def test_step_values_returns_the_iteration_count_and_failed_mask_the_tracer_reads():
+    # the tracer's count_step reads out[1] as the Picard iteration count and
+    # out[5] as the per-member failed mask
+    grid = SpectralGrid(1, 2 * np.pi, 16)
+    params = PaperParams(d=1, alpha=0.3, eps=0.01, n=4)
+    config = SolverConfig(params=params, rho=CutoffRho.for_grid(grid))
+    rho_vals = config.rho.evaluate(grid)
+    # a 2-member batch: Psi and <I Psi^2> transforms at t = 0 and 0.1, and v
+    rng = np.random.default_rng(0)
+    psi, ipsi2, v_hat = rng.standard_normal((3, 2) + grid.shape) * (1 + 1j)
+    prev, nxt = (level(config, grid, rho_vals, psi, ipsi2, t) for t in (0.0, 0.1))
+    out = step_values(
+        grid,
+        v_hat,
+        prev,
+        nxt,
+        propagator_phase(grid, 0.1),
+        bessel_weight(grid, -2.0 * params.s),
+        rho_vals,
+        nonlinearity_scale(grid, True),
+    )
+    assert len(out) == 7
+    assert type(out[1]) is int and out[1] >= 1
+    assert out[5].dtype == bool and out[5].shape == (2,)
