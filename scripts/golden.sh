@@ -11,8 +11,9 @@
 # prints its output directory).  Its files land in OUT/NAME/, and its stdout,
 # stderr and exit status in OUT/NAME.stdout, OUT/NAME.stderr and
 # OUT/NAME.status.  The set is every subcommand at small scale, both solver
-# modes, the global-mode blow-up, chunked and threaded studies, and the
-# converge and cauchy defaults; a run takes under a minute on 2 cores.
+# modes (at d = 2 too, whose W^{-s,4} trace takes the physical-space norm),
+# the global-mode blow-up, chunked and threaded studies, sampling in blocks,
+# and the converge and cauchy defaults; a run takes under a minute on 2 cores.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -34,11 +35,15 @@ run constants-d1 constants
 run constants-d2 constants --set d=2
 run sample-small sample --set M=2 --set N=64 --set n=8 --set K=16
 run sample-default sample --set M=2
+run sample-blocks sample --set M=5 --set chunk=2
 run solve-local solve
 run solve-global solve --set solver_mode=global
 run solve-global-K100 solve --set solver_mode=global --set K=100
 run solve-local-T03 solve --set T=0.3 --set K=7
 run solve-global-T03 solve --set T=0.3 --set K=7 --set solver_mode=global
+d2=(--set d=2 --set N=32 --set n=8 --set K=8)
+run solve-local-d2 solve "${d2[@]}"
+run solve-global-d2 solve "${d2[@]}" --set solver_mode=global
 blowup=(--set n=64 --set N=128 --set T=1 --seed 3)
 for K in 1 4; do
     run "blowup-local-K$K" solve "${blowup[@]}" --set K=$K

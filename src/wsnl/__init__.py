@@ -27,6 +27,7 @@ from .stochastic import (  # noqa: F401
     PathEnsemble,
     StochasticPath,
     sample_path,
+    sample_paths,
     zero_path,
 )
 from .studies import StudyConfig, StudyResult, run_study  # noqa: F401

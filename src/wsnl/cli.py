@@ -19,7 +19,7 @@ from .output import write_csv, write_resolved_config, write_study_csv, write_ver
 from .reference import ParameterError, constants_table
 from .snapshots import write_snapshot
 from .solver import solve
-from .stochastic import sample_path
+from .stochastic import sample_path, sample_paths
 from .studies import run_study
 
 SUBCOMMANDS = (
@@ -65,20 +65,23 @@ def _run_sample(config: StudyConfig, out_dir: Path) -> int:
     def stacked(fields):
         return np.stack([f.values for f in fields])
 
-    for member in range(count):
-        path = sample_path(params, grid, seed=config.seed, stream_id=member, T=config.T, K=config.K)
-        write_snapshot(path, out_dir / f"path-{member:04d}.wsnl")
-        columns = (
-            path.times,
-            np.sqrt(np.sum(np.abs(stacked(path.psi)) ** 2, axis=axes) / grid.L**grid.d),
-            np.mean(stacked(path.wick).real, axis=axes),
-            np.sqrt(np.sum(np.abs(stacked(path.ipsi2)) ** 2, axis=axes) / grid.L**grid.d),
-        )
-        write_csv(
-            out_dir / f"path-{member:04d}.csv",
-            ["t", "psi_l2", "wick_spatial_mean", "ipsi2_l2"],
-            np.stack(columns, axis=1).tolist(),
-        )
+    # the members march in blocks of `chunk`, one ensemble per block
+    for first in range(0, count, config.chunk):
+        size = min(config.chunk, count - first)
+        for path in sample_paths(params, grid, config.seed, first, size, T=config.T, K=config.K):
+            member = path.stream_id
+            write_snapshot(path, out_dir / f"path-{member:04d}.wsnl")
+            columns = (
+                path.times,
+                np.sqrt(np.sum(np.abs(stacked(path.psi)) ** 2, axis=axes) / grid.L**grid.d),
+                np.mean(stacked(path.wick).real, axis=axes),
+                np.sqrt(np.sum(np.abs(stacked(path.ipsi2)) ** 2, axis=axes) / grid.L**grid.d),
+            )
+            write_csv(
+                out_dir / f"path-{member:04d}.csv",
+                ["t", "psi_l2", "wick_spatial_mean", "ipsi2_l2"],
+                np.stack(columns, axis=1).tolist(),
+            )
     print(f"wrote {count} snapshot(s) to {out_dir}")
     return 0
 

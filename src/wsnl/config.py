@@ -54,7 +54,9 @@ ONE_SIDED_Z = {0.9: 1.2816, 0.95: 1.6449, 0.975: 1.96, 0.99: 2.3263}
 # subcommands that run no study are kinds of their own.
 KIND_DEFAULTS: dict[str, dict[str, object]] = {
     "constants": {},
-    "sample": {},
+    # members per ensemble block: about 34 MB of march arrays at N = 256,
+    # K = 256, n = 32 (stochastic.sample_paths)
+    "sample": dict(chunk=16),
     "solve": {},
     "covariance": dict(M=4000, n=32.0, K=256),
     "renorm_rate": dict(M=1, ladder=(8.0, 16.0, 32.0, 64.0, 128.0), N=512),

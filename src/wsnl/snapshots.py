@@ -94,13 +94,21 @@ def read_snapshot(filename: str | Path) -> StochasticPath:
             f"snapshot has {len(raw)} bytes, but its header (d={d}, N={N}, K={K}) "
             f"implies {expected}"
         )
-    alpha, eps, _s, eta, n, _T, pair_p, pair_q = header[4:12]
+    alpha, eps, s, eta, n, T, pair_p, pair_q = header[4:12]
     seed, stream_id = struct.unpack_from("<2Q", raw, off)
     off += 16
     times = np.frombuffer(raw, dtype="<f8", count=K + 1, offset=off).copy()
     off += (K + 1) * 8
     grid = SpectralGrid(d, L, N)
     params = PaperParams(d=d, alpha=alpha, eps=eps, n=n, eta=eta, pair=(pair_p, pair_q))
+    # both are written exactly, so a header that agrees with its data matches
+    # them bit for bit
+    if s != params.s:
+        raise SnapshotError(
+            f"snapshot header has s = {s!r}, but its alpha and eps give s = {params.s!r}"
+        )
+    if T != times[-1]:
+        raise SnapshotError(f"snapshot header has T = {T!r}, but its last time is {times[-1]!r}")
     count = (K + 1) * N**d
     blocks = []
     for _ in range(3):

@@ -57,7 +57,7 @@ from .grid import (
     Field,
     GridError,
     SpectralGrid,
-    bessel_weight,
+    hs_weight,
     propagator_phase,
     sobolev_norm_hat,
     two_thirds_mask,
@@ -236,7 +236,7 @@ def step_values(
     arrays (leading batch axes allowed).
 
     phase is the propagator multiplier for dt = nxt.t - prev.t and norm_weight
-    the H^{-s} weight bessel_weight(grid, -2s) of the residual and blow-up
+    the H^{-s} weight hs_weight(grid, -s) of the residual and blow-up
     norms; n_scale is nonlinearity_scale(grid, dealias).  n_prev is the
     transform of N at prev, when the caller carries it from the previous
     step; None evaluates it here.  Picard starts from the explicit
@@ -327,7 +327,7 @@ class RemainderStepper:
         self.grid = grid
         self.rho_vals = None if config.rho is None else config.rho.evaluate(grid)
         self.n_scale = nonlinearity_scale(grid, config.dealias)
-        self.norm_weight = bessel_weight(grid, -2.0 * config.params.s)
+        self.norm_weight = hs_weight(grid, -config.params.s)
         self._dt, self._phase = None, None
         self.v_hat = v_hat
         self._prev = start
@@ -381,14 +381,16 @@ def _make_traces(
     grid: SpectralGrid, params: PaperParams, rho_vals: np.ndarray | None
 ) -> Traces:
     """The Y(T) integrands of a stack of time levels, one value per row:
-    H^{-s}, W^{-s,q} and localized H^{-s+eta}."""
+    H^{-s}, W^{-s,q} and localized H^{-s+eta}.  At q = 2 (the pair (inf, 2)
+    of d = 1) the W^{-s,q} norm is the H^{-s} norm by Parseval, and its trace
+    is the H^{-s} trace itself; any other q takes the physical-space norm."""
     s, eta = params.s, params.eta
     q = params.pair[1]
-    h_weight = bessel_weight(grid, -2.0 * s)
+    h_weight = hs_weight(grid, -s)
 
     def traces(v_hats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         h = np.sqrt(weighted_norm_sq_hat(grid, v_hats, h_weight))
-        wq = sobolev_norm_hat(grid, v_hats, -s, q)
+        wq = h if q == 2 else sobolev_norm_hat(grid, v_hats, -s, q)
         if rho_vals is None:
             loc = np.zeros(len(v_hats))
         else:
@@ -624,8 +626,7 @@ def _march_global(
     # As in the step-local march, the trajectory ends before the first level
     # whose H^{-s} norm is non-finite or above BLOWUP_NORM, and the failure is
     # dated there.
-    norm_weight = bessel_weight(grid, -2.0 * config.params.s)
-    norms = np.sqrt(weighted_norm_sq_hat(grid, current[1:], norm_weight))
+    norms = np.sqrt(weighted_norm_sq_hat(grid, current[1:], hs_weight(grid, -config.params.s)))
     blown = np.flatnonzero(~(norms <= BLOWUP_NORM))
     k = len(times) - 1
     failure = None

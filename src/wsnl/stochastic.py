@@ -34,6 +34,7 @@ n of a taller ladder's member.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,8 +189,8 @@ class PathEnsemble:
     scratch): an array taken from them before a step changes during it, so
     callers copy what they keep.  Callers read study-grid arrays through
     psi_values(), wick_values() and ipsi2_values(), which return fresh arrays;
-    sample_path copies the compact arrays instead and puts a whole path on the
-    study grid at once.
+    sample_paths copies the compact arrays instead and puts each member's
+    whole path on the study grid at once.
     """
 
     def __init__(
@@ -346,6 +347,63 @@ class PathEnsemble:
             self.advance()
 
 
+def sample_paths(
+    params: PaperParams,
+    grid: SpectralGrid,
+    seed: int,
+    first: int = 0,
+    count: int = 1,
+    T: float = 0.5,
+    K: int = 256,
+    times: np.ndarray | None = None,
+) -> Iterator[StochasticPath]:
+    """The full realizations of members first, ..., first + count - 1, in
+    that order, with snapshots at every grid time.
+
+    The members march as one PathEnsemble of `count` members, and the march
+    keeps each member's psi and the tracked rung's compact transforms: count
+    (K+1) (N^d + 2 C) complex values in all, C the rung's compact modes
+    (about 2.1 MB per member at N = 256, K = 256, n = 32 on the 2 pi box).
+    A member's Wick and <I Psi^2> snapshots are put on the study grid only
+    when it is taken, one member at a time.  Each path is bit for bit the
+    path sample_path gives its member alone.
+    """
+    times = uniform_times(T, K) if times is None else np.asarray(times, dtype=np.float64)
+    ens = PathEnsemble(
+        grid,
+        params.alpha,
+        [params.n],
+        times,
+        seed=seed,
+        size=count,
+        stream_offset=first,
+        track=True,
+    )
+    n, rung = params.n, ens._rung(params.n)
+    levels = len(times)
+    psi = np.empty((count, levels) + grid.shape, dtype=np.complex128)
+    wick_hat = np.empty((count, levels) + rung.shape, dtype=np.complex128)
+    ipsi2_hat = np.empty_like(wick_hat)
+    for k in range(levels):
+        if k:
+            ens.advance()
+        psi[:, k], wick_hat[:, k], ipsi2_hat[:, k] = ens.psi, ens._wick_hat[n], ens._ipsi2[n]
+    del ens
+    for b in range(count):
+        wick = grid.inverse_values(rung.to_study(wick_hat[b])).real
+        ipsi2 = rung.to_study(ipsi2_hat[b])
+        yield StochasticPath(
+            params=params,
+            grid=grid,
+            times=times,
+            psi=[Field(grid, values, "frequency") for values in psi[b]],
+            wick=[Field(grid, values, "physical") for values in wick],
+            ipsi2=[Field(grid, values, "frequency") for values in ipsi2],
+            seed=seed,
+            stream_id=first + b,
+        )
+
+
 def sample_path(
     params: PaperParams,
     grid: SpectralGrid,
@@ -355,43 +413,9 @@ def sample_path(
     K: int = 256,
     times: np.ndarray | None = None,
 ) -> StochasticPath:
-    """Build one full realization with snapshots at every grid time."""
-    times = uniform_times(T, K) if times is None else np.asarray(times, dtype=np.float64)
-    ens = PathEnsemble(
-        grid,
-        params.alpha,
-        [params.n],
-        times,
-        seed=seed,
-        size=1,
-        stream_offset=stream_id,
-        track=True,
-    )
-    # the march keeps the tracked rung's compact transforms; they are put on
-    # the study grid, and the Wick snapshots transformed, once at the end
-    n, rung = params.n, ens._rung(params.n)
-    psi = np.empty((len(times),) + grid.shape, dtype=np.complex128)
-    wick_hat = np.empty((len(times),) + rung.shape, dtype=np.complex128)
-    ipsi2_hat = np.empty_like(wick_hat)
-    for k in range(len(times)):
-        if k:
-            ens.advance()
-        psi[k], wick_hat[k], ipsi2_hat[k] = ens.psi[0], ens._wick_hat[n][0], ens._ipsi2[n][0]
-    wick = grid.inverse_values(rung.to_study(wick_hat)).real
-    ipsi2 = rung.to_study(ipsi2_hat)
-    psi_snaps = [Field(grid, values, "frequency") for values in psi]
-    wick_snaps = [Field(grid, values, "physical") for values in wick]
-    ipsi2_snaps = [Field(grid, values, "frequency") for values in ipsi2]
-    return StochasticPath(
-        params=params,
-        grid=grid,
-        times=times,
-        psi=psi_snaps,
-        wick=wick_snaps,
-        ipsi2=ipsi2_snaps,
-        seed=seed,
-        stream_id=stream_id,
-    )
+    """One full realization with snapshots at every grid time: sample_paths
+    with the one member stream_id."""
+    return next(sample_paths(params, grid, seed, stream_id, 1, T=T, K=K, times=times))
 
 
 def zero_path(

@@ -121,6 +121,21 @@ def test_sample_snapshot_reproducible(tmp_path):
     assert len(summary) == 10  # header + K+1 rows
 
 
+def test_sample_blocks_do_not_change_its_files(tmp_path):
+    # the config.resolved files differ only in the chunk they record
+    args = ["--set", "M=5", "--set", "N=64", "--set", "n=8", "--set", "K=16", "--seed", "9"]
+    for chunk in (2, 5):
+        out = str(tmp_path / str(chunk))
+        assert main(["sample", *args, "--set", f"chunk={chunk}", "--out", out]) == 0
+    names = sorted(p.name for p in (tmp_path / "5").iterdir())
+    assert len(names) == 11 and names == sorted(p.name for p in (tmp_path / "2").iterdir())
+    for name in names:
+        a, b = ((tmp_path / c / name).read_text(encoding="latin-1") for c in ("2", "5"))
+        if name == "config.resolved":
+            a, b = a.replace("chunk = 2\n", ""), b.replace("chunk = 5\n", "")
+        assert a == b, name
+
+
 @pytest.mark.parametrize("d, alpha, N, n", [(1, 0.3, 64, 8), (2, 0.9, 16, 4)])
 def test_sample_rows_are_the_per_level_formulas_bit_for_bit(tmp_path, d, alpha, N, n):
     text = f"d = {d}\nalpha = {alpha}\nN = {N}\nn = {n}\nK = 8\nT = 0.25\nM = 2\nseed = 7\n"

@@ -1,5 +1,8 @@
 """Spectral substrate: transforms, multipliers, norms, cutoff."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from wsnl.grid import (
     SpectralGrid,
     bessel_weight,
     bump_profile,
+    hs_weight,
     l2_norm,
     propagator_phase,
     sobolev_norm_hat,
@@ -201,8 +205,40 @@ def test_one_physical_norm_and_one_spectral_norm_agree(d, half_n, batch, s, p, s
     plain = sobolev_norm_hat(grid, f_hat, s, p)
     assert np.array_equal(sobolev_norm_hat(grid, f_hat, s, p, np.ones(grid.shape)), plain)
     if p == 2:
-        spectral = weighted_norm_sq_hat(grid, f_hat, bessel_weight(grid, 2 * s))
+        spectral = weighted_norm_sq_hat(grid, f_hat, hs_weight(grid, s))
         assert np.allclose(plain**2, spectral, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16), (3, 8)])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_one_pass_norm_matches_a_two_pass_reference(d, N, lead):
+    # the reference sums the real and the imaginary parts apart, each with
+    # an exactly rounded sum, against the norm's single pass
+    grid = SpectralGrid(d, 3.0, N)
+    rng = np.random.default_rng(d * 10 + len(lead))
+    shape = lead + grid.shape
+    f_hat = grid.forward_values(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    s = -0.35
+    got = weighted_norm_sq_hat(grid, f_hat, hs_weight(grid, s))
+    w = bessel_weight(grid, 2 * s).reshape(-1)
+    rows = f_hat.reshape(-1, N**d)
+    ref = [(math.fsum(w * r.real**2) + math.fsum(w * r.imag**2)) / grid.L**d for r in rows]
+    assert np.shape(got) == lead
+    np.testing.assert_allclose(np.ravel(got), ref, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize(
+    "bad, expected", [(np.inf, np.inf), (-np.inf, np.inf), (np.nan, np.nan), (1e200, np.inf)]
+)
+def test_non_finite_norm_is_non_finite_without_a_warning(bad, expected):
+    grid = SpectralGrid(2, 2 * np.pi, 8)
+    f_hat = random_values(grid, seed=3) * np.ones((3, 1, 1))
+    f_hat[1, 2, 5] = complex(0.5, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = weighted_norm_sq_hat(grid, f_hat, hs_weight(grid, 0.4))
+    assert np.isfinite(got[[0, 2]]).all() and got[0] == got[2]
+    np.testing.assert_equal(got[1], expected)
 
 
 class TestPointwiseProduct:

@@ -12,7 +12,7 @@ from wsnl.grid import (
     Field,
     GridError,
     SpectralGrid,
-    bessel_weight,
+    hs_weight,
     propagator_phase,
     sobolev_norm_hat,
     two_thirds_mask,
@@ -388,7 +388,7 @@ def reference_march(config, path):
     grid = path.grid
     rho_vals = config.rho.evaluate(grid)
     scale = grid.cell_volume * two_thirds_mask(grid)
-    weight = bessel_weight(grid, -2.0 * config.params.s)
+    weight = hs_weight(grid, -config.params.s)
     v = grid.zeros()
     prev = level(config, grid, rho_vals, path.psi[0].values, path.ipsi2[0].values, 0.0)
     total = 0
@@ -438,6 +438,24 @@ def test_y_norm_traces_finite_and_windowed():
     assert out.trace_h[k] == pytest.approx(direct, rel=1e-10)
 
 
+@pytest.mark.parametrize("mode", ["step-local", "global"])
+def test_wq_trace_is_the_h_trace_at_q2_and_the_physical_norm_at_q4(mode):
+    # d = 1 takes the pair (inf, 2): the W^{-s,2} trace is the H^{-s} trace
+    T, K = 0.25, 16
+    path = sample_path(PARAMS, GRID, seed=61, T=T, K=K)
+    out = solve(make_config(GRID, PARAMS, CutoffRho.for_grid(GRID), None, T, K, mode=mode), path)
+    assert PARAMS.pair[1] == 2 and out.completed
+    assert np.array_equal(out.trace_wq, out.trace_h)
+    # d = 2 takes the pair (4, 4): q = 4 runs through the physical-space norm
+    grid = SpectralGrid(2, 2 * np.pi, 16)
+    params = PaperParams(d=2, alpha=0.9, n=4)
+    path = sample_path(params, grid, seed=62, T=T, K=8)
+    out = solve(make_config(grid, params, CutoffRho.for_grid(grid), None, T, 8, mode=mode), path)
+    assert params.pair[1] == 4 and out.completed
+    assert np.array_equal(out.trace_wq, sobolev_norm_hat(grid, out.v, -params.s, 4))
+    assert not np.array_equal(out.trace_wq, out.trace_h)
+
+
 @pytest.mark.slow
 def test_full_stochastic_run_completes_at_study_scale():
     grid = SpectralGrid(1, 2 * np.pi, 256)
@@ -453,14 +471,15 @@ def test_full_stochastic_run_completes_at_study_scale():
 
 def per_level_traces(config, grid):
     """The Y(T) integrands of one time level, as solve() took them level by
-    level before it stacked the levels."""
+    level before it stacked the levels: at q = 2 the W^{-s,q} trace is the
+    H^{-s} trace, any other q takes the physical-space norm."""
     rho_vals = None if config.rho is None else config.rho.evaluate(grid)
     s, eta, q = config.params.s, config.params.eta, config.params.pair[1]
-    weight = bessel_weight(grid, -2.0 * s)
+    weight = hs_weight(grid, -s)
 
     def traces(v_hat):
         h = float(np.sqrt(weighted_norm_sq_hat(grid, v_hat, weight)))
-        wq = float(sobolev_norm_hat(grid, v_hat, -s, q))
+        wq = h if q == 2 else float(sobolev_norm_hat(grid, v_hat, -s, q))
         loc = 0.0 if rho_vals is None else float(sobolev_norm_hat(grid, v_hat, -s + eta, 2, rho_vals))
         return h, wq, loc
 
@@ -519,7 +538,7 @@ def per_level_global(config, path, traces):
         return StepFailure(kind, float(times[k]), k - 1, residual, iterations)
 
     current, iterations, distance = sweeps([free[k] + levels[k][1] for k in range(steps + 1)])
-    weight = bessel_weight(grid, -2.0 * config.params.s)
+    weight = hs_weight(grid, -config.params.s)
     norms = np.sqrt(weighted_norm_sq_hat(grid, np.array(current[1:]), weight))
     blown = np.flatnonzero(~(norms <= BLOWUP_NORM))
     k, failure = steps, None

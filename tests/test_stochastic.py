@@ -23,6 +23,7 @@ from wsnl.stochastic import (
     PathEnsemble,
     duhamel_update,
     sample_path,
+    sample_paths,
     uniform_times,
     wick_mean_identity_gap,
     wick_square_values,
@@ -450,6 +451,39 @@ def test_snapshot_header_must_hold_a_valid_d_n_and_k(tmp_path, field, value):
     target.write_bytes(bytes(raw))
     with pytest.raises(SnapshotError, match=f"header has {field} = {value}, not "):
         read_snapshot(target)
+
+
+@pytest.mark.parametrize("field, value", [("T", 7.0), ("s", -3.0)])
+def test_snapshot_header_s_and_t_must_match_its_data(tmp_path, field, value):
+    target = tmp_path / "path.wsnl"
+    write_snapshot(sample_path(PARAMS, GRID, seed=12, T=0.25, K=4), target)
+    raw = bytearray(target.read_bytes())
+    # the header's float64 fields start at byte 8; s is the 7th and T the 10th
+    struct.pack_into("<d", raw, 8 + 8 * {"s": 6, "T": 9}[field], value)
+    target.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotError, match=f"header has {field} = {value!r}, but "):
+        read_snapshot(target)
+
+
+@pytest.mark.parametrize(
+    "grid, params",
+    [(GRID, PARAMS), (SpectralGrid(2, 2 * np.pi, 16), PaperParams(d=2, alpha=0.9, n=4))],
+)
+def test_each_member_of_a_block_is_its_own_sample_path(grid, params):
+    # 5 members in blocks of 2, 2 and 1 against each member sampled alone
+    count, size, T, K = 5, 2, 0.25, 20
+    paths = [
+        path
+        for first in range(0, count, size)
+        for path in sample_paths(params, grid, 31, first, min(size, count - first), T=T, K=K)
+    ]
+    assert [p.stream_id for p in paths] == list(range(count))
+    for member, path in enumerate(paths):
+        alone = sample_path(params, grid, seed=31, stream_id=member, T=T, K=K)
+        assert np.array_equal(path.times, alone.times) and path.seed == alone.seed
+        for name in ("psi", "wick", "ipsi2"):
+            for a, b in zip(getattr(path, name), getattr(alone, name), strict=True):
+                assert a.space == b.space and np.array_equal(a.values, b.values), name
 
 
 def test_ensemble_single_step_stays_in_ball():

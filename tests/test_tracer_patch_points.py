@@ -13,7 +13,7 @@ import wsnl.snapshots
 import wsnl.solver
 import wsnl.stochastic
 import wsnl.studies
-from wsnl.grid import CutoffRho, SpectralGrid, bessel_weight, propagator_phase
+from wsnl.grid import CutoffRho, SpectralGrid, hs_weight, propagator_phase
 from wsnl.reference import PaperParams
 from wsnl.stochastic import PathEnsemble
 from wsnl.solver import SolverConfig, level, nonlinearity_scale, step_values
@@ -78,7 +78,7 @@ def test_step_values_returns_the_iteration_count_and_failed_mask_the_tracer_read
         prev,
         nxt,
         propagator_phase(grid, 0.1),
-        bessel_weight(grid, -2.0 * params.s),
+        hs_weight(grid, -params.s),
         rho_vals,
         nonlinearity_scale(grid, True),
     )
