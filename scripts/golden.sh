@@ -8,12 +8,15 @@
 #
 # CHECKOUT/src goes on PYTHONPATH.  Each command runs from inside OUT with a
 # relative --out NAME, so that no absolute path reaches its outputs (`sample`
-# prints its output directory).  Its files land in OUT/NAME/, and its stdout,
-# stderr and exit status in OUT/NAME.stdout, OUT/NAME.stderr and
-# OUT/NAME.status.  The set is every subcommand at small scale, both solver
-# modes (at d = 2 too, whose W^{-s,4} trace takes the physical-space norm),
-# the global-mode blow-up, chunked and threaded studies, sampling in blocks,
-# and the converge and cauchy defaults; a run takes under a minute on 2 cores.
+# prints its output directory), and stderr names CHECKOUT/src as SRC.  Its
+# files land in OUT/NAME/, and its stdout, stderr and exit status in
+# OUT/NAME.stdout, OUT/NAME.stderr and OUT/NAME.status.  The set is every
+# subcommand at small scale, both solver modes (at d = 2 too, whose W^{-s,4}
+# trace takes the physical-space norm), the global-mode blow-up, chunked and
+# threaded studies, sampling in blocks, the converge and cauchy defaults, and
+# two degenerate ladders whose verdicts FAIL (cauchy-flat: no lattice mode in
+# any annulus; smoothing-flat: an empty exact pair set); a run takes under a
+# minute on 2 cores.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -29,6 +32,8 @@ run() {
     shift
     PYTHONPATH="$src" python3 -m wsnl.cli "$@" --out "$name" >"$name.stdout" 2>"$name.stderr"
     echo $? >"$name.status"
+    # warnings name their source file: keep the checkout's path out of them
+    sed -i "s#$src#SRC#g" "$name.stderr"
 }
 
 run constants-d1 constants
@@ -60,8 +65,10 @@ run cauchy-M100 cauchy --set M=100
 run cauchy-chunked cauchy --set M=150 --set chunk=40
 run cauchy-threads cauchy --set M=150 --set chunk=40 --threads 2
 run cauchy-default cauchy
+run cauchy-flat cauchy --set M=100 --set ladder=0.1,0.2,0.4
 run smoothing-M100 smoothing --set M=100
 run smoothing-chunked smoothing --set M=100 --set K=64 --set chunk=30
+run smoothing-flat smoothing --set M=100 --set N=64 --set K=16 --set ladder=0.125,0.25,0.5,1
 run hoelder-M100 hoelder --set M=100
 run hoelder-chunked hoelder --set M=120 --set chunk=50
 run hoelder-threads hoelder --set M=120 --set chunk=50 --threads 2

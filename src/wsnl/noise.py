@@ -91,7 +91,10 @@ def phase_integral_factor(
     [sin(phi) sinc(phi), 1 - sinc 2phi]] and its determinant
     (dt^2/4)(1 - sinc^2 phi).  The entries that cancel as a dt -> 0 are written
     through one_minus_sinc, so the factor keeps full relative accuracy there,
-    where l21 ~ a dt^{3/2} / 2 and l22 ~ a dt^{3/2} / sqrt(12)."""
+    where l21 ~ a dt^{3/2} / 2 and l22 ~ a dt^{3/2} / sqrt(12).  This is why the
+    factor is not built from the exact oracles' time moments
+    (secondmoment._moment): their closed form (e^{i phi} - 1)/(i a) cancels as
+    a dt -> 0 and would lose that accuracy."""
     phi = np.asarray(a, dtype=np.float64) * dt
     tail, tail2 = one_minus_sinc(phi), one_minus_sinc(2.0 * phi)
     sin = np.sin(phi)

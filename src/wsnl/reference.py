@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridError, SpectralGrid, bessel_weight, truncation_mask
+from .secondmoment import _moment
 
 INF = math.inf
 
@@ -194,8 +195,9 @@ def covariance_oracle(
     Returns (conjugate pairing E[Psi(s,x) conj(Psi(t,y))], plain pairing
     E[Psi(s,x) Psi(t,y)]).  The conjugate pairing is
     min(s,t) * L^{-d} * sum_{|xi|<=n} e^{i(s-t)|xi|^2} (1+|xi|^2)^{-alpha} e^{i<xi, x-y>}.
-    The plain pairing carries the closed-form inner time integral
-    integral_0^{min} e^{i(s+t-2t')|xi|^2} dt' per mode (min(s,t) at xi = 0) and the
+    The plain pairing carries the inner time integral
+    integral_0^{min} e^{i(s+t-2t')|xi|^2} dt' = e^{i(s+t)|xi|^2} M_0(-2|xi|^2, min(s,t))
+    per mode, with M_0 the time moment every exact oracle shares, and the
     overall factor (-i)^2 = -1 produced by Ito's isometry for the kernel
     construction; it pairs each mode with its lattice partner -xi.
     """
@@ -227,14 +229,7 @@ def covariance_oracle(
     for axis in range(grid.d):
         flipped = np.flip(np.roll(flipped, -1, axis=axis), axis=axis)
     pair_mask = (mask & flipped)[mask]
-    xi2_nz = xi2 > 0
-    inner = np.where(
-        xi2_nz,
-        np.exp(1j * (s_time + t_time) * xi2)
-        * (1.0 - np.exp(-2j * tmin * np.where(xi2_nz, xi2, 1.0)))
-        / (2j * np.where(xi2_nz, xi2, 1.0)),
-        tmin,
-    )
+    inner = np.exp(1j * (s_time + t_time) * xi2) * _moment(0, -2 * xi2, tmin)
     plain_val = -np.sum(pair_mask * weight * inner * np.exp(1j * phase_x)) / grid.L**grid.d
     return complex(conj_val), complex(plain_val)
 

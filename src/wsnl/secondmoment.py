@@ -15,7 +15,17 @@ is a trapezoid sum.
 
 The oracle evaluates its kernels once over a flattened table of every pair
 (xi2, xi1) and reduces per shift beta; the per-beta sums are cached per
-configuration, so each further sigma costs one weighted sum.
+configuration, so each further sigma costs one weighted sum.  An empty table
+(no mode left in the ball) gives the exact value 0.
+
+Every exact oracle shares one time-moment family, M_k(r, T) =
+int_0^T u^k e^{iru} du (_moment) and its nested form
+int_0^T e^{iou} int_0^u v^k e^{iiv} dv du (_nested), each in closed form by
+integration by parts.  The plain-channel kernel, the Wick kernel and
+reference.covariance_oracle call them; conjugate_kernel, which equals
+2 Re _nested(2, kappa, -kappa, T), keeps its shorter real closed form.  The
+sampler's one-step factor (noise.phase_integral_factor) keeps its own sinc
+form, see there.
 
 Conventions: a = |xi1|^2, b = |xi2|^2, B = |beta|^2 with xi1 = xi2 + beta;
 conjugate-channel resonance kappa = a - b - B (= 2 <xi2, beta>).
@@ -23,6 +33,7 @@ conjugate-channel resonance kappa = a - b - B (= 2 <xi2, beta>).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -30,71 +41,34 @@ import numpy as np
 from .grid import SpectralGrid
 
 
-def _e0(r: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T e^{iru} du."""
+def _powers(x: np.ndarray, m: int) -> list[np.ndarray]:
+    """[x, x**2, ..., x**m]; x itself, because numpy takes x**1 by its general power."""
+    return [x] + [x**p for p in range(2, m + 1)]
+
+
+def _moment(k: int, r: np.ndarray, T: float) -> np.ndarray:
+    """M_k(r, T) = int_0^T u^k e^{iru} du, integrated by parts k times; T^{k+1}/(k+1) at r = 0."""
     z = r == 0
-    rs = np.where(z, 1.0, r)
-    out = (np.exp(1j * rs * T) - 1.0) / (1j * rs)
-    return np.where(z, T, out)
+    ir = _powers(1j * np.where(z, 1.0, r), k + 1)
+    e = np.exp(ir[0] * T)
+    out = 0.0
+    for j in range(k):
+        out = out + (-1) ** j * math.perm(k, j) * T ** (k - j) * e / ir[j]
+    out = out + (-1) ** k * math.factorial(k) * (e - 1.0) / ir[k]
+    return np.where(z, T ** (k + 1) / (k + 1), out)
 
 
-def _e1(r: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T u e^{iru} du."""
-    z = r == 0
-    rs = np.where(z, 1.0, r)
-    ir = 1j * rs
-    out = T * np.exp(ir * T) / ir - (np.exp(ir * T) - 1.0) / ir**2
-    return np.where(z, T**2 / 2.0, out)
-
-
-def _e2(r: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T u^2 e^{iru} du."""
-    z = r == 0
-    rs = np.where(z, 1.0, r)
-    ir = 1j * rs
-    e = np.exp(ir * T)
-    out = T**2 * e / ir - 2.0 * T * e / ir**2 + 2.0 * (e - 1.0) / ir**3
-    return np.where(z, T**3 / 3.0, out)
-
-
-def _e3(r: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T u^3 e^{iru} du."""
-    z = r == 0
-    rs = np.where(z, 1.0, r)
-    ir = 1j * rs
-    e = np.exp(ir * T)
-    out = T**3 * e / ir - 3.0 * T**2 * e / ir**2 + 6.0 * T * e / ir**3 - 6.0 * (e - 1.0) / ir**4
-    return np.where(z, T**4 / 4.0, out)
-
-
-def _h0(o: np.ndarray, i: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T e^{iou} int_0^u e^{ivi} dv du."""
+def _nested(k: int, o: np.ndarray, i: np.ndarray, T: float) -> np.ndarray:
+    """int_0^T e^{iou} int_0^u v^k e^{iiv} dv du: the inner integral by parts k times
+    leaves terms M_m(o + i) and the edge M_0(o + i) - M_0(o); M_{k+1}(o)/(k+1) at i = 0."""
     z = i == 0
-    isafe = np.where(z, 1.0, i)
-    out = (_e0(o + i, T) - _e0(o, T)) / (1j * isafe)
-    return np.where(z, _e1(o, T), out)
-
-
-def _h1(o: np.ndarray, i: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T e^{iou} int_0^u v e^{ivi} dv du."""
-    z = i == 0
-    isafe = np.where(z, 1.0, i)
-    ii = 1j * isafe
-    out = _e1(o + i, T) / ii - (_e0(o + i, T) - _e0(o, T)) / ii**2
-    return np.where(z, _e2(o, T) / 2.0, out)
-
-
-def _h2(o: np.ndarray, i: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T e^{iou} int_0^u v^2 e^{ivi} dv du."""
-    z = i == 0
-    isafe = np.where(z, 1.0, i)
-    ii = 1j * isafe
-    out = (
-        _e2(o + i, T) / ii
-        - 2.0 * _e1(o + i, T) / ii**2
-        + 2.0 * (_e0(o + i, T) - _e0(o, T)) / ii**3
-    )
-    return np.where(z, _e3(o, T) / 3.0, out)
+    ii = _powers(1j * np.where(z, 1.0, i), k + 1)
+    out = 0.0
+    for j in range(k):
+        out = out + (-1) ** j * math.perm(k, j) * _moment(k - j, o + i, T) / ii[j]
+    edge = _moment(0, o + i, T) - _moment(0, o, T)
+    out = out + (-1) ** k * math.factorial(k) * edge / ii[k]
+    return np.where(z, _moment(k + 1, o, T) / (k + 1), out)
 
 
 def conjugate_kernel(kappa: np.ndarray, T: float) -> np.ndarray:
@@ -120,16 +94,16 @@ def plain_kernel(a: np.ndarray, b: np.ndarray, B: np.ndarray, T: float) -> np.nd
         qq, pp = q[both], p[both]
         pref = 1.0 / (4.0 * aa * bb)
         i_lt = (
-            _h0(qq, pp, T)
-            - _h0(qq, pp - 2 * aa, T)
-            - _h0(qq, pp + 2 * bb, T)
-            + _h0(qq, pp + 2 * (bb - aa), T)
+            _nested(0, qq, pp, T)
+            - _nested(0, qq, pp - 2 * aa, T)
+            - _nested(0, qq, pp + 2 * bb, T)
+            + _nested(0, qq, pp + 2 * (bb - aa), T)
         )
         i_gt = (
-            _h0(pp, qq, T)
-            - _h0(pp, qq - 2 * aa, T)
-            - _h0(pp, qq + 2 * bb, T)
-            + _h0(pp, qq + 2 * (bb - aa), T)
+            _nested(0, pp, qq, T)
+            - _nested(0, pp, qq - 2 * aa, T)
+            - _nested(0, pp, qq + 2 * bb, T)
+            + _nested(0, pp, qq + 2 * (bb - aa), T)
         )
         out[both] = pref * (i_lt + i_gt)
 
@@ -138,8 +112,8 @@ def plain_kernel(a: np.ndarray, b: np.ndarray, B: np.ndarray, T: float) -> np.nd
         bb = b[a0]
         qq, pp = q[a0], p[a0]
         pref = -1.0 / (2j * bb)
-        i_lt = _h1(qq, pp, T) - _h1(qq, pp + 2 * bb, T)
-        i_gt = _h1(pp, qq, T) - _h1(pp, qq + 2 * bb, T)
+        i_lt = _nested(1, qq, pp, T) - _nested(1, qq, pp + 2 * bb, T)
+        i_gt = _nested(1, pp, qq, T) - _nested(1, pp, qq + 2 * bb, T)
         out[a0] = pref * (i_lt + i_gt)
 
     b0 = (b == 0) & (a != 0)
@@ -147,14 +121,14 @@ def plain_kernel(a: np.ndarray, b: np.ndarray, B: np.ndarray, T: float) -> np.nd
         aa = a[b0]
         qq, pp = q[b0], p[b0]
         pref = 1.0 / (2j * aa)
-        i_lt = _h1(qq, pp, T) - _h1(qq, pp - 2 * aa, T)
-        i_gt = _h1(pp, qq, T) - _h1(pp, qq - 2 * aa, T)
+        i_lt = _nested(1, qq, pp, T) - _nested(1, qq, pp - 2 * aa, T)
+        i_gt = _nested(1, pp, qq, T) - _nested(1, pp, qq - 2 * aa, T)
         out[b0] = pref * (i_lt + i_gt)
 
     zz = (a == 0) & (b == 0)
     if np.any(zz):
         qq, pp = q[zz], p[zz]
-        out[zz] = _h2(qq, pp, T) + _h2(pp, qq, T)
+        out[zz] = _nested(2, qq, pp, T) + _nested(2, pp, qq, T)
     return out
 
 
@@ -187,15 +161,8 @@ def _pair_table(grid: SpectralGrid, n: float, alpha: float, drop_zero_mode: bool
     order = np.argsort(xi1 - xi2, kind="stable")  # xi1-major input: xi2 ascends per beta
     xi1, xi2, weights = xi1[order], xi2[order], weights[order]
     beta = xi1 - xi2
-    starts = np.flatnonzero(np.diff(beta, prepend=beta[0] - 1))
+    starts = np.flatnonzero(np.diff(beta, prepend=beta[:1] - 1))
     return h, beta[starts], starts, xi1, xi2, weights
-
-
-def _equal_time_gain(a: np.ndarray, T: float) -> np.ndarray:
-    """int_0^T e^{-2iau} du; equals T at a = 0."""
-    z = a == 0
-    safe = np.where(z, 1.0, a)
-    return np.where(z, T, (1 - np.exp(-2j * T * safe)) / (2j * safe))
 
 
 _CHUNK = 1 << 13  # pairs per kernel evaluation, which bounds the temporaries
@@ -222,7 +189,7 @@ def _beta_sums(
         b = (h * xi2[lo:hi].astype(np.float64)) ** 2
         if kernel == "wick":
             # conjugate channel: min(T,T)^2 = T^2; plain channel at equal times
-            g_a, g_b = _equal_time_gain(a, T), _equal_time_gain(b, T)
+            g_a, g_b = _moment(0, -2 * a, T), _moment(0, -2 * b, T)
             acc = T**2 + np.exp(2j * T * (a - b)) * g_a * np.conj(g_b)
         else:
             B = np.repeat(B_beta[j:stop], np.diff(bounds[j : stop + 1]))

@@ -490,11 +490,13 @@ def run_cauchy_study(config: StudyConfig) -> StudyResult:
     ols = loglog_ols(ladder, acc.mean)
     rows.append(["slope_ols", "", "", ols.slope, ols.stderr])
     slope_neg = ols.slope + z * ols.stderr < 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero stderr: non-finite ratio
+        worst = float(np.min(diff_acc.mean / diff_acc.stderr))
     verdicts = [
         Verdict(
             name="cauchy_means_strictly_decreasing",
             passed=all(row[4] for row in decrements),
-            value=min(gap / se for _, _, gap, se, _ in decrements),
+            value=worst,
             tolerance=f"min decrement gap/stderr > {z} (confidence {config.confidence})",
         ),
         Verdict(

@@ -252,6 +252,33 @@ def test_main_error_paths(tmp_path, capsys):
     assert "hoelder lags need T/2 + max(lags) <= T: 0.1 + 0.125 = 0.225 > T = 0.2" in err
 
 
+def test_cauchy_decrement_with_zero_stderr_fails_its_verdict(tmp_path):
+    # at L = 2 pi no annulus (n, 2n] holds a lattice mode: every gap and stderr is 0,
+    # and the OLS slope of the all-zero means takes log(0)
+    with pytest.warns(RuntimeWarning):
+        status = main(
+            ["cauchy", "--set", "M=100", "--set", "ladder=0.1,0.2,0.4", "--out", str(tmp_path)]
+        )
+    assert status == 1
+    verdict = (tmp_path / "verdict.txt").read_text()
+    assert "FAIL cauchy_means_strictly_decreasing: value=nan " in verdict
+    assert verdict.endswith("overall = FAIL\n")
+
+
+def test_smoothing_rung_with_no_exact_pairs_writes_its_verdicts(tmp_path):
+    # at L = 8 pi the zero-mode-free ball |xi| <= 0.125 holds no lattice mode, and
+    # the OLS slope through its exact 0 takes log(0)
+    with pytest.warns(RuntimeWarning):
+        status = main(
+            ["smoothing", "--set", "M=100", "--set", "N=64", "--set", "K=16"]
+            + ["--set", "ladder=0.125,0.25,0.5,1", "--out", str(tmp_path)]
+        )
+    assert status == 1
+    assert (tmp_path / "verdict.txt").read_text().endswith("overall = FAIL\n")
+    rows = (tmp_path / "smoothing.csv").read_text().splitlines()
+    assert "1,exact_ipsi2_no_zero_mode,0.22999999999999993,0.125,0.0,0.0" in rows
+
+
 def test_output_directory_that_is_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")

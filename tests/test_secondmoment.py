@@ -6,6 +6,8 @@ import pytest
 import wsnl.secondmoment
 from wsnl.grid import SpectralGrid, hs_norm_sq
 from wsnl.secondmoment import (
+    _moment,
+    _nested,
     conjugate_kernel,
     ipsi2_norm_sq_expectation,
     plain_kernel,
@@ -37,6 +39,19 @@ def riemann_plain(a, b, B, T, q=600):
     p_b = np.exp(1j * tsum * b) * g(m, 2 * b)
     val = np.sum(np.exp(-1j * tdiff * B) * p_a * np.conj(p_b)) * (T / q) ** 2
     return complex(val)
+
+
+def midpoint_moment(k, r, T, q=20000):
+    u = (np.arange(q) + 0.5) * (T / q)
+    return complex(np.sum(u**k * np.exp(1j * r * u)) * (T / q))
+
+
+def midpoint_nested(k, o, i, T, q=800):
+    # the inner integral over v = u s, s in (0, 1), by the midpoint rule in s
+    u = (np.arange(q) + 0.5) * (T / q)
+    v = np.multiply.outer(u, (np.arange(q) + 0.5) / q)
+    inner = u * np.mean(v**k * np.exp(1j * i * v), axis=1)
+    return complex(np.sum(np.exp(1j * o * u) * inner) * (T / q))
 
 
 def per_beta_reference(grid, n, alpha, T, sigma, drop_zero_mode):
@@ -76,6 +91,7 @@ def per_beta_reference(grid, n, alpha, T, sigma, drop_zero_mode):
         (8 * np.pi, 128, 16.0),  # Nyquist edge: the lattice holds -16 but not +16
         (2 * np.pi, 64, 8.0),
         (2 * np.pi, 64, 32.0),  # Nyquist edge
+        (2 * np.pi, 64, 0.5),  # only xi = 0: no pair at all once it is dropped
     ],
 )
 def test_pair_table_oracles_match_the_per_beta_loop(L, N, n, drop_zero_mode):
@@ -125,6 +141,41 @@ def test_second_sigma_reuses_the_cached_pair_sums(monkeypatch):
     ipsi2_norm_sq_expectation(grid, 8.0, 0.3, 0.5, 0.23)  # a new T is a new table
     assert len(calls) == 4
     wsnl.secondmoment._beta_sums.cache_clear()
+
+
+class TestTimeMoments:
+    # r T = 1e-2 is the last rate: the closed form cancels there, and at k = 3
+    # keeps about 8 digits
+    @pytest.mark.parametrize("r", [0.0, 9.0, -23.0, 0.01 / 0.4])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_moment_against_quadrature(self, k, r):
+        T = 0.4
+        exact = complex(_moment(k, np.array([r]), T)[0])
+        assert exact == pytest.approx(midpoint_moment(k, r, T), rel=1e-7)
+
+    @pytest.mark.parametrize(
+        "o,i",
+        [
+            (3.0, 0.0),
+            (0.0, 0.0),
+            (0.0, 5.0),
+            (-7.0, 4.0),
+            (4.0, -4.0),  # o + i = 0
+            (6.0, -11.0),
+            (2.0, 0.01 / 0.4),
+        ],
+    )
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_nested_against_quadrature(self, k, o, i):
+        T = 0.4
+        exact = complex(_nested(k, np.array([o]), np.array([i]), T)[0])
+        assert exact == pytest.approx(midpoint_nested(k, o, i, T), rel=1e-5)
+
+    def test_conjugate_kernel_is_twice_the_real_nested_moment(self):
+        # min(t1, t2)^2: the t2 < t1 half is _nested(2, kappa, -kappa), the other its conjugate
+        kappa = np.array([0.0, 1.5, -6.0, 40.0])
+        halves = 2 * _nested(2, kappa, -kappa, 0.4).real
+        assert halves == pytest.approx(conjugate_kernel(kappa, 0.4), rel=1e-13)
 
 
 class TestKernels:
