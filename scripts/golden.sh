@@ -12,11 +12,12 @@
 # files land in OUT/NAME/, and its stdout, stderr and exit status in
 # OUT/NAME.stdout, OUT/NAME.stderr and OUT/NAME.status.  The set is every
 # subcommand at small scale, both solver modes (at d = 2 too, whose W^{-s,4}
-# trace takes the physical-space norm), the global-mode blow-up, chunked and
-# threaded studies, sampling in blocks, the converge and cauchy defaults, and
-# two degenerate ladders whose verdicts FAIL (cauchy-flat: no lattice mode in
-# any annulus; smoothing-flat: an empty exact pair set); a run takes under a
-# minute on 2 cores.
+# trace takes the physical-space norm, and at K = 7 and K = 100, whose
+# linspace time grids differ from dt = T/K at round-off), the global-mode
+# blow-up, chunked and threaded studies, sampling in blocks, the converge and
+# cauchy defaults, and two degenerate ladders whose verdicts FAIL (cauchy-flat:
+# no lattice mode in any annulus; smoothing-flat: an empty exact pair set); a
+# run takes under a minute on 2 cores.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -43,6 +44,7 @@ run sample-default sample --set M=2
 run sample-blocks sample --set M=5 --set chunk=2
 run solve-local solve
 run solve-global solve --set solver_mode=global
+run solve-local-K100 solve --set K=100
 run solve-global-K100 solve --set solver_mode=global --set K=100
 run solve-local-T03 solve --set T=0.3 --set K=7
 run solve-global-T03 solve --set T=0.3 --set K=7 --set solver_mode=global

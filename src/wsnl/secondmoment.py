@@ -58,17 +58,21 @@ def _moment(k: int, r: np.ndarray, T: float) -> np.ndarray:
     return np.where(z, T ** (k + 1) / (k + 1), out)
 
 
-def _nested(k: int, o: np.ndarray, i: np.ndarray, T: float) -> np.ndarray:
+def _nested(
+    k: int, o: np.ndarray, i: np.ndarray, T: float, at_o: tuple | None = None
+) -> np.ndarray:
     """int_0^T e^{iou} int_0^u v^k e^{iiv} dv du: the inner integral by parts k times
-    leaves terms M_m(o + i) and the edge M_0(o + i) - M_0(o); M_{k+1}(o)/(k+1) at i = 0."""
+    leaves terms M_m(o + i) and the edge M_0(o + i) - M_0(o); M_{k+1}(o)/(k+1) at i = 0.
+    at_o, when given, is (M_0(o), M_{k+1}(o)), which calls sharing o evaluate once."""
+    m0_o, mk_o = (_moment(0, o, T), _moment(k + 1, o, T)) if at_o is None else at_o
     z = i == 0
     ii = _powers(1j * np.where(z, 1.0, i), k + 1)
     out = 0.0
     for j in range(k):
         out = out + (-1) ** j * math.perm(k, j) * _moment(k - j, o + i, T) / ii[j]
-    edge = _moment(0, o + i, T) - _moment(0, o, T)
+    edge = _moment(0, o + i, T) - m0_o
     out = out + (-1) ** k * math.factorial(k) * edge / ii[k]
-    return np.where(z, _moment(k + 1, o, T) / (k + 1), out)
+    return np.where(z, mk_o / (k + 1), out)
 
 
 def conjugate_kernel(kappa: np.ndarray, T: float) -> np.ndarray:
@@ -93,17 +97,20 @@ def plain_kernel(a: np.ndarray, b: np.ndarray, B: np.ndarray, T: float) -> np.nd
         aa, bb = a[both], b[both]
         qq, pp = q[both], p[both]
         pref = 1.0 / (4.0 * aa * bb)
+        # each outer rate's M_0 and M_1 serve its four calls
+        at_q = (_moment(0, qq, T), _moment(1, qq, T))
+        at_p = (_moment(0, pp, T), _moment(1, pp, T))
         i_lt = (
-            _nested(0, qq, pp, T)
-            - _nested(0, qq, pp - 2 * aa, T)
-            - _nested(0, qq, pp + 2 * bb, T)
-            + _nested(0, qq, pp + 2 * (bb - aa), T)
+            _nested(0, qq, pp, T, at_q)
+            - _nested(0, qq, pp - 2 * aa, T, at_q)
+            - _nested(0, qq, pp + 2 * bb, T, at_q)
+            + _nested(0, qq, pp + 2 * (bb - aa), T, at_q)
         )
         i_gt = (
-            _nested(0, pp, qq, T)
-            - _nested(0, pp, qq - 2 * aa, T)
-            - _nested(0, pp, qq + 2 * bb, T)
-            + _nested(0, pp, qq + 2 * (bb - aa), T)
+            _nested(0, pp, qq, T, at_p)
+            - _nested(0, pp, qq - 2 * aa, T, at_p)
+            - _nested(0, pp, qq + 2 * bb, T, at_p)
+            + _nested(0, pp, qq + 2 * (bb - aa), T, at_p)
         )
         out[both] = pref * (i_lt + i_gt)
 

@@ -30,13 +30,14 @@ stepper per truncation radius over a batch of ensemble members.  solve()
 stacks a path's K+1 time levels once and localizes them in one level() call;
 its step-local mode drives one stepper over the rows of that stack.  Every
 caller reads v, never u = v + Psi, which a caller that wants it forms itself.
+Every march takes the one step config.dt, whose propagator phase it builds
+once; solve() accepts only a path whose every step is config.dt.
 solve(mode="global") is a separate algorithm, the fixed-point iteration of the
 whole-trajectory contraction map: each sweep evaluates N at every level in one
-batched call, forms every step's Duhamel term with array operations over the
-steps of each distinct dt, and measures the step between iterates with one
-batched traces call.  Only the two-operation Duhamel recurrence
-D_{k+1} = e^{-i dt Lap} D_k + term_k runs level by level; its prefix-sum form
-would change the bits.  Both modes take the traces of the trajectory they
+batched call, forms every step's Duhamel term with three array operations,
+and measures the step between iterates with one batched traces call.  Only
+the two-operation Duhamel recurrence D_{k+1} = e^{-i dt Lap} D_k + term_k
+runs level by level; its prefix-sum form would change the bits.  Both modes take the traces of the trajectory they
 reach in one batched call.  All norms come from grid.py.
 
 Loss of regularity (norm above BLOWUP_NORM, or non-finite values) is a
@@ -116,16 +117,14 @@ class SolverConfig:
 
 
 class Level(NamedTuple):
-    """The inputs of one time level t, already localized: 2 rho Psi in
+    """The inputs of one time level, already localized: 2 rho Psi in
     physical space (None without a cutoff), the transform of rho^2 <I Psi^2>,
     and the physical-space forcing (None without one).  solve() also keeps a
-    whole path in one Level, each array with a leading axis of time levels
-    and t the time grid."""
+    whole path in one Level, each array with a leading axis of time levels."""
 
     two_rho_psi: np.ndarray | None
     r_hat: np.ndarray
     forcing: np.ndarray | None
-    t: float
 
 
 @dataclass
@@ -201,9 +200,9 @@ def level(
     transforms: localized stochastic data plus the forcing, batched over
     leading axes.  Given an array of times, psi_hat and ipsi2_hat carry a
     leading axis of those levels, and so does every array of the Level
-    returned, the forcing evaluated at each time and stacked; t is then the
-    time grid.  Without a cutoff nothing couples to Psi (None, zeros).  The
-    factor 2 of 2 rho Psi is applied on the float view, where it is exact."""
+    returned, the forcing evaluated at each time and stacked; only the
+    forcing reads t.  Without a cutoff nothing couples to Psi (None, zeros).
+    The factor 2 of 2 rho Psi is applied on the float view, where it is exact."""
     if rho_vals is None:
         two_rho_psi, r_hat = None, np.zeros(np.shape(ipsi2_hat), dtype=np.complex128)
     else:
@@ -218,7 +217,7 @@ def level(
         forcing = np.stack([config.forcing(float(t_k)) for t_k in t])
     else:
         forcing = config.forcing(t)
-    return Level(two_rho_psi, r_hat, forcing, t)
+    return Level(two_rho_psi, r_hat, forcing)
 
 
 def step_values(
@@ -227,15 +226,16 @@ def step_values(
     prev: Level,
     nxt: Level,
     phase: np.ndarray,
+    dt: float,
     norm_weight: np.ndarray,
     rho_vals: np.ndarray | None,
     n_scale: np.ndarray | None,
     n_prev: np.ndarray | None = None,
 ):
-    """One Picard-resolved Duhamel step from level prev to level nxt on raw
-    arrays (leading batch axes allowed).
+    """One Picard-resolved Duhamel step of size dt from level prev to level
+    nxt on raw arrays (leading batch axes allowed).
 
-    phase is the propagator multiplier for dt = nxt.t - prev.t and norm_weight
+    phase is the propagator multiplier for dt and norm_weight
     the H^{-s} weight hs_weight(grid, -s) of the residual and blow-up
     norms; n_scale is nonlinearity_scale(grid, dealias).  n_prev is the
     transform of N at prev, when the caller carries it from the previous
@@ -252,7 +252,6 @@ def step_values(
     members are zeroed and flagged in the returned mask, so ensemble studies
     exclude them and keep going and solve() ends its trajectory there.
     """
-    dt = nxt.t - prev.t
     if n_prev is None:
         n_prev = nonlinearity_values(
             grid, v_hat, rho_vals, prev.two_rho_psi, prev.forcing, n_scale
@@ -328,7 +327,7 @@ class RemainderStepper:
         self.rho_vals = None if config.rho is None else config.rho.evaluate(grid)
         self.n_scale = nonlinearity_scale(grid, config.dealias)
         self.norm_weight = hs_weight(grid, -config.params.s)
-        self._dt, self._phase = None, None
+        self._dt, self._phase = config.dt, propagator_phase(grid, config.dt)
         self.v_hat = v_hat
         self._prev = start
         self._n_prev: np.ndarray | None = None
@@ -337,21 +336,15 @@ class RemainderStepper:
         self.monotone: list[bool] = []
         self.failed = np.zeros(np.shape(v_hat)[: np.ndim(v_hat) - grid.d], dtype=bool)
 
-    @property
-    def t(self) -> float:
-        return self._prev.t
-
     def step(self, nxt: Level) -> None:
-        """Advance v to the time of level nxt."""
-        dt = nxt.t - self.t
-        if dt != self._dt:
-            self._dt, self._phase = dt, propagator_phase(self.grid, dt)
+        """Advance v by one step of config.dt, to the time of level nxt."""
         v_next, iterations, residuals, monotone, _, failed, n_next = step_values(
             self.grid,
             self.v_hat,
             self._prev,
             nxt,
             self._phase,
+            self._dt,
             self.norm_weight,
             self.rho_vals,
             self.n_scale,
@@ -361,7 +354,7 @@ class RemainderStepper:
         if failed.any():
             self._prev, self._n_prev = nxt, None
         else:
-            # N at nxt is carried, so the next step reads only r_hat and t there
+            # N at nxt is carried, so the next step reads only r_hat there
             self._prev, self._n_prev = nxt._replace(two_rho_psi=None, forcing=None), n_next
         self.iterations.append(iterations)
         self.residuals.append(float(np.max(residuals)))
@@ -450,21 +443,16 @@ def _output(
 
 def _row(levels: Level, k: int) -> Level:
     """Time level k of a stacked Level, as views."""
-    two_rho_psi, r_hat, forcing, times = levels
-    return Level(
-        None if two_rho_psi is None else two_rho_psi[k],
-        r_hat[k],
-        None if forcing is None else forcing[k],
-        float(times[k]),
-    )
+    return Level(*(None if a is None else a[k] for a in levels))
 
 
 def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
     """March the remainder v = u - Psi over the path's time grid."""
     grid = path.grid
     times = path.times
-    if abs(float(times[-1]) - config.T) > 1e-12 or abs(float(times[1] - times[0]) - config.dt) > 1e-12:
-        raise GridError("config (dt, T) must match the path time grid")
+    steps_match = np.all(np.abs(np.diff(times) - config.dt) <= 1e-12)
+    if abs(float(times[-1]) - config.T) > 1e-12 or not steps_match:
+        raise GridError("config (dt, T) must match the path time grid: every step dt, up to T")
     if config.phi is not None and config.phi.grid != grid:
         raise GridError("phi lives on a different grid than the path")
     rho_vals = None if config.rho is None else config.rho.evaluate(grid)
@@ -529,23 +517,6 @@ def _march_step_local(
     )
 
 
-def _dt_groups(dts: list[float]) -> list[tuple[float, slice | np.ndarray, slice | np.ndarray]]:
-    """(dt, the steps k of that dt, the levels k + 1 they reach) for each
-    distinct dt: slices when the steps are consecutive (every step of a
-    uniform grid), else index arrays."""
-    steps: dict[float, list[int]] = {}
-    for k, dt in enumerate(dts):
-        steps.setdefault(dt, []).append(k)
-    groups = []
-    for dt, ks in steps.items():
-        if ks[-1] - ks[0] + 1 == len(ks):
-            groups.append((dt, slice(ks[0], ks[-1] + 1), slice(ks[0] + 1, ks[-1] + 2)))
-        else:
-            k = np.array(ks)
-            groups.append((dt, k, k + 1))
-    return groups
-
-
 def _march_global(
     config: SolverConfig,
     path: StochasticPath,
@@ -556,8 +527,8 @@ def _march_global(
     """Whole-trajectory fixed-point iteration of the contraction map.
 
     Each sweep evaluates N at every level in one batched call, forms every
-    step's Duhamel term with a few array operations per distinct dt, and
-    measures the distance between successive iterates with one batched
+    step's Duhamel term with three array operations, every step config.dt,
+    and measures the distance between successive iterates with one batched
     traces call; only the two-operation Duhamel recurrence runs level by
     level.  The free evolution of phi is formed once.  A non-finite sweep
     distance is recorded in the failure as NaN, as in the step-local march.
@@ -568,19 +539,18 @@ def _march_global(
     grid = path.grid
     times = path.times
     n_scale = nonlinearity_scale(grid, config.dealias)
-    dts = [float(times[k + 1] - times[k]) for k in range(len(times) - 1)]
-    phases = {dt: propagator_phase(grid, dt) for dt in set(dts)}
+    dt = config.dt
+    phase = propagator_phase(grid, dt)
     # the free evolution of phi at each level, by the sequential products
     free = np.empty_like(levels.r_hat)
     free[0] = _initial_hat(config, grid)
-    for k, dt in enumerate(dts):
-        np.multiply(phases[dt], free[k], out=free[k + 1])
+    for k in range(len(times) - 1):
+        np.multiply(phase, free[k], out=free[k + 1])
 
     def sweeps(levels: Level, current: np.ndarray) -> tuple[np.ndarray, int, float]:
         """Sweep the levels of current from it until their distance is at most
         PICARD_TOL or non-finite, or PICARD_MAX times: (iterate, sweeps, distance)."""
         n = len(current)
-        groups = _dt_groups(dts[: n - 1])
         new = np.empty_like(current)
         # a diverging iterate overflows on its way to inf; the cut below handles it
         with np.errstate(over="ignore", invalid="ignore"):
@@ -588,24 +558,18 @@ def _march_global(
                 # new[k+1] = (free[k+1] + D[k+1]) + r_hat[k+1], where
                 # D[k+1] = phase D[k] + term_k, term_k = (-i dt/2)(phase N_k + N_{k+1})
                 # and D[0] = 0; operands in this order (see stochastic.duhamel_update).
-                # N is evaluated into new, the terms of the steps of one dt are
-                # formed together (in place when the steps are consecutive), and
-                # D then replaces N in new.
+                # N is evaluated into new, every step's term is formed at once,
+                # and D then replaces N in new.
                 n_hats = nonlinearity_values(
                     grid, current, rho_vals, levels.two_rho_psi, levels.forcing, n_scale, out=new
                 )
-                terms = np.empty_like(new[1:])
-                for dt, k, k1 in groups:
-                    term = np.multiply(
-                        phases[dt], n_hats[k], out=terms[k] if isinstance(k, slice) else None
-                    )
-                    term += n_hats[k1]
-                    terms[k] = np.multiply(-0.5j * dt, term, out=term)
-                    del term
+                terms = np.multiply(phase, n_hats[:-1])
+                terms += n_hats[1:]
+                np.multiply(-0.5j * dt, terms, out=terms)
                 del n_hats
                 new[0] = 0.0
-                for k, dt in enumerate(dts[: n - 1]):
-                    np.multiply(phases[dt], new[k], out=new[k + 1])
+                for k in range(n - 1):
+                    np.multiply(phase, new[k], out=new[k + 1])
                     new[k + 1] += terms[k]
                 del terms
                 np.add(free[1:n], new[1:], out=new[1:])

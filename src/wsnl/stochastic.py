@@ -355,10 +355,9 @@ def sample_paths(
     count: int = 1,
     T: float = 0.5,
     K: int = 256,
-    times: np.ndarray | None = None,
 ) -> Iterator[StochasticPath]:
     """The full realizations of members first, ..., first + count - 1, in
-    that order, with snapshots at every grid time.
+    that order, with snapshots at the times uniform_times(T, K), steps of T / K.
 
     The members march as one PathEnsemble of `count` members, and the march
     keeps each member's psi and the tracked rung's compact transforms: count
@@ -368,7 +367,7 @@ def sample_paths(
     when it is taken, one member at a time.  Each path is bit for bit the
     path sample_path gives its member alone.
     """
-    times = uniform_times(T, K) if times is None else np.asarray(times, dtype=np.float64)
+    times = uniform_times(T, K)
     ens = PathEnsemble(
         grid,
         params.alpha,
@@ -411,11 +410,10 @@ def sample_path(
     stream_id: int = 0,
     T: float = 0.5,
     K: int = 256,
-    times: np.ndarray | None = None,
 ) -> StochasticPath:
     """One full realization with snapshots at every grid time: sample_paths
     with the one member stream_id."""
-    return next(sample_paths(params, grid, seed, stream_id, 1, T=T, K=K, times=times))
+    return next(sample_paths(params, grid, seed, stream_id, 1, T=T, K=K))
 
 
 def zero_path(

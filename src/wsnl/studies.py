@@ -57,12 +57,16 @@ class RegressionResult:
 
 
 def loglog_ols(n_values: Iterable[float], y_values: Iterable[float]) -> RegressionResult:
-    """Ordinary least squares of log(y) against log(n), with slope stderr and R^2."""
-    x = np.log(np.asarray(list(n_values), dtype=np.float64))
-    y = np.log(np.asarray(list(y_values), dtype=np.float64))
+    """Ordinary least squares of log(y) against log(n), with slope stderr and
+    R^2; all three are nan when some y <= 0, through which no power law runs."""
+    x = np.asarray(list(n_values), dtype=np.float64)
+    y = np.asarray(list(y_values), dtype=np.float64)
     m = len(x)
     if m < 3:
         raise GridError(f"regression needs >= 3 points, got {m}")
+    if np.any(y <= 0):
+        return RegressionResult(np.nan, np.nan, np.nan, m)
+    x, y = np.log(x), np.log(y)
     xc = x - x.mean()
     slope = float(np.dot(xc, y) / np.dot(xc, xc))
     intercept = float(y.mean() - slope * x.mean())

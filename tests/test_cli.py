@@ -254,27 +254,28 @@ def test_main_error_paths(tmp_path, capsys):
 
 def test_cauchy_decrement_with_zero_stderr_fails_its_verdict(tmp_path):
     # at L = 2 pi no annulus (n, 2n] holds a lattice mode: every gap and stderr is 0,
-    # and the OLS slope of the all-zero means takes log(0)
-    with pytest.warns(RuntimeWarning):
-        status = main(
-            ["cauchy", "--set", "M=100", "--set", "ladder=0.1,0.2,0.4", "--out", str(tmp_path)]
-        )
+    # and no log-log fit runs through the all-zero means
+    status = main(
+        ["cauchy", "--set", "M=100", "--set", "ladder=0.1,0.2,0.4", "--out", str(tmp_path)]
+    )
     assert status == 1
     verdict = (tmp_path / "verdict.txt").read_text()
+    assert "slope ols: nan +/- nan (R^2 = nan, m = 3)\n" in verdict
     assert "FAIL cauchy_means_strictly_decreasing: value=nan " in verdict
     assert verdict.endswith("overall = FAIL\n")
 
 
 def test_smoothing_rung_with_no_exact_pairs_writes_its_verdicts(tmp_path):
     # at L = 8 pi the zero-mode-free ball |xi| <= 0.125 holds no lattice mode, and
-    # the OLS slope through its exact 0 takes log(0)
-    with pytest.warns(RuntimeWarning):
-        status = main(
-            ["smoothing", "--set", "M=100", "--set", "N=64", "--set", "K=16"]
-            + ["--set", "ladder=0.125,0.25,0.5,1", "--out", str(tmp_path)]
-        )
+    # no log-log fit runs through its exact 0
+    status = main(
+        ["smoothing", "--set", "M=100", "--set", "N=64", "--set", "K=16"]
+        + ["--set", "ladder=0.125,0.25,0.5,1", "--out", str(tmp_path)]
+    )
     assert status == 1
-    assert (tmp_path / "verdict.txt").read_text().endswith("overall = FAIL\n")
+    verdict = (tmp_path / "verdict.txt").read_text()
+    assert "slope exact_ipsi2_no_zero_mode: nan +/- nan (R^2 = nan, m = 4)\n" in verdict
+    assert verdict.endswith("overall = FAIL\n")
     rows = (tmp_path / "smoothing.csv").read_text().splitlines()
     assert "1,exact_ipsi2_no_zero_mode,0.22999999999999993,0.125,0.0,0.0" in rows
 

@@ -374,7 +374,7 @@ class TestLocalize:
         rho_vals = np.zeros(GRID.shape)
         path = sample_path(PARAMS, GRID, seed=9, T=0.25, K=4)
         for k in range(len(path.times)):
-            two_rho_psi, r_hat, _, _ = level(
+            two_rho_psi, r_hat, _ = level(
                 NO_FORCING, GRID, rho_vals, path.psi[k].values, path.ipsi2[k].values, 0.0
             )
             assert np.all(two_rho_psi == 0) and np.all(r_hat == 0)
@@ -383,7 +383,7 @@ class TestLocalize:
         rho = CutoffRho.for_grid(GRID)
         sup = float(rho.evaluate(GRID).max())
         path = sample_path(PARAMS, GRID, seed=10, T=0.25, K=4)
-        two_rho_psi, r_hat, _, _ = level(
+        two_rho_psi, r_hat, _ = level(
             NO_FORCING, GRID, rho.evaluate(GRID), path.psi[-1].values, path.ipsi2[-1].values, 0.25
         )
         psi_phys = GRID.inverse_values(path.psi[-1].values)

@@ -78,6 +78,7 @@ def test_step_values_returns_the_iteration_count_and_failed_mask_the_tracer_read
         prev,
         nxt,
         propagator_phase(grid, 0.1),
+        0.1,
         hs_weight(grid, -params.s),
         rho_vals,
         nonlinearity_scale(grid, True),
