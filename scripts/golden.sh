@@ -15,9 +15,11 @@
 # trace takes the physical-space norm, and at K = 7 and K = 100, whose
 # linspace time grids differ from dt = T/K at round-off), the global-mode
 # blow-up, chunked and threaded studies, sampling in blocks, the converge and
-# cauchy defaults, and two degenerate ladders whose verdicts FAIL (cauchy-flat:
-# no lattice mode in any annulus; smoothing-flat: an empty exact pair set); a
-# run takes under a minute on 2 cores.
+# cauchy defaults, cauchy at K = 4, and four degenerate ladders whose verdicts
+# FAIL (cauchy-flat: no lattice mode in any annulus; smoothing-flat: an empty
+# exact pair set; renorm-flat and smoothing-zero: rungs whose balls hold the
+# zero mode alone, so an increment is 0); a run takes under a minute on 2
+# cores.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -63,14 +65,17 @@ done
 run covariance-threads covariance --set M=230 --set N=64 --set n=8 --set K=32 \
     --set chunk=70 --threads 2
 run renorm renorm
+run renorm-flat renorm --set ladder=0.1,0.2,0.4,0.8
 run cauchy-M100 cauchy --set M=100
 run cauchy-chunked cauchy --set M=150 --set chunk=40
 run cauchy-threads cauchy --set M=150 --set chunk=40 --threads 2
 run cauchy-default cauchy
 run cauchy-flat cauchy --set M=100 --set ladder=0.1,0.2,0.4
+run cauchy-K4 cauchy --set M=100 --set K=4
 run smoothing-M100 smoothing --set M=100
 run smoothing-chunked smoothing --set M=100 --set K=64 --set chunk=30
 run smoothing-flat smoothing --set M=100 --set N=64 --set K=16 --set ladder=0.125,0.25,0.5,1
+run smoothing-zero smoothing --set M=100 --set N=64 --set K=16 --set ladder=0.1,0.2,0.4,0.8
 run hoelder-M100 hoelder --set M=100
 run hoelder-chunked hoelder --set M=120 --set chunk=50
 run hoelder-threads hoelder --set M=120 --set chunk=50 --threads 2

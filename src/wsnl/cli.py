@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, StudyConfig, parse_config
+from .config import KINDS, ConfigError, StudyConfig, parse_config
 from .grid import GridError
 from .output import write_csv, write_resolved_config, write_study_csv, write_verdicts
 from .reference import ParameterError, constants_table
@@ -22,26 +22,8 @@ from .solver import solve
 from .stochastic import sample_path, sample_paths
 from .studies import run_study
 
-SUBCOMMANDS = (
-    "constants",
-    "sample",
-    "covariance",
-    "renorm",
-    "cauchy",
-    "smoothing",
-    "hoelder",
-    "solve",
-    "converge",
-)
-
-STUDY_OF_SUBCOMMAND = {
-    "covariance": "covariance",
-    "renorm": "renorm_rate",
-    "cauchy": "cauchy_rate",
-    "smoothing": "smoothing",
-    "hoelder": "hoelder",
-    "converge": "solver_convergence",
-}
+# each subcommand and the kind it runs, in the order of KINDS
+SUBCOMMANDS = {rules.subcommand: kind for kind, rules in KINDS.items()}
 
 
 def _run_constants(config: StudyConfig, out_dir: Path) -> int:
@@ -131,7 +113,7 @@ def dispatch(subcommand: str, config: StudyConfig, out_dir: str | Path | None = 
     The config's set values are resolved for the subcommand's kind; a config
     that names another kind (`study`) is rejected.
     """
-    kind = STUDY_OF_SUBCOMMAND.get(subcommand, subcommand)
+    kind = SUBCOMMANDS.get(subcommand, subcommand)
     if config.kind not in (None, kind):
         raise ConfigError([f"config sets study = {config.kind!r} but subcommand is {subcommand}"])
     config = config.for_kind(kind)

@@ -5,14 +5,15 @@ the values no key sets are constants (HOELDER_LAGS here, the Picard limits in
 solver.py, the smoothing probes and the renormalization slope tolerance in
 studies.py).  A field's metadata carries the generic default, the parser of
 the `key = value` grammar and the check, whose message names the violated
-constraint.  A config resolves in one order: the
-generic defaults, then its kind's defaults (KIND_DEFAULTS), then the values
-the caller set; an alpha still unset then takes its per-dimension default.
-Validation (validate_config) reports every error at once, field checks and
-per-kind checks together.  A config parsed from text has no kind unless the
-text sets `study`: the subcommand that runs it binds one (for_kind).  The
-kind decides the rest of a run: its radii, whether it tracks the Wick
-squares, its z and its solver settings; the studies and the CLI read them here.
+constraint.  One table, KINDS, says what each kind of run is (see Kind).
+A config resolves in one order: the generic defaults, then its kind's
+defaults, then the values the caller set; an alpha still unset then takes its
+per-dimension default.  Validation (validate_config) reports every error at
+once, field checks and per-kind checks together.  A config parsed from text
+has no kind unless the text sets `study`: the subcommand that runs it binds
+one (for_kind).  The kind decides the rest of a run: its radii, whether it
+tracks the Wick squares, its z and its solver settings; the studies and the
+CLI read them here.
 
 Grammar: UTF-8 text, one `key = value` per line, `#` starts a comment, blank
 lines ignored.  Unknown keys are rejected and duplicate keys are reported with
@@ -29,41 +30,52 @@ from .grid import CutoffRho, GridError, SpectralGrid, check_points, padded_point
 from .reference import PaperParams, ParameterError
 from .solver import SolverConfig
 
-STUDY_KINDS = (
-    "covariance",
-    "renorm_rate",
-    "cauchy_rate",
-    "smoothing",
-    "hoelder",
-    "solver_convergence",
-)
-# kinds that read the truncation ladder rather than the single radius n, and
-# those among them that compare each rung n with 2n
-LADDER_KINDS = ("renorm_rate", "cauchy_rate", "smoothing", "solver_convergence")
-DOUBLING_KINDS = ("cauchy_rate", "solver_convergence")
-# kinds that track Wick squares, each radius on its own padded grid
-TRACKING_KINDS = ("sample", "solve", "smoothing", "solver_convergence")
-# the fewest rungs each ladder kind's verdict can read: the exponent fits take
-# log-log slopes over the 3 increments of 4 rungs, the Cauchy fit a slope over
-# 3 rungs, and the coupled solves compare at least 2 medians
-MIN_RUNGS = {"renorm_rate": 4, "cauchy_rate": 3, "smoothing": 4, "solver_convergence": 2}
 DEFAULT_ALPHA = {1: 0.3, 2: 0.9, 3: 1.45}
 ONE_SIDED_Z = {0.9: 1.2816, 0.95: 1.6449, 0.975: 1.96, 0.99: 2.3263}
 
-# Per-kind defaults at the scales the acceptance criteria pin.  The
-# subcommands that run no study are kinds of their own.
-KIND_DEFAULTS: dict[str, dict[str, object]] = {
-    "constants": {},
+
+@dataclass(frozen=True)
+class Kind:
+    """What one kind of run is: its subcommand; the truncation radii it reads
+    (its one radius "n", its "ladder", "each_rung_and_2n" for every rung n and
+    the 2n its verdict compares with it, or None); whether it tracks the Wick
+    squares, each radius on its own padded grid; the fewest rungs its verdict
+    reads; whether its ladder must double at every rung, as its exponent fits
+    of dyadic increments need; whether its verdict is statistical (M >= 100);
+    and its defaults, at the scale its acceptance criterion pins."""
+
+    subcommand: str
+    radii: str | None = None
+    tracks: bool = False
+    min_rungs: int = 0
+    dyadic_ladder: bool = False
+    statistical: bool = False
+    defaults: dict = field(default_factory=dict)
+
+
+# Every kind of run, keyed by the `study` that names it.  The subcommands that
+# run no study are kinds of their own.  The exponent fits take log-log slopes
+# over the 3 increments of 4 rungs, the Cauchy fit a slope over 3 rungs, and
+# the coupled solves compare at least 2 medians.
+KINDS = {
+    "constants": Kind("constants"),
     # members per ensemble block: about 34 MB of march arrays at N = 256,
     # K = 256, n = 32 (stochastic.sample_paths)
-    "sample": dict(chunk=16),
-    "solve": {},
-    "covariance": dict(M=4000, n=32.0, K=256),
-    "renorm_rate": dict(M=1, ladder=(8.0, 16.0, 32.0, 64.0, 128.0), N=512),
-    # The Cauchy decay exponent is exactly 2*eps; eps = 0.04 (still inside the
+    "sample": Kind("sample", "n", tracks=True, defaults=dict(chunk=16)),
+    "solve": Kind("solve", "n", tracks=True),
+    "covariance": Kind("covariance", "n", statistical=True, defaults=dict(M=4000, n=32.0, K=256)),
+    "renorm_rate": Kind(
+        "renorm", "ladder", min_rungs=4, dyadic_ladder=True,
+        defaults=dict(M=1, ladder=(8.0, 16.0, 32.0, 64.0, 128.0), N=512),
+    ),
+    # The Cauchy decay exponent tends to 2*eps as n -> oo; on the pinned
+    # ladder the exact slope is -0.0620.  eps = 0.04 (still inside the
     # parameter window for d=1, alpha=0.3) makes the adjacent-gap test
     # resolvable at the pinned M = 2000.
-    "cauchy_rate": dict(M=2000, eps=0.04, ladder=(8.0, 16.0, 32.0, 64.0), K=1, T=0.5),
+    "cauchy_rate": Kind(
+        "cauchy", "each_rung_and_2n", min_rungs=3, statistical=True,
+        defaults=dict(M=2000, eps=0.04, ladder=(8.0, 16.0, 32.0, 64.0), K=1, T=0.5),
+    ),
     # The gain comes from the Duhamel phase 2 xi2.beta T, which oscillates
     # only once n T >~ 1: the ladder starts there.  dt * max resonance rate =
     # (T/K) * 5 n_max^2 must stay below pi, or the trapezoid aliases those
@@ -71,24 +83,19 @@ KIND_DEFAULTS: dict[str, dict[str, object]] = {
     # which reaches 2n, on the study grid the study reads it from.  L = 8 pi
     # puts the exact increment exponents within 0.015 of their large-box
     # values; on the 2 pi torus the coarse lattice still shows growth.
-    "smoothing": dict(
-        M=2000, ladder=(2.0, 4.0, 8.0, 16.0), T=1.0, K=512, L=8.0 * math.pi, N=256
+    "smoothing": Kind(
+        "smoothing", "ladder", tracks=True, min_rungs=4, dyadic_ladder=True, statistical=True,
+        defaults=dict(M=2000, ladder=(2.0, 4.0, 8.0, 16.0), T=1.0, K=512, L=8.0 * math.pi, N=256),
     ),
-    "hoelder": dict(M=1000, n=32.0),
+    "hoelder": Kind("hoelder", "n", statistical=True, defaults=dict(M=1000, n=32.0)),
     # finer frequency lattice (L = 8 pi): more modes per dyadic shell, which
     # suppresses the small-shell median bias that otherwise masks the decay
-    "solver_convergence": dict(
-        M=200,
-        eps=0.045,
-        ladder=(8.0, 16.0, 32.0, 64.0),
-        T=0.25,
-        K=128,
-        L=8.0 * math.pi,
-        N=1024,
-        chunk=100,
+    "solver_convergence": Kind(
+        "converge", "each_rung_and_2n", tracks=True, min_rungs=2, statistical=True,
+        defaults=dict(M=200, eps=0.045, ladder=(8.0, 16.0, 32.0, 64.0), T=0.25, K=128,
+                      L=8.0 * math.pi, N=1024, chunk=100),
     ),
 }
-KINDS = tuple(KIND_DEFAULTS)
 # the hoelder study's time lags h, each measured from the base time T/2
 HOELDER_LAGS = (0.5 / 32, 0.5 / 16, 0.5 / 8, 0.5 / 4)
 
@@ -135,7 +142,7 @@ class StudyConfig:
     """One run's configuration; construction resolves and validates it."""
 
     kind: str | None = _key(
-        None, str, lambda v: v in KINDS, "be one of " + ", ".join(KINDS), key="study", record=True
+        None, str, lambda v: v in KINDS, "be one of " + ", ".join(KINDS), key="study"
     )
     seed: int = _key(2024, int, lambda v: 0 <= v < 2**64, "lie in [0, 2**64)", record=True)
     d: int = _key(1, int, lambda v: v in (1, 2, 3), "be 1, 2 or 3", record=True)
@@ -177,10 +184,11 @@ class StudyConfig:
         self.provided = frozenset(
             f.name for f in fields(self) if f.name != "kind" and getattr(self, f.name) is not None
         )
-        kind_defaults = KIND_DEFAULTS.get(self.kind, {})
+        # its kind's entry of KINDS; a config with no kind reads no radius
+        self.rules = KINDS.get(self.kind, Kind(""))
         for f in fields(self):
             if getattr(self, f.name) is None:
-                setattr(self, f.name, kind_defaults.get(f.name, f.metadata["default"]))
+                setattr(self, f.name, self.rules.defaults.get(f.name, f.metadata["default"]))
         if self.alpha is None:
             self.alpha = DEFAULT_ALPHA.get(self.d)
         self.ladder = tuple(float(v) for v in self.ladder)
@@ -201,18 +209,21 @@ class StudyConfig:
     def radii(self) -> list[float]:
         """The truncation radii a run of this kind uses, ascending; none until
         a kind is bound, since only the kind says which of n and ladder it
-        reads.  The doubling kinds run every rung n and its 2n."""
-        if self.kind in (None, "constants"):
-            return []
-        if self.kind in DOUBLING_KINDS:
+        reads."""
+        if self.rules.radii == "each_rung_and_2n":
             return sorted({r for n in self.ladder for r in (n, 2 * n)})
-        return list(self.ladder) if self.kind in LADDER_KINDS else [self.n]
+        return {"n": [self.n], "ladder": list(self.ladder)}.get(self.rules.radii, [])
 
     @property
     def tracks(self) -> bool:
         """Whether a run of this kind tracks the Wick squares and their
         Duhamel convolutions."""
-        return self.kind in TRACKING_KINDS
+        return self.rules.tracks
+
+    @property
+    def unread(self) -> str:
+        """The one of n and ladder that a run of this kind does not read."""
+        return "n" if self.rules.radii in ("ladder", "each_rung_and_2n") else "ladder"
 
     @property
     def z(self) -> float:
@@ -227,10 +238,11 @@ class StudyConfig:
         )
 
     def provenance(self) -> dict[str, object]:
-        """The values verdict.txt records, in schema order."""
+        """The values verdict.txt records, in schema order: of n and ladder
+        only the one the kind reads."""
         out: dict[str, object] = {"package_version": __version__}
         for f in fields(self):
-            if f.metadata["record"]:
+            if f.metadata["record"] and f.name != self.unread:
                 out[f.name] = _text(getattr(self, f.name))
         return out
 
@@ -240,7 +252,7 @@ class StudyConfig:
         `out` is left to the re-run, and of n and ladder only the one the
         kind reads is written.
         """
-        skip = {"out", "n" if self.kind in LADDER_KINDS else "ladder"}
+        skip = {"out", self.unread}
         pairs: dict[str, object] = {}
         for key, f in KEYS.items():
             value = getattr(self, f.name)
@@ -270,9 +282,9 @@ def validate_config(config: StudyConfig) -> list[str]:
             config.params()
         except ParameterError as exc:
             errors.append(str(exc))
-    if config.kind in STUDY_KINDS and config.kind != "renorm_rate" and "M" not in bad:
-        if config.M < 100:
-            errors.append(f"M must be >= 100 for a statistical verdict, got {config.M}")
+    rules = config.rules
+    if rules.statistical and "M" not in bad and config.M < 100:
+        errors.append(f"M must be >= 100 for a statistical verdict, got {config.M}")
     if config.kind == "solver_convergence" and config.solver_mode == "global":
         # its coupled solves march step by step, one stepper per radius
         errors.append("solver_mode must be step-local for a solver_convergence study, got 'global'")
@@ -284,14 +296,12 @@ def validate_config(config: StudyConfig) -> list[str]:
                 f"hoelder lags need T/2 + max(lags) <= T: "
                 f"{config.T / 2.0:g} + {max(HOELDER_LAGS):g} = {end:g} > T = {config.T:g}"
             )
-    rungs = MIN_RUNGS.get(config.kind, 0)
-    if "ladder" not in bad and len(config.ladder) < rungs:
+    if "ladder" not in bad and len(config.ladder) < rules.min_rungs:
         errors.append(
-            f"ladder must have >= {rungs} rungs for a {config.kind} study, "
+            f"ladder must have >= {rules.min_rungs} rungs for a {config.kind} study, "
             f"got {len(config.ladder)}"
         )
-    if config.kind in ("renorm_rate", "smoothing") and "ladder" not in bad:
-        # their exponents fit the increments between rungs as dyadic ones
+    if rules.dyadic_ladder and "ladder" not in bad:
         ladder = config.ladder
         if any(b != 2 * a for a, b in zip(ladder, ladder[1:])):
             errors.append(

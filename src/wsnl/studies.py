@@ -79,13 +79,11 @@ def loglog_ols(n_values: Iterable[float], y_values: Iterable[float]) -> Regressi
 
 
 def increment_slope(n_values: Iterable[float], y_values: Iterable[float]) -> RegressionResult:
-    """Slope of log(y_{2n} - y_n) vs log(n): immune to an additive constant in y."""
+    """Slope of log(y_{2n} - y_n) vs log(n): immune to an additive constant in y;
+    nan, with its SE and R^2, unless every increment is positive."""
     n = np.asarray(list(n_values), dtype=np.float64)
     y = np.asarray(list(y_values), dtype=np.float64)
-    inc = np.diff(y)
-    if np.any(inc <= 0):
-        raise GridError("increment slope needs strictly increasing values")
-    return loglog_ols(n[:-1], inc)
+    return loglog_ols(n[:-1], np.diff(y))
 
 
 def increment_exponent(n_values: Iterable[float], samples: np.ndarray) -> RegressionResult:
@@ -95,16 +93,14 @@ def increment_exponent(n_values: Iterable[float], samples: np.ndarray) -> Regres
     the log-log slope of the mean increments E[X_{2n} - X_n]; its stderr carries
     the sample covariance of the per-member increments through that fit (delta
     method), so the correlation between rungs of one member is accounted for.
+    Its slope, stderr and R^2 are nan unless every mean increment is positive.
     """
     n = np.asarray(list(n_values), dtype=np.float64)
     inc = np.diff(np.asarray(samples, dtype=np.float64), axis=1)
     mean = inc.mean(axis=0)
-    if np.any(mean <= 0):
-        raise GridError(
-            f"increment exponent needs positive mean increments, got {mean.tolist()}; "
-            "raise M"
-        )
     fit = loglog_ols(n[:-1], mean)
+    if np.isnan(fit.slope):
+        return fit
     xc = np.log(n[:-1]) - np.log(n[:-1]).mean()
     grad = xc / np.dot(xc, xc) / mean
     var = float(grad @ np.atleast_2d(np.cov(inc, rowvar=False)) @ grad) / inc.shape[0]
@@ -467,7 +463,7 @@ def run_cauchy_study(config: StudyConfig) -> StudyResult:
     s = params.s
     rho_vals = CutoffRho.for_grid(grid).evaluate(grid)
     ladder = list(config.ladder)
-    times = np.array([0.0, config.T])
+    times = uniform_times(config.T, config.K)
 
     def measure(ens: PathEnsemble) -> dict[str, np.ndarray]:
         ens.run()

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from wsnl.cli import (
-    STUDY_OF_SUBCOMMAND,
     SUBCOMMANDS,
     ConfigError,
     dispatch,
@@ -280,6 +279,50 @@ def test_smoothing_rung_with_no_exact_pairs_writes_its_verdicts(tmp_path):
     assert "1,exact_ipsi2_no_zero_mode,0.22999999999999993,0.125,0.0,0.0" in rows
 
 
+@pytest.mark.parametrize(
+    "subcommand, overrides, verdict",
+    [
+        # at L = 2 pi every ball of the ladder holds the zero mode alone, so
+        # c_n is the same at every rung
+        ("renorm", ["ladder=0.1,0.2,0.4,0.8"], "renorm_divergence_exponent"),
+        # at L = 8 pi they do too: the first mean increment of <I Psi^2>_n is 0
+        # at any M, and so is the first exact one
+        ("smoothing", ["M=100", "N=64", "K=16", "ladder=0.1,0.2,0.4,0.8"],
+         "ipsi2_bounded_at_gain_probe"),
+    ],
+    ids=["renorm", "smoothing"],
+)
+def test_ladder_with_a_flat_increment_fails_and_writes_every_file(
+    subcommand, overrides, verdict, tmp_path
+):
+    args = [item for pair in overrides for item in ("--set", pair)]
+    assert main([subcommand, *args, "--out", str(tmp_path)]) == 1
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted([f"{subcommand}.csv", "verdict.txt", "config.resolved"])
+    text = (tmp_path / "verdict.txt").read_text()
+    assert f"FAIL {verdict}: value=nan " in text
+    assert text.endswith("overall = FAIL\n")
+
+
+@pytest.mark.parametrize(
+    "subcommand, overrides, unread",
+    [
+        ("covariance", ["M=100", "N=32", "n=4", "K=4"], "ladder"),
+        ("smoothing", ["M=100", "N=64", "K=16", "ladder=0.5,1,2,4"], "n"),
+    ],
+    ids=["covariance", "smoothing"],
+)
+def test_verdict_records_only_the_radius_key_its_kind_reads(
+    subcommand, overrides, unread, tmp_path
+):
+    args = [item for pair in overrides for item in ("--set", pair)]
+    assert main([subcommand, *args, "--out", str(tmp_path)]) in (0, 1)
+    lines = (tmp_path / "verdict.txt").read_text().splitlines()
+    read = {"ladder": "n", "n": "ladder"}[unread]
+    assert not any(line.startswith((f"{unread} = ", "kind = ")) for line in lines)
+    assert sum(line.startswith(f"{read} = ") for line in lines) == 1
+
+
 def test_output_directory_that_is_a_file_exits_2(tmp_path, capsys):
     taken = tmp_path / "taken"
     taken.write_text("not a directory\n")
@@ -324,7 +367,7 @@ def test_padded_grid_over_the_point_budget_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("subcommand", ["smoothing", "converge"])
 def test_study_pinned_values_fill_unset_keys(subcommand):
     # L, N and chunk the user did not set come from the study, not the generic defaults
-    kind = STUDY_OF_SUBCOMMAND[subcommand]
+    kind = SUBCOMMANDS[subcommand]
     assert parse_config("").for_kind(kind) == StudyConfig(kind=kind)
     explicit = parse_config("N = 2048\nchunk = 250\n").for_kind(kind)
     assert (explicit.N, explicit.chunk) == (2048, 250)
