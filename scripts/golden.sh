@@ -15,7 +15,9 @@
 # trace takes the physical-space norm, and at K = 7 and K = 100, whose
 # linspace time grids differ from dt = T/K at round-off), the global-mode
 # blow-up, chunked and threaded studies, sampling in blocks, the converge and
-# cauchy defaults, cauchy at K = 4, and four degenerate ladders whose verdicts
+# cauchy defaults, cauchy at K = 4, hoelder at K = 64 (its lags read on a finer
+# grid than the default K = 32), converge runs in which some members and all
+# members blow up and are excluded, and four degenerate ladders whose verdicts
 # FAIL (cauchy-flat: no lattice mode in any annulus; smoothing-flat: an empty
 # exact pair set; renorm-flat and smoothing-zero: rungs whose balls hold the
 # zero mode alone, so an increment is 0); a run takes under a minute on 2
@@ -79,8 +81,13 @@ run smoothing-zero smoothing --set M=100 --set N=64 --set K=16 --set ladder=0.1,
 run hoelder-M100 hoelder --set M=100
 run hoelder-chunked hoelder --set M=120 --set chunk=50
 run hoelder-threads hoelder --set M=120 --set chunk=50 --threads 2
+run hoelder-K64 hoelder --set M=100 --set K=64
 conv=(--set M=100 --set chunk=45 --set ladder=4,8,16 --set N=256 --set K=64)
 run converge-small converge "${conv[@]}"
 run converge-threads converge "${conv[@]}" --threads 2
 run converge-global converge "${conv[@]}" --set solver_mode=global
 run converge-M100 converge --set M=100
+excluded=(--set M=100 --set N=128 --set chunk=100 --set T=1 --set ladder=2,4)
+for K in 4 1; do
+    run "converge-blowup-K$K" converge "${excluded[@]}" --set K=$K
+done

@@ -87,7 +87,8 @@ KINDS = {
         "smoothing", "ladder", tracks=True, min_rungs=4, dyadic_ladder=True, statistical=True,
         defaults=dict(M=2000, ladder=(2.0, 4.0, 8.0, 16.0), T=1.0, K=512, L=8.0 * math.pi, N=256),
     ),
-    "hoelder": Kind("hoelder", "n", statistical=True, defaults=dict(M=1000, n=32.0)),
+    # K = 32 at T = 0.5 makes the step T/K = 1/64 the smallest lag
+    "hoelder": Kind("hoelder", "n", statistical=True, defaults=dict(M=1000, n=32.0, K=32)),
     # finer frequency lattice (L = 8 pi): more modes per dyadic shell, which
     # suppresses the small-shell median bias that otherwise masks the decay
     "solver_convergence": Kind(
@@ -98,6 +99,12 @@ KINDS = {
 }
 # the hoelder study's time lags h, each measured from the base time T/2
 HOELDER_LAGS = (0.5 / 32, 0.5 / 16, 0.5 / 8, 0.5 / 4)
+
+
+def hoelder_steps(T: float, K: int) -> list[float]:
+    """The steps j at which the times T/2 and T/2 + h, for each lag h, fall on
+    the grid t = j T/K; validate_config checks that every j is whole."""
+    return [K / 2] + [K / 2 + h * K / T for h in HOELDER_LAGS]
 
 
 class ConfigError(Exception):
@@ -288,13 +295,20 @@ def validate_config(config: StudyConfig) -> list[str]:
     if config.kind == "solver_convergence" and config.solver_mode == "global":
         # its coupled solves march step by step, one stepper per radius
         errors.append("solver_mode must be step-local for a solver_convergence study, got 'global'")
-    if config.kind == "hoelder" and "T" not in bad:
-        # every lag is measured from the base time T/2 inside [0, T]
+    if config.kind == "hoelder" and not bad & {"T", "K"}:
+        # every lag is measured from the base time T/2 inside [0, T], and the
+        # study reads both ends of each at steps of its march
         end = config.T / 2.0 + max(HOELDER_LAGS)
         if end > config.T + 1e-12:
             errors.append(
                 f"hoelder lags need T/2 + max(lags) <= T: "
                 f"{config.T / 2.0:g} + {max(HOELDER_LAGS):g} = {end:g} > T = {config.T:g}"
+            )
+        if any(abs(j - round(j)) > 1e-6 for j in hoelder_steps(config.T, config.K)):
+            errors.append(
+                f"hoelder needs T/2 and T/2 + h for every lag h in {HOELDER_LAGS} on the "
+                f"K-step grid, at multiples of T/K = {config.T / config.K:g}: "
+                f"got T = {config.T:g}, K = {config.K}"
             )
     if "ladder" not in bad and len(config.ladder) < rules.min_rungs:
         errors.append(

@@ -8,7 +8,7 @@ stochastic convolution needs, per mode with rate a = |xi|^2, the increment
 
     I(xi) = int_{t_k}^{t_{k+1}} e^{i (t_{k+1} - s) a} dW(s, xi),
 
-which is Gaussian and is sampled exactly, whatever the step size
+which is Gaussian and is sampled exactly, whatever the step size dt
 (exponential Euler: Jentzen & Kloeden 2009, Proc. R. Soc. A 465; Lord, Powell
 & Shardlow 2014, ch. 10).  With W(xi) = sqrt(L^d / 2) (B1 + i B2) on one half
 of the lattice and C_j, S_j the integrals of cos(u a) and sin(u a) against
@@ -21,7 +21,9 @@ so a pair takes 4 standard normals through the 2x2 Cholesky factor of the
 covariance of (C, S), a real self-partnered mode takes 2
 (I = sqrt(L^d) (C + i S)) and the zero mode 1 (I = sqrt(L^d dt) z).  Then
 E[I(xi) conj(I(xi))] = dt L^d and E[I(xi) I(-xi)] = L^d int_0^dt e^{2iau} du.
-Only the modes a computation keeps are sampled; no transform is needed.
+Only the modes a computation keeps are sampled; no transform is needed.  A
+sampler takes one step size, fixed when it is built, and forms the factors of
+its increments then.
 
 Randomness is counter-based: each (seed, stream_id, block) triple keys an
 independent Philox block (key [seed, stream_id], counter [0, 0, 0, block]),
@@ -107,8 +109,9 @@ def phase_integral_factor(
 
 
 class ModeNoise:
-    """Exact one-step increments I(xi) on a set of lattice modes closed under
-    xi -> -xi (a truncation ball, or the whole lattice).
+    """Exact increments I(xi) over steps of one size dt on a set of lattice
+    modes closed under xi -> -xi (a truncation ball, or the whole lattice).
+    The scaled Cholesky factors of a step are formed once, at construction.
 
     `modes` lists the flat grid indices of the increments, in the order of the
     normals that drive them: the zero mode (1 normal), then the self-partnered
@@ -120,7 +123,7 @@ class ModeNoise:
     is row k % steps_per_key of key block k // steps_per_key.
     """
 
-    def __init__(self, grid: SpectralGrid, mask: np.ndarray) -> None:
+    def __init__(self, grid: SpectralGrid, mask: np.ndarray, dt: float) -> None:
         keep = np.asarray(mask, dtype=bool).reshape(-1)
         if keep.size != grid.N**grid.d:
             raise GridError(f"mode mask has {keep.size} entries, grid {grid.shape}")
@@ -139,9 +142,12 @@ class ModeNoise:
         self.normals = len(zero) + 2 * len(single) + 4 * len(pairs)
         self.steps_per_key = max(1, KEY_NORMALS // max(self.normals, 1))
         self.block_shape = (self.steps_per_key, self.normals)
-        rate = grid.xi2.reshape(-1)
-        self._rates = rate[single], rate[pairs]
-        self._factors: tuple = (None, None)  # (steps, factors) of the last call
+        if not dt > 0:
+            raise ValueError(f"dt must be > 0, got {dt}")
+        rate, volume = grid.xi2.reshape(-1), grid.L**grid.d
+        self._zero = np.sqrt(volume * dt)
+        self._single = tuple(np.sqrt(volume) * f for f in phase_integral_factor(rate[single], dt))
+        self._pairs = tuple(np.sqrt(volume / 2) * f for f in phase_integral_factor(rate[pairs], dt))
 
     def key(self, step: int) -> tuple[int, int]:
         """(block, row): the key block that holds a step's normals, and its row."""
@@ -152,35 +158,12 @@ class ModeNoise:
         block, row = self.key(step)
         return gaussian_block(seed, stream_id, block, self.block_shape)[row]
 
-    def _factors_at(self, dt: float | np.ndarray) -> tuple:
-        """The scaled factors for a step dt, or for one step per row when dt
-        is a 1-D array of step sizes.  The last ones are kept: on a uniform
-        time grid every full key block has the same steps."""
-        key = float(dt) if np.ndim(dt) == 0 else tuple(map(float, dt))
-        if self._factors[0] != key:
-            steps = np.asarray(dt, dtype=np.float64)
-            if np.any(steps <= 0):
-                raise ValueError(f"steps must be > 0, got {dt}")
-            volume = self.grid.L**self.grid.d
-            column = steps[..., None]  # one row of factors per step
-            single = phase_integral_factor(self._rates[0], column)
-            pairs = phase_integral_factor(self._rates[1], column)
-            self._factors = key, (
-                np.sqrt(volume * steps),
-                tuple(np.sqrt(volume) * f for f in single),
-                tuple(np.sqrt(volume / 2) * f for f in pairs),
-            )
-        return self._factors[1]
-
-    def increments(
-        self, z: np.ndarray, dt: float | np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """The increments I over a step dt, in the order of `modes`, from the
+    def increments(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The increments I over one step dt, in the order of `modes`, from the
         normals z of that step (last axis `normals`; leading axes allowed).
-        A 1-D array dt gives the steps of the rows on z's second-to-last axis,
-        one step each.  Written into the complex array `out` when one is given."""
+        Written into the complex array `out` when one is given."""
         n0, ns, npair = self._counts
-        zero, (s11, s21, s22), (p11, p21, p22) = self._factors_at(dt)
+        zero, (s11, s21, s22), (p11, p21, p22) = self._zero, self._single, self._pairs
         if out is None:
             out = np.empty(np.shape(z)[:-1] + (len(self.modes),), dtype=np.complex128)
         re, im = out.real, out.imag

@@ -273,29 +273,32 @@ def step_values(
     history: list[float] = []
     monotone_ok = True
     iterations = 0
-    for m in range(1, PICARD_MAX + 1):
-        n_next = None  # free the last evaluation before making the next
-        n_next = nonlinearity_values(
-            grid, v_iter, rho_vals, nxt.two_rho_psi, nxt.forcing, n_scale
-        )
-        np.multiply(n_next, half_dt, out=v_new)
-        v_new += fixed
-        # v_iter becomes the increment, then the two buffers swap roles
-        np.subtract(v_new, v_iter, out=v_iter)
-        residuals = np.sqrt(weighted_norm_sq_hat(grid, v_iter, norm_weight))
-        v_iter, v_new = v_new, v_iter
-        failed = failed | ~np.isfinite(residuals)
-        healthy = residuals[~failed]
-        worst = float(np.max(healthy)) if healthy.size else 0.0
-        history.append(worst)
-        if len(history) >= 3 and history[-1] > history[-2]:
-            monotone_ok = False
-        iterations = m
-        if worst <= PICARD_TOL:
-            break
-    else:
-        failed = failed | (residuals > PICARD_TOL)
-    norms = np.sqrt(weighted_norm_sq_hat(grid, v_iter, norm_weight))
+    # a flagged member is iterated on with the healthy ones and may overflow
+    # on its way to inf; it is zeroed below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, PICARD_MAX + 1):
+            n_next = None  # free the last evaluation before making the next
+            n_next = nonlinearity_values(
+                grid, v_iter, rho_vals, nxt.two_rho_psi, nxt.forcing, n_scale
+            )
+            np.multiply(n_next, half_dt, out=v_new)
+            v_new += fixed
+            # v_iter becomes the increment, then the two buffers swap roles
+            np.subtract(v_new, v_iter, out=v_iter)
+            residuals = np.sqrt(weighted_norm_sq_hat(grid, v_iter, norm_weight))
+            v_iter, v_new = v_new, v_iter
+            failed = failed | ~np.isfinite(residuals)
+            healthy = residuals[~failed]
+            worst = float(np.max(healthy)) if healthy.size else 0.0
+            history.append(worst)
+            if len(history) >= 3 and history[-1] > history[-2]:
+                monotone_ok = False
+            iterations = m
+            if worst <= PICARD_TOL:
+                break
+        else:
+            failed = failed | (residuals > PICARD_TOL)
+        norms = np.sqrt(weighted_norm_sq_hat(grid, v_iter, norm_weight))
     big = ~np.isfinite(norms) | (norms > BLOWUP_NORM)
     failed = failed | big
     if failed.any():

@@ -10,6 +10,8 @@ weighted noise increment I_k(xi) = int e^{i(t_{k+1}-s)|xi|^2} dW(s, xi)
 and no transform is taken.  psi is therefore exact in distribution at any
 step size, for the conjugate pairing E[psi psi-bar] and for the plain pairing
 E[psi(xi) psi(-xi)] alike, at every time of the grid and jointly across times.
+An ensemble marches one step size dt = T / K, fixed when it is built, and
+forms its propagator phases and its sampler's factors once, then.
 The Wick square subtracts the exact discrete constant c_n(t) (see
 reference.renorm_constant), and the Duhamel convolution of the Wick square is
 accumulated per mode with the trapezoid rule (second order in dt).
@@ -126,10 +128,12 @@ class _Rung:
     psi_n lives on the modes |k| <= P per axis (P = ball_extent) and |psi_n|^2
     on |k| <= 2P.  The compact modes are those of |k| <= 2P that the study
     grid holds, and the padded grid holds them free of aliasing.  Study,
-    padded and compact arrays are all in numpy fft order.
+    padded and compact arrays are all in numpy fft order.  `phase` is the
+    propagator multiplier of the ensemble's step on the compact modes, taken
+    from the study grid's `phase` when the rung is built.
     """
 
-    def __init__(self, grid: SpectralGrid, radius: float) -> None:
+    def __init__(self, grid: SpectralGrid, radius: float, phase: np.ndarray) -> None:
         P, half, d = ball_extent(grid, radius), grid.N // 2, grid.d
         a, b = min(2 * P, half), min(2 * P, half - 1)
         self.grid = grid
@@ -139,7 +143,7 @@ class _Rung:
         self._psi_blocks = _blocks(d, min(P, half), min(P, half - 1), grid.N, self.padded.N)
         self._from_padded = _blocks(d, a, b, self.padded.N, a + b + 1)
         self._to_study = _blocks(d, a, b, a + b + 1, grid.N)
-        self._phases: dict[float, np.ndarray] = {}
+        self.phase = self._copy([(t, s) for s, t in self._to_study], phase, self.shape)
 
     @staticmethod
     def _copy(blocks, values: np.ndarray, shape: tuple[int, ...], fill=np.empty) -> np.ndarray:
@@ -162,15 +166,10 @@ class _Rung:
         """A compact array on the study grid, zero on the modes it lacks."""
         return self._copy(self._to_study, compact_hat, self.grid.shape, np.zeros)
 
-    def phase(self, phase: np.ndarray, dt: float) -> np.ndarray:
-        """The study grid's propagator phase for step dt on the compact modes."""
-        if dt not in self._phases:
-            self._phases[dt] = self._copy([(t, s) for s, t in self._to_study], phase, self.shape)
-        return self._phases[dt]
-
 
 class PathEnsemble:
-    """B coupled realizations advanced in lockstep on a shared time grid.
+    """B coupled realizations advanced in lockstep over K steps of one size
+    T / K, from t = 0 to T: the times uniform_times(T, K).
 
     Every truncation radius in `radii` is driven by the same per-member noise,
     with the master state evolved at max(radii) and the others obtained by
@@ -198,20 +197,17 @@ class PathEnsemble:
         grid: SpectralGrid,
         alpha: float,
         radii: list[float],
-        times: np.ndarray,
+        T: float,
+        K: int,
         seed: int,
         size: int,
         stream_offset: int = 0,
         track: bool = False,
     ) -> None:
-        if len(times) < 2 or np.any(np.diff(times) <= 0):
-            raise GridError("times must be strictly increasing with at least one step")
-        if times[0] != 0.0:
-            raise GridError("time grid must start at 0 (Psi(0,.) = 0)")
         self.grid = grid
         self.alpha = float(alpha)
         self.radii = sorted(float(r) for r in radii)
-        self.times = np.asarray(times, dtype=np.float64)
+        self.times, self.dt = uniform_times(T, K), T / K
         self.seed = int(seed)
         self.size = int(size)
         self.stream_offset = int(stream_offset)
@@ -220,15 +216,16 @@ class PathEnsemble:
 
         n_max = self.radii[-1]
         grid.check_radius(n_max)
-        self._phase_cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._masks = {r: truncation_mask(grid, r) for r in self.radii}
         self._mass = {r: spectral_mass(grid, r, alpha) for r in self.radii}
         self._rungs: dict[float, _Rung] = {}
 
         # the noise is drawn and psi advanced on the ball's modes only, in
         # the sampler's order; psi stays zero outside the ball
-        self._noise = ModeNoise(grid, self._masks[n_max] > 0)
+        self._noise = ModeNoise(grid, self._masks[n_max] > 0, self.dt)
         self._drive = (-1j) * bessel_weight(grid, -alpha).reshape(-1)[self._noise.modes]
+        self._phase = propagator_phase(grid, self.dt)
+        self._ball_phase = self._phase.reshape(-1)[self._noise.modes]
         # the ball's entries of the flattened psi block, member by member
         points = int(np.prod(grid.shape))
         self._ball = (np.arange(size)[:, None] * points + self._noise.modes).reshape(-1)
@@ -242,18 +239,11 @@ class PathEnsemble:
 
     def _rung(self, radius: float) -> _Rung:
         if radius not in self._rungs:
-            self._rungs[radius] = _Rung(self.grid, radius)
+            self._rungs[radius] = _Rung(self.grid, radius, self._phase)
         return self._rungs[radius]
 
     def _compact_zeros(self, radius: float) -> np.ndarray:
         return np.zeros((self.size,) + self._rung(radius).shape, dtype=np.complex128)
-
-    def _phase(self, dt: float) -> tuple[np.ndarray, np.ndarray]:
-        """The propagator phase for step dt on the study grid and on the ball."""
-        if dt not in self._phase_cache:
-            phase = propagator_phase(self.grid, dt)
-            self._phase_cache[dt] = phase, phase.reshape(-1)[self._noise.modes]
-        return self._phase_cache[dt]
 
     def psi_values(self, radius: float) -> np.ndarray:
         """Frequency-space psi block for one ladder radius (masked view of the master)."""
@@ -301,30 +291,28 @@ class PathEnsemble:
         """One time step for the whole batch: psi update, then tracked objects."""
         if self.k + 1 >= len(self.times):
             raise GridError("time grid exhausted")
-        dt = float(self.times[self.k + 1] - self.times[self.k])
-        phase, ball_phase = self._phase(dt)
         noise = self._noise
         block, row = noise.key(self.k)
         if row == 0:
             # a key block is drawn whole and turned at once into the
-            # increments of the steps it covers on this time grid
+            # increments of the steps it covers up to T
             normals = np.empty((self.size,) + noise.block_shape)
             for b in range(self.size):
                 gaussian_block(
                     self.seed, self.stream_offset + b, block, noise.block_shape, out=normals[b]
                 )
-            dts = np.diff(self.times[self.k : self.k + noise.steps_per_key + 1])
-            shape = (self.size, len(dts), len(noise.modes))
+            steps = min(noise.steps_per_key, len(self.times) - 1 - self.k)
+            shape = (self.size, steps, len(noise.modes))
             if self._block is None or self._block.shape != shape:
                 self._block = np.empty(shape, dtype=np.complex128)
-            noise.increments(normals[:, : len(dts)], dts, out=self._block)
+            noise.increments(normals[:, :steps], out=self._block)
             del normals
             # operands in the formula's order: numpy's complex multiply is
             # not bit-commutative
             np.multiply(self._drive, self._block, out=self._block)
         # psi <- phase * psi + drive * I on the ball
         ball = np.take(self.psi.reshape(self.size, -1), noise.modes, axis=1)
-        np.multiply(ball_phase, ball, out=ball)
+        np.multiply(self._ball_phase, ball, out=ball)
         ball += self._block[:, row]
         self.psi.reshape(-1)[self._ball] = ball.reshape(-1)
         if noise.steps_per_key == 1 or self.k + 2 == len(self.times):
@@ -338,8 +326,8 @@ class PathEnsemble:
             scratch = self._scratch(self.radii)
             for r in self.radii:
                 new_hat = self._wick_hat_now(r, *scratch)
-                rung_phase = self._rung(r).phase(phase, dt)
-                duhamel_update(self._ipsi2[r], rung_phase, self._wick_hat[r], new_hat, dt)
+                rung = self._rung(r)
+                duhamel_update(self._ipsi2[r], rung.phase, self._wick_hat[r], new_hat, self.dt)
                 self._wick_hat[r] = new_hat
 
     def run(self) -> None:
@@ -367,18 +355,10 @@ def sample_paths(
     when it is taken, one member at a time.  Each path is bit for bit the
     path sample_path gives its member alone.
     """
-    times = uniform_times(T, K)
     ens = PathEnsemble(
-        grid,
-        params.alpha,
-        [params.n],
-        times,
-        seed=seed,
-        size=count,
-        stream_offset=first,
-        track=True,
+        grid, params.alpha, [params.n], T, K, seed=seed, size=count, stream_offset=first, track=True
     )
-    n, rung = params.n, ens._rung(params.n)
+    n, rung, times = params.n, ens._rung(params.n), ens.times
     levels = len(times)
     psi = np.empty((count, levels) + grid.shape, dtype=np.complex128)
     wick_hat = np.empty((count, levels) + rung.shape, dtype=np.complex128)

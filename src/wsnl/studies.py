@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .config import HOELDER_LAGS, StudyConfig
+from .config import HOELDER_LAGS, StudyConfig, hoelder_steps
 from .grid import CutoffRho, GridError, SpectralGrid, hs_norm_sq, l2_norm, padded_points
 from .noise import ModeNoise
 from .reference import PaperParams, covariance_oracle, renorm_constant
@@ -162,19 +162,19 @@ def resolution_note(grid: SpectralGrid, radii: Iterable[float]) -> str:
 # chunked ensemble execution
 # ---------------------------------------------------------------------------
 
-def _ensemble_blocks(config: StudyConfig, times: np.ndarray, measure) -> list:
+def _ensemble_blocks(config: StudyConfig, measure) -> list:
     """measure(ens) for each chunk of config.chunk members, in member order.
 
-    Each chunk's ensemble runs at config.radii() and tracks the Wick squares
-    and their Duhamel convolutions when config.tracks.  It starts at its first
-    member's noise stream, so a member's values depend on neither the chunking
-    nor the thread count."""
+    Each chunk's ensemble marches config.K steps of config.T / config.K at
+    config.radii() and tracks the Wick squares and their Duhamel convolutions
+    when config.tracks.  It starts at its first member's noise stream, so a
+    member's values depend on neither the chunking nor the thread count."""
     grid = config.grid()
 
     def block(lo: int):
         size = min(config.chunk, config.M - lo)
         return measure(PathEnsemble(
-            grid, config.alpha, config.radii(), times, seed=config.seed, size=size,
+            grid, config.alpha, config.radii(), config.T, config.K, seed=config.seed, size=size,
             stream_offset=lo, track=config.tracks,
         ))
 
@@ -227,6 +227,9 @@ class MeanAccumulator:
 
     @property
     def stderr(self) -> np.ndarray:
+        """nan while fewer than two members give no spread to estimate."""
+        if self.count < 2:
+            return np.full_like(self.mean, np.nan)
         return np.sqrt(self._m2 / (self.count - 1) / self.count)
 
 
@@ -260,9 +263,9 @@ def white_noise_variance_check(
     sampler on the whole lattice: member m's first step, in physical space.
     Their phases leave every mode's variance at dt L^d, so by Parseval the
     complex pairing has E|<increment, f>|^2 = dt ||f||^2 for real f."""
-    noise = ModeNoise(grid, np.ones(grid.shape, dtype=bool))
+    noise = ModeNoise(grid, np.ones(grid.shape, dtype=bool), dt)
     z = np.stack([noise.normals_at(seed, m, 0) for m in range(M)])
-    inc = grid.inverse_values(noise.on_grid(noise.increments(z, dt))).reshape(M, -1)
+    inc = grid.inverse_values(noise.on_grid(noise.increments(z))).reshape(M, -1)
     pairings = np.stack(
         [grid.cell_volume * np.sum(inc * f.reshape(-1), axis=1) for f in test_functions], axis=1
     )
@@ -324,7 +327,7 @@ def run_covariance_study(config: StudyConfig) -> StudyResult:
         plain = np.stack([a * b for a, b in pairs], axis=-1)
         return dict(conj_re=conj.real, conj_im=conj.imag, plain_re=plain.real, plain_im=plain.imag)
 
-    acc = _means(_ensemble_blocks(config, times, measure))
+    acc = _means(_ensemble_blocks(config, measure))
 
     z_bound = 5.0
     rows: list[list[object]] = []
@@ -463,7 +466,6 @@ def run_cauchy_study(config: StudyConfig) -> StudyResult:
     s = params.s
     rho_vals = CutoffRho.for_grid(grid).evaluate(grid)
     ladder = list(config.ladder)
-    times = uniform_times(config.T, config.K)
 
     def measure(ens: PathEnsemble) -> dict[str, np.ndarray]:
         ens.run()
@@ -475,7 +477,7 @@ def run_cauchy_study(config: StudyConfig) -> StudyResult:
         block = np.stack(cols, axis=-1)
         return {"point": block, "decrement": block[:, :-1] - block[:, 1:]}
 
-    means = _means(_ensemble_blocks(config, times, measure))
+    means = _means(_ensemble_blocks(config, measure))
     acc, diff_acc = means["point"], means["decrement"]
 
     z = config.z
@@ -537,7 +539,6 @@ def run_smoothing_study(config: StudyConfig) -> StudyResult:
     rho_vals = CutoffRho.for_grid(grid).evaluate(grid)
     rho2 = rho_vals * rho_vals
     ladder = list(config.ladder)
-    times = uniform_times(config.T, config.K)
 
     def measure(ens: PathEnsemble) -> dict[tuple[str, float], np.ndarray]:
         ens.run()
@@ -551,7 +552,7 @@ def run_smoothing_study(config: StudyConfig) -> StudyResult:
 
     # per-member samples (members x rungs) are kept: the increment exponent's
     # standard error needs the covariance between rungs of one member
-    blocks = _ensemble_blocks(config, times, measure)
+    blocks = _ensemble_blocks(config, measure)
     samples = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
 
     rows: list[list[object]] = []
@@ -667,29 +668,25 @@ def run_hoelder_study(config: StudyConfig) -> StudyResult:
     grid = config.grid()
     params = config.params()
     s = params.s
-    # validate_config keeps the largest lag inside [T/2, T]
+    # validate_config keeps the base time t0 = T/2 and every lag on the
+    # K-step grid, the largest inside [t0, T]
     lags = HOELDER_LAGS
     t0 = config.T / 2.0
+    base, *ends = (round(j) for j in hoelder_steps(config.T, config.K))
     rho_vals = CutoffRho.for_grid(grid).evaluate(grid)
-    times = np.array([0.0, t0] + [t0 + h for h in lags])
-
-    zero_mode = (0,) * grid.d
+    zero_mode = (slice(None),) + (0,) * grid.d
 
     def measure(ens: PathEnsemble) -> dict[str, np.ndarray]:
-        ens.advance()  # reach t0
-        base = ens.psi_values(config.n).copy()
-        base_zero = base[(slice(None),) + zero_mode].copy()
+        psi = _at_steps(ens, [base, *ends], lambda e: e.psi_values(config.n))
         cols, ctrl = [], []
-        for _ in lags:
-            ens.advance()
-            diff = ens.psi_values(config.n) - base
+        for k in ends:
+            diff = psi[k] - psi[base]
+            ctrl.append(np.abs(diff[zero_mode]) ** 2)
             loc = rho_vals * grid.inverse_values(diff)
             cols.append(hs_norm_sq(grid, loc, -s))
-            dz = ens.psi[(slice(None),) + zero_mode] - base_zero
-            ctrl.append(np.abs(dz) ** 2)
         return {"field": np.stack(cols, axis=-1), "control": np.stack(ctrl, axis=-1)}
 
-    means = _means(_ensemble_blocks(config, times, measure))
+    means = _means(_ensemble_blocks(config, measure))
     acc, acc_ctrl = means["field"], means["control"]
 
     z = config.z
@@ -739,7 +736,6 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
     rho_vals = solver_config.rho.evaluate(grid)
     ladder = list(config.ladder)
     radii = config.radii()
-    times = uniform_times(config.T, config.K)
 
     def measure(ens: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
         shape = (ens.size,) + grid.shape
@@ -765,16 +761,20 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         failed = np.logical_or.reduce([stepper.failed for stepper in steppers.values()])
         return np.stack(cols, axis=-1), failed
 
-    blocks = _ensemble_blocks(config, times, measure)
+    blocks = _ensemble_blocks(config, measure)
     samples = np.concatenate([block[~failed] for block, failed in blocks], axis=0)
     failed_total = sum(int(failed.sum()) for _, failed in blocks)
-    medians = np.median(samples, axis=0)
     acc = MeanAccumulator(len(ladder))
     acc.add(samples)
+    if acc.count:
+        medians, means = np.median(samples, axis=0), acc.mean
+    else:
+        # every member excluded: no statistic to reduce
+        medians = means = np.full(len(ladder), np.nan)
 
     rows: list[list[object]] = []
     for j, n in enumerate(ladder):
-        rows.append(["point", n, float(medians[j]), float(acc.mean[j]), float(acc.stderr[j])])
+        rows.append(["point", n, float(medians[j]), float(means[j]), float(acc.stderr[j])])
     decreasing = bool(np.all(np.diff(medians) < 0.0))
     rows.append(["excluded", "", float(failed_total), "", ""])
     verdict = Verdict(
@@ -816,7 +816,7 @@ def wick_centering_check(
     def measure(ens: PathEnsemble) -> dict[int, np.ndarray]:
         return _at_steps(ens, probe_ks, lambda e: e.wick_values(config.n).reshape(e.size, cells))
 
-    acc = _means(_ensemble_blocks(config, times, measure))
+    acc = _means(_ensemble_blocks(config, measure))
 
     rows: list[list[object]] = []
     z_max = []

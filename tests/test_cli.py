@@ -251,6 +251,39 @@ def test_main_error_paths(tmp_path, capsys):
     assert "hoelder lags need T/2 + max(lags) <= T: 0.1 + 0.125 = 0.225 > T = 0.2" in err
 
 
+def test_hoelder_reads_its_lags_on_its_k_step_grid(tmp_path, capsys):
+    # at T = 0.5, K = 48 puts the lag 1/64 between steps of 1/96; K = 64 marches
+    # steps of 1/128 and draws other normals than the default K = 32
+    assert main(["hoelder", "--set", "M=100", "--set", "K=48", "--out", str(tmp_path / "a")]) == 2
+    err = capsys.readouterr().err
+    assert "hoelder needs T/2 and T/2 + h for every lag h" in err
+    assert "on the K-step grid, at multiples of T/K = 0.0104167: got T = 0.5, K = 48" in err
+    csv = {}
+    for K in (32, 64):
+        out = tmp_path / f"K{K}"
+        assert main(["hoelder", "--set", "M=100", "--set", f"K={K}", "--out", str(out)]) in (0, 1)
+        assert f"K = {K}\n" in (out / "verdict.txt").read_text()
+        csv[K] = (out / "hoelder.csv").read_bytes()
+    assert csv[32] != csv[64]
+
+
+@pytest.mark.parametrize("K, excluded", [(4, 22), (1, 100)], ids=["some", "all"])
+def test_converge_with_excluded_members_fails_quietly(K, excluded, tmp_path):
+    # members that blow up are iterated on with the healthy ones and then
+    # excluded without a numpy warning, which pytest would raise; with none
+    # left the statistics are nan, not a mean over no member
+    args = ["M=100", "N=128", "chunk=100", f"K={K}", "T=1", "ladder=2,4"]
+    argv = ["converge", *(item for pair in args for item in ("--set", pair))]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == ["config.resolved", "converge.csv", "verdict.txt"]
+    rows = (tmp_path / "converge.csv").read_text().splitlines()
+    assert f"1,excluded,,{excluded:.1f},," in rows
+    if excluded == 100:
+        assert "1,point,2.0,nan,nan,nan" in rows and "1,point,4.0,nan,nan,nan" in rows
+    assert (tmp_path / "verdict.txt").read_text().endswith("overall = FAIL\n")
+
+
 def test_cauchy_decrement_with_zero_stderr_fails_its_verdict(tmp_path):
     # at L = 2 pi no annulus (n, 2n] holds a lattice mode: every gap and stderr is 0,
     # and no log-log fit runs through the all-zero means

@@ -19,18 +19,18 @@ from wsnl.noise import (
 
 GRID = SpectralGrid(1, 2 * np.pi, 32)
 DT = 0.01
-FULL = ModeNoise(GRID, np.ones(GRID.shape, dtype=bool))  # the whole lattice, -N/2 included
+FULL = ModeNoise(GRID, np.ones(GRID.shape, dtype=bool), DT)  # the whole lattice, -N/2 included
 
 
-def increment(noise, seed, stream_id, step, dt=DT):
+def increment(noise, seed, stream_id, step):
     """One step's increments of one stream on the grid."""
-    return noise.on_grid(noise.increments(noise.normals_at(seed, stream_id, step), dt))
+    return noise.on_grid(noise.increments(noise.normals_at(seed, stream_id, step)))
 
 
-def ensemble(noise, seed, members, step=0, dt=DT):
+def ensemble(noise, seed, members, step=0):
     """(members, *grid.shape) increments of one step, one stream per member."""
     z = np.stack([noise.normals_at(seed, m, step) for m in range(members)])
-    return noise.on_grid(noise.increments(z, dt))
+    return noise.on_grid(noise.increments(z))
 
 
 def test_streams_reproduce_bit_for_bit():
@@ -55,7 +55,7 @@ def test_increment_at_is_pure():
     S = FULL.steps_per_key
     assert (S, FULL.normals) == (16, 2 * GRID.N - 1) == FULL.block_shape
     z = gaussian_block(5, 2, 40 // S, FULL.block_shape)[40 % S]
-    assert np.array_equal(increment(FULL, 5, 2, 40), FULL.on_grid(FULL.increments(z, DT)))
+    assert np.array_equal(increment(FULL, 5, 2, 40), FULL.on_grid(FULL.increments(z)))
 
 
 def fresh_philox_block(seed, stream_id, step, shape):
@@ -126,7 +126,7 @@ def test_pairing_variance_identity():
     # E|<increment, f>|^2 = dt * ||f||_L2^2 within 5% at M = 1e4: the phases
     # leave each mode's variance at dt L^d, so Parseval holds as for white noise
     grid = SpectralGrid(1, 2 * np.pi, 64)
-    noise = ModeNoise(grid, np.ones(grid.shape, dtype=bool))
+    noise = ModeNoise(grid, np.ones(grid.shape, dtype=bool), DT)
     f = np.exp(-((grid.x - np.pi) ** 2))
     M = 10_000
     inc = grid.inverse_values(ensemble(noise, 11, M))
@@ -168,9 +168,9 @@ def test_per_mode_covariance_matches_the_exact_increment(grid, radius, dt):
     # E[I(xi) conj I(xi)] = dt L^d and E[I(xi) I(-xi)] = L^d int_0^dt e^{2iau} du,
     # a = |xi|^2, at every sampled mode: the zero mode, the self-partnered
     # Nyquist modes and the pairs, with a dt from 0 to above 1
-    noise = ModeNoise(grid, truncation_mask(grid, radius) > 0)
+    noise = ModeNoise(grid, truncation_mask(grid, radius) > 0, dt)
     M = 20_000
-    draws = noise.increments(np.stack([noise.normals_at(17, m, 0) for m in range(M)]), dt)
+    draws = noise.increments(np.stack([noise.normals_at(17, m, 0) for m in range(M)]))
     flat = grid.N ** grid.d
     partner = np.ravel_multi_index(
         tuple(-i % grid.N for i in np.indices(grid.shape)), grid.shape

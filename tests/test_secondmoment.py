@@ -13,7 +13,7 @@ from wsnl.secondmoment import (
     plain_kernel,
     wick_norm_sq_expectation,
 )
-from wsnl.stochastic import PathEnsemble, uniform_times
+from wsnl.stochastic import PathEnsemble
 
 
 def riemann_conjugate(kappa, T, q=4000):
@@ -219,9 +219,8 @@ class TestKernels:
 def test_expectations_match_monte_carlo():
     grid = SpectralGrid(1, 2 * np.pi, 64)
     T, K, M, alpha = 1 / 32, 1024, 600, 0.3
-    times = uniform_times(T, K)
     ens = PathEnsemble(
-        grid, alpha, [8.0], times, seed=5, size=M, track=True
+        grid, alpha, [8.0], T, K, seed=5, size=M, track=True
     )
     ens.run()
     for sigma in (0.23, -0.32):

@@ -33,7 +33,7 @@ from wsnl.solver import (
     nonlinearity_values,
     solve,
 )
-from wsnl.stochastic import PathEnsemble, StochasticPath, sample_path, uniform_times, zero_path
+from wsnl.stochastic import PathEnsemble, StochasticPath, sample_path, zero_path
 from wsnl.studies import StudyConfig
 
 GRID = SpectralGrid(1, 2 * np.pi, 64)
@@ -341,11 +341,11 @@ def test_initial_data_must_be_physical():
 def rung_path(params, grid, seed, stream_id, T, K, top):
     """The path of radius params.n that a ladder topped by `top` drives: its
     noise is drawn on the ball of `top`, as the ensemble draws it."""
-    times = uniform_times(T, K)
     ens = PathEnsemble(
-        grid, params.alpha, [params.n, top], times, seed=seed, size=1,
+        grid, params.alpha, [params.n, top], T, K, seed=seed, size=1,
         stream_offset=stream_id, track=True,
     )
+    times = ens.times
     psi, ipsi2 = [], []
     for k in range(K + 1):
         if k:
@@ -364,7 +364,7 @@ def test_ensemble_march_matches_solve_per_member():
     rho = CutoffRho.for_grid(GRID)
     config = make_config(GRID, PARAMS, rho, None, T, K)
     ens = PathEnsemble(
-        GRID, PARAMS.alpha, [n, 2 * n], uniform_times(T, K), seed=seed, size=2, track=True
+        GRID, PARAMS.alpha, [n, 2 * n], T, K, seed=seed, size=2, track=True
     )
     v0 = np.zeros((2,) + GRID.shape, dtype=complex)
     rho_vals = rho.evaluate(GRID)

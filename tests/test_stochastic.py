@@ -77,9 +77,8 @@ def test_mild_form_recursion_against_independent_multipliers():
 
 def test_single_mode_variance_matches_ito_isometry():
     # Var[psi_K(xi)] -> T * L^d * (1+|xi|^2)^{-alpha} within 5% at M = 1e4
-    T = 0.5
-    times = np.array([0.0, 0.2, T])  # exactness holds for any step layout
-    ens = PathEnsemble(GRID, PARAMS.alpha, [PARAMS.n], times, seed=3, size=10_000)
+    T = 0.5  # two steps of T/2: exactness holds at any step size
+    ens = PathEnsemble(GRID, PARAMS.alpha, [PARAMS.n], T, 2, seed=3, size=10_000)
     ens.run()
     idx = 4
     xi = GRID.xi_axis[idx]
@@ -98,10 +97,9 @@ def test_truncation_zero_keeps_only_dc():
 
 def test_two_time_covariance_against_oracle():
     T, K, M = 0.5, 64, 4000
-    times = uniform_times(T, K)
-    ens = PathEnsemble(GRID, PARAMS.alpha, [PARAMS.n], times, seed=5, size=M)
+    ens = PathEnsemble(GRID, PARAMS.alpha, [PARAMS.n], T, K, seed=5, size=M)
     snap_half = None
-    while ens.k + 1 < len(times):
+    while ens.k < K:
         ens.advance()
         if ens.k == K // 2:
             snap_half = GRID.inverse_values(ens.psi_values(PARAMS.n)).copy()
@@ -141,10 +139,9 @@ class TestWickSquare:
             assert wick_mean_identity_gap(path, k) < 1e-10
 
     def test_ensemble_mean_is_statistically_zero(self):
-        times = np.array([0.0, 0.25, 0.5])
         M = 4000
-        ens = PathEnsemble(GRID, PARAMS.alpha, [PARAMS.n], times, seed=7, size=M)
-        while ens.k + 1 < len(times):
+        ens = PathEnsemble(GRID, PARAMS.alpha, [PARAMS.n], 0.5, 2, seed=7, size=M)
+        while ens.k < 2:
             ens.advance()
             w = ens.wick_values(PARAMS.n)
             se = w.std(axis=0, ddof=1) / np.sqrt(M)
@@ -213,22 +210,22 @@ def test_in_place_advance_matches_an_out_of_place_reference_step():
     # its modes |k| <= 2P (P the ball's reach) put back on the study grid
     grid = SpectralGrid(1, 4 * np.pi, 64)
     radii, alpha, seed, size = [1.0, 2.0, 4.0, 8.0], 0.3, 21, 3
-    times = uniform_times(0.5, 40)
+    T, K = 0.5, 40
     ens = PathEnsemble(
-        grid, alpha, radii, times, seed=seed, size=size, track=True
+        grid, alpha, radii, T, K, seed=seed, size=size, track=True
     )
+    times, dt = uniform_times(T, K), T / K
     ks = _signed_modes(grid)
     masks = {r: truncation_mask(grid, r) for r in radii}
     gain = (1.0 + grid.xi2) ** (-alpha / 2) * masks[radii[-1]]
-    noise = ModeNoise(grid, masks[radii[-1]] > 0)
+    noise = ModeNoise(grid, masks[radii[-1]] > 0, dt)
+    phase = propagator_phase(grid, dt)
     psi = np.zeros((size,) + grid.shape, dtype=complex)
     wick_hat = {r: np.zeros_like(psi) for r in radii}
     ipsi2 = {r: np.zeros_like(psi) for r in radii}
-    for k in range(len(times) - 1):
-        dt = float(times[k + 1] - times[k])
-        phase = propagator_phase(grid, dt)
+    for k in range(K):
         z = np.stack([noise.normals_at(seed, b, k) for b in range(size)])
-        psi = phase * psi + ((-1j) * gain) * noise.on_grid(noise.increments(z, dt))
+        psi = phase * psi + ((-1j) * gain) * noise.on_grid(noise.increments(z))
         for r in radii:
             reach = int(np.abs(ks[masks[r] > 0]).max())
             padded = SpectralGrid(1, grid.L, padded_points(grid, r))
@@ -259,18 +256,18 @@ def test_top_rungs_match_a_doubly_padded_reference():
     # cannot alias, and restricts its square back to the study grid.
     grid = SpectralGrid(1, 8 * np.pi, 1024)
     radii, alpha, seed, size = [64.0, 128.0], 0.3, 31, 2
-    times = uniform_times(1.0 / 32, 4)
+    T, K = 1.0 / 32, 4
     ens = PathEnsemble(
-        grid, alpha, radii, times, seed=seed, size=size, track=True
+        grid, alpha, radii, T, K, seed=seed, size=size, track=True
     )
     fine = SpectralGrid(1, grid.L, 2 * grid.N + 2)
     at = _signed_modes(grid) % fine.N
     wick_hat = {r: np.zeros((size, grid.N), dtype=complex) for r in radii}
     ipsi2 = {r: np.zeros((size, grid.N), dtype=complex) for r in radii}
     aliased = {}
-    while ens.k + 1 < len(times):
-        dt = float(times[ens.k + 1] - times[ens.k])
-        phase = propagator_phase(grid, dt)
+    dt = T / K
+    phase = propagator_phase(grid, dt)
+    while ens.k < K:
         ens.advance()
         for r in radii:
             psi_r = ens.psi_values(r)
@@ -301,15 +298,15 @@ def test_compact_tracking_matches_full_grid_tracking_below_half_nyquist(grid, al
     # with 2n < Nyquist the study grid squares psi_n without aliasing, so the
     # full-grid step (the tracking before padding) is a round-off reference
     assert 2 * max(radii) < grid.nyquist
-    seed, size, times = 41, 2, uniform_times(0.25, 8)
+    seed, size, T, K = 41, 2, 0.25, 8
     ens = PathEnsemble(
-        grid, alpha, radii, times, seed=seed, size=size, track=True
+        grid, alpha, radii, T, K, seed=seed, size=size, track=True
     )
     wick_hat = {r: np.zeros((size,) + grid.shape, dtype=complex) for r in radii}
     ipsi2 = {r: np.zeros((size,) + grid.shape, dtype=complex) for r in radii}
-    while ens.k + 1 < len(times):
-        dt = float(times[ens.k + 1] - times[ens.k])
-        phase = propagator_phase(grid, dt)
+    dt = T / K
+    phase = propagator_phase(grid, dt)
+    while ens.k < K:
         ens.advance()
         for r in radii:
             c = ens.t * spectral_mass(grid, r, alpha)
@@ -323,10 +320,10 @@ def test_compact_tracking_matches_full_grid_tracking_below_half_nyquist(grid, al
 
 
 def test_untracked_wick_values_equal_the_tracked_ones():
-    grid, radii, times = SpectralGrid(1, 4 * np.pi, 64), [2.0, 8.0], uniform_times(0.25, 4)
-    tracked = PathEnsemble(grid, 0.3, radii, times, seed=5, size=2, track=True)
-    plain = PathEnsemble(grid, 0.3, radii, times, seed=5, size=2)
-    while tracked.k + 1 < len(times):
+    grid, radii = SpectralGrid(1, 4 * np.pi, 64), [2.0, 8.0]
+    tracked = PathEnsemble(grid, 0.3, radii, 0.25, 4, seed=5, size=2, track=True)
+    plain = PathEnsemble(grid, 0.3, radii, 0.25, 4, seed=5, size=2)
+    while tracked.k < 4:
         tracked.advance()
         plain.advance()
         for r in radii:
@@ -337,16 +334,16 @@ def test_a_members_path_does_not_depend_on_its_chunk_or_thread():
     # 8 members in one chunk, in 8 chunks of 1, and in 2 chunks of 4 run on 2
     # threads at once: psi and the tracked objects agree bit for bit, over
     # steps that cross key blocks (15 steps per key here)
-    grid, radii, times = SpectralGrid(1, 2 * np.pi, 64), [8.0, 16.0], uniform_times(0.25, 20)
+    grid, radii = SpectralGrid(1, 2 * np.pi, 64), [8.0, 16.0]
 
     def run(lo, hi):
         ens = PathEnsemble(
-            grid, 0.3, radii, times, seed=71, size=hi - lo, stream_offset=lo, track=True
+            grid, 0.3, radii, 0.25, 20, seed=71, size=hi - lo, stream_offset=lo, track=True
         )
         ens.run()
         return [ens.psi] + [ens.ipsi2_values(r) for r in radii] + [ens.wick_values(r) for r in radii]
 
-    assert ModeNoise(grid, truncation_mask(grid, 16.0) > 0).steps_per_key == 15
+    assert ModeNoise(grid, truncation_mask(grid, 16.0) > 0, 0.25 / 20).steps_per_key == 15
     whole = run(0, 8)
     singles = [np.concatenate(parts) for parts in zip(*(run(b, b + 1) for b in range(8)))]
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -357,8 +354,7 @@ def test_a_members_path_does_not_depend_on_its_chunk_or_thread():
 
 
 def test_truncation_coupling_is_exact_masking():
-    times = uniform_times(0.5, 8)
-    ens = PathEnsemble(GRID, 0.3, [4.0, 8.0, 16.0], times, seed=8, size=3)
+    ens = PathEnsemble(GRID, 0.3, [4.0, 8.0, 16.0], 0.5, 8, seed=8, size=3)
     ens.run()
     for small in (4.0, 8.0):
         masked = truncation_mask(GRID, small) * ens.psi_values(16.0)
@@ -487,7 +483,7 @@ def test_each_member_of_a_block_is_its_own_sample_path(grid, params):
 
 
 def test_ensemble_single_step_stays_in_ball():
-    ens = PathEnsemble(GRID, PARAMS.alpha, [PARAMS.n], np.array([0.0, 0.1]), seed=13, size=1)
+    ens = PathEnsemble(GRID, PARAMS.alpha, [PARAMS.n], 0.1, 1, seed=13, size=1)
     ens.advance()
     outside = truncation_mask(GRID, PARAMS.n) == 0.0
     assert np.all(ens.psi[0][outside] == 0)

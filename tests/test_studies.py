@@ -9,7 +9,6 @@ import wsnl.studies
 from wsnl.cli import main
 from wsnl.config import ConfigError
 from wsnl.grid import SpectralGrid
-from wsnl.stochastic import uniform_times
 from wsnl.studies import (
     MeanAccumulator,
     StudyConfig,
@@ -152,32 +151,34 @@ class Recorded(Exception):
         (run_study, "cauchy_rate", dict(K=4, ladder=(2.0, 4.0, 8.0)), [2.0, 4.0, 8.0, 16.0], False),
         (run_study, "smoothing", dict(K=16, ladder=(0.5, 1, 2, 4)), [0.5, 1.0, 2.0, 4.0], True),
         (run_study, "hoelder", dict(n=4.0), [4.0], False),
+        (run_study, "hoelder", dict(n=4.0, K=64), [4.0], False),
         (run_study, "solver_convergence", dict(K=8, ladder=(2.0, 4.0)), [2.0, 4.0, 8.0], True),
         (wick_centering_check, "covariance", dict(n=8.0, K=4), [8.0], False),
     ],
-    ids=["covariance", "cauchy", "cauchy_K4", "smoothing", "hoelder", "converge", "wick_centering"],
+    ids=[
+        "covariance", "cauchy", "cauchy_K4", "smoothing", "hoelder", "hoelder_K64", "converge",
+        "wick_centering",
+    ],
 )
 def test_every_ensemble_runs_at_the_radii_and_tracking_of_its_config(
     run, kind, overrides, radii, track, monkeypatch
 ):
     # the studies build their ensembles from config.radii() and config.tracks
     # alone, and those are the kind's rule: [n], the ladder, or each rung and 2n;
-    # every study but hoelder, whose lags set its times, marches K uniform steps
+    # every study marches the K steps of T/K of its config
     seen = []
 
-    def recorder(grid, alpha, ens_radii, times, **kwargs):
-        seen.append((sorted(ens_radii), kwargs["track"], times))
+    def recorder(grid, alpha, ens_radii, T, K, **kwargs):
+        seen.append((sorted(ens_radii), kwargs["track"], (T, K)))
         raise Recorded
 
     monkeypatch.setattr(wsnl.studies, "PathEnsemble", recorder)
     config = StudyConfig(kind=kind, M=100, N=64, **overrides)
     with pytest.raises(Recorded):
         run(config)
-    [(ens_radii, ens_track, times)] = seen
+    [(ens_radii, ens_track, steps)] = seen
     assert (ens_radii, ens_track) == (config.radii(), config.tracks) == (radii, track)
-    if kind != "hoelder":
-        assert len(times) == config.K + 1
-        assert np.array_equal(times, uniform_times(config.T, config.K))
+    assert steps == (config.T, config.K)
 
 
 def test_converge_rejects_the_global_solver_mode(tmp_path, capsys):
