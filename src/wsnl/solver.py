@@ -16,9 +16,12 @@ starts from the explicit exponential predictor
                   + [ R(t_{k+1}) - e^{-i dt Lap} R(t_k) ],
 
 the exponential Euler step paired with the exponential trapezoid corrector
-above (Hochbruck & Ostermann, Acta Numerica 19, 2010).  Residuals are
-successive-iterate distances in the discrete H^{-s} norm.  N is real, so at
-d = 1 its transform takes the rfft path of SpectralGrid.forward_values.
+above (Hochbruck & Ostermann, Acta Numerica 19, 2010).  Picard increments
+are measured in the discrete H^{-s} norm, and a step's residual is the
+contraction bound theta/(1 - theta) x increment on its distance to the fixed
+point, the stopping rule of implicit Runge-Kutta codes (Hairer & Wanner,
+Solving ODEs II, IV.8; see step_values).  N is real, so at d = 1 its
+transform takes the rfft path of SpectralGrid.forward_values.
 
 This module is the only place that marches the equation.  level() is the one
 builder of a march's inputs: it localizes Psi and <I Psi^2> at one time, or at
@@ -68,8 +71,10 @@ from .reference import PaperParams
 from .stochastic import StochasticPath
 
 BLOWUP_NORM = 1e8
-# Picard stops once the worst healthy residual is at most PICARD_TOL, or
-# after PICARD_MAX iterations
+# step-local Picard stops once the worst healthy member's contraction bound
+# on its distance to the fixed point is at most PICARD_TOL, or after
+# PICARD_MAX iterations; global sweeps stop once their last distance is at
+# most PICARD_TOL
 PICARD_TOL = 1e-10
 PICARD_MAX = 50
 
@@ -242,10 +247,16 @@ def step_values(
     step; None evaluates it here.  Picard starts from the explicit
     exponential predictor, which takes N(t_{k+1}) ~ e^{-i dt Lap} N(t_k).
 
+    A member's residual at iteration m bounds the distance from its iterate
+    to the fixed point: with increments r_m and theta_m = r_m / r_{m-1}, it
+    is min(r_m, theta_m/(1 - theta_m) r_m) when theta_m < 1 and r_m
+    otherwise (contraction mapping theorem; Hairer & Wanner, Solving ODEs
+    II, IV.8).  The first iteration has no theta, and its residual is r_1.
+
     Returns (v_next, iterations, residuals, monotone_ok, history, failed,
-    n_next), where history holds the worst healthy residual of each iteration
-    and n_next is the last evaluation of N at nxt (at the iterate before
-    v_next).  In batched mode iteration continues until every healthy
+    n_next), where history holds the worst healthy increment of each
+    iteration and n_next is the last evaluation of N at nxt (at the iterate
+    before v_next).  In batched mode iteration continues until every healthy
     member's residual clears PICARD_TOL.  A member fails when a residual is
     non-finite, when its residual is still above PICARD_TOL after PICARD_MAX
     iterations, or when its norm is non-finite or above BLOWUP_NORM; failed
@@ -274,8 +285,9 @@ def step_values(
     monotone_ok = True
     iterations = 0
     # a flagged member is iterated on with the healthy ones and may overflow
-    # on its way to inf; it is zeroed below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # on its way to inf, and a member whose increment was 0 divides by it in
+    # theta; it is zeroed below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for m in range(1, PICARD_MAX + 1):
             n_next = None  # free the last evaluation before making the next
             n_next = nonlinearity_values(
@@ -285,16 +297,23 @@ def step_values(
             v_new += fixed
             # v_iter becomes the increment, then the two buffers swap roles
             np.subtract(v_new, v_iter, out=v_iter)
-            residuals = np.sqrt(weighted_norm_sq_hat(grid, v_iter, norm_weight))
+            increments = np.sqrt(weighted_norm_sq_hat(grid, v_iter, norm_weight))
             v_iter, v_new = v_new, v_iter
+            if m == 1:
+                residuals = increments
+            else:
+                # the contraction bound on the distance to the fixed point
+                theta = increments / last_increments
+                bound = np.minimum(increments, theta / (1.0 - theta) * increments)
+                residuals = np.where(theta < 1.0, bound, increments)
+            last_increments = increments
             failed = failed | ~np.isfinite(residuals)
-            healthy = residuals[~failed]
-            worst = float(np.max(healthy)) if healthy.size else 0.0
-            history.append(worst)
+            healthy = ~failed
+            history.append(float(np.max(increments[healthy])) if healthy.any() else 0.0)
             if len(history) >= 3 and history[-1] > history[-2]:
                 monotone_ok = False
             iterations = m
-            if worst <= PICARD_TOL:
+            if not healthy.any() or np.max(residuals[healthy]) <= PICARD_TOL:
                 break
         else:
             failed = failed | (residuals > PICARD_TOL)

@@ -25,6 +25,7 @@ one noise stream gives it a Monte Carlo standard error.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable
@@ -759,11 +760,14 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
             loc = rho_vals * grid.inverse_values(u_n - u_2n)
             cols.append(np.sqrt(hs_norm_sq(grid, loc, -s)))
         failed = np.logical_or.reduce([stepper.failed for stepper in steppers.values()])
-        return np.stack(cols, axis=-1), failed
+        iterations = Counter(m for stepper in steppers.values() for m in stepper.iterations)
+        return np.stack(cols, axis=-1), failed, iterations
 
     blocks = _ensemble_blocks(config, measure)
-    samples = np.concatenate([block[~failed] for block, failed in blocks], axis=0)
-    failed_total = sum(int(failed.sum()) for _, failed in blocks)
+    samples = np.concatenate([block[~failed] for block, failed, _ in blocks], axis=0)
+    failed_total = sum(int(failed.sum()) for _, failed, _ in blocks)
+    # batched steps by their Picard iteration count, over rungs and chunks
+    picard = sum((iterations for _, _, iterations in blocks), Counter())
     acc = MeanAccumulator(len(ladder))
     acc.add(samples)
     if acc.count:
@@ -792,6 +796,7 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         notes=[
             f"coupled solves, chi = rho, excluded realizations: {failed_total}",
             f"s = {s:.4g}, T = {config.T}, K = {config.K}",
+            "picard iterations per step: " + ", ".join(f"{m}: {picard[m]}" for m in sorted(picard)),
             resolution_note(grid, radii),
         ],
     )

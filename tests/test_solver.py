@@ -32,6 +32,7 @@ from wsnl.solver import (
     nonlinearity_scale,
     nonlinearity_values,
     solve,
+    step_values,
 )
 from wsnl.stochastic import PathEnsemble, StochasticPath, sample_path, zero_path
 from wsnl.studies import StudyConfig
@@ -183,6 +184,64 @@ def test_picard_contraction_evidence_on_stochastic_run():
     assert np.all(out.picard_iterations <= PICARD_MAX)
     assert np.mean(out.monotone_flags) >= 0.95
     assert all(np.isfinite(v) for v in out.y_norms.values())
+
+
+def test_picard_stops_within_picard_tol_of_the_fixed_point():
+    # one batched step of eight members, taken after four steps of the march
+    # so that v and N(t_k) are not zero
+    T, K, n, members = 0.25, 8, 16.0, 8
+    params = PaperParams(d=1, alpha=PARAMS.alpha, eps=PARAMS.eps, n=n)
+    rho = CutoffRho.for_grid(GRID)
+    config = make_config(GRID, params, rho, None, T, K)
+    rho_vals = rho.evaluate(GRID)
+    ens = PathEnsemble(GRID, params.alpha, [n], T, K, seed=7, size=members, track=True)
+
+    def current():
+        return level(config, GRID, rho_vals, ens.psi_values(n), ens.ipsi2_values(n), ens.t)
+
+    stepper = RemainderStepper(config, GRID, np.zeros((members,) + GRID.shape, complex), current())
+    for _ in range(4):
+        ens.advance()
+        prev = current()
+        stepper.step(prev)
+    v = stepper.v_hat
+    ens.advance()
+    nxt = current()
+    scale = nonlinearity_scale(GRID, True)
+    weight = hs_weight(GRID, -params.s)
+    phase = propagator_phase(GRID, config.dt)
+    v_next, iterations, residuals, _, _, failed, _ = step_values(
+        GRID, v, prev, nxt, phase, config.dt, weight, rho_vals, scale
+    )
+    assert not failed.any()
+
+    def distance(a, b):
+        return np.sqrt(weighted_norm_sq_hat(GRID, a - b, weight))
+
+    # the same map, iterated from the predictor to its round-off floor
+    half_dt = -0.5j * config.dt
+    n_prev = nonlinearity_values(GRID, v, rho_vals, prev.two_rho_psi, None, scale)
+    fixed = phase * (v - prev.r_hat) + nxt.r_hat + half_dt * phase * n_prev
+    iterate = fixed + half_dt * phase * n_prev
+    increments = []
+    for _ in range(100):
+        new = fixed + half_dt * nonlinearity_values(GRID, iterate, rho_vals, nxt.two_rho_psi, None, scale)
+        increments.append(distance(new, iterate))
+        iterate = new
+    assert np.max(increments[-1]) <= 1e-18
+    assert np.all(distance(v_next, iterate) <= PICARD_TOL)
+    assert np.all(residuals <= PICARD_TOL)
+    # the first increment has no contraction factor to bound it
+    assert np.max(increments[0]) > PICARD_TOL and iterations >= 2
+
+
+def test_step_local_solve_records_residuals_within_picard_tol():
+    # a row's residual is the quantity the Picard stop tested
+    T, K = 0.25, 32
+    path = sample_path(PARAMS, GRID, seed=41, T=T, K=K)
+    out = solve(make_config(GRID, PARAMS, CutoffRho.for_grid(GRID), None, T, K), path)
+    assert out.completed
+    assert np.all(out.residuals <= PICARD_TOL)
 
 
 def test_blowup_is_reported_not_raised():
@@ -356,7 +415,18 @@ def rung_path(params, grid, seed, stream_id, T, K, top):
     return StochasticPath(params, grid, times, psi, zero, ipsi2, seed, stream_id)
 
 
-def test_ensemble_march_matches_solve_per_member():
+@pytest.fixture
+def tight_picard(monkeypatch):
+    """PICARD_TOL at 1e-12 in the solver and in reference_march.  Two
+    marches that each stop within PICARD_TOL of their own fixed points, after
+    different iteration counts, differ by about that much: at 1e-10 the two
+    comparisons below read 1.1e-10 and 5.2e-10 against their 1e-9 x max|v|
+    bounds of 2.0e-11 and 2.2e-11."""
+    monkeypatch.setattr(wsnl.solver, "PICARD_TOL", 1e-12)
+    monkeypatch.setitem(globals(), "PICARD_TOL", 1e-12)
+
+
+def test_ensemble_march_matches_solve_per_member(tight_picard):
     # the converge study's batched march and solve() advance the same equation;
     # the top radius's path is sample_path's, the lower one is the rung of
     # the same member's ladder
@@ -427,7 +497,7 @@ def reference_march(config, path):
     return v, total
 
 
-def test_step_local_march_matches_the_plain_reference():
+def test_step_local_march_matches_the_plain_reference(tight_picard):
     T, K = 0.25, 32
     path = sample_path(PARAMS, GRID, seed=41, T=T, K=K)
     config = make_config(GRID, PARAMS, CutoffRho.for_grid(GRID), None, T, K)

@@ -197,6 +197,16 @@ def test_converge_rejects_the_global_solver_mode(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_converge_notes_the_picard_iterations_of_every_batched_step():
+    # three chunks, three radii (ladder 2, 4 and their top 8), K = 8 steps each
+    config = StudyConfig(kind="solver_convergence", M=100, chunk=40, N=64, K=8, ladder=(2.0, 4.0))
+    prefix = "picard iterations per step: "
+    [note] = [note for note in run_study(config).notes if note.startswith(prefix)]
+    counts = dict(pair.split(": ") for pair in note.removeprefix(prefix).split(", "))
+    assert list(counts) == sorted(counts, key=int)
+    assert sum(int(count) for count in counts.values()) == 3 * 3 * 8
+
+
 def test_white_noise_variance_check():
     grid = SpectralGrid(1, 2 * np.pi, 64)
     fns = [
