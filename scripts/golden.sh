@@ -15,13 +15,14 @@
 # trace takes the physical-space norm, and at K = 7 and K = 100, whose
 # linspace time grids differ from dt = T/K at round-off), the global-mode
 # blow-up, chunked and threaded studies, sampling in blocks, the converge and
-# cauchy defaults, cauchy at K = 4, hoelder at K = 64 (its lags read on a finer
-# grid than the default K = 32), converge runs in which some members and all
-# members blow up and are excluded, and four degenerate ladders whose verdicts
-# FAIL (cauchy-flat: no lattice mode in any annulus; smoothing-flat: an empty
-# exact pair set; renorm-flat and smoothing-zero: rungs whose balls hold the
-# zero mode alone, so an increment is 0); a run takes under a minute on 2
-# cores.
+# cauchy defaults, converge at d = 2 (its batched march localizes on a box of
+# the cutoff's support in both axes; its verdict FAILs at M = 100), cauchy at
+# K = 4, hoelder at K = 64 (its lags read on a finer grid than the default
+# K = 32), converge runs in which some members and all members blow up and
+# are excluded, and four degenerate ladders whose verdicts FAIL (cauchy-flat:
+# no lattice mode in any annulus; smoothing-flat: an empty exact pair set;
+# renorm-flat and smoothing-zero: rungs whose balls hold the zero mode alone,
+# so an increment is 0); a run takes under a minute on 2 cores.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -87,6 +88,7 @@ run converge-small converge "${conv[@]}"
 run converge-threads converge "${conv[@]}" --threads 2
 run converge-global converge "${conv[@]}" --set solver_mode=global
 run converge-M100 converge --set M=100
+run converge-d2 converge --set d=2 --set N=32 --set ladder=1,2 --set K=8 --set M=100
 excluded=(--set M=100 --set N=128 --set chunk=100 --set T=1 --set ladder=2,4)
 for K in 4 1; do
     run "converge-blowup-K$K" converge "${excluded[@]}" --set K=$K

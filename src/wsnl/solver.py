@@ -1,52 +1,58 @@
 """Exponential Duhamel time stepping for the remainder equation v = u - Psi.
 
-One step advances v by
+v is driven by R = rho^2 <I Psi^2>, which the step integrates exactly, so the
+march carries z = v - R, which obeys the exponential trapezoid with no R term
+(Hochbruck & Ostermann, Acta Numerica 19, 2010):
 
-    v_{k+1} = e^{-i dt Lap} v_k
-              - i (dt/2) [ e^{-i dt Lap} N(t_k) + N(t_{k+1}) ]
-              + [ R(t_{k+1}) - e^{-i dt Lap} R(t_k) ]
+    z_{k+1} = e^{-i dt Lap} (z_k + h N_k) + h N_{k+1},   h = -i dt/2,
 
-with N = rho^2 |v|^2 + (rho conj(v))(rho Psi) + (rho v) conj(rho Psi) evaluated
-pointwise in physical space (nonlinearity_values, from 2 rho Psi formed once
-per time level), R = rho^2 <I Psi^2> (cutoff applied before the propagator),
-and the implicit endpoint resolved by Picard iteration (step_values).  Picard
-starts from the explicit exponential predictor
+with N_k = N(z_k + R(t_k)) and N(v) = rho^2 |v|^2 + (rho conj(v))(rho Psi) +
+(rho v) conj(rho Psi) evaluated pointwise in physical space
+(nonlinearity_values).  R enters only there, in physical space: rho vanishes
+outside the box [L/4, 3L/4]^d of its support (Support), so level() stores
+2 rho Psi and R on that box alone, and N is formed on it.  The implicit
+endpoint is resolved by Picard iteration (step_values), which starts from
+the explicit exponential predictor
 
-    v_{k+1}^(0) = e^{-i dt Lap} v_k - i dt e^{-i dt Lap} N(t_k)
-                  + [ R(t_{k+1}) - e^{-i dt Lap} R(t_k) ],
+    z_{k+1}^(0) = e^{-i dt Lap} (z_k + 2 h N_k),
 
-the exponential Euler step paired with the exponential trapezoid corrector
-above (Hochbruck & Ostermann, Acta Numerica 19, 2010).  Picard increments
-are measured in the discrete H^{-s} norm, and a step's residual is the
-contraction bound theta/(1 - theta) x increment on its distance to the fixed
-point, the stopping rule of implicit Runge-Kutta codes (Hairer & Wanner,
-Solving ODEs II, IV.8; see step_values).  N is real, so at d = 1 its
-transform takes the rfft path of SpectralGrid.forward_values.
+the exponential Euler step paired with the trapezoid corrector above.  Picard
+increments are measured in the discrete H^{-s} norm, and a step's residual is
+the contraction bound theta/(1 - theta) x increment on its distance to the
+fixed point, the stopping rule of implicit Runge-Kutta codes (Hairer &
+Wanner, Solving ODEs II, IV.8; see step_values).  N is real, so at d = 1 its
+transform takes the rfft path of SpectralGrid.forward_values; h, the cell
+volume and the 2/3 mask are folded into its scale (nonlinearity_scale), so
+the march carries h N.
 
 This module is the only place that marches the equation.  level() is the one
 builder of a march's inputs: it localizes Psi and <I Psi^2> at one time, or at
 every time of a stacked path, and adds the forcing.  RemainderStepper is the
-step-local loop: it starts from a Level built so, and carries v, the previous
-time level's localized inputs and the last Picard evaluation of N at that
-level, so N(t_k) costs no transform.  The coupled convergence study drives one
-stepper per truncation radius over a batch of ensemble members.  solve()
-stacks a path's K+1 time levels once and localizes them in one level() call;
-its step-local mode drives one stepper over the rows of that stack.  Every
-caller reads v, never u = v + Psi, which a caller that wants it forms itself.
-Every march takes the one step config.dt, whose propagator phase it builds
-once; solve() accepts only a path whose every step is config.dt.
-solve(mode="global") is a separate algorithm, the fixed-point iteration of the
-whole-trajectory contraction map: each sweep evaluates N at every level in one
-batched call, forms every step's Duhamel term with three array operations,
-and measures the step between iterates with one batched traces call.  Only
-the two-operation Duhamel recurrence D_{k+1} = e^{-i dt Lap} D_k + term_k
-runs level by level; its prefix-sum form would change the bits.  Both modes take the traces of the trajectory they
-reach in one batched call.  All norms come from grid.py.
+step-local loop: it starts from v and a Level built so, and carries z, the
+previous time level's R and h N there, so N(t_k) costs no transform.  The
+coupled convergence study drives one stepper per truncation radius over a
+batch of ensemble members.  solve() stacks a path's K+1 time levels once and
+localizes them in one level() call; its step-local mode drives one stepper
+over the rows of that stack.  Both marches start from z_0 = phi - R(0), and a
+caller that reads v forms v = z + R once where it reads it: the stepper's
+v_hat at its current level, solve() in one batched transform over the levels
+it reached, with v(0) = phi exactly.  Every caller reads v, never u = v + Psi,
+which a caller that wants it forms itself.  Every march takes the one step
+config.dt, whose propagator phase it builds once; solve() accepts only a path
+whose every step is config.dt.  solve(mode="global") is a separate algorithm,
+the fixed-point iteration of the whole-trajectory contraction map on z: each
+sweep evaluates N at every level in one batched call, forms every step's
+Duhamel term with two array operations, and measures the step between
+iterates with one batched traces call.  Only the two-operation Duhamel
+recurrence D_{k+1} = e^{-i dt Lap} D_k + term_k runs level by level; its
+prefix-sum form would change the bits.  Both modes take the traces of the v
+they reach in one batched call.  All norms come from grid.py.
 
-Loss of regularity (norm above BLOWUP_NORM, or non-finite values) is a
-first-class outcome: a failed step is flagged, never raised; the convergence
-study excludes the flagged members, and solve() returns the partial
-trajectory and a failure record, built by one rule for both modes.
+Loss of regularity (the H^{-s} norm of z = v - R above BLOWUP_NORM, or
+non-finite values) is a first-class outcome: R is finite and O(1) against
+BLOWUP_NORM, so the test reads z.  A failed step is flagged, never raised;
+the convergence study excludes the flagged members, and solve() returns the
+partial trajectory and a failure record, built by one rule for both modes.
 """
 
 from __future__ import annotations
@@ -122,14 +128,37 @@ class SolverConfig:
 
 
 class Level(NamedTuple):
-    """The inputs of one time level, already localized: 2 rho Psi in
-    physical space (None without a cutoff), the transform of rho^2 <I Psi^2>,
-    and the physical-space forcing (None without one).  solve() also keeps a
-    whole path in one Level, each array with a leading axis of time levels."""
+    """The inputs of one time level, already localized: 2 rho Psi and R =
+    rho^2 <I Psi^2> in physical space on the box of rho's support (None
+    without a cutoff), and the physical-space forcing on the whole grid (None
+    without one).  solve() also keeps a whole path in one Level, each array
+    with a leading axis of time levels."""
 
     two_rho_psi: np.ndarray | None
-    r_hat: np.ndarray
+    r: np.ndarray | None
     forcing: np.ndarray | None
+
+
+class Support(NamedTuple):
+    """The smallest box of grid points outside which rho vanishes, as an
+    index (..., slice per grid axis) that picks it from any batched array,
+    and rho's values there."""
+
+    box: tuple
+    rho: np.ndarray
+
+
+def support(rho_vals: np.ndarray | None) -> Support | None:
+    """The Support of rho's grid values; None without a cutoff.  The cutoff's
+    support is [L/4, 3L/4]^d, so at d = 1 the box holds half the points."""
+    if rho_vals is None:
+        return None
+    box: list = [Ellipsis]
+    for axis in range(rho_vals.ndim):
+        others = tuple(a for a in range(rho_vals.ndim) if a != axis)
+        hits = np.flatnonzero(np.any(rho_vals, axis=others))
+        box.append(slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0))
+    return Support(tuple(box), rho_vals[tuple(box)])
 
 
 @dataclass
@@ -150,46 +179,51 @@ class SolverOutput:
         return self.failure is None
 
 
-def nonlinearity_scale(grid: SpectralGrid, dealias: bool) -> np.ndarray | None:
-    """The multiplier of N's forward transform: the cell volume (None), times
-    the 2/3 mask when dealiasing, so that one pass scales and dealiases."""
-    return grid.cell_volume * two_thirds_mask(grid) if dealias else None
+def nonlinearity_scale(grid: SpectralGrid, dealias: bool, dt: float) -> complex | np.ndarray:
+    """The multiplier of N's forward transform: h = -i dt/2 times the cell
+    volume, times the 2/3 mask when dealiasing, so that one pass scales,
+    dealiases and gives h N."""
+    h = -0.5j * dt * grid.cell_volume
+    return h * two_thirds_mask(grid) if dealias else h
 
 
 def nonlinearity_values(
     grid: SpectralGrid,
-    v_hat: np.ndarray,
-    rho_vals: np.ndarray | None,
-    two_rho_psi: np.ndarray | None,
-    forcing: np.ndarray | None,
-    scale: np.ndarray | None,
+    z_hat: np.ndarray,
+    sup: Support | None,
+    lvl: Level,
+    scale: complex | np.ndarray | None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Transform of N(v) + forcing; batched over leading axes of v_hat.
+    """Transform of N(z + R) + forcing at the time level lvl, batched over
+    leading axes of z_hat, and multiplied by scale (None: the cell volume).
 
-    N(v) = |rho v|^2 + 2 Re(conj(rho v) rho Psi), products taken in physical
-    space as the real array Re w (Re w + 2 Re rho Psi) + Im w (Im w + 2 Im rho
-    Psi) with w = rho v, computed on the interleaved (re, im) float view.
-    two_rho_psi is 2 rho Psi as level() forms it, a C-contiguous complex
-    array (zeros drop the cross term), and rho_vals = None (no cutoff) makes
-    N vanish.  scale multiplies the raw transform (nonlinearity_scale).
-    out, when given, is a complex array of v_hat's shape, not v_hat itself,
-    that holds rho v and then the result.
+    With w = rho (z + R) on sup's box, N = |w|^2 + 2 Re(conj(w) rho Psi) is
+    taken in physical space as the real array Re w (Re w + 2 Re rho Psi) + Im
+    w (Im w + 2 Im rho Psi), on the interleaved (re, im) float view, and is
+    zero off the box, where rho is.  lvl.two_rho_psi and lvl.r are as level()
+    forms them (zeros drop the cross term; r = None gives N(z) itself), and
+    sup = None (no cutoff) makes N vanish.  The forcing is added on the whole
+    grid.  out, when given, is a complex array of z_hat's shape, not z_hat
+    itself, that holds z and then the result.
     """
     total = None
-    if rho_vals is not None:
-        w = grid.inverse_values(v_hat, out=out)
-        w *= rho_vals
+    if sup is not None:
+        w = grid.inverse_values(z_hat, out=out)[sup.box]
+        if lvl.r is not None:
+            w += lvl.r
+        w *= sup.rho
         pairs = w.view(np.float64)
-        prod = two_rho_psi.view(np.float64) + pairs
+        prod = lvl.two_rho_psi.view(np.float64) + pairs
         prod *= pairs
         del w, pairs  # freed before the sum and the transform allocate theirs
-        total = prod[..., 0::2] + prod[..., 1::2]
+        total = np.zeros(np.shape(z_hat))
+        np.add(prod[..., 0::2], prod[..., 1::2], out=total[sup.box])
         del prod
-    if forcing is not None:
-        total = forcing if total is None else total + forcing
+    if lvl.forcing is not None:
+        total = lvl.forcing if total is None else total + lvl.forcing
     if total is None:
-        return np.zeros(np.shape(v_hat), dtype=np.complex128)
+        return np.zeros(np.shape(z_hat), dtype=np.complex128)
     return grid.forward_values(total, out=out, scale=scale)
 
 
@@ -202,50 +236,74 @@ def level(
     t: float | np.ndarray,
 ) -> Level:
     """The inputs at time t, where Psi and <I Psi^2> have the given
-    transforms: localized stochastic data plus the forcing, batched over
+    transforms: 2 rho Psi and R = rho^2 <I Psi^2> in physical space on the
+    box of rho's support (support(rho_vals)), plus the forcing, batched over
     leading axes.  Given an array of times, psi_hat and ipsi2_hat carry a
     leading axis of those levels, and so does every array of the Level
     returned, the forcing evaluated at each time and stacked; only the
-    forcing reads t.  Without a cutoff nothing couples to Psi (None, zeros).
-    The factor 2 of 2 rho Psi is applied on the float view, where it is exact."""
+    forcing reads t.  Without a cutoff nothing couples to Psi and R = 0
+    (None, None).  Both transforms share one scratch array."""
     if rho_vals is None:
-        two_rho_psi, r_hat = None, np.zeros(np.shape(ipsi2_hat), dtype=np.complex128)
+        two_rho_psi = r = None
     else:
-        two_rho_psi = grid.inverse_values(psi_hat)
-        np.multiply(rho_vals, two_rho_psi, out=two_rho_psi)
-        pairs = two_rho_psi.view(np.float64)
-        pairs *= 2.0
-        r_hat = grid.forward_values(rho_vals * rho_vals * grid.inverse_values(ipsi2_hat))
+        box, rho = support(rho_vals)
+        values = grid.inverse_values(psi_hat)
+        two_rho_psi = values[box] * (2.0 * rho)
+        r = grid.inverse_values(ipsi2_hat, out=values)[box] * (rho * rho)
     if config.forcing is None:
         forcing = None
     elif np.ndim(t):
         forcing = np.stack([config.forcing(float(t_k)) for t_k in t])
     else:
         forcing = config.forcing(t)
-    return Level(two_rho_psi, r_hat, forcing)
+    return Level(two_rho_psi, r, forcing)
+
+
+def r_hat(grid: SpectralGrid, sup: Support, r: np.ndarray) -> np.ndarray:
+    """The transform of R given on sup's box (zero off it), batched over
+    leading axes, as a fresh array."""
+    full = np.zeros(np.shape(r)[: np.ndim(r) - grid.d] + grid.shape, dtype=np.complex128)
+    full[sup.box] = r
+    return grid.forward_values(full, out=full)
+
+
+def v_from_z(grid: SpectralGrid, sup: Support | None, z_hat: np.ndarray, r: np.ndarray | None):
+    """v = z + R in frequency space, batched over leading axes: one forward
+    transform of R; z itself when R = 0 (no cutoff)."""
+    if r is None:
+        return z_hat
+    v_hat = r_hat(grid, sup, r)
+    v_hat += z_hat
+    return v_hat
+
+
+def z_from_v(grid: SpectralGrid, sup: Support | None, v_hat: np.ndarray, r: np.ndarray | None):
+    """z = v - R in frequency space, the march's start from v; v itself when
+    R = 0 (no cutoff)."""
+    return v_hat if r is None else v_hat - r_hat(grid, sup, r)
 
 
 def step_values(
     grid: SpectralGrid,
-    v_hat: np.ndarray,
+    z_hat: np.ndarray,
     prev: Level,
     nxt: Level,
     phase: np.ndarray,
-    dt: float,
     norm_weight: np.ndarray,
-    rho_vals: np.ndarray | None,
-    n_scale: np.ndarray | None,
-    n_prev: np.ndarray | None = None,
+    sup: Support | None,
+    h_scale: complex | np.ndarray,
+    hn_prev: np.ndarray | None = None,
 ):
-    """One Picard-resolved Duhamel step of size dt from level prev to level
+    """One Picard-resolved Duhamel step of z = v - R from level prev to level
     nxt on raw arrays (leading batch axes allowed).
 
-    phase is the propagator multiplier for dt and norm_weight
-    the H^{-s} weight hs_weight(grid, -s) of the residual and blow-up
-    norms; n_scale is nonlinearity_scale(grid, dealias).  n_prev is the
-    transform of N at prev, when the caller carries it from the previous
-    step; None evaluates it here.  Picard starts from the explicit
-    exponential predictor, which takes N(t_{k+1}) ~ e^{-i dt Lap} N(t_k).
+    phase is the propagator multiplier for the step dt and norm_weight the
+    H^{-s} weight hs_weight(grid, -s) of the residual and blow-up norms;
+    h_scale is nonlinearity_scale(grid, dealias, dt), so nonlinearity_values
+    gives h N.  hn_prev is h N at prev, when the caller carries it from the
+    previous step; None evaluates it here.  R enters only inside N, in
+    physical space.  Picard starts from the explicit exponential predictor,
+    which takes N(t_{k+1}) ~ e^{-i dt Lap} N(t_k).
 
     A member's residual at iteration m bounds the distance from its iterate
     to the fixed point: with increments r_m and theta_m = r_m / r_{m-1}, it
@@ -253,32 +311,27 @@ def step_values(
     otherwise (contraction mapping theorem; Hairer & Wanner, Solving ODEs
     II, IV.8).  The first iteration has no theta, and its residual is r_1.
 
-    Returns (v_next, iterations, residuals, monotone_ok, history, failed,
-    n_next), where history holds the worst healthy increment of each
-    iteration and n_next is the last evaluation of N at nxt (at the iterate
-    before v_next).  In batched mode iteration continues until every healthy
-    member's residual clears PICARD_TOL.  A member fails when a residual is
-    non-finite, when its residual is still above PICARD_TOL after PICARD_MAX
-    iterations, or when its norm is non-finite or above BLOWUP_NORM; failed
-    members are zeroed and flagged in the returned mask, so ensemble studies
-    exclude them and keep going and solve() ends its trajectory there.
+    Returns (z_next, iterations, residuals, monotone_ok, history, failed,
+    hn_next), where history holds the worst healthy increment of each
+    iteration and hn_next is the last evaluation of h N at nxt (at the
+    iterate before z_next).  In batched mode iteration continues until every
+    healthy member's residual clears PICARD_TOL.  A member fails when a
+    residual is non-finite, when its residual is still above PICARD_TOL after
+    PICARD_MAX iterations, or when the H^{-s} norm of its z = v - R is
+    non-finite or above BLOWUP_NORM; failed members are zeroed and flagged in
+    the returned mask, so ensemble studies exclude them and keep going and
+    solve() ends its trajectory there.
     """
-    if n_prev is None:
-        n_prev = nonlinearity_values(
-            grid, v_hat, rho_vals, prev.two_rho_psi, prev.forcing, n_scale
-        )
-    half_dt = -0.5j * dt
-    # fixed holds every term but the implicit -i (dt/2) N(t_{k+1}); the
-    # predictor adds the explicit term -i (dt/2) e^{-i dt Lap} N(t_k) once more
-    fixed = v_hat - prev.r_hat
+    if hn_prev is None:
+        hn_prev = nonlinearity_values(grid, z_hat, sup, prev, h_scale)
+    # fixed = e^{-i dt Lap}(z_k + h N_k) holds every term but the implicit
+    # h N_{k+1}; the predictor adds e^{-i dt Lap} h N_k once more
+    fixed = z_hat + hn_prev
     fixed *= phase
-    fixed += nxt.r_hat
-    v_iter = phase * n_prev
-    v_iter *= half_dt
-    fixed += v_iter
-    v_iter += fixed
-    v_new = np.empty_like(v_iter)
-    batch_shape = np.shape(v_hat)[: np.ndim(v_hat) - grid.d]
+    z_iter = phase * hn_prev
+    z_iter += fixed
+    z_new = np.empty_like(z_iter)
+    batch_shape = np.shape(z_hat)[: np.ndim(z_hat) - grid.d]
     failed = np.zeros(batch_shape, dtype=bool)
     residuals = np.zeros(batch_shape)
     history: list[float] = []
@@ -289,16 +342,13 @@ def step_values(
     # theta; it is zeroed below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for m in range(1, PICARD_MAX + 1):
-            n_next = None  # free the last evaluation before making the next
-            n_next = nonlinearity_values(
-                grid, v_iter, rho_vals, nxt.two_rho_psi, nxt.forcing, n_scale
-            )
-            np.multiply(n_next, half_dt, out=v_new)
-            v_new += fixed
-            # v_iter becomes the increment, then the two buffers swap roles
-            np.subtract(v_new, v_iter, out=v_iter)
-            increments = np.sqrt(weighted_norm_sq_hat(grid, v_iter, norm_weight))
-            v_iter, v_new = v_new, v_iter
+            hn_next = None  # free the last evaluation before making the next
+            hn_next = nonlinearity_values(grid, z_iter, sup, nxt, h_scale)
+            np.add(fixed, hn_next, out=z_new)
+            # z_iter becomes the increment, then the two buffers swap roles
+            np.subtract(z_new, z_iter, out=z_iter)
+            increments = np.sqrt(weighted_norm_sq_hat(grid, z_iter, norm_weight))
+            z_iter, z_new = z_new, z_iter
             if m == 1:
                 residuals = increments
             else:
@@ -317,67 +367,72 @@ def step_values(
                 break
         else:
             failed = failed | (residuals > PICARD_TOL)
-        norms = np.sqrt(weighted_norm_sq_hat(grid, v_iter, norm_weight))
+        norms = np.sqrt(weighted_norm_sq_hat(grid, z_iter, norm_weight))
     big = ~np.isfinite(norms) | (norms > BLOWUP_NORM)
     failed = failed | big
     if failed.any():
-        v_iter = np.where(failed.reshape(failed.shape + (1,) * grid.d), 0.0, v_iter)
-    return v_iter, iterations, residuals, monotone_ok, history, failed, n_next
+        z_iter = np.where(failed.reshape(failed.shape + (1,) * grid.d), 0.0, z_iter)
+    return z_iter, iterations, residuals, monotone_ok, history, failed, hn_next
 
 
 class RemainderStepper:
-    """The step-local march: v, the previous time level's localized inputs,
-    and the transform of N there.
+    """The step-local march: z = v - R, the previous time level's localized
+    inputs, and h N there.
 
-    v_hat may carry leading batch axes, one row per ensemble member; start,
-    the Level at the starting time, and every Level given to step() carry the
-    same axes.  A step is two calls, step(level(config, grid, rho_vals,
-    psi_hat, ipsi2_hat, t_next)) with the stepper's rho_vals, so the caller's
-    psi block can be freed before the Picard loop runs; solve() passes the
-    rows of its stacked levels instead.  Each time level is localized once,
-    and the last Picard evaluation of N at t_{k+1} is carried as the next
-    step's N at t_k, except after a step in which a member failed.  Failed
-    members are zeroed and flagged in `failed`, and the march goes on.
-    Per-step Picard iterations, worst residuals and monotone flags are
-    collected in lists.
+    v_hat, the start, may carry leading batch axes, one row per ensemble
+    member; start, the Level at the starting time, and every Level given to
+    step() carry the same axes.  The march starts from z = v - R(t_0).  A
+    step is two calls, step(level(config, grid, rho_vals, psi_hat, ipsi2_hat,
+    t_next)) with the stepper's rho_vals, so the caller's psi block can be
+    freed before the Picard loop runs; solve() passes the rows of its stacked
+    levels instead.  Each time level is localized once, and the last Picard
+    evaluation of h N at t_{k+1} is carried as the next step's h N at t_k,
+    except after a step in which a member failed.  Failed members are zeroed
+    in z and flagged in `failed`, and the march goes on.  Per-step Picard
+    iterations, worst residuals and monotone flags are collected in lists.
     """
 
     def __init__(
         self, config: SolverConfig, grid: SpectralGrid, v_hat: np.ndarray, start: Level
     ) -> None:
         self.grid = grid
-        self.rho_vals = None if config.rho is None else config.rho.evaluate(grid)
-        self.n_scale = nonlinearity_scale(grid, config.dealias)
+        self.support = support(None if config.rho is None else config.rho.evaluate(grid))
+        self.h_scale = nonlinearity_scale(grid, config.dealias, config.dt)
         self.norm_weight = hs_weight(grid, -config.params.s)
-        self._dt, self._phase = config.dt, propagator_phase(grid, config.dt)
-        self.v_hat = v_hat
+        self._phase = propagator_phase(grid, config.dt)
+        self.z_hat = z_from_v(grid, self.support, v_hat, start.r)
         self._prev = start
-        self._n_prev: np.ndarray | None = None
+        self._hn_prev: np.ndarray | None = None
         self.iterations: list[int] = []
         self.residuals: list[float] = []
         self.monotone: list[bool] = []
         self.failed = np.zeros(np.shape(v_hat)[: np.ndim(v_hat) - grid.d], dtype=bool)
 
+    @property
+    def v_hat(self) -> np.ndarray:
+        """v = z + R at the current level, formed by one transform on each
+        read; a failed member's row reads R alone."""
+        return v_from_z(self.grid, self.support, self.z_hat, self._prev.r)
+
     def step(self, nxt: Level) -> None:
-        """Advance v by one step of config.dt, to the time of level nxt."""
-        v_next, iterations, residuals, monotone, _, failed, n_next = step_values(
+        """Advance z by one step of config.dt, to the time of level nxt."""
+        z_next, iterations, residuals, monotone, _, failed, hn_next = step_values(
             self.grid,
-            self.v_hat,
+            self.z_hat,
             self._prev,
             nxt,
             self._phase,
-            self._dt,
             self.norm_weight,
-            self.rho_vals,
-            self.n_scale,
-            n_prev=self._n_prev,
+            self.support,
+            self.h_scale,
+            hn_prev=self._hn_prev,
         )
-        self.v_hat = v_next
+        self.z_hat = z_next
         if failed.any():
-            self._prev, self._n_prev = nxt, None
+            self._prev, self._hn_prev = nxt, None
         else:
-            # N at nxt is carried, so the next step reads only r_hat there
-            self._prev, self._n_prev = nxt._replace(two_rho_psi=None, forcing=None), n_next
+            # h N at nxt is carried, so the next step reads only R there
+            self._prev, self._hn_prev = nxt._replace(two_rho_psi=None, forcing=None), hn_next
         self.iterations.append(iterations)
         self.residuals.append(float(np.max(residuals)))
         self.monotone.append(monotone)
@@ -469,7 +524,9 @@ def _row(levels: Level, k: int) -> Level:
 
 
 def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
-    """March the remainder v = u - Psi over the path's time grid."""
+    """March the remainder v = u - Psi over the path's time grid, as z = v - R
+    from z_0 = phi - R(0); v = z + R is formed in one batched transform over
+    the levels reached, and v(0) is phi exactly."""
     grid = path.grid
     times = path.times
     steps_match = np.all(np.abs(np.diff(times) - config.dt) <= 1e-12)
@@ -478,6 +535,7 @@ def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
     if config.phi is not None and config.phi.grid != grid:
         raise GridError("phi lives on a different grid than the path")
     rho_vals = None if config.rho is None else config.rho.evaluate(grid)
+    sup = support(rho_vals)
     traces = _make_traces(grid, config.params, rho_vals)
     levels = level(
         config,
@@ -487,12 +545,17 @@ def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
         np.stack([f.values for f in path.ipsi2]),
         times,
     )
+    phi_hat = _initial_hat(config, grid)
     if config.mode == "global":
-        trajectory = _march_global(config, path, levels, rho_vals, traces)
+        z_hats, *records = _march_global(config, path, levels, sup, phi_hat, traces)
     else:
-        trajectory = _march_step_local(config, path, levels)
+        z_hats, *records = _march_step_local(config, path, levels, phi_hat)
+    r = None if levels.r is None else levels.r[: len(z_hats)]
     del levels  # freed before the traces allocate theirs
-    return _output(config.params, times, traces, *trajectory)
+    v_hats = v_from_z(grid, sup, z_hats, r)
+    v_hats[0] = phi_hat
+    del z_hats, r
+    return _output(config.params, times, traces, v_hats, *records)
 
 
 def _failure(
@@ -510,16 +573,16 @@ def _failure(
 
 
 def _march_step_local(
-    config: SolverConfig, path: StochasticPath, levels: Level
+    config: SolverConfig, path: StochasticPath, levels: Level, phi_hat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, StepFailure | None]:
-    """One RemainderStepper over the path's levels: the v reached at each
-    level, the Picard records of the accepted steps and the failure, if any.
-    The march ends at the first flagged step."""
+    """One RemainderStepper over the path's levels from v(0) = phi: the z
+    reached at each level, the Picard records of the accepted steps and the
+    failure, if any.  The march ends at the first flagged step."""
     grid = path.grid
     times = path.times
-    stepper = RemainderStepper(config, grid, _initial_hat(config, grid), _row(levels, 0))
-    v_hats = np.empty((len(times),) + grid.shape, dtype=np.complex128)
-    v_hats[0] = stepper.v_hat
+    stepper = RemainderStepper(config, grid, phi_hat, _row(levels, 0))
+    z_hats = np.empty((len(times),) + grid.shape, dtype=np.complex128)
+    z_hats[0] = stepper.z_hat
     reached = len(times)
     failure: StepFailure | None = None
     for k in range(1, len(times)):
@@ -528,10 +591,10 @@ def _march_step_local(
             failure = _failure(times, k, stepper.residuals[-1], stepper.iterations[-1], blown=False)
             reached = k
             break
-        v_hats[k] = stepper.v_hat
+        z_hats[k] = stepper.z_hat
     accepted = reached - 1
     return (
-        v_hats[:reached],
+        z_hats[:reached],
         np.array(stepper.iterations[:accepted], dtype=int),
         np.array(stepper.residuals[:accepted], dtype=np.float64),
         np.array(stepper.monotone[:accepted], dtype=bool),
@@ -543,16 +606,19 @@ def _march_global(
     config: SolverConfig,
     path: StochasticPath,
     levels: Level,
-    rho_vals: np.ndarray | None,
+    sup: Support | None,
+    phi_hat: np.ndarray,
     traces: Traces,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, StepFailure | None]:
-    """Whole-trajectory fixed-point iteration of the contraction map.
+    """Whole-trajectory fixed-point iteration of the contraction map on z,
+    from v(0) = phi: the z reached at each level, the records and the
+    failure, if any.
 
-    Each sweep evaluates N at every level in one batched call, forms every
-    step's Duhamel term with three array operations, every step config.dt,
+    Each sweep evaluates h N at every level in one batched call, forms every
+    step's Duhamel term with two array operations, every step config.dt,
     and measures the distance between successive iterates with one batched
     traces call; only the two-operation Duhamel recurrence runs level by
-    level.  The free evolution of phi is formed once.  A non-finite sweep
+    level.  The free evolution of z(0) = phi - R(0) is formed once.  A non-finite sweep
     distance is recorded in the failure as NaN, as in the step-local march.
     The trapezoid map on [0, t_j] reads only levels <= j, so when a level
     blows up, the levels kept before it are swept on alone from the last
@@ -560,12 +626,11 @@ def _march_global(
     """
     grid = path.grid
     times = path.times
-    n_scale = nonlinearity_scale(grid, config.dealias)
-    dt = config.dt
-    phase = propagator_phase(grid, dt)
-    # the free evolution of phi at each level, by the sequential products
-    free = np.empty_like(levels.r_hat)
-    free[0] = _initial_hat(config, grid)
+    h_scale = nonlinearity_scale(grid, config.dealias, config.dt)
+    phase = propagator_phase(grid, config.dt)
+    # the free evolution of z(0) at each level, by the sequential products
+    free = np.empty((len(times),) + grid.shape, dtype=np.complex128)
+    free[0] = z_from_v(grid, sup, phi_hat, _row(levels, 0).r)
     for k in range(len(times) - 1):
         np.multiply(phase, free[k], out=free[k + 1])
 
@@ -577,26 +642,22 @@ def _march_global(
         # a diverging iterate overflows on its way to inf; the cut below handles it
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(1, PICARD_MAX + 1):
-                # new[k+1] = (free[k+1] + D[k+1]) + r_hat[k+1], where
-                # D[k+1] = phase D[k] + term_k, term_k = (-i dt/2)(phase N_k + N_{k+1})
-                # and D[0] = 0; operands in this order (see stochastic.duhamel_update).
-                # N is evaluated into new, every step's term is formed at once,
-                # and D then replaces N in new.
-                n_hats = nonlinearity_values(
-                    grid, current, rho_vals, levels.two_rho_psi, levels.forcing, n_scale, out=new
-                )
-                terms = np.multiply(phase, n_hats[:-1])
-                terms += n_hats[1:]
-                np.multiply(-0.5j * dt, terms, out=terms)
-                del n_hats
+                # new[k+1] = free[k+1] + D[k+1], where D[k+1] = phase D[k] +
+                # term_k, term_k = phase h N_k + h N_{k+1} and D[0] = 0;
+                # operands in this order (see stochastic.duhamel_update).
+                # h N is evaluated into new, every step's term is formed at
+                # once, and D then replaces h N in new.
+                hn_hats = nonlinearity_values(grid, current, sup, levels, h_scale, out=new)
+                terms = np.multiply(phase, hn_hats[:-1])
+                terms += hn_hats[1:]
+                del hn_hats
                 new[0] = 0.0
                 for k in range(n - 1):
                     np.multiply(phase, new[k], out=new[k + 1])
                     new[k + 1] += terms[k]
                 del terms
                 np.add(free[1:n], new[1:], out=new[1:])
-                new[1:] += levels.r_hat[1:]
-                np.add(free[0], levels.r_hat[0], out=new[0])
+                new[0] = free[0]
                 # the old iterate becomes the difference, then the two buffers swap roles
                 np.subtract(new, current, out=current)
                 y = _y_summary(times, *traces(current), config.params)
@@ -608,10 +669,10 @@ def _march_global(
                     break
         return current, m, distance
 
-    current, iterations, distance = sweeps(levels, free + levels.r_hat)
+    current, iterations, distance = sweeps(levels, free.copy())
     # As in the step-local march, the trajectory ends before the first level
-    # whose H^{-s} norm is non-finite or above BLOWUP_NORM, and the failure is
-    # dated there.
+    # whose H^{-s} norm of z is non-finite or above BLOWUP_NORM, and the
+    # failure is dated there.
     norms = np.sqrt(weighted_norm_sq_hat(grid, current[1:], hs_weight(grid, -config.params.s)))
     blown = np.flatnonzero(~(norms <= BLOWUP_NORM))
     k = len(times) - 1

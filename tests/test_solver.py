@@ -15,6 +15,7 @@ from wsnl.grid import (
     hs_weight,
     propagator_phase,
     sobolev_norm_hat,
+    truncation_mask,
     two_thirds_mask,
     weighted_norm_sq_hat,
 )
@@ -23,16 +24,22 @@ from wsnl.solver import (
     BLOWUP_NORM,
     PICARD_MAX,
     PICARD_TOL,
+    Level,
     RemainderStepper,
     SolverConfig,
     StepFailure,
+    Support,
     _make_traces,
     _y_summary,
     level,
     nonlinearity_scale,
     nonlinearity_values,
+    r_hat,
     solve,
     step_values,
+    support,
+    v_from_z,
+    z_from_v,
 )
 from wsnl.stochastic import PathEnsemble, StochasticPath, sample_path, zero_path
 from wsnl.studies import StudyConfig
@@ -86,8 +93,9 @@ class TestQuadraticNonlinearity:
     def nonlinearity(self, v_phys, rho_psi=None):
         """N(v; rho Psi) in physical space, no forcing, no dealiasing."""
         two_rho_psi = np.zeros(GRID.shape, dtype=complex) if rho_psi is None else 2.0 * rho_psi
+        sup = support(self.rho_vals)
         n_hat = nonlinearity_values(
-            GRID, GRID.forward_values(v_phys), self.rho_vals, two_rho_psi, None, None
+            GRID, GRID.forward_values(v_phys), sup, Level(two_rho_psi[sup.box], None, None), None
         )
         return GRID.inverse_values(n_hat)
 
@@ -204,32 +212,33 @@ def test_picard_stops_within_picard_tol_of_the_fixed_point():
         ens.advance()
         prev = current()
         stepper.step(prev)
-    v = stepper.v_hat
+    z = stepper.z_hat
     ens.advance()
     nxt = current()
-    scale = nonlinearity_scale(GRID, True)
+    sup = support(rho_vals)
+    scale = nonlinearity_scale(GRID, True, config.dt)
     weight = hs_weight(GRID, -params.s)
     phase = propagator_phase(GRID, config.dt)
-    v_next, iterations, residuals, _, _, failed, _ = step_values(
-        GRID, v, prev, nxt, phase, config.dt, weight, rho_vals, scale
+    z_next, iterations, residuals, _, _, failed, _ = step_values(
+        GRID, z, prev, nxt, phase, weight, sup, scale
     )
     assert not failed.any()
 
     def distance(a, b):
         return np.sqrt(weighted_norm_sq_hat(GRID, a - b, weight))
 
-    # the same map, iterated from the predictor to its round-off floor
-    half_dt = -0.5j * config.dt
-    n_prev = nonlinearity_values(GRID, v, rho_vals, prev.two_rho_psi, None, scale)
-    fixed = phase * (v - prev.r_hat) + nxt.r_hat + half_dt * phase * n_prev
-    iterate = fixed + half_dt * phase * n_prev
+    # the same map on z = v - R, with h N = -i (dt/2) N, iterated from the
+    # predictor to its round-off floor
+    hn_prev = nonlinearity_values(GRID, z, sup, prev, scale)
+    fixed = phase * (z + hn_prev)
+    iterate = fixed + phase * hn_prev
     increments = []
     for _ in range(100):
-        new = fixed + half_dt * nonlinearity_values(GRID, iterate, rho_vals, nxt.two_rho_psi, None, scale)
+        new = fixed + nonlinearity_values(GRID, iterate, sup, nxt, scale)
         increments.append(distance(new, iterate))
         iterate = new
     assert np.max(increments[-1]) <= 1e-18
-    assert np.all(distance(v_next, iterate) <= PICARD_TOL)
+    assert np.all(distance(z_next, iterate) <= PICARD_TOL)
     assert np.all(residuals <= PICARD_TOL)
     # the first increment has no contraction factor to bound it
     assert np.max(increments[0]) > PICARD_TOL and iterations >= 2
@@ -280,9 +289,9 @@ def test_picard_failure_ends_the_march_at_the_unconverged_step(mode, monkeypatch
         assert len(out.v) == 1 and np.all(out.v[0] == 0)
         assert len(out.picard_iterations) == len(out.residuals) == len(out.monotone_flags) == 0
         return
-    # one sweep from the first iterate, rho^2 <I Psi^2> at every level (phi is
-    # unset): its distance is the Y-norm of the step to the levels reached,
-    # all of them kept
+    # one sweep from the first iterate, z = v - R = 0 at every level (phi is
+    # unset and R(0) = 0): its distance is the Y-norm of the z reached, all
+    # levels kept
     levels = level(
         config,
         GRID,
@@ -292,7 +301,7 @@ def test_picard_failure_ends_the_march_at_the_unconverged_step(mode, monkeypatch
         path.times,
     )
     traces = _make_traces(GRID, PARAMS, rho_vals)
-    y = _y_summary(path.times, *traces(out.v - levels.r_hat), PARAMS)
+    y = _y_summary(path.times, *traces(out.v - r_hat(GRID, support(rho_vals), levels.r)), PARAMS)
     distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
     assert distance == pytest.approx(0.0039527, rel=1e-4)
     assert dataclasses.astuple(out.failure) == ("picard", T, K - 1, distance, 1)
@@ -364,15 +373,30 @@ def test_global_mode_blowup_is_dated_like_step_local():
     assert repr(outs[0].failure.residual) == repr(outs[1].failure.residual) == "nan"
 
 
-def test_global_mode_matches_step_local_fixed_point():
-    T, K = 0.125, 32
-    phi = three_mode_field(GRID, amp=0.2)
-    rho = CutoffRho.for_grid(GRID)
+def constant_ipsi2_path(T, K):
+    """A zero path whose <I Psi^2> holds one constant transform on 5 modes,
+    so that R(0) = rho^2 <I Psi^2>(0) is not zero."""
+    vals = np.zeros(GRID.shape, dtype=complex)
+    vals[[0, 1, -1, 2, -2]] = 0.2 * GRID.L * np.array([1.0, 0.5, 0.5j, 0.25, -0.25])
     path = zero_path(PARAMS, GRID, T=T, K=K)
-    local = solve(make_config(GRID, PARAMS, rho, phi, T, K, mode="step-local"), path)
-    glob = solve(make_config(GRID, PARAMS, rho, phi, T, K, mode="global"), path)
-    assert local.completed and glob.completed
-    assert np.max(np.abs(local.v - glob.v)) < 1e-7
+    return dataclasses.replace(path, ipsi2=[Field(GRID, vals, "frequency") for _ in path.times])
+
+
+def test_global_mode_matches_step_local_fixed_point():
+    # both modes start from v(0) = phi, whatever R(0) is
+    rho = CutoffRho.for_grid(GRID)
+    cases = [
+        (three_mode_field(GRID, amp=0.2), zero_path(PARAMS, GRID, T=0.125, K=32)),
+        (None, constant_ipsi2_path(T=0.25, K=16)),
+    ]
+    for phi, path in cases:
+        T, K = float(path.times[-1]), len(path.times) - 1
+        local = solve(make_config(GRID, PARAMS, rho, phi, T, K, mode="step-local"), path)
+        glob = solve(make_config(GRID, PARAMS, rho, phi, T, K, mode="global"), path)
+        assert local.completed and glob.completed
+        phi_hat = GRID.zeros() if phi is None else GRID.forward_values(phi.values)
+        assert np.array_equal(local.v[0], phi_hat) and np.array_equal(glob.v[0], phi_hat)
+        assert np.max(np.abs(local.v - glob.v)) < 1e-7
 
 
 @pytest.mark.parametrize("mode", ["step-local", "global"])
@@ -399,7 +423,9 @@ def test_initial_data_must_be_physical():
 
 def rung_path(params, grid, seed, stream_id, T, K, top):
     """The path of radius params.n that a ladder topped by `top` drives: its
-    noise is drawn on the ball of `top`, as the ensemble draws it."""
+    noise is drawn on the ball of `top`, as the ensemble draws it, and its
+    psi is the top rung's masked by hand to the ball of params.n, so that it
+    does not read psi_values, which the march it is compared with does."""
     ens = PathEnsemble(
         grid, params.alpha, [params.n, top], T, K, seed=seed, size=1,
         stream_offset=stream_id, track=True,
@@ -409,7 +435,7 @@ def rung_path(params, grid, seed, stream_id, T, K, top):
     for k in range(K + 1):
         if k:
             ens.advance()
-        psi.append(Field(grid, ens.psi_values(params.n)[0], "frequency"))
+        psi.append(Field(grid, truncation_mask(grid, params.n) * ens.psi[0], "frequency"))
         ipsi2.append(Field(grid, ens.ipsi2_values(params.n)[0], "frequency"))
     zero = [Field(grid, np.zeros(grid.shape), "physical") for _ in times]
     return StochasticPath(params, grid, times, psi, zero, ipsi2, seed, stream_id)
@@ -467,33 +493,42 @@ def test_ensemble_march_matches_solve_per_member(tight_picard):
 
 
 def reference_march(config, path):
-    """The step-local march written out plainly: Picard starts from
-    e^{-i dt Lap} v_k and N(t_k) is evaluated afresh at every step.
-    Returns v at the last level and the total number of Picard iterations."""
+    """The step-local march written out plainly in the v form, from inputs
+    localized by hand on the whole grid: Picard starts from e^{-i dt Lap} v_k,
+    N(t_k) is evaluated afresh at every step, and R = rho^2 <I Psi^2> enters
+    as R(t_{k+1}) - e^{-i dt Lap} R(t_k).  Returns v at the last level and the
+    total number of Picard iterations."""
     grid = path.grid
     rho_vals = config.rho.evaluate(grid)
+    whole = Support((...,), rho_vals)
     scale = grid.cell_volume * two_thirds_mask(grid)
     weight = hs_weight(grid, -config.params.s)
+
+    def inputs(k):
+        """2 rho Psi, zero R (N of v itself) and the transform of R at level k."""
+        two_rho_psi = 2.0 * rho_vals * grid.inverse_values(path.psi[k].values)
+        r_hat_k = grid.forward_values(rho_vals**2 * grid.inverse_values(path.ipsi2[k].values))
+        return Level(two_rho_psi, None, None), r_hat_k
+
     v = grid.zeros()
-    prev = level(config, grid, rho_vals, path.psi[0].values, path.ipsi2[0].values, 0.0)
+    prev, r_prev = inputs(0)
     total = 0
     for k in range(1, len(path.times)):
         dt = float(path.times[k] - path.times[k - 1])
         phase = propagator_phase(grid, dt)
-        t = float(path.times[k])
-        nxt = level(config, grid, rho_vals, path.psi[k].values, path.ipsi2[k].values, t)
-        n_prev = nonlinearity_values(grid, v, rho_vals, prev[0], None, scale)
-        fixed = phase * v + (-0.5j * dt) * phase * n_prev + (nxt[1] - phase * prev[1])
+        nxt, r_next = inputs(k)
+        n_prev = nonlinearity_values(grid, v, whole, prev, scale)
+        fixed = phase * v + (-0.5j * dt) * phase * n_prev + (r_next - phase * r_prev)
         iterate = phase * v
         for _ in range(PICARD_MAX):
-            n_next = nonlinearity_values(grid, iterate, rho_vals, nxt[0], None, scale)
+            n_next = nonlinearity_values(grid, iterate, whole, nxt, scale)
             new = fixed + (-0.5j * dt) * n_next
             residual = np.sqrt(weighted_norm_sq_hat(grid, new - iterate, weight))
             iterate = new
             total += 1
             if residual <= PICARD_TOL:
                 break
-        v, prev = iterate, nxt
+        v, prev, r_prev = iterate, nxt, r_next
     return v, total
 
 
@@ -573,24 +608,27 @@ def per_level_traces(config, grid):
 
 def per_level_global(config, path, traces):
     """Global mode as it ran level by level before its sweeps were batched:
-    one nonlinearity_values call and one traces call per level and sweep.
-    Returns the v reached at each level, the Picard records and the failure."""
+    one nonlinearity_values call and one traces call per level and sweep, on
+    z = v - R from z_0 = phi - R(0).  Returns the v reached at each level,
+    v(0) = phi, the Picard records and the failure."""
     grid = path.grid
     times = path.times
     steps = len(times) - 1
     rho_vals = None if config.rho is None else config.rho.evaluate(grid)
-    scale = nonlinearity_scale(grid, config.dealias)
-    dts = [float(times[k + 1] - times[k]) for k in range(steps)]
-    phases = {dt: propagator_phase(grid, dt) for dt in set(dts)}
+    sup = support(rho_vals)
+    # h N = -i (dt/2) N, every step config.dt
+    scale = nonlinearity_scale(grid, config.dealias, config.dt)
+    phase = propagator_phase(grid, config.dt)
     levels = []
     for k, t in enumerate(times):
-        # (2 rho Psi, r_hat, forcing, t), the forcing evaluated at float(t)
+        # (2 rho Psi, R, forcing), the forcing evaluated at float(t)
         levels.append(
             level(config, grid, rho_vals, path.psi[k].values, path.ipsi2[k].values, float(t))
         )
-    free = [grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)]
-    for dt in dts:
-        free.append(phases[dt] * free[-1])
+    phi_hat = grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)
+    free = [z_from_v(grid, sup, phi_hat, levels[0].r)]
+    for _ in range(steps):
+        free.append(phase * free[-1])
 
     def sweeps(current):
         """Sweep the levels of current from it, as the whole trajectory is swept."""
@@ -598,16 +636,14 @@ def per_level_global(config, path, traces):
         iterations, distance = 0, np.inf
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(1, PICARD_MAX + 1):
-                n_hats = [
-                    nonlinearity_values(grid, current[k], rho_vals, levels[k][0], levels[k][2], scale)
-                    for k in range(n)
+                hn_hats = [
+                    nonlinearity_values(grid, current[k], sup, levels[k], scale) for k in range(n)
                 ]
                 duhamel = grid.zeros()
-                new = [free[0] + levels[0][1]]
-                for k, dt in enumerate(dts[: n - 1]):
-                    phase = phases[dt]
-                    duhamel = phase * duhamel + (-0.5j * dt) * (phase * n_hats[k] + n_hats[k + 1])
-                    new.append(free[k + 1] + duhamel + levels[k + 1][1])
+                new = [free[0]]
+                for k in range(n - 1):
+                    duhamel = phase * duhamel + (phase * hn_hats[k] + hn_hats[k + 1])
+                    new.append(free[k + 1] + duhamel)
                 diffs = (traces(a - b) for a, b in zip(new, current))
                 dh, dq, dl = (np.array(c) for c in zip(*diffs))
                 y = _y_summary(times, dh, dq, dl, config.params)
@@ -622,7 +658,7 @@ def per_level_global(config, path, traces):
         residual = float(distance) if np.isfinite(distance) else float("nan")
         return StepFailure(kind, float(times[k]), k - 1, residual, iterations)
 
-    current, iterations, distance = sweeps([free[k] + levels[k][1] for k in range(steps + 1)])
+    current, iterations, distance = sweeps(free)
     weight = hs_weight(grid, -config.params.s)
     norms = np.sqrt(weighted_norm_sq_hat(grid, np.array(current[1:]), weight))
     blown = np.flatnonzero(~(norms <= BLOWUP_NORM))
@@ -637,7 +673,8 @@ def per_level_global(config, path, traces):
         failure = failure_at(k, "blowup" if not np.isfinite(distance) else "picard")
     n = len(current) - 1
     records = (np.full(n, iterations, dtype=int), np.full(n, distance), np.ones(n, dtype=bool))
-    return current, records, failure
+    v_hats = [phi_hat] + [v_from_z(grid, sup, current[k], levels[k].r) for k in range(1, n + 1)]
+    return v_hats, records, failure
 
 
 def per_level_reference(config, path):

@@ -18,7 +18,7 @@ from wsnl.grid import (
 from wsnl.noise import ModeNoise, gaussian_block
 from wsnl.reference import PaperParams, covariance_oracle, renorm_constant, spectral_mass
 from wsnl.snapshots import SnapshotError, read_snapshot, write_snapshot
-from wsnl.solver import SolverConfig, level
+from wsnl.solver import SolverConfig, level, r_hat, support
 from wsnl.stochastic import (
     PathEnsemble,
     duhamel_update,
@@ -369,25 +369,29 @@ class TestLocalize:
     def test_zero_cutoff_gives_zero_fields(self):
         rho_vals = np.zeros(GRID.shape)
         path = sample_path(PARAMS, GRID, seed=9, T=0.25, K=4)
+        sup = support(rho_vals)
         for k in range(len(path.times)):
-            two_rho_psi, r_hat, _ = level(
+            two_rho_psi, r, _ = level(
                 NO_FORCING, GRID, rho_vals, path.psi[k].values, path.ipsi2[k].values, 0.0
             )
-            assert np.all(two_rho_psi == 0) and np.all(r_hat == 0)
+            # a cutoff that vanishes everywhere has an empty support box, so
+            # both fields vanish on the whole grid, and so does R's transform
+            assert two_rho_psi.size == 0 and r.size == 0
+            assert np.all(r_hat(GRID, sup, r) == 0)
 
     def test_localization_is_an_l2_contraction_up_to_sup(self):
         rho = CutoffRho.for_grid(GRID)
         sup = float(rho.evaluate(GRID).max())
         path = sample_path(PARAMS, GRID, seed=10, T=0.25, K=4)
-        two_rho_psi, r_hat, _ = level(
+        two_rho_psi, r, _ = level(
             NO_FORCING, GRID, rho.evaluate(GRID), path.psi[-1].values, path.ipsi2[-1].values, 0.25
         )
         psi_phys = GRID.inverse_values(path.psi[-1].values)
         ipsi2_phys = GRID.inverse_values(path.ipsi2[-1].values)
-        # level() localizes to 2 rho Psi
+        # level() localizes to 2 rho Psi and R = rho^2 <I Psi^2> in physical
+        # space, on the box of rho's support, off which both vanish
         assert l2_norm(GRID, 0.5 * two_rho_psi) <= sup * l2_norm(GRID, psi_phys) * (1 + 1e-10)
-        r_phys = GRID.inverse_values(r_hat)
-        assert l2_norm(GRID, r_phys) <= sup**2 * l2_norm(GRID, ipsi2_phys) * (1 + 1e-10)
+        assert l2_norm(GRID, r) <= sup**2 * l2_norm(GRID, ipsi2_phys) * (1 + 1e-10)
 
     def test_masked_region_leaves_norm_unchanged(self):
         r = bump_profile((GRID.x - np.pi) / (np.pi / 4))

@@ -16,7 +16,7 @@ import wsnl.studies
 from wsnl.grid import CutoffRho, SpectralGrid, hs_weight, propagator_phase
 from wsnl.reference import PaperParams
 from wsnl.stochastic import PathEnsemble
-from wsnl.solver import SolverConfig, level, nonlinearity_scale, step_values
+from wsnl.solver import SolverConfig, level, nonlinearity_scale, step_values, support
 from wsnl.studies import MeanAccumulator
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -68,20 +68,19 @@ def test_step_values_returns_the_iteration_count_and_failed_mask_the_tracer_read
     params = PaperParams(d=1, alpha=0.3, eps=0.01, n=4)
     config = SolverConfig(params=params, rho=CutoffRho.for_grid(grid))
     rho_vals = config.rho.evaluate(grid)
-    # a 2-member batch: Psi and <I Psi^2> transforms at t = 0 and 0.1, and v
+    # a 2-member batch: Psi and <I Psi^2> transforms at t = 0 and 0.1, and z
     rng = np.random.default_rng(0)
-    psi, ipsi2, v_hat = rng.standard_normal((3, 2) + grid.shape) * (1 + 1j)
+    psi, ipsi2, z_hat = rng.standard_normal((3, 2) + grid.shape) * (1 + 1j)
     prev, nxt = (level(config, grid, rho_vals, psi, ipsi2, t) for t in (0.0, 0.1))
     out = step_values(
         grid,
-        v_hat,
+        z_hat,
         prev,
         nxt,
         propagator_phase(grid, 0.1),
-        0.1,
         hs_weight(grid, -params.s),
-        rho_vals,
-        nonlinearity_scale(grid, True),
+        support(rho_vals),
+        nonlinearity_scale(grid, True, 0.1),
     )
     assert len(out) == 7
     assert type(out[1]) is int and out[1] >= 1
