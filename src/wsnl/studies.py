@@ -1,10 +1,11 @@
 """Ensemble studies: covariance agreement, divergence and Cauchy rates, Hoelder
 moduli, the multilinear-smoothing ladder, and coupled solver convergence.
 
-Every verdict cites its tolerance and every estimate carries a Monte Carlo
-standard error.  Rate verdicts test exponents, never constants.  Wherever a
-difference of truncations appears, realizations are coupled through a shared
-noise stream for variance reduction.
+Every verdict cites its tolerance.  Means and increment exponents carry a Monte
+Carlo standard error; a plain log-log slope (cauchy's and hoelder's slope
+verdicts read one) carries the residual SE of its few-point fit.  Rate verdicts
+test exponents, never constants.  Wherever a difference of truncations appears,
+realizations are coupled through a shared noise stream for variance reduction.
 
 Estimating the renormalization growth exponent: c_n behaves like A n^{d-2alpha} + B
 with an order-one B at desk-scale n, which contaminates a plain least-squares
@@ -85,27 +86,6 @@ def increment_slope(n_values: Iterable[float], y_values: Iterable[float]) -> Reg
     n = np.asarray(list(n_values), dtype=np.float64)
     y = np.asarray(list(y_values), dtype=np.float64)
     return loglog_ols(n[:-1], np.diff(y))
-
-
-def increment_exponent(n_values: Iterable[float], samples: np.ndarray) -> RegressionResult:
-    """Dyadic-increment slope of E[X_n] from coupled samples, with its MC stderr.
-
-    `samples` holds one row per member and one column per rung.  The exponent is
-    the log-log slope of the mean increments E[X_{2n} - X_n]; its stderr carries
-    the sample covariance of the per-member increments through that fit (delta
-    method), so the correlation between rungs of one member is accounted for.
-    Its slope, stderr and R^2 are nan unless every mean increment is positive.
-    """
-    n = np.asarray(list(n_values), dtype=np.float64)
-    inc = np.diff(np.asarray(samples, dtype=np.float64), axis=1)
-    mean = inc.mean(axis=0)
-    fit = loglog_ols(n[:-1], mean)
-    if np.isnan(fit.slope):
-        return fit
-    xc = np.log(n[:-1]) - np.log(n[:-1]).mean()
-    grad = xc / np.dot(xc, xc) / mean
-    var = float(grad @ np.atleast_2d(np.cov(inc, rowvar=False)) @ grad) / inc.shape[0]
-    return RegressionResult(fit.slope, float(np.sqrt(var)), fit.r2, fit.npoints)
 
 
 @dataclass
@@ -234,16 +214,47 @@ class MeanAccumulator:
         return np.sqrt(self._m2 / (self.count - 1) / self.count)
 
 
-def _means(blocks: list[dict]) -> dict:
-    """One MeanAccumulator per named (members, width) array of the blocks,
-    fed block by block in member order."""
-    acc: dict = {}
-    for block in blocks:
-        for name, values in block.items():
-            if name not in acc:
-                acc[name] = MeanAccumulator(values.shape[1])
-            acc[name].add(values)
-    return acc
+class Samples:
+    """One statistic's per-member values, one row per kept member in member order,
+    kept for what reads one member's columns together (the increment exponent's
+    covariance, a median).  count, mean and stderr come from one
+    MeanAccumulator.add over all members, so chunking moves none of them; mean
+    is nan when no member is kept."""
+
+    def __init__(self, values: np.ndarray) -> None:
+        self.values = np.asarray(values, dtype=np.float64)
+        acc = MeanAccumulator(self.values.shape[1])
+        acc.add(self.values)
+        self.count, self.stderr = acc.count, acc.stderr
+        self.mean = acc.mean if acc.count else np.full(self.values.shape[1], np.nan)
+
+    def decrements(self) -> Samples:
+        """Each member's paired X_n - X_2n of adjacent columns."""
+        return Samples(self.values[:, :-1] - self.values[:, 1:])
+
+    def increment_exponent(self, rungs: Iterable[float]) -> RegressionResult:
+        """Dyadic-increment slope of E[X_n] over the columns' rungs: the log-log
+        slope of the mean increments E[X_{2n} - X_n], with an MC stderr that
+        carries the sample covariance of the per-member increments through that
+        fit (delta method), so the correlation between rungs of one member is
+        accounted for.  Slope, stderr and R^2 are nan unless every mean
+        increment is positive."""
+        n = np.asarray(list(rungs), dtype=np.float64)
+        inc = np.diff(self.values, axis=1)
+        mean = inc.mean(axis=0)
+        fit = loglog_ols(n[:-1], mean)
+        if np.isnan(fit.slope):
+            return fit
+        xc = np.log(n[:-1]) - np.log(n[:-1]).mean()
+        grad = xc / np.dot(xc, xc) / mean
+        var = float(grad @ np.atleast_2d(np.cov(inc, rowvar=False)) @ grad) / inc.shape[0]
+        return RegressionResult(fit.slope, float(np.sqrt(var)), fit.r2, fit.npoints)
+
+
+def _samples(blocks: list[dict]) -> dict[object, Samples]:
+    """One Samples per named (members, width) array of the blocks, in member
+    order; each block's array is popped, freeing it once its rows are copied."""
+    return {name: Samples(np.concatenate([b.pop(name) for b in blocks])) for name in [*blocks[0]]}
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +339,7 @@ def run_covariance_study(config: StudyConfig) -> StudyResult:
         plain = np.stack([a * b for a, b in pairs], axis=-1)
         return dict(conj_re=conj.real, conj_im=conj.imag, plain_re=plain.real, plain_im=plain.imag)
 
-    acc = _means(_ensemble_blocks(config, measure))
+    acc = _samples(_ensemble_blocks(config, measure))
 
     z_bound = 5.0
     rows: list[list[object]] = []
@@ -475,11 +486,10 @@ def run_cauchy_study(config: StudyConfig) -> StudyResult:
             diff_hat = ens.psi_values(2 * n) - ens.psi_values(n)
             loc = rho_vals * grid.inverse_values(diff_hat)
             cols.append(hs_norm_sq(grid, loc, -s))
-        block = np.stack(cols, axis=-1)
-        return {"point": block, "decrement": block[:, :-1] - block[:, 1:]}
+        return {"point": np.stack(cols, axis=-1)}
 
-    means = _means(_ensemble_blocks(config, measure))
-    acc, diff_acc = means["point"], means["decrement"]
+    acc = _samples(_ensemble_blocks(config, measure))["point"]
+    diff_acc = acc.decrements()
 
     z = config.z
     rows: list[list[object]] = []
@@ -491,7 +501,7 @@ def run_cauchy_study(config: StudyConfig) -> StudyResult:
         rows.append(["decrement", ladder[j], gap, se, gap > z * se])
     decrements = [row for row in rows if row[0] == "decrement"]
     ols = loglog_ols(ladder, acc.mean)
-    rows.append(["slope_ols", "", "", ols.slope, ols.stderr])
+    rows.append(["slope_ols", "", ols.slope, ols.stderr, ""])
     slope_neg = ols.slope + z * ols.stderr < 0.0
     with np.errstate(divide="ignore", invalid="ignore"):  # zero stderr: non-finite ratio
         worst = float(np.min(diff_acc.mean / diff_acc.stderr))
@@ -551,19 +561,16 @@ def run_smoothing_study(config: StudyConfig) -> StudyResult:
                 col.append(hs_norm_sq(grid, loc[obj], sg))
         return {key: np.stack(col, axis=-1) for key, col in cols.items()}
 
-    # per-member samples (members x rungs) are kept: the increment exponent's
-    # standard error needs the covariance between rungs of one member
-    blocks = _ensemble_blocks(config, measure)
-    samples = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+    samples = _samples(_ensemble_blocks(config, measure))
 
     rows: list[list[object]] = []
     slopes: dict[str, RegressionResult] = {}
-    for (obj, sg), acc in _means([samples]).items():
+    for (obj, sg), acc in samples.items():
         for j, n in enumerate(ladder):
             rows.append([obj, sg, n, float(acc.mean[j]), float(acc.stderr[j])])
         slopes[f"{obj}_sigma{sg:.4g}"] = loglog_ols(ladder, acc.mean)
     for sg in sigmas:
-        slopes[f"ipsi2_increment_sigma{sg:.4g}"] = increment_exponent(ladder, samples["ipsi2", sg])
+        slopes[f"ipsi2_increment_sigma{sg:.4g}"] = samples["ipsi2", sg].increment_exponent(ladder)
 
     notes = [
         f"kappa = {params.kappa:.4g}, s = {params.s:.4g}; gain probe straddles "
@@ -687,15 +694,14 @@ def run_hoelder_study(config: StudyConfig) -> StudyResult:
             cols.append(hs_norm_sq(grid, loc, -s))
         return {"field": np.stack(cols, axis=-1), "control": np.stack(ctrl, axis=-1)}
 
-    means = _means(_ensemble_blocks(config, measure))
-    acc, acc_ctrl = means["field"], means["control"]
+    samples = _samples(_ensemble_blocks(config, measure))
+    acc, acc_ctrl = samples["field"], samples["control"]
 
     z = config.z
-    rows: list[list[object]] = []
-    for j, h in enumerate(lags):
-        rows.append(["field", h, float(acc.mean[j]), float(acc.stderr[j])])
-    for j, h in enumerate(lags):
-        rows.append(["control", h, float(acc_ctrl.mean[j]), float(acc_ctrl.stderr[j])])
+    rows: list[list[object]] = [
+        [record, h, float(sm.mean[j]), float(sm.stderr[j])]
+        for record, sm in samples.items() for j, h in enumerate(lags)
+    ]
     reg = loglog_ols(lags, acc.mean)
     reg_ctrl = loglog_ols(lags, acc_ctrl.mean)
     rows.append(["slope", "field", reg.slope, reg.stderr])
@@ -764,21 +770,15 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         return np.stack(cols, axis=-1), failed, iterations
 
     blocks = _ensemble_blocks(config, measure)
-    samples = np.concatenate([block[~failed] for block, failed, _ in blocks], axis=0)
+    kept = Samples(np.concatenate([block[~failed] for block, failed, _ in blocks]))
     failed_total = sum(int(failed.sum()) for _, failed, _ in blocks)
     # batched steps by their Picard iteration count, over rungs and chunks
     picard = sum((iterations for _, _, iterations in blocks), Counter())
-    acc = MeanAccumulator(len(ladder))
-    acc.add(samples)
-    if acc.count:
-        medians, means = np.median(samples, axis=0), acc.mean
-    else:
-        # every member excluded: no statistic to reduce
-        medians = means = np.full(len(ladder), np.nan)
+    medians = np.median(kept.values, axis=0) if kept.count else kept.mean  # none kept: nan
 
     rows: list[list[object]] = []
     for j, n in enumerate(ladder):
-        rows.append(["point", n, float(medians[j]), float(means[j]), float(acc.stderr[j])])
+        rows.append(["point", n, float(medians[j]), float(kept.mean[j]), float(kept.stderr[j])])
     decreasing = bool(np.all(np.diff(medians) < 0.0))
     rows.append(["excluded", "", float(failed_total), "", ""])
     verdict = Verdict(
@@ -821,7 +821,7 @@ def wick_centering_check(
     def measure(ens: PathEnsemble) -> dict[int, np.ndarray]:
         return _at_steps(ens, probe_ks, lambda e: e.wick_values(config.n).reshape(e.size, cells))
 
-    acc = _means(_ensemble_blocks(config, measure))
+    acc = _samples(_ensemble_blocks(config, measure))
 
     rows: list[list[object]] = []
     z_max = []

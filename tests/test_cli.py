@@ -284,6 +284,17 @@ def test_converge_with_excluded_members_fails_quietly(K, excluded, tmp_path):
     assert (tmp_path / "verdict.txt").read_text().endswith("overall = FAIL\n")
 
 
+def test_cauchy_slope_row_sits_under_its_column_names(tmp_path):
+    # the slope and its SE sit under value and stderr, as every other row's do
+    args = ["--set", "M=100", "--set", "N=64", "--set", "ladder=2,4,8", "--out", str(tmp_path)]
+    assert main(["cauchy", *args]) == 1
+    header, *rows = (line.split(",") for line in (tmp_path / "cauchy.csv").read_text().splitlines())
+    [slope] = [dict(zip(header, row)) for row in rows if row[header.index("record")] == "slope_ols"]
+    verdict = (tmp_path / "verdict.txt").read_text()
+    assert f"slope ols: {slope['value']} +/- {slope['stderr']} (R^2 = " in verdict
+    assert slope["n"] == slope["pass"] == ""
+
+
 def test_cauchy_decrement_with_zero_stderr_fails_its_verdict(tmp_path):
     # at L = 2 pi no annulus (n, 2n] holds a lattice mode: every gap and stderr is 0,
     # and no log-log fit runs through the all-zero means

@@ -11,8 +11,8 @@ from wsnl.config import ConfigError
 from wsnl.grid import SpectralGrid
 from wsnl.studies import (
     MeanAccumulator,
+    Samples,
     StudyConfig,
-    increment_exponent,
     increment_slope,
     loglog_ols,
     run_study,
@@ -55,7 +55,7 @@ class TestRegression:
             inc = mean_inc * (1.0 + 0.4 * common + 0.3 * rng.standard_normal((M, 3)))
             return np.cumsum(np.concatenate([np.ones((M, 1)), inc], axis=1), axis=1)
 
-        fits = [increment_exponent(n, draw(400)) for _ in range(200)]
+        fits = [Samples(draw(400)).increment_exponent(n) for _ in range(200)]
         slopes = np.array([f.slope for f in fits])
         assert abs(slopes.mean() + 0.2) < 0.005
         assert np.median([f.stderr for f in fits]) == pytest.approx(slopes.std(ddof=1), rel=0.15)
@@ -103,6 +103,58 @@ def test_merged_blocks_match_a_two_pass_variance(blocks, offset, scale):
     assert acc.count == len(x)
     assert np.all(np.abs(acc.mean - mean) <= 1e-15 * size * len(arrays))
     assert np.all(np.abs(acc.stderr - se) <= 1e-9 * se + 1e-15 * size)
+
+
+def test_samples_with_no_member_kept_read_nan_without_a_warning():
+    # pyproject turns any numpy warning into a failure; converge's rows read the
+    # median, mean and stderr of such a Samples (test_cli's all-excluded run)
+    kept = Samples(np.empty((0, 3)))
+    assert kept.count == 0 and kept.values.shape == (0, 3)
+    assert np.all(np.isnan(kept.mean)) and np.all(np.isnan(kept.stderr))
+    dec = kept.decrements()
+    assert dec.count == 0 and dec.mean.shape == (2,) and np.all(np.isnan(dec.mean))
+
+
+def test_decrements_pair_each_member_with_itself():
+    # a member-wide level shared by every rung cancels in the paired decrement,
+    # so its stderr is far below the unpaired sqrt(se_n^2 + se_2n^2)
+    rng = np.random.default_rng(3)
+    values = 10.0 * rng.standard_normal((500, 1)) + [3.0, 2.0, 1.5] + rng.standard_normal((500, 3))
+    by_hand = np.stack([values[:, 0] - values[:, 1], values[:, 1] - values[:, 2]], axis=1)
+    points = Samples(values)
+    dec = points.decrements()
+    assert np.array_equal(dec.values, by_hand)
+    assert dec.count == 500
+    assert np.allclose(dec.mean, by_hand.mean(axis=0), rtol=1e-13, atol=0)
+    assert np.allclose(dec.stderr, by_hand.std(axis=0, ddof=1) / np.sqrt(500), rtol=1e-12, atol=0)
+    unpaired = np.sqrt(points.stderr[:-1] ** 2 + points.stderr[1:] ** 2)
+    assert np.all(dec.stderr < unpaired / 5)
+
+
+# Small configurations of every study that reduces through Samples, run at
+# chunk = M and at a chunk that does not divide M.  Converge is left out: its
+# batched Picard loop stops once every member of its chunk has converged, so a
+# member's last iterate depends on its chunk-mates, and its rows (and the
+# Picard histogram note) move by about 1e-11 relative between chunk 100 and 45.
+CHUNK_INVARIANT = {
+    "covariance": (run_study, dict(kind="covariance", N=32, n=4.0, K=4)),
+    "wick_centering": (wick_centering_check, dict(kind="covariance", N=32, n=4.0, K=4)),
+    "cauchy": (run_study, dict(kind="cauchy_rate", N=64, ladder=(2.0, 4.0, 8.0))),
+    "hoelder": (run_study, dict(kind="hoelder", N=32, n=8.0)),
+    "smoothing": (
+        run_study,
+        dict(kind="smoothing", L=2 * np.pi, N=64, T=1 / 32, K=16, ladder=(2.0, 4.0, 8.0, 16.0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("study", CHUNK_INVARIANT)
+def test_chunk_moves_no_row_or_verdict(study):
+    run, settings = CHUNK_INVARIANT[study]
+    # 30 does not divide M = 100: four chunks, the last of 10 members
+    whole, chunked = (run(StudyConfig(M=100, chunk=c, seed=9, **settings)) for c in (100, 30))
+    assert chunked.rows == whole.rows
+    assert chunked.verdict_lines() == whole.verdict_lines()
 
 
 def test_study_config_validation():

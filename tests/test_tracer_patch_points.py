@@ -1,11 +1,13 @@
 """The benchmark tracer's patch points: every name it wraps still exists in
-the package, its undo puts every original object back, and the solver step
-returns what its step counter reads."""
+the package, its undo puts every original object back, the solver step
+returns what its step counter reads, and every per-member reduction of a
+study goes through MeanAccumulator.add, which it times as studies.reduce."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import wsnl.cli
 import wsnl.secondmoment
@@ -17,7 +19,7 @@ from wsnl.grid import CutoffRho, SpectralGrid, hs_weight, propagator_phase
 from wsnl.reference import PaperParams
 from wsnl.stochastic import PathEnsemble
 from wsnl.solver import SolverConfig, level, nonlinearity_scale, step_values, support
-from wsnl.studies import MeanAccumulator
+from wsnl.studies import MeanAccumulator, StudyConfig, run_study
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 OWNERS = (
@@ -85,3 +87,30 @@ def test_step_values_returns_the_iteration_count_and_failed_mask_the_tracer_read
     assert len(out) == 7
     assert type(out[1]) is int and out[1] >= 1
     assert out[5].dtype == bool and out[5].shape == (2,)
+
+
+@pytest.mark.parametrize(
+    "settings, reductions",
+    [
+        # point means, then their paired decrements
+        (dict(kind="cauchy_rate", N=64, ladder=(2.0, 4.0, 8.0)), [(100, 3), (100, 2)]),
+        # the kept members' coupled differences, reduced once over all chunks
+        (dict(kind="solver_convergence", N=64, K=8, ladder=(2.0, 4.0)), [(100, 2)]),
+    ],
+    ids=["cauchy", "converge"],
+)
+def test_every_reduction_goes_through_mean_accumulator_add(settings, reductions, monkeypatch):
+    calls = []
+    add = MeanAccumulator.add
+
+    def recording_add(self, block):
+        calls.append(np.array(block))
+        add(self, block)
+
+    monkeypatch.setattr(MeanAccumulator, "add", recording_add)
+    res = run_study(StudyConfig(M=100, chunk=40, seed=9, **settings))
+    assert [block.shape for block in calls] == reductions
+    # every mean the rows report is the mean of one recorded block
+    mean = res.columns.index("value" if res.study == "cauchy_rate" else "mean")
+    means = [row[mean] for row in res.rows if row[0] in ("point", "decrement")]
+    assert means == [float(m) for block in calls for m in block.mean(axis=0)]
