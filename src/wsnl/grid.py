@@ -105,45 +105,78 @@ class SpectralGrid:
 
     # The transforms act on the trailing d axes so batched (B, N, ..., N)
     # arrays work unchanged.
-    # Both transforms write into the complex array `out` when one is given;
-    # it may be the input itself.
+    # Both transforms write into the array `out` when one is given; it may be
+    # the input itself.  With half=True they take a real field to its half
+    # spectrum and back (rfftn, irfftn): the last axis holds its N/2 + 1
+    # modes 0 ... N/2, and the other modes follow by F(-xi) = conj(F(xi)).
     def forward_values(
         self,
         values: np.ndarray,
         out: np.ndarray | None = None,
         scale: float | np.ndarray | None = None,
+        half: bool = False,
     ) -> np.ndarray:
         """Forward transform.  For d = 1, real input goes through rfft and the
-        output is its exact Hermitian completion, F(-xi) == conj(F(xi)) bit for
-        bit; every other input takes the full complex transform.  The raw
-        transform is multiplied by `scale`, the cell volume when None; a
-        caller that multiplies the result by a mask of 0s and 1s passes
-        cell_volume * mask instead, which gives the same bits wherever the
-        transform times the cell volume is finite."""
-        if self.d > 1 or np.iscomplexobj(values):
+        output is its exact Hermitian completion (complete); every other
+        input takes the full complex transform, unless half asks for the half
+        spectrum of real input.  The raw transform is multiplied by `scale`,
+        the cell volume when None; a caller that multiplies the result by a
+        mask of 0s and 1s passes cell_volume * mask instead, which gives the
+        same bits wherever the transform times the cell volume is finite."""
+        if half:
+            out = _fft(values, self.d, np.fft.rfft, np.fft.rfftn, out)
+        elif self.d > 1 or np.iscomplexobj(values):
             out = _fft(values, self.d, np.fft.fft, np.fft.fftn, out)
         else:
-            N, h = self.N, self.N // 2 + 1
             if out is None:
                 out = np.empty(np.shape(values), dtype=np.complex128)
             # rfft leaves the modes 0 and N/2 exactly real
-            np.fft.rfft(np.asarray(values, dtype=np.float64), axis=-1, out=out[..., :h])
-            np.conjugate(out[..., N // 2 - 1 : 0 : -1], out=out[..., h:])
+            np.fft.rfft(np.asarray(values, dtype=np.float64), axis=-1, out=out[..., : self.N // 2 + 1])
+            self.complete(out)
         out *= self.cell_volume if scale is None else scale
         return out
 
-    def inverse_values(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        out = _fft(values, self.d, np.fft.ifft, np.fft.ifftn, out)
-        out *= (self.N / self.L) ** self.d
+    def inverse_values(
+        self,
+        values: np.ndarray,
+        out: np.ndarray | None = None,
+        scale: float | None = None,
+        half: bool = False,
+    ) -> np.ndarray:
+        """Inverse transform, real when half says values are a half spectrum.
+        The raw transform is multiplied by `scale`, (N/L)^d when None; scale
+        = 1 returns it raw, for a caller that folds (N/L)^d into a
+        multiplier of its own."""
+        if half:
+            out = _fft(values, self.d, np.fft.irfft, np.fft.irfftn, out, n=self.N)
+        else:
+            out = _fft(values, self.d, np.fft.ifft, np.fft.ifftn, out)
+        factor = (self.N / self.L) ** self.d if scale is None else scale
+        if factor != 1.0:
+            out *= factor
         return out
 
+    def complete(self, spectrum: np.ndarray) -> np.ndarray:
+        """Complete in place, and return, the full spectrum of a real field
+        whose half spectrum (modes 0 ... N/2 of the last axis) fills the
+        first N/2 + 1 columns of spectrum's last axis: every other mode is
+        F(-xi) = conj(F(xi)), exactly."""
+        N = self.N
+        mirror = spectrum[..., N // 2 - 1 : 0 : -1]
+        # on the other grid axes, -xi is the index -j mod N
+        for axis in range(-self.d, -1):
+            mirror = np.take(mirror, -np.arange(N) % N, axis=axis)
+        np.conjugate(mirror, out=spectrum[..., N // 2 + 1 :])
+        return spectrum
 
-def _fft(values, d: int, one_d, n_d, out=None) -> np.ndarray:
-    """numpy transform over the trailing d axes; for d = 1 the 1-D routine
-    gives the same result without the n-d routine's per-call set-up."""
+
+def _fft(values, d: int, one_d, n_d, out=None, n: int | None = None) -> np.ndarray:
+    """numpy transform over the trailing d axes, of n points per axis (the
+    input's when None); for d = 1 the 1-D routine gives the same result
+    without the n-d routine's per-call set-up."""
     if d == 1:
-        return one_d(values, axis=-1, out=out)
-    return n_d(values, axes=tuple(range(-d, 0)), out=out)
+        return one_d(values, n=n, axis=-1, out=out)
+    return n_d(values, s=None if n is None else (n,) * d, axes=tuple(range(-d, 0)), out=out)
 
 
 @dataclass(frozen=True)
@@ -241,6 +274,17 @@ def hs_weight(grid: SpectralGrid, s: float) -> np.ndarray:
     (1 + |xi|^2)^s / L^d once for each float of a transform's interleaved
     (re, im) view, so every mode's value appears twice."""
     return np.repeat(bessel_weight(grid, 2.0 * s).reshape(-1), 2) / grid.L**grid.d
+
+
+def half_weight(grid: SpectralGrid, weight: np.ndarray) -> np.ndarray:
+    """weight, as built for weighted_norm_sq_hat on full spectra, for half
+    spectra (forward_values with half=True): a mode whose mirror -xi the
+    half spectrum leaves out (0 < k < N/2 on the last axis) counts twice, so
+    a real field's half spectrum has the norm of its full spectrum."""
+    h = grid.N // 2 + 1
+    half = weight.reshape(grid.shape + (2,))[..., :h, :].copy()
+    half[..., 1 : h - 1, :] *= 2.0
+    return half.reshape(-1)
 
 
 def weighted_norm_sq_hat(grid: SpectralGrid, f_hat: np.ndarray, weight: np.ndarray) -> np.ndarray:

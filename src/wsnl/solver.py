@@ -11,19 +11,25 @@ with N_k = N(z_k + R(t_k)) and N(v) = rho^2 |v|^2 + (rho conj(v))(rho Psi) +
 (nonlinearity_values).  R enters only there, in physical space: rho vanishes
 outside the box [L/4, 3L/4]^d of its support (Support), so level() stores
 2 rho Psi and R on that box alone, and N is formed on it.  The implicit
-endpoint is resolved by Picard iteration (step_values), which starts from
-the explicit exponential predictor
+endpoint is resolved by Picard iteration (step_values) from
 
-    z_{k+1}^(0) = e^{-i dt Lap} (z_k + 2 h N_k),
+    z_{k+1}^(0) = fixed = e^{-i dt Lap} (z_k + h N_k),
 
-the exponential Euler step paired with the trapezoid corrector above.  Picard
-increments are measured in the discrete H^{-s} norm, and a step's residual is
-the contraction bound theta/(1 - theta) x increment on its distance to the
-fixed point, the stopping rule of implicit Runge-Kutta codes (Hairer &
-Wanner, Solving ODEs II, IV.8; see step_values).  N is real, so at d = 1 its
-transform takes the rfft path of SpectralGrid.forward_values; h, the cell
-volume and the 2/3 mask are folded into its scale (nonlinearity_scale), so
-the march carries h N.
+every term of the step but h N_{k+1} (plus h F(forcing) at t_{k+1}).  h and
+the 2/3 mask are real-symmetric and N is real, so a correction h N is
+imaginary in physical space: on the box, Re w = Re rho (z + R) never moves
+within a step, and the iteration (_picard_on_box) carries Im w alone, with
+one real forward transform of N per iteration and one real inverse when it
+goes on (SpectralGrid's half-spectrum transforms, at every d).  Picard
+increments are measured in the discrete H^{-s} norm on the half spectrum,
+and a member's residual is the contraction bound theta/(1 - theta) x
+increment on its distance to the fixed point, the stopping rule of implicit
+Runge-Kutta codes (Hairer & Wanner, Solving ODEs II, IV.8; see step_values);
+each member stops at its own bound.  h, the cell volume and the 2/3 mask are
+folded into the forward transform's scale (nonlinearity_scale), so the march
+carries h N.  The global mode evaluates N on whole spectra through
+nonlinearity_values, whose forward transform takes the rfft path of
+SpectralGrid.forward_values at d = 1.
 
 This module is the only place that marches the equation.  level() is the one
 builder of a march's inputs: it localizes Psi and <I Psi^2> at one time, or at
@@ -67,6 +73,7 @@ from .grid import (
     Field,
     GridError,
     SpectralGrid,
+    half_weight,
     hs_weight,
     propagator_phase,
     sobolev_norm_hat,
@@ -302,8 +309,10 @@ def step_values(
     h_scale is nonlinearity_scale(grid, dealias, dt), so nonlinearity_values
     gives h N.  hn_prev is h N at prev, when the caller carries it from the
     previous step; None evaluates it here.  R enters only inside N, in
-    physical space.  Picard starts from the explicit exponential predictor,
-    which takes N(t_{k+1}) ~ e^{-i dt Lap} N(t_k).
+    physical space.  Picard starts from fixed = e^{-i dt Lap}(z_k + h N_k) +
+    h F(forcing at t_{k+1}), every term of the step but the implicit h N, and
+    each member iterates on the box of rho's support (_picard_on_box) until
+    its own residual clears PICARD_TOL.
 
     A member's residual at iteration m bounds the distance from its iterate
     to the fixed point: with increments r_m and theta_m = r_m / r_{m-1}, it
@@ -312,67 +321,149 @@ def step_values(
     II, IV.8).  The first iteration has no theta, and its residual is r_1.
 
     Returns (z_next, iterations, residuals, monotone_ok, history, failed,
-    hn_next), where history holds the worst healthy increment of each
-    iteration and hn_next is the last evaluation of h N at nxt (at the
-    iterate before z_next).  In batched mode iteration continues until every
-    healthy member's residual clears PICARD_TOL.  A member fails when a
-    residual is non-finite, when its residual is still above PICARD_TOL after
-    PICARD_MAX iterations, or when the H^{-s} norm of its z = v - R is
-    non-finite or above BLOWUP_NORM; failed members are zeroed and flagged in
-    the returned mask, so ensemble studies exclude them and keep going and
-    solve() ends its trajectory there.
+    hn_next), where iterations counts the iterations of the member that
+    iterated longest, history holds the worst healthy increment among the
+    members still iterating at each iteration, and hn_next is each member's
+    last evaluation of h N at nxt (at the iterate before its z_next).  A
+    member fails when a residual is non-finite, when its residual is still
+    above PICARD_TOL after PICARD_MAX iterations, or when the H^{-s} norm of
+    its z = v - R is non-finite or above BLOWUP_NORM; failed members are
+    zeroed in z_next and hn_next and flagged in the returned mask, so
+    ensemble studies exclude them and keep going and solve() ends its
+    trajectory there.
     """
     if hn_prev is None:
         hn_prev = nonlinearity_values(grid, z_hat, sup, prev, h_scale)
-    # fixed = e^{-i dt Lap}(z_k + h N_k) holds every term but the implicit
-    # h N_{k+1}; the predictor adds e^{-i dt Lap} h N_k once more
     fixed = z_hat + hn_prev
     fixed *= phase
-    z_iter = phase * hn_prev
-    z_iter += fixed
-    z_new = np.empty_like(z_iter)
+    if nxt.forcing is not None:
+        hf_next = grid.forward_values(nxt.forcing, scale=h_scale)
+        fixed += hf_next
     batch_shape = np.shape(z_hat)[: np.ndim(z_hat) - grid.d]
-    failed = np.zeros(batch_shape, dtype=bool)
-    residuals = np.zeros(batch_shape)
-    history: list[float] = []
-    monotone_ok = True
-    iterations = 0
-    # a flagged member is iterated on with the healthy ones and may overflow
-    # on its way to inf, and a member whose increment was 0 divides by it in
-    # theta; it is zeroed below
+    rows = fixed.reshape((-1,) + grid.shape)
+    # a member may overflow on its way to inf before its residual flags it,
+    # and theta = 1 divides by zero in the bound, which it then does not take
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for m in range(1, PICARD_MAX + 1):
-            hn_next = None  # free the last evaluation before making the next
-            hn_next = nonlinearity_values(grid, z_iter, sup, nxt, h_scale)
-            np.add(fixed, hn_next, out=z_new)
-            # z_iter becomes the increment, then the two buffers swap roles
-            np.subtract(z_new, z_iter, out=z_iter)
-            increments = np.sqrt(weighted_norm_sq_hat(grid, z_iter, norm_weight))
-            z_iter, z_new = z_new, z_iter
-            if m == 1:
-                residuals = increments
-            else:
-                # the contraction bound on the distance to the fixed point
-                theta = increments / last_increments
-                bound = np.minimum(increments, theta / (1.0 - theta) * increments)
-                residuals = np.where(theta < 1.0, bound, increments)
-            last_increments = increments
-            failed = failed | ~np.isfinite(residuals)
-            healthy = ~failed
-            history.append(float(np.max(increments[healthy])) if healthy.any() else 0.0)
-            if len(history) >= 3 and history[-1] > history[-2]:
-                monotone_ok = False
-            iterations = m
-            if not healthy.any() or np.max(residuals[healthy]) <= PICARD_TOL:
-                break
+        hn_next = np.empty_like(rows)
+        if sup is None:
+            # no cutoff: N vanishes and fixed is the step
+            hn_next[..., : grid.N // 2 + 1] = 0.0
+            iterations, residuals, history = 1, np.zeros(len(rows)), [0.0]
+            failed = np.zeros(len(rows), dtype=bool)
         else:
-            failed = failed | (residuals > PICARD_TOL)
-        norms = np.sqrt(weighted_norm_sq_hat(grid, z_iter, norm_weight))
-    big = ~np.isfinite(norms) | (norms > BLOWUP_NORM)
-    failed = failed | big
+            iterations, residuals, history, failed = _picard_on_box(
+                grid, rows, nxt, sup, h_scale, norm_weight, out=hn_next
+            )
+        # h N = i g, where g is the spectrum of a real field
+        grid.complete(hn_next)
+        hn_next *= 1j
+        rows += hn_next
+        norms = np.sqrt(weighted_norm_sq_hat(grid, rows, norm_weight))
+    monotone_ok = all(b <= a for a, b in zip(history[1:], history[2:]))
+    failed = failed | ~(norms <= BLOWUP_NORM)
+    z_next, hn_next = fixed, hn_next.reshape(fixed.shape)
+    if nxt.forcing is not None:
+        hn_next += hf_next
     if failed.any():
-        z_iter = np.where(failed.reshape(failed.shape + (1,) * grid.d), 0.0, z_iter)
-    return z_iter, iterations, residuals, monotone_ok, history, failed, hn_next
+        dead = failed.reshape(batch_shape + (1,) * grid.d)
+        z_next, hn_next = np.where(dead, 0.0, z_next), np.where(dead, 0.0, hn_next)
+    return (
+        z_next,
+        iterations,
+        residuals.reshape(batch_shape),
+        monotone_ok,
+        history,
+        failed.reshape(batch_shape),
+        hn_next,
+    )
+
+
+def _picard_on_box(
+    grid: SpectralGrid,
+    fixed: np.ndarray,
+    nxt: Level,
+    sup: Support,
+    h_scale: complex | np.ndarray,
+    norm_weight: np.ndarray,
+    out: np.ndarray,
+) -> tuple[int, np.ndarray, list[float], np.ndarray]:
+    """The Picard iteration z^(m+1) = fixed + h N(z^(m) + R) of step_values
+    from z^(0) = fixed, for the members (rows) of fixed, in physical space on
+    sup's box: (iterations, residuals, history, failed).  i g is each
+    member's h N at its last iterate, and g's half spectrum is written to
+    the first N/2 + 1 columns of the last axis of out, an array of fixed's
+    shape and dtype.
+
+    h = -i dt/2 and the 2/3 mask are real-symmetric, so the correction h N =
+    i g adds the real field (N/L)^d irfft(g) to Im z in physical space and
+    leaves Re z alone.  With A = rho (fixed + R), the iterate is w = Re A +
+    i y, and N = C + y (y + Im 2 rho Psi), C = Re A (Re A + Re 2 rho Psi)
+    fixed for the step.  So fixed takes one complex inverse transform, and
+    an iteration one real forward transform of N, which gives the increment
+    |g_m - g_(m-1)| in the H^{-s} norm, and, when it goes on, one real
+    inverse transform, which gives y = Im A + (N/L)^d rho irfft(g).  Each
+    member stops once its residual is at most PICARD_TOL or non-finite (a
+    failure), or after PICARD_MAX iterations (a failure if its residual is
+    still above PICARD_TOL); only the members still iterating are
+    transformed, so a member's result does not depend on its batch.
+    """
+    members, half = len(fixed), np.s_[..., : grid.N // 2 + 1]
+    half_scale = np.imag(h_scale)  # h_scale = i half_scale
+    if np.ndim(half_scale):
+        half_scale = half_scale[half]
+    weight = half_weight(grid, norm_weight)
+    rho_y = sup.rho * (grid.N / grid.L) ** grid.d
+    psi = nxt.two_rho_psi.reshape((members,) + sup.rho.shape)
+    a = grid.inverse_values(fixed, out=out)[sup.box]
+    if nxt.r is not None:
+        a += nxt.r.reshape(a.shape)
+    a *= sup.rho
+    c = a.real + psi.real
+    c *= a.real
+    y = im_a = a.imag.copy()
+    im_psi = psi.imag.copy()
+    del a
+    # the rows of the members still iterating, and buffers whose first rows
+    # are theirs: N on the box (zero off it), its real inverse transform and
+    # two half spectra, g and the last g, which the increment overwrites
+    active = np.arange(members)
+    n_values, low = np.zeros(fixed.shape), np.empty(fixed.shape)
+    g, g_last = np.empty((2,) + out[half].shape, dtype=np.complex128)
+    residuals = np.zeros(members)
+    history: list[float] = []
+    for m in range(1, PICARD_MAX + 1):
+        k = len(active)
+        n_box = n_values[:k][sup.box]
+        np.add(y, im_psi, out=n_box)
+        n_box *= y
+        n_box += c
+        grid.forward_values(n_values[:k], out=g[:k], scale=half_scale, half=True)
+        if m == 1:
+            e = increments = np.sqrt(weighted_norm_sq_hat(grid, g[:k], weight))
+        else:
+            np.subtract(g[:k], g_last[:k], out=g_last[:k])
+            increments = np.sqrt(weighted_norm_sq_hat(grid, g_last[:k], weight))
+            # the contraction bound on the distance to the fixed point
+            theta = increments / last_increments
+            bound = np.minimum(increments, theta / (1.0 - theta) * increments)
+            e = np.where(theta < 1.0, bound, increments)
+        residuals[active] = e
+        history.append(float(increments.max(where=np.isfinite(increments), initial=0.0)))
+        go = (e > PICARD_TOL) & (e < np.inf)  # neither converged nor failed
+        if m == PICARD_MAX or not go.any():
+            out[half][active] = g[:k]
+            break
+        if not go.all():
+            out[half][active[~go]] = g[:k][~go]
+            active, increments = active[go], increments[go]
+            c, im_a, im_psi = c[go], im_a[go], im_psi[go]
+            g[: len(active)] = g[:k][go]
+            k = len(active)
+        y = grid.inverse_values(g[:k], out=low[:k], scale=1.0, half=True)[sup.box]
+        y *= rho_y
+        y += im_a
+        g, g_last, last_increments = g_last, g, increments
+    return m, residuals, history, ~(residuals <= PICARD_TOL)
 
 
 class RemainderStepper:
@@ -386,10 +477,10 @@ class RemainderStepper:
     t_next)) with the stepper's rho_vals, so the caller's psi block can be
     freed before the Picard loop runs; solve() passes the rows of its stacked
     levels instead.  Each time level is localized once, and the last Picard
-    evaluation of h N at t_{k+1} is carried as the next step's h N at t_k,
-    except after a step in which a member failed.  Failed members are zeroed
-    in z and flagged in `failed`, and the march goes on.  Per-step Picard
-    iterations, worst residuals and monotone flags are collected in lists.
+    evaluation of h N at t_{k+1} is carried as the next step's h N at t_k.
+    Failed members are zeroed in z and in h N and flagged in `failed`, and
+    the march goes on.  Per-step Picard iterations, worst residuals and
+    monotone flags are collected in lists.
     """
 
     def __init__(
@@ -416,7 +507,7 @@ class RemainderStepper:
 
     def step(self, nxt: Level) -> None:
         """Advance z by one step of config.dt, to the time of level nxt."""
-        z_next, iterations, residuals, monotone, _, failed, hn_next = step_values(
+        self.z_hat, iterations, residuals, monotone, _, failed, self._hn_prev = step_values(
             self.grid,
             self.z_hat,
             self._prev,
@@ -427,12 +518,8 @@ class RemainderStepper:
             self.h_scale,
             hn_prev=self._hn_prev,
         )
-        self.z_hat = z_next
-        if failed.any():
-            self._prev, self._hn_prev = nxt, None
-        else:
-            # h N at nxt is carried, so the next step reads only R there
-            self._prev, self._hn_prev = nxt._replace(two_rho_psi=None, forcing=None), hn_next
+        # h N at nxt is carried, so the next step reads only R there
+        self._prev = nxt._replace(two_rho_psi=None, forcing=None)
         self.iterations.append(iterations)
         self.residuals.append(float(np.max(residuals)))
         self.monotone.append(monotone)

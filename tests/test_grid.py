@@ -14,11 +14,13 @@ from wsnl.grid import (
     SpectralGrid,
     bessel_weight,
     bump_profile,
+    half_weight,
     hs_weight,
     l2_norm,
     propagator_phase,
     sobolev_norm_hat,
     truncation_mask,
+    two_thirds_mask,
     weighted_norm_sq_hat,
 )
 
@@ -107,6 +109,57 @@ def test_real_input_transform_matches_complex_path_and_is_hermitian(d, half_n, b
         assert np.array_equal(mirrored, np.conj(fast))
     else:
         assert np.max(np.abs(mirrored - np.conj(fast))) <= 1e-14 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    half_n=st.integers(2, 16),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_half_spectrum_completes_to_the_full_transform_and_inverts(d, half_n, batch, seed):
+    # the half spectrum keeps the modes 0 ... N/2 of the last axis; complete
+    # mirrors the rest exactly, and the real inverse takes it back
+    grid = SpectralGrid(d, 2 * np.pi, 2 * half_n)
+    h = grid.N // 2 + 1
+    x = np.random.default_rng(seed).standard_normal(tuple(batch) + grid.shape)
+    half = grid.forward_values(x, half=True)
+    assert half.shape == tuple(batch) + grid.shape[:-1] + (h,)
+    full = np.empty(tuple(batch) + grid.shape, dtype=np.complex128)
+    full[..., :h] = half
+    grid.complete(full)
+    ref = grid.forward_values(x.astype(np.complex128))
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(full - ref)) <= 1e-14 * scale
+    neg = np.ix_(*[(-np.arange(grid.N)) % grid.N] * d)
+    # every mode past the half spectrum is the conjugate of its mirror, bit for bit
+    assert np.array_equal(full[(Ellipsis, *neg)][..., h:], np.conj(full[..., h:]))
+    back = grid.inverse_values(half, half=True)
+    assert back.dtype == np.float64
+    assert np.max(np.abs(back - x)) <= 1e-13 * np.max(np.abs(x))
+    raw = grid.inverse_values(half, scale=1.0, half=True)
+    assert np.array_equal(raw * (grid.N / grid.L) ** d, back)
+
+
+@pytest.mark.parametrize("d, N", [(1, 48), (1, 64), (2, 24), (2, 32)])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_half_spectrum_norm_is_the_norm_of_the_completed_spectrum(d, N, dealias):
+    # the solver's Picard increment h mask F(N_m - N_{m-1}) is measured on the
+    # half spectrum; without the 2/3 mask the mode N/2 of the last axis,
+    # which has no mirror of its own, enters too
+    grid = SpectralGrid(d, 2 * np.pi, N)
+    h = N // 2 + 1
+    scale = grid.cell_volume * (two_thirds_mask(grid) if dealias else np.ones(grid.shape))
+    x = np.random.default_rng(N).standard_normal((3,) + grid.shape)
+    half = grid.forward_values(x, scale=scale[..., :h], half=True)
+    full = np.empty((3,) + grid.shape, dtype=np.complex128)
+    full[..., :h] = half
+    grid.complete(full)
+    weight = hs_weight(grid, -0.35)
+    by_half = weighted_norm_sq_hat(grid, half, half_weight(grid, weight))
+    by_full = weighted_norm_sq_hat(grid, full, weight)
+    assert np.allclose(by_half, by_full, rtol=1e-13, atol=0.0)
 
 
 class TestMultipliers:

@@ -244,6 +244,63 @@ def test_picard_stops_within_picard_tol_of_the_fixed_point():
     assert np.max(increments[0]) > PICARD_TOL and iterations >= 2
 
 
+@pytest.mark.parametrize("d, N", [(1, 48), (1, 64), (2, 24), (2, 32)])
+def test_picard_iterates_on_the_box_are_the_spectral_iterates(d, N, monkeypatch):
+    # step_values iterates w = rho (z + R) on the box as Re A + i y; each
+    # iterate must be rho (inverse_values(z^(m)) + R) of the spectral iterate
+    # z^(m) = fixed + h F(N^(m-1)), whose real part is that of fixed
+    grid = SpectralGrid(d, 2 * np.pi, N)
+    rng = np.random.default_rng(N + d)
+    band = truncation_mask(grid, 4.0)
+
+    def smooth(amp):
+        return amp * grid.L**d * band * (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+
+    config = make_config(grid, PARAMS, CutoffRho.for_grid(grid), None, 0.25, 16)
+    rho_vals = config.rho.evaluate(grid)
+    sup = support(rho_vals)
+    prev, nxt = (level(config, grid, rho_vals, smooth(0.3), smooth(0.1), t) for t in (0.0, config.dt))
+    z = smooth(0.2)
+    scale = nonlinearity_scale(grid, True, config.dt)
+    phase = propagator_phase(grid, config.dt)
+    weight = hs_weight(grid, -0.35)
+    n_inputs, raw_inverses = [], []
+    forward, inverse = SpectralGrid.forward_values, SpectralGrid.inverse_values
+
+    def recording_forward(self, values, *args, half=False, **kwargs):
+        if half:
+            n_inputs.append(np.array(values).reshape(grid.shape))
+        return forward(self, values, *args, half=half, **kwargs)
+
+    def recording_inverse(self, values, *args, half=False, **kwargs):
+        out = inverse(self, values, *args, half=half, **kwargs)
+        if half:
+            raw_inverses.append(np.array(out).reshape(grid.shape))
+        return out
+
+    monkeypatch.setattr(SpectralGrid, "forward_values", recording_forward)
+    monkeypatch.setattr(SpectralGrid, "inverse_values", recording_inverse)
+    _, iterations, _, _, _, failed, _ = step_values(grid, z, prev, nxt, phase, weight, sup, scale)
+    monkeypatch.undo()
+    assert not failed and iterations >= 3
+    assert len(n_inputs) == iterations and len(raw_inverses) == iterations - 1
+
+    fixed = phase * (z + nonlinearity_values(grid, z, sup, prev, scale))
+    a = sup.rho * (grid.inverse_values(fixed)[sup.box] + nxt.r)
+    off_box = np.ones(grid.shape, dtype=bool)
+    off_box[sup.box] = False
+    size = np.max(np.abs(a))
+    for m in range(1, iterations):
+        z_m = fixed + grid.forward_values(n_inputs[m - 1].astype(np.complex128), scale=scale)
+        w = sup.rho * (grid.inverse_values(z_m)[sup.box] + nxt.r)
+        y = a.imag + (grid.N / grid.L) ** d * sup.rho * raw_inverses[m - 1][sup.box]
+        assert np.max(np.abs(w.real - a.real)) <= 1e-13 * size
+        assert np.max(np.abs(y - w.imag)) <= 1e-13 * size
+        n_w = np.abs(w) ** 2 + np.real(np.conj(w) * nxt.two_rho_psi)
+        assert np.max(np.abs(n_inputs[m][sup.box] - n_w)) <= 1e-13 * size**2
+        assert np.all(n_inputs[m][off_box] == 0.0)
+
+
 def test_step_local_solve_records_residuals_within_picard_tol():
     # a row's residual is the quantity the Picard stop tested
     T, K = 0.25, 32
