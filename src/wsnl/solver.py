@@ -34,18 +34,21 @@ SpectralGrid.forward_values at d = 1.
 This module is the only place that marches the equation.  level() is the one
 builder of a march's inputs: it localizes Psi and <I Psi^2> at one time, or at
 every time of a stacked path, and adds the forcing.  RemainderStepper is the
-step-local loop: it starts from v and a Level built so, and carries z, the
-previous time level's R and h N there, so N(t_k) costs no transform.  The
-coupled convergence study drives one stepper per truncation radius over a
-batch of ensemble members.  solve() stacks a path's K+1 time levels once and
-localizes them in one level() call; its step-local mode drives one stepper
-over the rows of that stack.  Both marches start from z_0 = phi - R(0), and a
-caller that reads v forms v = z + R once where it reads it: the stepper's
-v_hat at its current level, solve() in one batched transform over the levels
-it reached, with v(0) = phi exactly.  Every caller reads v, never u = v + Psi,
-which a caller that wants it forms itself.  Every march takes the one step
-config.dt, whose propagator phase it builds once; solve() accepts only a path
-whose every step is config.dt.  solve(mode="global") is a separate algorithm,
+step-local loop: it starts from v and a Level built so, forms h N there at
+once, and between steps holds z and h N's Carry alone, no Level: h N = i G
+with G the spectrum of a real field, carried as G's half spectrum (plus h F
+with a forcing), so N(t_k) costs no transform and a step rebuilds i G in its
+own scratch.  The coupled convergence study drives one stepper per
+truncation radius over a batch of ensemble members.  solve() stacks a path's
+K+1 time levels once and localizes them in one level() call; its step-local
+mode drives one stepper over the rows of that stack.  Both marches start
+from z_0 = phi - R(0), and a caller that reads v forms v = z + R once where
+it reads it, with the R of its own Level there: the stepper's v_hat(r), the
+convergence study for each pair of rungs at T, solve() in one batched
+transform over the levels it reached, with v(0) = phi exactly.  Every caller
+reads v, never u = v + Psi, which a caller that wants it forms itself.  Every
+march takes the one step config.dt, whose propagator phase it builds once;
+solve() accepts only a path whose every step is config.dt.  solve(mode="global") is a separate algorithm,
 the fixed-point iteration of the whole-trajectory contraction map on z: each
 sweep evaluates N at every level in one batched call, forms every step's
 Duhamel term with two array operations, and measures the step between
@@ -57,7 +60,8 @@ they reach in one batched call.  All norms come from grid.py.
 Loss of regularity (the H^{-s} norm of z = v - R above BLOWUP_NORM, or
 non-finite values) is a first-class outcome: R is finite and O(1) against
 BLOWUP_NORM, so the test reads z.  A failed step is flagged, never raised;
-the convergence study excludes the flagged members, and solve() returns the
+a stepper's later steps neither iterate nor transform a flagged member, the
+convergence study excludes the flagged members, and solve() returns the
 partial trajectory and a failure record, built by one rule for both modes.
 """
 
@@ -144,6 +148,18 @@ class Level(NamedTuple):
     two_rho_psi: np.ndarray | None
     r: np.ndarray | None
     forcing: np.ndarray | None
+
+
+class Carry(NamedTuple):
+    """h N at a time level, as a step hands it to the next: i G + full, where
+    g is the half spectrum (modes 0 ... N/2 of the last axis) of G, the
+    transform of a real field (N is real, and h and the 2/3 mask are
+    real-symmetric), and full is a full spectrum; None stands for zero.
+    Without a forcing a march carries g alone, half of a complex h N; with
+    one, full is h F(forcing) there."""
+
+    g: np.ndarray | None
+    full: np.ndarray | None
 
 
 class Support(NamedTuple):
@@ -253,10 +269,10 @@ def level(
     if rho_vals is None:
         two_rho_psi = r = None
     else:
-        box, rho = support(rho_vals)
+        sup = support(rho_vals)
         values = grid.inverse_values(psi_hat)
-        two_rho_psi = values[box] * (2.0 * rho)
-        r = grid.inverse_values(ipsi2_hat, out=values)[box] * (rho * rho)
+        two_rho_psi = values[sup.box] * (2.0 * sup.rho)
+        r = r_values(grid, sup, ipsi2_hat, out=values)
     if config.forcing is None:
         forcing = None
     elif np.ndim(t):
@@ -266,12 +282,26 @@ def level(
     return Level(two_rho_psi, r, forcing)
 
 
-def r_hat(grid: SpectralGrid, sup: Support, r: np.ndarray) -> np.ndarray:
+def r_values(
+    grid: SpectralGrid, sup: Support, ipsi2_hat: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """R = rho^2 <I Psi^2> in physical space on sup's box, where <I Psi^2>
+    has the transform ipsi2_hat, batched over leading axes, as a fresh
+    array; out, when given, receives the inverse transform on the way."""
+    return grid.inverse_values(ipsi2_hat, out=out)[sup.box] * (sup.rho * sup.rho)
+
+
+def r_hat(
+    grid: SpectralGrid, sup: Support, r: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """The transform of R given on sup's box (zero off it), batched over
-    leading axes, as a fresh array."""
-    full = np.zeros(np.shape(r)[: np.ndim(r) - grid.d] + grid.shape, dtype=np.complex128)
-    full[sup.box] = r
-    return grid.forward_values(full, out=full)
+    leading axes, in out when given, else as a fresh array."""
+    if out is None:
+        out = np.zeros(np.shape(r)[: np.ndim(r) - grid.d] + grid.shape, dtype=np.complex128)
+    else:
+        out[...] = 0.0
+    out[sup.box] = r
+    return grid.forward_values(out, out=out)
 
 
 def v_from_z(grid: SpectralGrid, sup: Support | None, z_hat: np.ndarray, r: np.ndarray | None):
@@ -293,13 +323,15 @@ def z_from_v(grid: SpectralGrid, sup: Support | None, v_hat: np.ndarray, r: np.n
 def step_values(
     grid: SpectralGrid,
     z_hat: np.ndarray,
-    prev: Level,
+    prev: Level | None,
     nxt: Level,
     phase: np.ndarray,
     norm_weight: np.ndarray,
     sup: Support | None,
     h_scale: complex | np.ndarray,
-    hn_prev: np.ndarray | None = None,
+    hn_prev: Carry | None = None,
+    failed: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ):
     """One Picard-resolved Duhamel step of z = v - R from level prev to level
     nxt on raw arrays (leading batch axes allowed).
@@ -307,12 +339,17 @@ def step_values(
     phase is the propagator multiplier for the step dt and norm_weight the
     H^{-s} weight hs_weight(grid, -s) of the residual and blow-up norms;
     h_scale is nonlinearity_scale(grid, dealias, dt), so nonlinearity_values
-    gives h N.  hn_prev is h N at prev, when the caller carries it from the
-    previous step; None evaluates it here.  R enters only inside N, in
+    gives h N.  hn_prev is h N at prev as the previous step returned it;
+    None evaluates it here, and prev is read only then.  failed, when given,
+    flags the members that failed before: they are neither iterated nor
+    transformed, and come back zero and flagged.  out, when given, receives
+    z_next, and may be z_hat itself.  R enters only inside N, in
     physical space.  Picard starts from fixed = e^{-i dt Lap}(z_k + h N_k) +
     h F(forcing at t_{k+1}), every term of the step but the implicit h N, and
     each member iterates on the box of rho's support (_picard_on_box) until
-    its own residual clears PICARD_TOL.
+    its own residual clears PICARD_TOL.  h N_k = i G_k is rebuilt from its
+    half spectrum in a full-spectrum scratch, which the loop then takes over,
+    and z_next = fixed + i G at the loop's last g.
 
     A member's residual at iteration m bounds the distance from its iterate
     to the fixed point: with increments r_m and theta_m = r_m / r_{m-1}, it
@@ -323,59 +360,72 @@ def step_values(
     Returns (z_next, iterations, residuals, monotone_ok, history, failed,
     hn_next), where iterations counts the iterations of the member that
     iterated longest, history holds the worst healthy increment among the
-    members still iterating at each iteration, and hn_next is each member's
-    last evaluation of h N at nxt (at the iterate before its z_next).  A
-    member fails when a residual is non-finite, when its residual is still
-    above PICARD_TOL after PICARD_MAX iterations, or when the H^{-s} norm of
-    its z = v - R is non-finite or above BLOWUP_NORM; failed members are
-    zeroed in z_next and hn_next and flagged in the returned mask, so
-    ensemble studies exclude them and keep going and solve() ends its
-    trajectory there.
+    members still iterating at each iteration, and hn_next carries each
+    member's last evaluation of h N at nxt (at the iterate before its
+    z_next): G's half spectrum and, with a forcing, h F at nxt.  A member
+    fails when a residual is non-finite, when its residual is still above
+    PICARD_TOL after PICARD_MAX iterations, or when the H^{-s} norm of its z
+    = v - R is non-finite or above BLOWUP_NORM; failed members, these and
+    the given ones, are zeroed in z_next and in G and flagged in the returned
+    mask, so ensemble studies exclude them and keep going and solve() ends
+    its trajectory there.
     """
     if hn_prev is None:
-        hn_prev = nonlinearity_values(grid, z_hat, sup, prev, h_scale)
-    fixed = z_hat + hn_prev
+        hn_prev = Carry(None, nonlinearity_values(grid, z_hat, sup, prev, h_scale))
+    scratch = np.empty(np.shape(z_hat), dtype=np.complex128)
+    fixed = np.add(z_hat, _hn_values(grid, hn_prev, scratch), out=out)
     fixed *= phase
+    hf_next = None
     if nxt.forcing is not None:
         hf_next = grid.forward_values(nxt.forcing, scale=h_scale)
         fixed += hf_next
     batch_shape = np.shape(z_hat)[: np.ndim(z_hat) - grid.d]
-    rows = fixed.reshape((-1,) + grid.shape)
+    rows, scratch = fixed.reshape((-1,) + grid.shape), scratch.reshape((-1,) + grid.shape)
+    skip = np.zeros(len(rows), dtype=bool) if failed is None else np.ravel(failed)
     # a member may overflow on its way to inf before its residual flags it,
     # and theta = 1 divides by zero in the bound, which it then does not take
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hn_next = np.empty_like(rows)
         if sup is None:
             # no cutoff: N vanishes and fixed is the step
-            hn_next[..., : grid.N // 2 + 1] = 0.0
+            g = np.zeros(rows.shape[:-1] + (grid.N // 2 + 1,), dtype=np.complex128)
             iterations, residuals, history = 1, np.zeros(len(rows)), [0.0]
-            failed = np.zeros(len(rows), dtype=bool)
+            stuck = np.zeros(len(rows), dtype=bool)
         else:
-            iterations, residuals, history, failed = _picard_on_box(
-                grid, rows, nxt, sup, h_scale, norm_weight, out=hn_next
+            iterations, residuals, history, stuck, g = _picard_on_box(
+                grid, rows, nxt, sup, h_scale, norm_weight, scratch, skip
             )
-        # h N = i g, where g is the spectrum of a real field
-        grid.complete(hn_next)
-        hn_next *= 1j
-        rows += hn_next
+        rows += _hn_values(grid, Carry(g, None), scratch)
         norms = np.sqrt(weighted_norm_sq_hat(grid, rows, norm_weight))
     monotone_ok = all(b <= a for a, b in zip(history[1:], history[2:]))
-    failed = failed | ~(norms <= BLOWUP_NORM)
-    z_next, hn_next = fixed, hn_next.reshape(fixed.shape)
-    if nxt.forcing is not None:
-        hn_next += hf_next
+    failed = skip | stuck | ~(norms <= BLOWUP_NORM)
     if failed.any():
-        dead = failed.reshape(batch_shape + (1,) * grid.d)
-        z_next, hn_next = np.where(dead, 0.0, z_next), np.where(dead, 0.0, hn_next)
+        rows[failed] = 0.0
+        g[failed] = 0.0
     return (
-        z_next,
+        fixed,
         iterations,
         residuals.reshape(batch_shape),
         monotone_ok,
         history,
         failed.reshape(batch_shape),
-        hn_next,
+        Carry(g.reshape(batch_shape + g.shape[1:]), hf_next),
     )
+
+
+def _hn_values(grid: SpectralGrid, hn: Carry, out: np.ndarray) -> np.ndarray:
+    """The full spectrum of h N = i G + full from its Carry, in out (a complex
+    array of the batch's full shape); full itself when g is None.  G's
+    mirror modes are filled exactly (complete), and every rebuild takes the
+    same operations in the same order, so h N has the same bits each time it
+    is formed from one Carry."""
+    if hn.g is None:
+        return hn.full
+    out[..., : grid.N // 2 + 1] = hn.g
+    grid.complete(out)
+    out *= 1j
+    if hn.full is not None:
+        out += hn.full
+    return out
 
 
 def _picard_on_box(
@@ -386,13 +436,16 @@ def _picard_on_box(
     h_scale: complex | np.ndarray,
     norm_weight: np.ndarray,
     out: np.ndarray,
-) -> tuple[int, np.ndarray, list[float], np.ndarray]:
+    skip: np.ndarray,
+) -> tuple[int, np.ndarray, list[float], np.ndarray, np.ndarray]:
     """The Picard iteration z^(m+1) = fixed + h N(z^(m) + R) of step_values
-    from z^(0) = fixed, for the members (rows) of fixed, in physical space on
-    sup's box: (iterations, residuals, history, failed).  i g is each
-    member's h N at its last iterate, and g's half spectrum is written to
-    the first N/2 + 1 columns of the last axis of out, an array of fixed's
-    shape and dtype.
+    from z^(0) = fixed, for the members (rows) of fixed that skip does not
+    flag, in physical space on sup's box: (iterations, residuals, history,
+    failed, g).  i G is each member's h N at its last iterate and g is G's
+    half spectrum (the first N/2 + 1 modes of the last axis), zero for the
+    skipped members, which are never transformed.  out, a complex array of
+    fixed's shape, is scratch: it takes fixed's inverse transform, and once
+    Re A and Im A are read its float view holds N and N's real inverse.
 
     h = -i dt/2 and the 2/3 mask are real-symmetric, so the correction h N =
     i g adds the real field (N/L)^d irfft(g) to Im z in physical space and
@@ -413,26 +466,36 @@ def _picard_on_box(
         half_scale = half_scale[half]
     weight = half_weight(grid, norm_weight)
     rho_y = sup.rho * (grid.N / grid.L) ** grid.d
+    # the members still iterating, and buffers whose first rows are theirs
+    active = np.flatnonzero(~skip)
+    k = len(active)
+    result = np.zeros(out[half].shape, dtype=np.complex128)
+    residuals = np.zeros(members)
+    if not k:
+        return 0, residuals, [], np.zeros(members, dtype=bool), result
     psi = nxt.two_rho_psi.reshape((members,) + sup.rho.shape)
-    a = grid.inverse_values(fixed, out=out)[sup.box]
-    if nxt.r is not None:
-        a += nxt.r.reshape(a.shape)
+    r = None if nxt.r is None else nxt.r.reshape(psi.shape)
+    if k < members:
+        fixed, psi = fixed[active], psi[active]
+        r = None if r is None else r[active]
+    a = grid.inverse_values(fixed, out=out[:k])[sup.box]
+    if r is not None:
+        a += r
     a *= sup.rho
     c = a.real + psi.real
     c *= a.real
     y = im_a = a.imag.copy()
     im_psi = psi.imag.copy()
-    del a
-    # the rows of the members still iterating, and buffers whose first rows
-    # are theirs: N on the box (zero off it), its real inverse transform and
-    # two half spectra, g and the last g, which the increment overwrites
-    active = np.arange(members)
-    n_values, low = np.zeros(fixed.shape), np.empty(fixed.shape)
-    g, g_last = np.empty((2,) + out[half].shape, dtype=np.complex128)
-    residuals = np.zeros(members)
+    del a, psi, r
+    # out's floats: N on the box (zero off it) and its real inverse
+    # transform; and two half spectra, g and the last g, which the
+    # increment overwrites
+    floats = out.view(np.float64).reshape((2, members) + grid.shape)
+    n_values, low = floats[0], floats[1]
+    n_values[:k] = 0.0
+    g, g_last = np.empty((2, k) + result.shape[1:], dtype=np.complex128)
     history: list[float] = []
     for m in range(1, PICARD_MAX + 1):
-        k = len(active)
         n_box = n_values[:k][sup.box]
         np.add(y, im_psi, out=n_box)
         n_box *= y
@@ -451,10 +514,10 @@ def _picard_on_box(
         history.append(float(increments.max(where=np.isfinite(increments), initial=0.0)))
         go = (e > PICARD_TOL) & (e < np.inf)  # neither converged nor failed
         if m == PICARD_MAX or not go.any():
-            out[half][active] = g[:k]
+            result[active] = g[:k]
             break
         if not go.all():
-            out[half][active[~go]] = g[:k][~go]
+            result[active[~go]] = g[:k][~go]
             active, increments = active[go], increments[go]
             c, im_a, im_psi = c[go], im_a[go], im_psi[go]
             g[: len(active)] = g[:k][go]
@@ -463,22 +526,26 @@ def _picard_on_box(
         y *= rho_y
         y += im_a
         g, g_last, last_increments = g_last, g, increments
-    return m, residuals, history, ~(residuals <= PICARD_TOL)
+    return m, residuals, history, ~(residuals <= PICARD_TOL), result
 
 
 class RemainderStepper:
-    """The step-local march: z = v - R, the previous time level's localized
-    inputs, and h N there.
+    """The step-local march.  Between steps it holds z = v - R and the Carry
+    of h N at the current level, G's half spectrum (h N = i G) and, with a
+    forcing, h F there; it keeps no Level.
 
     v_hat, the start, may carry leading batch axes, one row per ensemble
     member; start, the Level at the starting time, and every Level given to
-    step() carry the same axes.  The march starts from z = v - R(t_0).  A
-    step is two calls, step(level(config, grid, rho_vals, psi_hat, ipsi2_hat,
-    t_next)) with the stepper's rho_vals, so the caller's psi block can be
-    freed before the Picard loop runs; solve() passes the rows of its stacked
-    levels instead.  Each time level is localized once, and the last Picard
-    evaluation of h N at t_{k+1} is carried as the next step's h N at t_k.
-    Failed members are zeroed in z and in h N and flagged in `failed`, and
+    step() carry the same axes.  The march starts from z = v - R(t_0), and
+    h N(t_0) is formed from start when the stepper is built, so start is not
+    kept.  A step is two calls, step(level(config, grid, rho_vals, psi_hat,
+    ipsi2_hat, t_next)) with the stepper's rho_vals, so the caller's psi
+    block can be freed before the Picard loop runs; solve() passes the rows
+    of its stacked levels instead.  Each time level is localized once, and
+    the last Picard evaluation of h N at t_{k+1} is carried as the next
+    step's h N at t_k.  v = z + R needs R, which the caller's Level at the
+    current time holds (v_hat).  Failed members are zeroed in z and in G and
+    flagged in `failed`; later steps neither iterate nor transform them, and
     the march goes on.  Per-step Picard iterations, worst residuals and
     monotone flags are collected in lists.
     """
@@ -491,39 +558,48 @@ class RemainderStepper:
         self.h_scale = nonlinearity_scale(grid, config.dealias, config.dt)
         self.norm_weight = hs_weight(grid, -config.params.s)
         self._phase = propagator_phase(grid, config.dt)
-        self.z_hat = z_from_v(grid, self.support, v_hat, start.r)
-        self._prev = start
-        self._hn_prev: np.ndarray | None = None
+        z_hat = z_from_v(grid, self.support, v_hat, start.r)
+        # a step overwrites z in place, so z is never the caller's v
+        self.z_hat = z_hat.copy() if z_hat is v_hat else z_hat
+        hn = nonlinearity_values(grid, self.z_hat, self.support, start, self.h_scale)
+        if grid.d == 1 and start.forcing is None:
+            # at d = 1 N's transform is the exact completion of rfft's half
+            # spectrum (forward_values), so its half gives h N back to the bit
+            self._hn = Carry(-1j * hn[..., : grid.N // 2 + 1], None)
+        else:
+            # fftn's spectrum of a real field is Hermitian only to round-off,
+            # and the forcing's need not be: the first step takes h N whole
+            self._hn = Carry(None, hn)
         self.iterations: list[int] = []
         self.residuals: list[float] = []
         self.monotone: list[bool] = []
         self.failed = np.zeros(np.shape(v_hat)[: np.ndim(v_hat) - grid.d], dtype=bool)
 
-    @property
-    def v_hat(self) -> np.ndarray:
-        """v = z + R at the current level, formed by one transform on each
-        read; a failed member's row reads R alone."""
-        return v_from_z(self.grid, self.support, self.z_hat, self._prev.r)
+    def v_hat(self, r: np.ndarray | None) -> np.ndarray:
+        """v = z + R at the current level, where the caller's Level there has
+        R = r, by one transform, as a fresh array (the next step overwrites
+        z); a failed member's row reads R alone."""
+        v_hat = v_from_z(self.grid, self.support, self.z_hat, r)
+        return v_hat.copy() if v_hat is self.z_hat else v_hat
 
     def step(self, nxt: Level) -> None:
         """Advance z by one step of config.dt, to the time of level nxt."""
-        self.z_hat, iterations, residuals, monotone, _, failed, self._hn_prev = step_values(
+        self.z_hat, iterations, residuals, monotone, _, self.failed, self._hn = step_values(
             self.grid,
             self.z_hat,
-            self._prev,
+            None,
             nxt,
             self._phase,
             self.norm_weight,
             self.support,
             self.h_scale,
-            hn_prev=self._hn_prev,
+            hn_prev=self._hn,
+            failed=self.failed,
+            out=self.z_hat,
         )
-        # h N at nxt is carried, so the next step reads only R there
-        self._prev = nxt._replace(two_rho_psi=None, forcing=None)
         self.iterations.append(iterations)
         self.residuals.append(float(np.max(residuals)))
         self.monotone.append(monotone)
-        self.failed |= failed
 
 
 def _initial_hat(config: SolverConfig, grid: SpectralGrid) -> np.ndarray:

@@ -39,7 +39,7 @@ from .noise import ModeNoise
 from .reference import PaperParams, covariance_oracle, renorm_constant
 # step_values is not called here; it stays a module attribute because the
 # perfbench tracer patches it in this module
-from .solver import RemainderStepper, level, step_values  # noqa: F401
+from .solver import RemainderStepper, level, r_hat, r_values, step_values, support  # noqa: F401
 from .stochastic import PathEnsemble, uniform_times
 
 
@@ -741,8 +741,26 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
     s = params.s
     solver_config = config.solver()
     rho_vals = solver_config.rho.evaluate(grid)
+    sup = support(rho_vals)
     ladder = list(config.ladder)
     radii = config.radii()
+
+    def pair_norm(ens: PathEnsemble, steppers: dict, n: float) -> np.ndarray:
+        """||rho (u_n - u_2n)(T)||_{H^-s} per member, u = z + R + Psi, with R
+        as level() forms it: one inverse and one forward transform for the
+        pair, and only this pair's arrays held."""
+        pair = (n, 2 * n)
+        u = np.empty((2, ens.size) + grid.shape, dtype=np.complex128)
+        for row, r in zip(u, pair):
+            row[...] = ens.ipsi2_values(r)
+        u = r_hat(grid, sup, r_values(grid, sup, u, out=u), out=u)
+        for row, r in zip(u, pair):
+            row += steppers[r].z_hat
+            row += ens.psi_values(r)
+        diff = np.subtract(u[0], u[1], out=u[0])
+        loc = rho_vals * grid.inverse_values(diff, out=diff)
+        del u, row, diff  # freed before the norm allocates its own
+        return np.sqrt(hs_norm_sq(grid, loc, -s))
 
     def measure(ens: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
         shape = (ens.size,) + grid.shape
@@ -759,12 +777,7 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
             ens.advance()
             for r, stepper in steppers.items():
                 stepper.step(level(solver_config, grid, rho_vals, ens.psi_values(r), ens.ipsi2_values(r), ens.t))
-        cols = []
-        for n in ladder:
-            u_n = steppers[n].v_hat + ens.psi_values(n)
-            u_2n = steppers[2 * n].v_hat + ens.psi_values(2 * n)
-            loc = rho_vals * grid.inverse_values(u_n - u_2n)
-            cols.append(np.sqrt(hs_norm_sq(grid, loc, -s)))
+        cols = [pair_norm(ens, steppers, n) for n in ladder]
         failed = np.logical_or.reduce([stepper.failed for stepper in steppers.values()])
         iterations = Counter(m for stepper in steppers.values() for m in stepper.iterations)
         return np.stack(cols, axis=-1), failed, iterations

@@ -1,6 +1,7 @@
 """Remainder-equation solver: free evolution, convergence order, failure policy."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from wsnl.solver import (
     BLOWUP_NORM,
     PICARD_MAX,
     PICARD_TOL,
+    Carry,
     Level,
     RemainderStepper,
     SolverConfig,
@@ -301,6 +303,135 @@ def test_picard_iterates_on_the_box_are_the_spectral_iterates(d, N, monkeypatch)
         assert np.all(n_inputs[m][off_box] == 0.0)
 
 
+def band_limited(grid, rng, amp, batch=()):
+    """Random transforms on the modes |xi| <= 4, of size about amp in
+    physical space, with leading axes batch."""
+    band = truncation_mask(grid, 4.0)
+    shape = batch + grid.shape
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return amp * grid.L**grid.d * band * noise
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
+def test_stepper_first_step_is_step_values_from_the_start(d, N, forced):
+    # the stepper forms h N(t_0) when it is built and keeps its Carry, at
+    # d = 1 unforced G's half spectrum alone; its first z must be the step
+    # that evaluates h N(t_0) from the start level, to the bit.  phi != 0, so
+    # h N(t_0) != 0, and the forcing is complex, so h F is no real field's
+    # spectrum
+    grid = SpectralGrid(d, 2 * np.pi, N)
+    rng = np.random.default_rng(10 * N + d)
+    batch = (3,)
+    profile = grid.inverse_values(band_limited(grid, rng, 0.5))
+    forcing = (lambda t: (0.5 + t) * profile) if forced else None
+    config = make_config(grid, PARAMS, CutoffRho.for_grid(grid), None, 0.25, 16, forcing=forcing)
+    rho_vals = config.rho.evaluate(grid)
+    sup = support(rho_vals)
+    start, nxt = (
+        level(
+            config, grid, rho_vals, band_limited(grid, rng, 0.3, batch), band_limited(grid, rng, 0.1, batch), t
+        )
+        for t in (0.0, config.dt)
+    )
+    v_hat = band_limited(grid, rng, 0.2, batch)
+    scale = nonlinearity_scale(grid, True, config.dt)
+    z_0 = z_from_v(grid, sup, v_hat, start.r)
+    assert all(np.any(hn != 0.0) for hn in nonlinearity_values(grid, z_0, sup, start, scale))
+    stepper = RemainderStepper(config, grid, v_hat, start)
+    stepper.step(nxt)
+    z_1, iterations, *_, failed, _ = step_values(
+        grid, z_0, start, nxt, propagator_phase(grid, config.dt), hs_weight(grid, -PARAMS.s), sup, scale
+    )
+    assert not failed.any() and stepper.iterations == [iterations]
+    assert np.array_equal(stepper.z_hat, z_1)
+
+
+def test_step_values_neither_iterates_nor_transforms_a_failed_member(monkeypatch):
+    # a member flagged before the step stays zero and flagged, no transform
+    # sees its row, and the others step as a batch without it would
+    grid = SpectralGrid(1, 2 * np.pi, 64)
+    rng = np.random.default_rng(5)
+    config = make_config(grid, PARAMS, CutoffRho.for_grid(grid), None, 0.25, 16)
+    rho_vals = config.rho.evaluate(grid)
+    sup = support(rho_vals)
+    psi, ipsi2 = band_limited(grid, rng, 0.3, (2, 3)), band_limited(grid, rng, 0.1, (2, 3))
+    prev, nxt = (level(config, grid, rho_vals, psi[k], ipsi2[k], k * config.dt) for k in (0, 1))
+    z = band_limited(grid, rng, 0.2, (3,))
+    args = (propagator_phase(grid, config.dt), hs_weight(grid, -PARAMS.s), sup)
+    scale = nonlinearity_scale(grid, True, config.dt)
+    hn = nonlinearity_values(grid, z, sup, prev, scale)
+    hn_prev = Carry(-1j * hn[..., : grid.N // 2 + 1], None)
+    dead = np.array([False, True, False])
+    rows = []
+    forward, inverse = SpectralGrid.forward_values, SpectralGrid.inverse_values
+
+    def counting(transform):
+        def counted(self, values, *a, **kw):
+            rows.append(len(values))
+            return transform(self, values, *a, **kw)
+
+        return counted
+
+    monkeypatch.setattr(SpectralGrid, "forward_values", counting(forward))
+    monkeypatch.setattr(SpectralGrid, "inverse_values", counting(inverse))
+    z_next, iterations, residuals, _, _, failed, hn_next = step_values(
+        grid, z, prev, nxt, *args, scale, hn_prev=hn_prev, failed=dead
+    )
+    monkeypatch.undo()
+    assert iterations >= 2 and max(rows) == 2
+    assert failed.tolist() == [False, True, False] and residuals[1] == 0.0
+    assert np.all(z_next[1] == 0.0) and np.all(hn_next.g[1] == 0.0)
+    keep = ~dead
+    alone = step_values(
+        grid,
+        z[keep],
+        None,
+        Level(*(a[keep] for a in nxt[:2]), None),
+        *args,
+        scale,
+        hn_prev=Carry(hn_prev.g[keep], None),
+    )
+    assert np.array_equal(z_next[keep], alone[0]) and np.array_equal(hn_next.g[keep], alone[6].g)
+
+
+def test_stepper_keeps_only_z_and_half_of_h_n_between_steps():
+    # between steps a stepper holds z and G's half spectrum (h N = i G): no
+    # Level, no R and no full h N.  Everything it built and still holds after
+    # two steps, its levels included, is at most 1.6 x z's bytes (z + G's half
+    # is about 1.51 x; with R or the start level kept, or a full h N, it is 2
+    # x or more)
+    grid = SpectralGrid(1, 2 * np.pi, 128)
+    members = 128
+    rng = np.random.default_rng(3)
+    config = make_config(grid, PARAMS, CutoffRho.for_grid(grid), None, 0.25, 16)
+    rho_vals = config.rho.evaluate(grid)
+    psi, ipsi2 = band_limited(grid, rng, 0.3, (3, members)), band_limited(grid, rng, 0.1, (3, members))
+    v_hat = band_limited(grid, rng, 0.2, (members,))
+
+    def stepped(steps):
+        stepper = RemainderStepper(
+            config, grid, v_hat, level(config, grid, rho_vals, psi[0], ipsi2[0], 0.0)
+        )
+        for k in range(1, steps + 1):
+            stepper.step(level(config, grid, rho_vals, psi[k], ipsi2[k], k * config.dt))
+        return stepper
+
+    stepped(1)  # any first-call set-up happens outside the count
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stepper = stepped(2)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert not stepper.failed.any()
+    assert retained <= 1.6 * stepper.z_hat.nbytes
+
+
 def test_step_local_solve_records_residuals_within_picard_tol():
     # a row's residual is the quantity the Picard stop tested
     T, K = 0.25, 32
@@ -530,13 +661,15 @@ def test_ensemble_march_matches_solve_per_member(tight_picard):
         )
         for r in (n, 2 * n)
     }
+    last = {}
     for _ in range(K):
         ens.advance()
         for r, stepper in steppers.items():
-            nxt = level(config, GRID, rho_vals, ens.psi_values(r), ens.ipsi2_values(r), ens.t)
-            stepper.step(nxt)
+            last[r] = level(config, GRID, rho_vals, ens.psi_values(r), ens.ipsi2_values(r), ens.t)
+            stepper.step(last[r])
     for r, stepper in steppers.items():
         assert not stepper.failed.any()
+        v_hat = stepper.v_hat(last[r].r)
         params = PaperParams(d=1, alpha=PARAMS.alpha, eps=PARAMS.eps, n=r)
         for m in range(2):
             if r == 2 * n:
@@ -546,7 +679,7 @@ def test_ensemble_march_matches_solve_per_member(tight_picard):
             out = solve(make_config(GRID, params, rho, None, T, K), path)
             assert out.completed
             ref = out.v[-1]
-            assert np.max(np.abs(stepper.v_hat[m] - ref)) <= 1e-9 * np.max(np.abs(ref))
+            assert np.max(np.abs(v_hat[m] - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def reference_march(config, path):
@@ -749,10 +882,11 @@ def per_level_reference(config, path):
             config, grid, rho_vals, path.psi[0].values, path.ipsi2[0].values, float(times[0])
         )
         stepper = RemainderStepper(config, grid, phi_hat, start)
-        v_hats, failure = [stepper.v_hat], None
+        v_hats, failure = [stepper.v_hat(start.r)], None
         for k in range(1, len(times)):
             t = float(times[k])
-            stepper.step(level(config, grid, rho_vals, path.psi[k].values, path.ipsi2[k].values, t))
+            nxt = level(config, grid, rho_vals, path.psi[k].values, path.ipsi2[k].values, t)
+            stepper.step(nxt)
             if stepper.failed.any():
                 # the flagged step ends the march and leaves the records: a
                 # finite residual above the tolerance is a Picard failure,
@@ -763,7 +897,7 @@ def per_level_reference(config, path):
                 residual = residual if np.isfinite(residual) else float("nan")
                 failure = StepFailure(kind, float(times[k]), k - 1, residual, iterations)
                 break
-            v_hats.append(stepper.v_hat)
+            v_hats.append(stepper.v_hat(nxt.r))
         records = (
             np.array(stepper.iterations, dtype=int),
             np.array(stepper.residuals, dtype=np.float64),
