@@ -161,13 +161,22 @@ class SpectralGrid:
         whose half spectrum (modes 0 ... N/2 of the last axis) fills the
         first N/2 + 1 columns of spectrum's last axis: every other mode is
         F(-xi) = conj(F(xi)), exactly."""
-        N = self.N
-        mirror = spectrum[..., N // 2 - 1 : 0 : -1]
-        # on the other grid axes, -xi is the index -j mod N
-        for axis in range(-self.d, -1):
-            mirror = np.take(mirror, -np.arange(N) % N, axis=axis)
-        np.conjugate(mirror, out=spectrum[..., N // 2 + 1 :])
-        return spectrum
+        return complete_spectrum(spectrum, self.d, self.N // 2 + 1)
+
+
+def complete_spectrum(spectrum: np.ndarray, d: int, front: int) -> np.ndarray:
+    """Complete in place, and return, a spectrum of a real field on M modes
+    per axis in fft order (k = 0, 1, ..., then the negative k), of which the
+    first `front` of the last axis are given: every later mode of the last
+    axis is F(-xi) = conj(F(xi)), exactly.  Its mirror is among the given
+    modes when front > M/2 (M even: front = M/2 + 1 holds the Nyquist mode);
+    on the other d - 1 axes, -xi is the index -j mod M."""
+    M = spectrum.shape[-1]
+    mirror = spectrum[..., M - front : 0 : -1]
+    for axis in range(-d, -1):
+        mirror = np.take(mirror, -np.arange(M) % M, axis=axis)
+    np.conjugate(mirror, out=spectrum[..., front:])
+    return spectrum
 
 
 def _fft(values, d: int, one_d, n_d, out=None, n: int | None = None) -> np.ndarray:

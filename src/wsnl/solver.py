@@ -38,8 +38,15 @@ step-local loop: it starts from v and a Level built so, forms h N there at
 once, and between steps holds z and h N's Carry alone, no Level: h N = i G
 with G the spectrum of a real field, carried as G's half spectrum (plus h F
 with a forcing), so N(t_k) costs no transform and a step rebuilds i G in its
-own scratch.  The coupled convergence study drives one stepper per
-truncation radius over a batch of ensemble members.  solve() stacks a path's
+scratch.  A march that dealiases from a z that vanishes off the 2/3 mask
+keeps z and G on the mask's modes alone (Modes): every correction h N is
+masked (Orszag, J. Atmos. Sci. 28, 1971), so z stays zero off them; any
+other march keeps every mode.  The constants every step reads are built once
+per march (Stepping), and a step's scratch is one flat workspace() that
+marches stepping in turn may share.  The coupled convergence study drives
+one stepper per truncation radius over a batch of ensemble members, all
+five on one Stepping and one workspace, which the ensemble's advance() and
+each level() also take.  solve() stacks a path's
 K+1 time levels once and localizes them in one level() call; its step-local
 mode drives one stepper over the rows of that stack.  Both marches start
 from z_0 = phi - R(0), and a caller that reads v forms v = z + R once where
@@ -67,7 +74,9 @@ partial trajectory and a failure record, built by one rule for both modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -77,6 +86,7 @@ from .grid import (
     Field,
     GridError,
     SpectralGrid,
+    complete_spectrum,
     half_weight,
     hs_weight,
     propagator_phase,
@@ -162,13 +172,21 @@ class Carry(NamedTuple):
     full: np.ndarray | None
 
 
-class Support(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Support:
     """The smallest box of grid points outside which rho vanishes, as an
     index (..., slice per grid axis) that picks it from any batched array,
-    and rho's values there."""
+    and rho's values there, with 2 rho and rho^2, which level() multiplies
+    by, formed once."""
 
     box: tuple
     rho: np.ndarray
+    two_rho: np.ndarray = field(init=False, repr=False)
+    rho_sq: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "two_rho", 2.0 * self.rho)
+        object.__setattr__(self, "rho_sq", self.rho * self.rho)
 
 
 def support(rho_vals: np.ndarray | None) -> Support | None:
@@ -182,6 +200,140 @@ def support(rho_vals: np.ndarray | None) -> Support | None:
         hits = np.flatnonzero(np.any(rho_vals, axis=others))
         box.append(slice(hits[0], hits[-1] + 1) if hits.size else slice(0, 0))
     return Support(tuple(box), rho_vals[tuple(box)])
+
+
+class Modes:
+    """The modes of a spectrum that a march stores, batched over leading
+    axes: every mode of the grid, or (masked) those the 2/3 mask keeps, |k|
+    <= N // 3 on every axis, in fft order per axis (k = 0 ... N // 3, then
+    -N // 3 ... -1).  A spectrum keeps `shape` of them, and a half spectrum
+    (modes 0 ... N/2 of the last axis) `half_shape`, the first `front` of
+    its last axis.  Arrays are packed and unpacked by block copies, one block
+    per axis for the whole grid and two for the mask's modes, as
+    stochastic._blocks packs compact modes."""
+
+    def __init__(self, grid: SpectralGrid, masked: bool) -> None:
+        N = grid.N
+        if masked:
+            reach = N // 3
+            axis = [
+                (slice(0, reach + 1), slice(0, reach + 1)),
+                (slice(N - reach, N), slice(reach + 1, 2 * reach + 1)),
+            ]
+            last, size = axis[:1], 2 * reach + 1
+        else:
+            axis = [(slice(0, N), slice(0, N))]
+            last, size = [(slice(0, N // 2 + 1), slice(0, N // 2 + 1))], N
+        self.grid, self.masked = grid, masked
+        self.front = last[0][1].stop
+        self.shape = (size,) * grid.d
+        self.half_shape = (size,) * (grid.d - 1) + (self.front,)
+        # (grid index, stored index) per block
+        self._blocks = [tuple(zip(*c)) for c in itertools.product(axis, repeat=grid.d)]
+        self._half_blocks = [
+            tuple(zip(*c)) for c in itertools.product(*[axis] * (grid.d - 1), last)
+        ]
+
+    def holds(self, spectra: np.ndarray) -> bool:
+        """Whether spectra (batched) vanish on every mode not stored."""
+        return not self.masked or not np.any(spectra[..., two_thirds_mask(self.grid) == 0])
+
+    def pack(
+        self,
+        values: np.ndarray,
+        half: bool = False,
+        out: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """The stored modes of grid arrays (half spectra when half), in out
+        when given, else as a fresh array; rows, when given, are the rows of
+        out (a batch of one leading axis) that receive values' rows."""
+        d = self.grid.d
+        if out is None:
+            shape = np.shape(values)[: np.ndim(values) - d] + (self.half_shape if half else self.shape)
+            out = np.empty(shape, dtype=values.dtype)
+        lead = (Ellipsis,) if rows is None else (rows,)
+        for src, dst in self._half_blocks if half else self._blocks:
+            out[lead + dst] = values[(Ellipsis,) + src]
+        return out
+
+    def unpack(self, packed: np.ndarray, out: np.ndarray | None = None, add: bool = False) -> np.ndarray:
+        """Full-grid spectra from stored ones, zero on the modes not stored,
+        in out when given, else as a fresh array; with add, out keeps its
+        values and the stored modes are added to them."""
+        if out is None:
+            d = self.grid.d
+            out = np.zeros(np.shape(packed)[: np.ndim(packed) - d] + self.grid.shape, dtype=packed.dtype)
+        elif self.masked and not add:
+            out.fill(0.0)
+        for src, dst in self._blocks:
+            if add:
+                out[(Ellipsis,) + src] += packed[(Ellipsis,) + dst]
+            else:
+                out[(Ellipsis,) + src] = packed[(Ellipsis,) + dst]
+        return out
+
+    def complete(self, spectra: np.ndarray) -> np.ndarray:
+        """Complete in place, and return, stored spectra of real fields whose
+        stored half fills the first `front` modes of the last axis."""
+        return complete_spectrum(spectra, self.grid.d, self.front)
+
+
+class Stepping(NamedTuple):
+    """What every step of a march reads and no step changes, built once per
+    march by stepping(): the cutoff's Support; the Modes the march stores
+    of z and G; h_scale = nonlinearity_scale on the whole grid and its
+    imaginary part on the half spectrum (h_scale = i half_scale); the H^{-s}
+    weight of Picard increments on the half spectrum; (N/L)^d rho on the box;
+    and, on the stored modes, the propagator phase of config.dt and the
+    H^{-s} weight of the blow-up norm."""
+
+    sup: Support | None
+    modes: Modes
+    h_scale: complex | np.ndarray
+    half_scale: float | np.ndarray
+    half_weight: np.ndarray
+    rho_y: np.ndarray | None
+    phase: np.ndarray
+    norm_weight: np.ndarray
+
+
+def stepping(config: SolverConfig, grid: SpectralGrid, sup: Support | None, masked: bool) -> Stepping:
+    """The Stepping of a march that stores the 2/3 mask's modes (masked) or
+    every mode.  Only a march that dealiases, from a z that vanishes off the
+    mask, may store the mask's modes alone: h N is masked, so z and G stay
+    zero off them at every step."""
+    if masked and not config.dealias:
+        raise GridError("a march that does not dealias stores every mode")
+    modes = Modes(grid, masked)
+    h_scale = nonlinearity_scale(grid, config.dealias, config.dt)
+    half_scale = np.imag(h_scale)
+    if np.ndim(half_scale):
+        half_scale = half_scale[..., : grid.N // 2 + 1]
+    weight = hs_weight(grid, -config.params.s)
+    # the interleaved (re, im) weight packs as complex values
+    packed_weight = modes.pack(weight.view(np.complex128).reshape(grid.shape))
+    return Stepping(
+        sup=sup,
+        modes=modes,
+        h_scale=h_scale,
+        half_scale=half_scale,
+        half_weight=half_weight(grid, weight),
+        rho_y=None if sup is None else sup.rho * (grid.N / grid.L) ** grid.d,
+        phase=modes.pack(propagator_phase(grid, config.dt)),
+        norm_weight=packed_weight.view(np.float64).reshape(-1),
+    )
+
+
+def workspace(grid: SpectralGrid, members: int, size: int = 0) -> np.ndarray:
+    """One flat complex buffer, of at least `size` values, that the steps of
+    a march over `members` members take as scratch, and that marches which
+    step in turn may share: a full-grid array of the batch, which the Picard
+    iteration transforms in, then two half spectra, its G and last G.  Its
+    front holds two full-grid arrays of the batch, the room level() needs
+    for Psi and <I Psi^2> (overwrite=True)."""
+    half = grid.N ** (grid.d - 1) * (grid.N // 2 + 1)
+    return np.empty(max(size, members * (grid.N**grid.d + 2 * half)), dtype=np.complex128)
 
 
 @dataclass
@@ -253,26 +405,27 @@ def nonlinearity_values(
 def level(
     config: SolverConfig,
     grid: SpectralGrid,
-    rho_vals: np.ndarray | None,
+    sup: Support | None,
     psi_hat: np.ndarray,
     ipsi2_hat: np.ndarray,
     t: float | np.ndarray,
+    overwrite: bool = False,
 ) -> Level:
     """The inputs at time t, where Psi and <I Psi^2> have the given
-    transforms: 2 rho Psi and R = rho^2 <I Psi^2> in physical space on the
-    box of rho's support (support(rho_vals)), plus the forcing, batched over
-    leading axes.  Given an array of times, psi_hat and ipsi2_hat carry a
-    leading axis of those levels, and so does every array of the Level
-    returned, the forcing evaluated at each time and stacked; only the
-    forcing reads t.  Without a cutoff nothing couples to Psi and R = 0
-    (None, None).  Both transforms share one scratch array."""
-    if rho_vals is None:
+    transforms: 2 rho Psi and R = rho^2 <I Psi^2> in physical space on sup's
+    box, plus the forcing, batched over leading axes.  Given an array of
+    times, psi_hat and ipsi2_hat carry a leading axis of those levels, and so
+    does every array of the Level returned, the forcing evaluated at each
+    time and stacked; only the forcing reads t.  Without a cutoff (sup None)
+    nothing couples to Psi and R = 0 (None, None).  The two inverse
+    transforms share one scratch array; with overwrite they take psi_hat and
+    ipsi2_hat themselves, and allocate none."""
+    if sup is None:
         two_rho_psi = r = None
     else:
-        sup = support(rho_vals)
-        values = grid.inverse_values(psi_hat)
-        two_rho_psi = values[sup.box] * (2.0 * sup.rho)
-        r = r_values(grid, sup, ipsi2_hat, out=values)
+        values = grid.inverse_values(psi_hat, out=psi_hat if overwrite else None)
+        two_rho_psi = values[sup.box] * sup.two_rho
+        r = r_values(grid, sup, ipsi2_hat, out=ipsi2_hat if overwrite else values)
     if config.forcing is None:
         forcing = None
     elif np.ndim(t):
@@ -288,7 +441,7 @@ def r_values(
     """R = rho^2 <I Psi^2> in physical space on sup's box, where <I Psi^2>
     has the transform ipsi2_hat, batched over leading axes, as a fresh
     array; out, when given, receives the inverse transform on the way."""
-    return grid.inverse_values(ipsi2_hat, out=out)[sup.box] * (sup.rho * sup.rho)
+    return grid.inverse_values(ipsi2_hat, out=out)[sup.box] * sup.rho_sq
 
 
 def r_hat(
@@ -314,10 +467,20 @@ def v_from_z(grid: SpectralGrid, sup: Support | None, z_hat: np.ndarray, r: np.n
     return v_hat
 
 
-def z_from_v(grid: SpectralGrid, sup: Support | None, v_hat: np.ndarray, r: np.ndarray | None):
-    """z = v - R in frequency space, the march's start from v; v itself when
-    R = 0 (no cutoff)."""
-    return v_hat if r is None else v_hat - r_hat(grid, sup, r)
+def z_from_v(
+    grid: SpectralGrid,
+    sup: Support | None,
+    v_hat: np.ndarray,
+    r: np.ndarray | None,
+    out: np.ndarray | None = None,
+):
+    """z = v - R in frequency space, the march's start from v, in out when
+    given, else as a fresh array, where R's transform is taken first; v
+    itself when R = 0 (no cutoff)."""
+    if r is None:
+        return v_hat
+    r_hat_values = r_hat(grid, sup, r, out=out)
+    return np.subtract(v_hat, r_hat_values, out=r_hat_values)
 
 
 def step_values(
@@ -325,30 +488,32 @@ def step_values(
     z_hat: np.ndarray,
     prev: Level | None,
     nxt: Level,
-    phase: np.ndarray,
-    norm_weight: np.ndarray,
-    sup: Support | None,
-    h_scale: complex | np.ndarray,
+    st: Stepping,
     hn_prev: Carry | None = None,
     failed: np.ndarray | None = None,
     out: np.ndarray | None = None,
+    g_out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ):
     """One Picard-resolved Duhamel step of z = v - R from level prev to level
-    nxt on raw arrays (leading batch axes allowed).
+    nxt on raw arrays (leading batch axes allowed), whose spectra hold the
+    modes st.modes stores.
 
-    phase is the propagator multiplier for the step dt and norm_weight the
-    H^{-s} weight hs_weight(grid, -s) of the residual and blow-up norms;
-    h_scale is nonlinearity_scale(grid, dealias, dt), so nonlinearity_values
-    gives h N.  hn_prev is h N at prev as the previous step returned it;
-    None evaluates it here, and prev is read only then.  failed, when given,
-    flags the members that failed before: they are neither iterated nor
-    transformed, and come back zero and flagged.  out, when given, receives
-    z_next, and may be z_hat itself.  R enters only inside N, in
+    st holds the march's constants (stepping()): the phase of the step dt,
+    the H^{-s} weight of the residual and blow-up norms and h_scale =
+    nonlinearity_scale(grid, dealias, dt), so nonlinearity_values gives h N.
+    hn_prev is h N at prev as the previous step returned it; None evaluates
+    it here, and prev is read only then.  failed, when given, flags the
+    members that failed before: they are neither iterated nor transformed,
+    and come back zero and flagged.  out, when given, receives z_next, and
+    may be z_hat itself; g_out, when given, receives G at nxt, and may be
+    hn_prev.g, which the step has read by then.  work, the step's scratch, is
+    a workspace() of the batch, fresh when None.  R enters only inside N, in
     physical space.  Picard starts from fixed = e^{-i dt Lap}(z_k + h N_k) +
-    h F(forcing at t_{k+1}), every term of the step but the implicit h N, and
-    each member iterates on the box of rho's support (_picard_on_box) until
-    its own residual clears PICARD_TOL.  h N_k = i G_k is rebuilt from its
-    half spectrum in a full-spectrum scratch, which the loop then takes over,
+    h F(forcing at t_{k+1}), every term of the step but the implicit h N,
+    and each member iterates on the box of rho's support (_picard_on_box)
+    until its own residual clears PICARD_TOL.  h N_k = i G_k is rebuilt from
+    its half spectrum at the front of work, which the loop then takes over,
     and z_next = fixed + i G at the loop's last g.
 
     A member's residual at iteration m bounds the distance from its iterate
@@ -370,32 +535,38 @@ def step_values(
     mask, so ensemble studies exclude them and keep going and solve() ends
     its trajectory there.
     """
+    modes = st.modes
+    batch_shape = np.shape(z_hat)[: np.ndim(z_hat) - grid.d]
+    members = math.prod(batch_shape)
+    if work is None:
+        work = workspace(grid, members)
+    hn_work = work[: members * math.prod(modes.shape)].reshape(batch_shape + modes.shape)
     if hn_prev is None:
-        hn_prev = Carry(None, nonlinearity_values(grid, z_hat, sup, prev, h_scale))
-    scratch = np.empty(np.shape(z_hat), dtype=np.complex128)
-    fixed = np.add(z_hat, _hn_values(grid, hn_prev, scratch), out=out)
-    fixed *= phase
+        hn = nonlinearity_values(grid, modes.unpack(z_hat), st.sup, prev, st.h_scale)
+        hn_prev = Carry(None, modes.pack(hn))
+    fixed = np.add(z_hat, _hn_values(modes, hn_prev, hn_work), out=out)
+    fixed *= st.phase
     hf_next = None
     if nxt.forcing is not None:
-        hf_next = grid.forward_values(nxt.forcing, scale=h_scale)
+        hf_next = modes.pack(grid.forward_values(nxt.forcing, scale=st.h_scale))
         fixed += hf_next
-    batch_shape = np.shape(z_hat)[: np.ndim(z_hat) - grid.d]
-    rows, scratch = fixed.reshape((-1,) + grid.shape), scratch.reshape((-1,) + grid.shape)
-    skip = np.zeros(len(rows), dtype=bool) if failed is None else np.ravel(failed)
+    if g_out is None:
+        g_out = np.zeros(batch_shape + modes.half_shape, dtype=np.complex128)
+    rows = fixed.reshape((members,) + modes.shape)
+    g = g_out.reshape((members,) + modes.half_shape)
+    skip = np.zeros(members, dtype=bool) if failed is None else np.ravel(failed)
     # a member may overflow on its way to inf before its residual flags it,
     # and theta = 1 divides by zero in the bound, which it then does not take
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if sup is None:
+        if st.sup is None:
             # no cutoff: N vanishes and fixed is the step
-            g = np.zeros(rows.shape[:-1] + (grid.N // 2 + 1,), dtype=np.complex128)
-            iterations, residuals, history = 1, np.zeros(len(rows)), [0.0]
-            stuck = np.zeros(len(rows), dtype=bool)
+            g[...] = 0.0
+            iterations, residuals, history = 1, np.zeros(members), [0.0]
+            stuck = np.zeros(members, dtype=bool)
         else:
-            iterations, residuals, history, stuck, g = _picard_on_box(
-                grid, rows, nxt, sup, h_scale, norm_weight, scratch, skip
-            )
-        rows += _hn_values(grid, Carry(g, None), scratch)
-        norms = np.sqrt(weighted_norm_sq_hat(grid, rows, norm_weight))
+            iterations, residuals, history, stuck = _picard_on_box(grid, rows, nxt, st, work, g, skip)
+        rows += _hn_values(modes, Carry(g, None), hn_work.reshape(rows.shape))
+        norms = np.sqrt(weighted_norm_sq_hat(grid, rows, st.norm_weight))
     monotone_ok = all(b <= a for a, b in zip(history[1:], history[2:]))
     failed = skip | stuck | ~(norms <= BLOWUP_NORM)
     if failed.any():
@@ -408,20 +579,20 @@ def step_values(
         monotone_ok,
         history,
         failed.reshape(batch_shape),
-        Carry(g.reshape(batch_shape + g.shape[1:]), hf_next),
+        Carry(g_out, hf_next),
     )
 
 
-def _hn_values(grid: SpectralGrid, hn: Carry, out: np.ndarray) -> np.ndarray:
-    """The full spectrum of h N = i G + full from its Carry, in out (a complex
-    array of the batch's full shape); full itself when g is None.  G's
-    mirror modes are filled exactly (complete), and every rebuild takes the
-    same operations in the same order, so h N has the same bits each time it
-    is formed from one Carry."""
+def _hn_values(modes: Modes, hn: Carry, out: np.ndarray) -> np.ndarray:
+    """h N = i G + full on the stored modes from its Carry, in out (a
+    complex array of the batch's stored shape); full itself when g is None.
+    G's mirror modes are filled exactly (Modes.complete), and every rebuild
+    takes the same operations in the same order, so h N has the same bits
+    each time it is formed from one Carry."""
     if hn.g is None:
         return hn.full
-    out[..., : grid.N // 2 + 1] = hn.g
-    grid.complete(out)
+    out[..., : modes.front] = hn.g
+    modes.complete(out)
     out *= 1j
     if hn.full is not None:
         out += hn.full
@@ -432,20 +603,21 @@ def _picard_on_box(
     grid: SpectralGrid,
     fixed: np.ndarray,
     nxt: Level,
-    sup: Support,
-    h_scale: complex | np.ndarray,
-    norm_weight: np.ndarray,
-    out: np.ndarray,
+    st: Stepping,
+    work: np.ndarray,
+    result: np.ndarray,
     skip: np.ndarray,
-) -> tuple[int, np.ndarray, list[float], np.ndarray, np.ndarray]:
+) -> tuple[int, np.ndarray, list[float], np.ndarray]:
     """The Picard iteration z^(m+1) = fixed + h N(z^(m) + R) of step_values
-    from z^(0) = fixed, for the members (rows) of fixed that skip does not
-    flag, in physical space on sup's box: (iterations, residuals, history,
-    failed, g).  i G is each member's h N at its last iterate and g is G's
-    half spectrum (the first N/2 + 1 modes of the last axis), zero for the
-    skipped members, which are never transformed.  out, a complex array of
-    fixed's shape, is scratch: it takes fixed's inverse transform, and once
-    Re A and Im A are read its float view holds N and N's real inverse.
+    from z^(0) = fixed, for the members (rows, on st's stored modes) of fixed
+    that skip does not flag, in physical space on the box of rho's support:
+    (iterations, residuals, history, failed).  i G is each member's h N at
+    its last iterate, and result, a batch of st's stored half spectra,
+    receives G there in the rows of those members; the skipped members are
+    never transformed, and their rows are not written.  work is
+    step_values' scratch: its full-grid array takes fixed's modes and their
+    inverse transform, and once Re A and Im A are read its float view holds
+    N and N's real inverse; its two half spectra are g and the last g.
 
     h = -i dt/2 and the 2/3 mask are real-symmetric, so the correction h N =
     i g adds the real field (N/L)^d irfft(g) to Im z in physical space and
@@ -460,32 +632,29 @@ def _picard_on_box(
     still above PICARD_TOL); only the members still iterating are
     transformed, so a member's result does not depend on its batch.
     """
-    members, half = len(fixed), np.s_[..., : grid.N // 2 + 1]
-    half_scale = np.imag(h_scale)  # h_scale = i half_scale
-    if np.ndim(half_scale):
-        half_scale = half_scale[half]
-    weight = half_weight(grid, norm_weight)
-    rho_y = sup.rho * (grid.N / grid.L) ** grid.d
+    sup, modes = st.sup, st.modes
+    members, points = len(fixed), grid.N**grid.d
+    half_shape = grid.shape[:-1] + (grid.N // 2 + 1,)
+    out = work[: members * points].reshape((members,) + grid.shape)
     # the members still iterating, and buffers whose first rows are theirs
     active = np.flatnonzero(~skip)
     k = len(active)
-    result = np.zeros(out[half].shape, dtype=np.complex128)
     residuals = np.zeros(members)
     if not k:
-        return 0, residuals, [], np.zeros(members, dtype=bool), result
+        return 0, residuals, [], np.zeros(members, dtype=bool)
     psi = nxt.two_rho_psi.reshape((members,) + sup.rho.shape)
     r = None if nxt.r is None else nxt.r.reshape(psi.shape)
     if k < members:
         fixed, psi = fixed[active], psi[active]
         r = None if r is None else r[active]
-    a = grid.inverse_values(fixed, out=out[:k])[sup.box]
+    a = grid.inverse_values(modes.unpack(fixed, out[:k]), out=out[:k])[sup.box]
     if r is not None:
         a += r
     a *= sup.rho
     c = a.real + psi.real
     c *= a.real
     y = im_a = a.imag.copy()
-    im_psi = psi.imag.copy()
+    im_psi = psi.imag
     del a, psi, r
     # out's floats: N on the box (zero off it) and its real inverse
     # transform; and two half spectra, g and the last g, which the
@@ -493,19 +662,20 @@ def _picard_on_box(
     floats = out.view(np.float64).reshape((2, members) + grid.shape)
     n_values, low = floats[0], floats[1]
     n_values[:k] = 0.0
-    g, g_last = np.empty((2, k) + result.shape[1:], dtype=np.complex128)
+    halves = work[members * points : members * (points + 2 * math.prod(half_shape))]
+    g, g_last = halves.reshape((2, members) + half_shape)
     history: list[float] = []
     for m in range(1, PICARD_MAX + 1):
         n_box = n_values[:k][sup.box]
         np.add(y, im_psi, out=n_box)
         n_box *= y
         n_box += c
-        grid.forward_values(n_values[:k], out=g[:k], scale=half_scale, half=True)
+        grid.forward_values(n_values[:k], out=g[:k], scale=st.half_scale, half=True)
         if m == 1:
-            e = increments = np.sqrt(weighted_norm_sq_hat(grid, g[:k], weight))
+            e = increments = np.sqrt(weighted_norm_sq_hat(grid, g[:k], st.half_weight))
         else:
             np.subtract(g[:k], g_last[:k], out=g_last[:k])
-            increments = np.sqrt(weighted_norm_sq_hat(grid, g_last[:k], weight))
+            increments = np.sqrt(weighted_norm_sq_hat(grid, g_last[:k], st.half_weight))
             # the contraction bound on the distance to the fixed point
             theta = increments / last_increments
             bound = np.minimum(increments, theta / (1.0 - theta) * increments)
@@ -514,58 +684,84 @@ def _picard_on_box(
         history.append(float(increments.max(where=np.isfinite(increments), initial=0.0)))
         go = (e > PICARD_TOL) & (e < np.inf)  # neither converged nor failed
         if m == PICARD_MAX or not go.any():
-            result[active] = g[:k]
+            modes.pack(g[:k], half=True, out=result, rows=active)
             break
         if not go.all():
-            result[active[~go]] = g[:k][~go]
+            # the last g is spent: it takes the members that stop, then
+            # those that go on
+            done = np.compress(~go, g[:k], axis=0, out=g_last[: k - np.count_nonzero(go)])
+            modes.pack(done, half=True, out=result, rows=active[~go])
             active, increments = active[go], increments[go]
-            c, im_a, im_psi = c[go], im_a[go], im_psi[go]
-            g[: len(active)] = g[:k][go]
+            # c and Im A are the step's own, and their rows move in place
+            c = np.compress(go, c, axis=0, out=c[: len(active)])
+            im_a = np.compress(go, im_a, axis=0, out=im_a[: len(active)])
+            im_psi = im_psi[go]
+            np.compress(go, g[:k], axis=0, out=g_last[: len(active)])
+            g, g_last = g_last, g
             k = len(active)
         y = grid.inverse_values(g[:k], out=low[:k], scale=1.0, half=True)[sup.box]
-        y *= rho_y
+        y *= st.rho_y
         y += im_a
         g, g_last, last_increments = g_last, g, increments
-    return m, residuals, history, ~(residuals <= PICARD_TOL), result
+    return m, residuals, history, ~(residuals <= PICARD_TOL)
 
 
 class RemainderStepper:
     """The step-local march.  Between steps it holds z = v - R and the Carry
     of h N at the current level, G's half spectrum (h N = i G) and, with a
-    forcing, h F there; it keeps no Level.
+    forcing, h F there, on the modes its Stepping stores; it keeps no Level.
+    A march that dealiases from a z that vanishes off the 2/3 mask, as every
+    study's and every solve() from phi = 0 does, stores the mask's modes
+    alone: h N is masked, so z and G stay zero off them (Modes).
 
     v_hat, the start, may carry leading batch axes, one row per ensemble
     member; start, the Level at the starting time, and every Level given to
     step() carry the same axes.  The march starts from z = v - R(t_0), and
     h N(t_0) is formed from start when the stepper is built, so start is not
-    kept.  A step is two calls, step(level(config, grid, rho_vals, psi_hat,
-    ipsi2_hat, t_next)) with the stepper's rho_vals, so the caller's psi
-    block can be freed before the Picard loop runs; solve() passes the rows
-    of its stacked levels instead.  Each time level is localized once, and
-    the last Picard evaluation of h N at t_{k+1} is carried as the next
-    step's h N at t_k.  v = z + R needs R, which the caller's Level at the
-    current time holds (v_hat).  Failed members are zeroed in z and in G and
-    flagged in `failed`; later steps neither iterate nor transform them, and
-    the march goes on.  Per-step Picard iterations, worst residuals and
-    monotone flags are collected in lists.
+    kept.  st, the march's Stepping, is built from config and z when None;
+    marches that share a grid, a config and a batch may share one, and may
+    step in turn in one shared workspace() `work`, which the stepper does
+    not keep between steps' use (None: each step allocates its own).  A step
+    is two calls, step(level(config, grid, sup, psi_hat, ipsi2_hat,
+    t_next)), so the caller's psi block can be freed before the Picard loop
+    runs; solve() passes the rows of its stacked levels instead.  Each time
+    level is localized once, and the last Picard evaluation of h N at
+    t_{k+1} is carried as the next step's h N at t_k.  v = z + R needs R,
+    which the caller's Level at the current time holds (v_hat).  Failed
+    members are zeroed in z and in G and flagged in `failed`; later steps
+    neither iterate nor transform them, and the march goes on.  Per-step
+    Picard iterations, worst residuals and monotone flags are collected in
+    lists.
     """
 
     def __init__(
-        self, config: SolverConfig, grid: SpectralGrid, v_hat: np.ndarray, start: Level
+        self,
+        config: SolverConfig,
+        grid: SpectralGrid,
+        v_hat: np.ndarray,
+        start: Level,
+        st: Stepping | None = None,
+        work: np.ndarray | None = None,
     ) -> None:
         self.grid = grid
-        self.support = support(None if config.rho is None else config.rho.evaluate(grid))
-        self.h_scale = nonlinearity_scale(grid, config.dealias, config.dt)
-        self.norm_weight = hs_weight(grid, -config.params.s)
-        self._phase = propagator_phase(grid, config.dt)
-        z_hat = z_from_v(grid, self.support, v_hat, start.r)
-        # a step overwrites z in place, so z is never the caller's v
-        self.z_hat = z_hat.copy() if z_hat is v_hat else z_hat
-        hn = nonlinearity_values(grid, self.z_hat, self.support, start, self.h_scale)
+        sup = support(None if config.rho is None else config.rho.evaluate(grid)) if st is None else st.sup
+        # z and h N(t_0) on the whole grid, in the front of work when given
+        scratch = None if work is None else work[: 2 * np.size(v_hat)].reshape((2,) + np.shape(v_hat))
+        z_hat = z_from_v(grid, sup, v_hat, start.r, out=None if work is None else scratch[0])
+        if st is None:
+            st = stepping(config, grid, sup, config.dealias and Modes(grid, True).holds(z_hat))
+        elif not st.modes.holds(z_hat):
+            raise GridError("the march starts with modes its Stepping does not store")
+        self.stepping, self.work = st, work
+        # packed afresh, so z is never the caller's v
+        self.z = st.modes.pack(z_hat)
+        hn = nonlinearity_values(grid, z_hat, sup, start, st.h_scale, out=None if work is None else scratch[1])
+        hn = st.modes.pack(hn)
+        del z_hat, scratch
         if grid.d == 1 and start.forcing is None:
             # at d = 1 N's transform is the exact completion of rfft's half
             # spectrum (forward_values), so its half gives h N back to the bit
-            self._hn = Carry(-1j * hn[..., : grid.N // 2 + 1], None)
+            self._hn = Carry(-1j * hn[..., : st.modes.front], None)
         else:
             # fftn's spectrum of a real field is Hermitian only to round-off,
             # and the forcing's need not be: the first step takes h N whole
@@ -575,27 +771,35 @@ class RemainderStepper:
         self.monotone: list[bool] = []
         self.failed = np.zeros(np.shape(v_hat)[: np.ndim(v_hat) - grid.d], dtype=bool)
 
+    def z_values(self, out: np.ndarray | None = None) -> np.ndarray:
+        """z at the current level on the whole grid, in out when given, else
+        as a fresh array."""
+        return self.stepping.modes.unpack(self.z, out)
+
+    def add_z(self, out: np.ndarray) -> None:
+        """Add z at the current level to out, spectra of the batch on the
+        whole grid."""
+        self.stepping.modes.unpack(self.z, out, add=True)
+
     def v_hat(self, r: np.ndarray | None) -> np.ndarray:
         """v = z + R at the current level, where the caller's Level there has
-        R = r, by one transform, as a fresh array (the next step overwrites
-        z); a failed member's row reads R alone."""
-        v_hat = v_from_z(self.grid, self.support, self.z_hat, r)
-        return v_hat.copy() if v_hat is self.z_hat else v_hat
+        R = r, by one transform, as a fresh array; a failed member's row
+        reads R alone."""
+        return v_from_z(self.grid, self.stepping.sup, self.z_values(), r)
 
     def step(self, nxt: Level) -> None:
         """Advance z by one step of config.dt, to the time of level nxt."""
-        self.z_hat, iterations, residuals, monotone, _, self.failed, self._hn = step_values(
+        self.z, iterations, residuals, monotone, _, self.failed, self._hn = step_values(
             self.grid,
-            self.z_hat,
+            self.z,
             None,
             nxt,
-            self._phase,
-            self.norm_weight,
-            self.support,
-            self.h_scale,
+            self.stepping,
             hn_prev=self._hn,
             failed=self.failed,
-            out=self.z_hat,
+            out=self.z,
+            g_out=self._hn.g,
+            work=self.work,
         )
         self.iterations.append(iterations)
         self.residuals.append(float(np.max(residuals)))
@@ -703,10 +907,11 @@ def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
     levels = level(
         config,
         grid,
-        rho_vals,
+        sup,
         np.stack([f.values for f in path.psi]),
         np.stack([f.values for f in path.ipsi2]),
         times,
+        overwrite=True,
     )
     phi_hat = _initial_hat(config, grid)
     if config.mode == "global":
@@ -743,9 +948,9 @@ def _march_step_local(
     failure, if any.  The march ends at the first flagged step."""
     grid = path.grid
     times = path.times
-    stepper = RemainderStepper(config, grid, phi_hat, _row(levels, 0))
+    stepper = RemainderStepper(config, grid, phi_hat, _row(levels, 0), work=workspace(grid, 1))
     z_hats = np.empty((len(times),) + grid.shape, dtype=np.complex128)
-    z_hats[0] = stepper.z_hat
+    stepper.z_values(out=z_hats[0])
     reached = len(times)
     failure: StepFailure | None = None
     for k in range(1, len(times)):
@@ -754,7 +959,7 @@ def _march_step_local(
             failure = _failure(times, k, stepper.residuals[-1], stepper.iterations[-1], blown=False)
             reached = k
             break
-        z_hats[k] = stepper.z_hat
+        stepper.z_values(out=z_hats[k])
     accepted = reached - 1
     return (
         z_hats[:reached],

@@ -36,6 +36,7 @@ n of a taller ladder's member.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -47,6 +48,7 @@ from .grid import (
     SpectralGrid,
     ball_extent,
     bessel_weight,
+    complete_spectrum,
     padded_points,
     propagator_phase,
     truncation_mask,
@@ -131,6 +133,15 @@ class _Rung:
     padded and compact arrays are all in numpy fft order.  `phase` is the
     propagator multiplier of the ensemble's step on the compact modes, taken
     from the study grid's `phase` when the rung is built.
+
+    A Wick transform is stored on the first `front` compact modes of the
+    last axis, `stored_shape` in all (store, complete).  At d = 1 that is
+    its Hermitian half, the modes 0 ... min(2P, N/2 - 1) and the lone -N/2
+    when the compact modes reach it, whose mirror N/2 they lack: the padded
+    grid's forward transform of a real field is the exact completion of
+    rfft's half spectrum (SpectralGrid.forward_values), so the other modes
+    are exactly conj(F(-xi)).  At d >= 2 fftn's spectrum is Hermitian only
+    to round-off, and every compact mode is stored.
     """
 
     def __init__(self, grid: SpectralGrid, radius: float, phase: np.ndarray) -> None:
@@ -139,6 +150,8 @@ class _Rung:
         self.grid = grid
         self.padded = SpectralGrid(d, grid.L, padded_points(grid, radius))
         self.shape = (a + b + 1,) * d
+        self.front = a + 1 if d == 1 else a + b + 1
+        self.stored_shape = self.shape[:-1] + (self.front,)
         self._ball = truncation_mask(grid, radius) > 0
         self._psi_blocks = _blocks(d, min(P, half), min(P, half - 1), grid.N, self.padded.N)
         self._from_padded = _blocks(d, a, b, self.padded.N, a + b + 1)
@@ -146,8 +159,9 @@ class _Rung:
         self.phase = self._copy([(t, s) for s, t in self._to_study], phase, self.shape)
 
     @staticmethod
-    def _copy(blocks, values: np.ndarray, shape: tuple[int, ...], fill=np.empty) -> np.ndarray:
-        out = fill(np.shape(values)[: np.ndim(values) - len(shape)] + shape, dtype=np.complex128)
+    def _copy(blocks, values: np.ndarray, shape: tuple[int, ...], fill=np.empty, out=None) -> np.ndarray:
+        if out is None:
+            out = fill(np.shape(values)[: np.ndim(values) - len(shape)] + shape, dtype=np.complex128)
         for src, dst in blocks:
             out[dst] = values[src]
         return out
@@ -158,13 +172,30 @@ class _Rung:
         for src, dst in self._psi_blocks:
             np.copyto(out[dst], psi[src], where=self._ball[src])
 
-    def compact(self, padded_hat: np.ndarray) -> np.ndarray:
-        """The compact modes of a padded-grid transform."""
-        return self._copy(self._from_padded, padded_hat, self.shape)
+    def compact(self, padded_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The compact modes of a padded-grid transform, in out when given,
+        else as a fresh array."""
+        return self._copy(self._from_padded, padded_hat, self.shape, out=out)
 
-    def to_study(self, compact_hat: np.ndarray) -> np.ndarray:
-        """A compact array on the study grid, zero on the modes it lacks."""
-        return self._copy(self._to_study, compact_hat, self.grid.shape, np.zeros)
+    def to_study(self, compact_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A compact array on the study grid, zero on the modes it lacks, in
+        out when given, else as a fresh array."""
+        if out is not None:
+            out.fill(0.0)
+        return self._copy(self._to_study, compact_hat, self.grid.shape, np.zeros, out)
+
+    def store(self, compact_hat: np.ndarray) -> np.ndarray:
+        """The stored modes of a compact Wick transform, as a view."""
+        return compact_hat[..., : self.front]
+
+    def complete(self, stored: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The compact Wick transform whose stored modes are `stored`, in out
+        when given, else as a fresh array: exact, the mirror modes F(-xi) =
+        conj(F(xi))."""
+        if out is None:
+            out = np.empty(np.shape(stored)[:-1] + self.shape[-1:], dtype=np.complex128)
+        out[..., : self.front] = stored
+        return complete_spectrum(out, self.grid.d, self.front)
 
 
 class PathEnsemble:
@@ -181,15 +212,17 @@ class PathEnsemble:
     two transforms per radius per step, each on the radius's padded grid
     (grid.padded_points: 36 points for n = 2 at h = 1/4), and they are stored
     on the radius's compact modes |beta| <= min(2n, Nyquist), not on the
-    study grid.
+    study grid; a Wick transform, which is real's, on their Hermitian half
+    at d = 1 (_Rung.store).
 
-    advance() updates `psi` and the compact Wick transforms and Duhamel
-    accumulators in place (the previous Wick transform is the Duhamel step's
-    scratch): an array taken from them before a step changes during it, so
+    advance() updates `psi` and the stored Wick transforms and Duhamel
+    accumulators in place (the Duhamel step completes the previous Wick
+    transform at the front of the padded-grid scratch, and consumes it
+    there): an array taken from them before a step changes during it, so
     callers copy what they keep.  Callers read study-grid arrays through
-    psi_values(), wick_values() and ipsi2_values(), which return fresh arrays;
-    sample_paths copies the compact arrays instead and puts each member's
-    whole path on the study grid at once.
+    psi_values(), wick_values() and ipsi2_values(), which return fresh
+    arrays, or write them into `out`; sample_paths copies the stored arrays
+    instead and puts each member's whole path on the study grid at once.
     """
 
     def __init__(
@@ -226,53 +259,83 @@ class PathEnsemble:
         self._drive = (-1j) * bessel_weight(grid, -alpha).reshape(-1)[self._noise.modes]
         self._phase = propagator_phase(grid, self.dt)
         self._ball_phase = self._phase.reshape(-1)[self._noise.modes]
-        # the ball's entries of the flattened psi block, member by member
+        # the ball's entries of the flattened psi block, member by member:
+        # a flat index scatters 2.5-5.5 times faster than psi[:, modes]
         points = int(np.prod(grid.shape))
         self._ball = (np.arange(size)[:, None] * points + self._noise.modes).reshape(-1)
         # drive * I for the steps of every member's current key block
         self._block: np.ndarray | None = None
+        # a tracked advance()'s scratch when its caller gives none, kept
+        # between steps: a fresh one per step faults its pages in again
+        self._work: np.ndarray | None = None
         self.psi = np.zeros((size,) + grid.shape, dtype=np.complex128)
         if track:
             # psi(0) = 0 and c_n(0) = 0, so the initial Wick transform is zero.
-            self._wick_hat = {r: self._compact_zeros(r) for r in self.radii}
-            self._ipsi2 = {r: self._compact_zeros(r) for r in self.radii}
+            self._wick_hat = {r: self._zeros(self._rung(r).stored_shape) for r in self.radii}
+            self._ipsi2 = {r: self._zeros(self._rung(r).shape) for r in self.radii}
 
     def _rung(self, radius: float) -> _Rung:
         if radius not in self._rungs:
             self._rungs[radius] = _Rung(self.grid, radius, self._phase)
         return self._rungs[radius]
 
-    def _compact_zeros(self, radius: float) -> np.ndarray:
-        return np.zeros((self.size,) + self._rung(radius).shape, dtype=np.complex128)
+    def _zeros(self, shape: tuple[int, ...]) -> np.ndarray:
+        return np.zeros((self.size,) + shape, dtype=np.complex128)
 
-    def psi_values(self, radius: float) -> np.ndarray:
-        """Frequency-space psi block for one ladder radius (masked view of the master)."""
-        return self.psi * self._masks[radius]
+    def psi_values(self, radius: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Frequency-space psi block for one ladder radius (the master,
+        masked), in out when given, else as a fresh array."""
+        return np.multiply(self.psi, self._masks[radius], out=out)
 
     def wick_values(self, radius: float) -> np.ndarray:
         """Physical-space Wick square block at the current time: the real part
         of the study-grid field whose transform is the radius's compact Wick
-        transform.  A tracked radius reuses its tracked transform."""
+        transform.  A tracked radius completes its stored transform."""
+        rung = self._rung(radius)
         if self.track:
-            wick_hat = self._wick_hat[radius]
+            wick_hat = rung.complete(self._wick_hat[radius])
         else:
             wick_hat = self._wick_hat_now(radius, *self._scratch([radius]))
-        study = self.grid.inverse_values(self._rung(radius).to_study(wick_hat))
+        study = self.grid.inverse_values(rung.to_study(wick_hat))
         return study.real.copy()
 
-    def ipsi2_values(self, radius: float) -> np.ndarray:
-        """Frequency-space <I Psi^2> block on the study grid at the current time."""
-        return self._rung(radius).to_study(self._ipsi2[radius])
+    def ipsi2_values(self, radius: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Frequency-space <I Psi^2> block on the study grid at the current
+        time, in out when given, else as a fresh array."""
+        return self._rung(radius).to_study(self._ipsi2[radius], out)
 
-    def _scratch(self, radii: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    @property
+    def scratch_size(self) -> int:
+        """The complex values of the scratch advance() takes: a key block's
+        normals, then psi's entries on the ball, then a tracked step's
+        complex array on the largest padded grid, followed by its real one
+        and then, in the real one's place, the compact transform."""
+        normals = self.size * math.prod(self._noise.block_shape)
+        ball = self.size * len(self._noise.modes)
+        if not self.track:
+            return max((normals + 1) // 2, ball)
+        points = self._points(self.radii)
+        compact = self.size * max(math.prod(self._rung(r).shape) for r in self.radii)
+        return max((normals + 1) // 2, ball, points + max((points + 1) // 2, compact))
+
+    def _points(self, radii: list[float]) -> int:
+        return self.size * max(self._rung(r).padded.N ** self.grid.d for r in radii)
+
+    def _scratch(self, radii: list[float], work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """A flat complex and a flat real scratch array that hold the batch on
-        the largest padded grid among `radii`; each rung views their front."""
-        points = self.size * max(self._rung(r).padded.N ** self.grid.d for r in radii)
-        return np.empty(points, dtype=np.complex128), np.empty(points)
+        the largest padded grid among `radii`, taken from the flat complex
+        array work when given; each rung views their front."""
+        points = self._points(radii)
+        if work is None:
+            return np.empty(points, dtype=np.complex128), np.empty(points)
+        return work[:points], work[points:].view(np.float64)[:points]
 
-    def _wick_hat_now(self, radius: float, work: np.ndarray, work_real: np.ndarray) -> np.ndarray:
+    def _wick_hat_now(
+        self, radius: float, work: np.ndarray, work_real: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """The compact Wick transform of one radius at the current time,
-        formed on the radius's padded grid in the scratch arrays of _scratch."""
+        formed on the radius's padded grid in the scratch arrays of
+        _scratch, in out when given (not in work), else as a fresh array."""
         rung = self._rung(radius)
         shape = (self.size,) + rung.padded.shape
         points = self.size * rung.padded.N ** self.grid.d
@@ -281,22 +344,36 @@ class PathEnsemble:
         rung.pad(self.psi, pad)
         c = self.times[self.k] * self._mass[radius]
         wick = wick_square_values(rung.padded, pad, c, out=real)
-        return rung.compact(rung.padded.forward_values(wick, out=pad))
+        return rung.compact(rung.padded.forward_values(wick, out=pad), out)
 
     @property
     def t(self) -> float:
         return float(self.times[self.k])
 
-    def advance(self) -> None:
-        """One time step for the whole batch: psi update, then tracked objects."""
+    def advance(self, work: np.ndarray | None = None) -> None:
+        """One time step for the whole batch: psi update, then tracked
+        objects.  work, when given, is a flat complex array of at least
+        scratch_size values that the normals of a key block, psi's entries
+        on the ball and then the tracking take in turn as their scratch;
+        else a tracked ensemble takes its own, allocated at the first step
+        and kept until the last, and an untracked one allocates its arrays
+        at each step."""
         if self.k + 1 >= len(self.times):
             raise GridError("time grid exhausted")
+        if work is None and self.track:
+            if self._work is None:
+                self._work = np.empty(self.scratch_size, dtype=np.complex128)
+            work = self._work
         noise = self._noise
         block, row = noise.key(self.k)
         if row == 0:
             # a key block is drawn whole and turned at once into the
             # increments of the steps it covers up to T
-            normals = np.empty((self.size,) + noise.block_shape)
+            shape = (self.size,) + noise.block_shape
+            if work is None:
+                normals = np.empty(shape)
+            else:
+                normals = work.view(np.float64)[: math.prod(shape)].reshape(shape)
             for b in range(self.size):
                 gaussian_block(
                     self.seed, self.stream_offset + b, block, noise.block_shape, out=normals[b]
@@ -310,25 +387,37 @@ class PathEnsemble:
             # operands in the formula's order: numpy's complex multiply is
             # not bit-commutative
             np.multiply(self._drive, self._block, out=self._block)
-        # psi <- phase * psi + drive * I on the ball
-        ball = np.take(self.psi.reshape(self.size, -1), noise.modes, axis=1)
+        # psi <- phase * psi + drive * I on the ball, formed in work when
+        # there is one (take's mode "clip", which valid indices never meet,
+        # spares it the buffer it makes for out= in its default mode)
+        ball_out = None if work is None else work[: self.size * len(noise.modes)].reshape(self.size, -1)
+        ball = np.take(self.psi.reshape(self.size, -1), noise.modes, axis=1, mode="clip", out=ball_out)
         np.multiply(self._ball_phase, ball, out=ball)
         ball += self._block[:, row]
         self.psi.reshape(-1)[self._ball] = ball.reshape(-1)
         if noise.steps_per_key == 1 or self.k + 2 == len(self.times):
-            # spent, and freed before the tracking scratch is allocated; a
-            # block of several steps is held through them anyway, so its
-            # array is kept for the next block
+            # spent, and freed; a block of several steps is held through
+            # them anyway, so its array is kept for the next block
             self._block = None
         self.k += 1
-        del ball
+        del ball, ball_out
         if self.track:
-            scratch = self._scratch(self.radii)
+            pad, real = self._scratch(self.radii, work)
             for r in self.radii:
-                new_hat = self._wick_hat_now(r, *scratch)
                 rung = self._rung(r)
-                duhamel_update(self._ipsi2[r], rung.phase, self._wick_hat[r], new_hat, self.dt)
-                self._wick_hat[r] = new_hat
+                shape = (self.size,) + rung.shape
+                # the real field is spent once transformed, and the compact
+                # transform takes its place; the padded one is spent once
+                # compact() has returned, and the previous Wick transform is
+                # completed in its place
+                new_hat = work[len(pad) :][: math.prod(shape)].reshape(shape)
+                self._wick_hat_now(r, pad, real, out=new_hat)
+                prev = pad[: new_hat.size].reshape(shape)
+                rung.complete(self._wick_hat[r], out=prev)
+                duhamel_update(self._ipsi2[r], rung.phase, prev, new_hat, self.dt)
+                self._wick_hat[r][...] = rung.store(new_hat)
+        if self.k + 1 == len(self.times):
+            self._work = None  # the march is over
 
     def run(self) -> None:
         while self.k + 1 < len(self.times):
@@ -348,9 +437,10 @@ def sample_paths(
     that order, with snapshots at the times uniform_times(T, K), steps of T / K.
 
     The members march as one PathEnsemble of `count` members, and the march
-    keeps each member's psi and the tracked rung's compact transforms: count
-    (K+1) (N^d + 2 C) complex values in all, C the rung's compact modes
-    (about 2.1 MB per member at N = 256, K = 256, n = 32 on the 2 pi box).
+    keeps each member's psi and the tracked rung's stored transforms: count
+    (K+1) (N^d + C + S) complex values in all, C the rung's compact modes
+    and S those its Wick transform stores (_Rung.store; about 1.8 MB per
+    member at N = 256, K = 256, n = 32 on the 2 pi box).
     A member's Wick and <I Psi^2> snapshots are put on the study grid only
     when it is taken, one member at a time.  Each path is bit for bit the
     path sample_path gives its member alone.
@@ -361,15 +451,15 @@ def sample_paths(
     n, rung, times = params.n, ens._rung(params.n), ens.times
     levels = len(times)
     psi = np.empty((count, levels) + grid.shape, dtype=np.complex128)
-    wick_hat = np.empty((count, levels) + rung.shape, dtype=np.complex128)
-    ipsi2_hat = np.empty_like(wick_hat)
+    wick_hat = np.empty((count, levels) + rung.stored_shape, dtype=np.complex128)
+    ipsi2_hat = np.empty((count, levels) + rung.shape, dtype=np.complex128)
     for k in range(levels):
         if k:
             ens.advance()
         psi[:, k], wick_hat[:, k], ipsi2_hat[:, k] = ens.psi, ens._wick_hat[n], ens._ipsi2[n]
     del ens
     for b in range(count):
-        wick = grid.inverse_values(rung.to_study(wick_hat[b])).real
+        wick = grid.inverse_values(rung.to_study(rung.complete(wick_hat[b]))).real
         ipsi2 = rung.to_study(ipsi2_hat[b])
         yield StochasticPath(
             params=params,

@@ -39,7 +39,16 @@ from .noise import ModeNoise
 from .reference import PaperParams, covariance_oracle, renorm_constant
 # step_values is not called here; it stays a module attribute because the
 # perfbench tracer patches it in this module
-from .solver import RemainderStepper, level, r_hat, r_values, step_values, support  # noqa: F401
+from .solver import (  # noqa: F401
+    RemainderStepper,
+    level,
+    r_hat,
+    r_values,
+    step_values,
+    stepping,
+    support,
+    workspace,
+)
 from .stochastic import PathEnsemble, uniform_times
 
 
@@ -745,39 +754,45 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
     ladder = list(config.ladder)
     radii = config.radii()
 
-    def pair_norm(ens: PathEnsemble, steppers: dict, n: float) -> np.ndarray:
+    # every radius marches from z = 0, so all of them store the 2/3 mask's
+    # modes when the solver dealiases, and share these constants
+    st = stepping(solver_config, grid, sup, solver_config.dealias)
+
+    def pair_norm(ens: PathEnsemble, steppers: dict, n: float, u: np.ndarray) -> np.ndarray:
         """||rho (u_n - u_2n)(T)||_{H^-s} per member, u = z + R + Psi, with R
         as level() forms it: one inverse and one forward transform for the
-        pair, and only this pair's arrays held."""
+        pair, in u, a (2, B, N^d) scratch."""
         pair = (n, 2 * n)
-        u = np.empty((2, ens.size) + grid.shape, dtype=np.complex128)
         for row, r in zip(u, pair):
-            row[...] = ens.ipsi2_values(r)
+            ens.ipsi2_values(r, out=row)
         u = r_hat(grid, sup, r_values(grid, sup, u, out=u), out=u)
         for row, r in zip(u, pair):
-            row += steppers[r].z_hat
+            steppers[r].add_z(row)
             row += ens.psi_values(r)
         diff = np.subtract(u[0], u[1], out=u[0])
-        loc = rho_vals * grid.inverse_values(diff, out=diff)
-        del u, row, diff  # freed before the norm allocates its own
+        loc = np.multiply(rho_vals, grid.inverse_values(diff, out=diff), out=diff)
         return np.sqrt(hs_norm_sq(grid, loc, -s))
 
     def measure(ens: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
-        shape = (ens.size,) + grid.shape
-        steppers = {
-            r: RemainderStepper(
-                solver_config,
-                grid,
-                np.zeros(shape, dtype=np.complex128),
-                level(solver_config, grid, rho_vals, ens.psi_values(r), ens.ipsi2_values(r), ens.t),
-            )
-            for r in radii
-        }
+        # one scratch for the whole chunk: the ensemble's tracking takes it
+        # in advance(), each radius's level() inputs go to its front, and the
+        # steps of every radius take it in turn
+        work = workspace(grid, ens.size, ens.scratch_size)
+        inputs = work[: 2 * ens.size * grid.N**grid.d].reshape((2, ens.size) + grid.shape)
+
+        def current(r: float):
+            ens.psi_values(r, out=inputs[0])
+            ens.ipsi2_values(r, out=inputs[1])
+            return level(solver_config, grid, sup, inputs[0], inputs[1], ens.t, overwrite=True)
+
+        # v(0) = 0, a zero-stride view of no memory
+        v_0 = np.broadcast_to(np.complex128(0.0), (ens.size,) + grid.shape)
+        steppers = {r: RemainderStepper(solver_config, grid, v_0, current(r), st, work) for r in radii}
         for _ in range(config.K):
-            ens.advance()
+            ens.advance(work)
             for r, stepper in steppers.items():
-                stepper.step(level(solver_config, grid, rho_vals, ens.psi_values(r), ens.ipsi2_values(r), ens.t))
-        cols = [pair_norm(ens, steppers, n) for n in ladder]
+                stepper.step(current(r))
+        cols = [pair_norm(ens, steppers, n, inputs) for n in ladder]
         failed = np.logical_or.reduce([stepper.failed for stepper in steppers.values()])
         iterations = Counter(m for stepper in steppers.values() for m in stepper.iterations)
         return np.stack(cols, axis=-1), failed, iterations

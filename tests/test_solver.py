@@ -13,6 +13,7 @@ from wsnl.grid import (
     Field,
     GridError,
     SpectralGrid,
+    half_weight,
     hs_weight,
     propagator_phase,
     sobolev_norm_hat,
@@ -39,6 +40,7 @@ from wsnl.solver import (
     r_hat,
     solve,
     step_values,
+    stepping,
     support,
     v_from_z,
     z_from_v,
@@ -207,23 +209,22 @@ def test_picard_stops_within_picard_tol_of_the_fixed_point():
     ens = PathEnsemble(GRID, params.alpha, [n], T, K, seed=7, size=members, track=True)
 
     def current():
-        return level(config, GRID, rho_vals, ens.psi_values(n), ens.ipsi2_values(n), ens.t)
+        return level(config, GRID, support(rho_vals), ens.psi_values(n), ens.ipsi2_values(n), ens.t)
 
     stepper = RemainderStepper(config, GRID, np.zeros((members,) + GRID.shape, complex), current())
     for _ in range(4):
         ens.advance()
         prev = current()
         stepper.step(prev)
-    z = stepper.z_hat
+    z = stepper.z_values()
     ens.advance()
     nxt = current()
     sup = support(rho_vals)
     scale = nonlinearity_scale(GRID, True, config.dt)
     weight = hs_weight(GRID, -params.s)
     phase = propagator_phase(GRID, config.dt)
-    z_next, iterations, residuals, _, _, failed, _ = step_values(
-        GRID, z, prev, nxt, phase, weight, sup, scale
-    )
+    st = stepping(config, GRID, sup, masked=False)
+    z_next, iterations, residuals, _, _, failed, _ = step_values(GRID, z, prev, nxt, st)
     assert not failed.any()
 
     def distance(a, b):
@@ -261,11 +262,12 @@ def test_picard_iterates_on_the_box_are_the_spectral_iterates(d, N, monkeypatch)
     config = make_config(grid, PARAMS, CutoffRho.for_grid(grid), None, 0.25, 16)
     rho_vals = config.rho.evaluate(grid)
     sup = support(rho_vals)
-    prev, nxt = (level(config, grid, rho_vals, smooth(0.3), smooth(0.1), t) for t in (0.0, config.dt))
+    prev, nxt = (level(config, grid, sup, smooth(0.3), smooth(0.1), t) for t in (0.0, config.dt))
     z = smooth(0.2)
     scale = nonlinearity_scale(grid, True, config.dt)
     phase = propagator_phase(grid, config.dt)
-    weight = hs_weight(grid, -0.35)
+    st = stepping(config, grid, sup, masked=False)
+    st = st._replace(half_weight=half_weight(grid, hs_weight(grid, -0.35)))
     n_inputs, raw_inverses = [], []
     forward, inverse = SpectralGrid.forward_values, SpectralGrid.inverse_values
 
@@ -282,7 +284,7 @@ def test_picard_iterates_on_the_box_are_the_spectral_iterates(d, N, monkeypatch)
 
     monkeypatch.setattr(SpectralGrid, "forward_values", recording_forward)
     monkeypatch.setattr(SpectralGrid, "inverse_values", recording_inverse)
-    _, iterations, _, _, _, failed, _ = step_values(grid, z, prev, nxt, phase, weight, sup, scale)
+    _, iterations, _, _, _, failed, _ = step_values(grid, z, prev, nxt, st)
     monkeypatch.undo()
     assert not failed and iterations >= 3
     assert len(n_inputs) == iterations and len(raw_inverses) == iterations - 1
@@ -330,7 +332,7 @@ def test_stepper_first_step_is_step_values_from_the_start(d, N, forced):
     sup = support(rho_vals)
     start, nxt = (
         level(
-            config, grid, rho_vals, band_limited(grid, rng, 0.3, batch), band_limited(grid, rng, 0.1, batch), t
+            config, grid, sup, band_limited(grid, rng, 0.3, batch), band_limited(grid, rng, 0.1, batch), t
         )
         for t in (0.0, config.dt)
     )
@@ -340,11 +342,9 @@ def test_stepper_first_step_is_step_values_from_the_start(d, N, forced):
     assert all(np.any(hn != 0.0) for hn in nonlinearity_values(grid, z_0, sup, start, scale))
     stepper = RemainderStepper(config, grid, v_hat, start)
     stepper.step(nxt)
-    z_1, iterations, *_, failed, _ = step_values(
-        grid, z_0, start, nxt, propagator_phase(grid, config.dt), hs_weight(grid, -PARAMS.s), sup, scale
-    )
+    z_1, iterations, *_, failed, _ = step_values(grid, z_0, start, nxt, stepping(config, grid, sup, False))
     assert not failed.any() and stepper.iterations == [iterations]
-    assert np.array_equal(stepper.z_hat, z_1)
+    assert np.array_equal(stepper.z_values(), z_1)
 
 
 def test_step_values_neither_iterates_nor_transforms_a_failed_member(monkeypatch):
@@ -356,9 +356,9 @@ def test_step_values_neither_iterates_nor_transforms_a_failed_member(monkeypatch
     rho_vals = config.rho.evaluate(grid)
     sup = support(rho_vals)
     psi, ipsi2 = band_limited(grid, rng, 0.3, (2, 3)), band_limited(grid, rng, 0.1, (2, 3))
-    prev, nxt = (level(config, grid, rho_vals, psi[k], ipsi2[k], k * config.dt) for k in (0, 1))
+    prev, nxt = (level(config, grid, sup, psi[k], ipsi2[k], k * config.dt) for k in (0, 1))
     z = band_limited(grid, rng, 0.2, (3,))
-    args = (propagator_phase(grid, config.dt), hs_weight(grid, -PARAMS.s), sup)
+    st = stepping(config, grid, sup, masked=False)
     scale = nonlinearity_scale(grid, True, config.dt)
     hn = nonlinearity_values(grid, z, sup, prev, scale)
     hn_prev = Carry(-1j * hn[..., : grid.N // 2 + 1], None)
@@ -376,7 +376,7 @@ def test_step_values_neither_iterates_nor_transforms_a_failed_member(monkeypatch
     monkeypatch.setattr(SpectralGrid, "forward_values", counting(forward))
     monkeypatch.setattr(SpectralGrid, "inverse_values", counting(inverse))
     z_next, iterations, residuals, _, _, failed, hn_next = step_values(
-        grid, z, prev, nxt, *args, scale, hn_prev=hn_prev, failed=dead
+        grid, z, prev, nxt, st, hn_prev=hn_prev, failed=dead
     )
     monkeypatch.undo()
     assert iterations >= 2 and max(rows) == 2
@@ -388,8 +388,7 @@ def test_step_values_neither_iterates_nor_transforms_a_failed_member(monkeypatch
         z[keep],
         None,
         Level(*(a[keep] for a in nxt[:2]), None),
-        *args,
-        scale,
+        st,
         hn_prev=Carry(hn_prev.g[keep], None),
     )
     assert np.array_equal(z_next[keep], alone[0]) and np.array_equal(hn_next.g[keep], alone[6].g)
@@ -398,38 +397,81 @@ def test_step_values_neither_iterates_nor_transforms_a_failed_member(monkeypatch
 def test_stepper_keeps_only_z_and_half_of_h_n_between_steps():
     # between steps a stepper holds z and G's half spectrum (h N = i G): no
     # Level, no R and no full h N.  Everything it built and still holds after
-    # two steps, its levels included, is at most 1.6 x z's bytes (z + G's half
-    # is about 1.51 x; with R or the start level kept, or a full h N, it is 2
-    # x or more)
+    # two steps, its levels included, is measured against the bytes of a
+    # full z.  A march from a z with modes off the 2/3 mask stores every
+    # mode: at most 1.6 x (z + G's half is about 1.51 x; with R or the start
+    # level kept, or a full h N, it is 2 x or more).  A march from z = 0
+    # stores the mask's 85 of 128 modes of z and 43 of 65 of G: about 1.0 x
     grid = SpectralGrid(1, 2 * np.pi, 128)
     members = 128
     rng = np.random.default_rng(3)
     config = make_config(grid, PARAMS, CutoffRho.for_grid(grid), None, 0.25, 16)
-    rho_vals = config.rho.evaluate(grid)
+    sup = support(config.rho.evaluate(grid))
     psi, ipsi2 = band_limited(grid, rng, 0.3, (3, members)), band_limited(grid, rng, 0.1, (3, members))
-    v_hat = band_limited(grid, rng, 0.2, (members,))
+    full_z = members * grid.N * np.dtype(np.complex128).itemsize
 
-    def stepped(steps):
-        stepper = RemainderStepper(
-            config, grid, v_hat, level(config, grid, rho_vals, psi[0], ipsi2[0], 0.0)
-        )
-        for k in range(1, steps + 1):
-            stepper.step(level(config, grid, rho_vals, psi[k], ipsi2[k], k * config.dt))
-        return stepper
+    def retained(v_hat, ipsi2):
+        def stepped(steps):
+            stepper = RemainderStepper(config, grid, v_hat, level(config, grid, sup, psi[0], ipsi2[0], 0.0))
+            for k in range(1, steps + 1):
+                stepper.step(level(config, grid, sup, psi[k], ipsi2[k], k * config.dt))
+            return stepper
 
-    stepped(1)  # any first-call set-up happens outside the count
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        stepper = stepped(2)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
+        stepped(1)  # any first-call set-up happens outside the count
+        tracing = tracemalloc.is_tracing()
         if not tracing:
-            tracemalloc.stop()
-    assert not stepper.failed.any()
-    assert retained <= 1.6 * stepper.z_hat.nbytes
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stepper = stepped(2)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert not stepper.failed.any()
+        return stepper, kept
+
+    stepper, kept = retained(band_limited(grid, rng, 0.2, (members,)), ipsi2)
+    assert not stepper.stepping.modes.masked and kept <= 1.6 * full_z
+    # v(0) = 0 and <I Psi^2>(0) = 0, as in every study
+    ipsi2[0] = 0.0
+    stepper, kept = retained(np.zeros((members,) + grid.shape, dtype=complex), ipsi2)
+    assert stepper.stepping.modes.masked and kept <= 1.1 * full_z
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 24)])
+def test_a_march_on_the_mask_modes_steps_to_the_bits_of_one_on_every_mode(d, N):
+    # from z = 0 with dealiasing, z and G vanish off the 2/3 mask: the march
+    # that stores the mask's modes alone reaches the z, Picard counts and
+    # residuals of the march that stores every mode, bit for bit
+    grid = SpectralGrid(d, 2 * np.pi, N)
+    params = PARAMS if d == 1 else PaperParams(d=2, alpha=0.9, n=4)
+    config = make_config(grid, params, CutoffRho.for_grid(grid), None, 0.25, 8)
+    sup = support(config.rho.evaluate(grid))
+    rng = np.random.default_rng(N + d)
+    members, steps = 3, 4
+    psi = band_limited(grid, rng, 0.3, (steps + 1, members))
+    ipsi2 = band_limited(grid, rng, 0.1, (steps + 1, members))
+    ipsi2[0] = 0.0  # R(0) = 0, so z(0) = v(0) = 0
+    levels = [level(config, grid, sup, psi[k], ipsi2[k], k * config.dt) for k in range(steps + 1)]
+    v_0 = np.zeros((members,) + grid.shape, dtype=complex)
+    marches = [
+        RemainderStepper(config, grid, v_0, levels[0], stepping(config, grid, sup, masked))
+        for masked in (True, False)
+    ]
+    for k in range(1, steps + 1):
+        for stepper in marches:
+            stepper.step(levels[k])
+    masked, whole = marches
+    assert masked.z.shape[1:] == (2 * (N // 3) + 1,) * d and whole.z.shape[1:] == grid.shape
+    assert np.all(masked.z_values()[..., two_thirds_mask(grid) == 0] == 0.0)
+    assert np.array_equal(masked.z_values(), whole.z_values())
+    assert masked.iterations == whole.iterations and min(masked.iterations) >= 2
+    assert masked.residuals == whole.residuals
+    off_mask = v_0.copy()
+    off_mask[..., N // 2 - 1] = 1.0
+    with pytest.raises(GridError, match="does not store"):
+        RemainderStepper(config, grid, off_mask, levels[0], masked.stepping)
 
 
 def test_step_local_solve_records_residuals_within_picard_tol():
@@ -464,13 +506,22 @@ def test_picard_failure_ends_the_march_at_the_unconverged_step(mode, monkeypatch
     config = make_config(GRID, PARAMS, CutoffRho.for_grid(GRID), None, T, K, mode=mode)
     rho_vals = config.rho.evaluate(GRID)
     monkeypatch.setattr(wsnl.solver, "PICARD_MAX", 1)
+    # the z rows the global march returns, as solve() receives them
+    z_rows, march = [], wsnl.solver._march_global
+
+    def recording_march(*args):
+        result = march(*args)
+        z_rows.append(result[0].copy())
+        return result
+
+    monkeypatch.setattr(wsnl.solver, "_march_global", recording_march)
     out = solve(config, path)
     if mode == "step-local":
         # the first step taken on its own: one iteration leaves it unconverged
-        start = level(config, GRID, rho_vals, path.psi[0].values, path.ipsi2[0].values, 0.0)
+        start = level(config, GRID, support(rho_vals), path.psi[0].values, path.ipsi2[0].values, 0.0)
         stepper = RemainderStepper(config, GRID, GRID.zeros(), start)
         t1 = float(path.times[1])
-        stepper.step(level(config, GRID, rho_vals, path.psi[1].values, path.ipsi2[1].values, t1))
+        stepper.step(level(config, GRID, support(rho_vals), path.psi[1].values, path.ipsi2[1].values, t1))
         residual = stepper.residuals[0]
         assert stepper.failed.all() and PICARD_TOL < residual < np.inf
         assert dataclasses.astuple(out.failure) == ("picard", float(path.times[1]), 0, residual, 1)
@@ -479,17 +530,9 @@ def test_picard_failure_ends_the_march_at_the_unconverged_step(mode, monkeypatch
         return
     # one sweep from the first iterate, z = v - R = 0 at every level (phi is
     # unset and R(0) = 0): its distance is the Y-norm of the z reached, all
-    # levels kept
-    levels = level(
-        config,
-        GRID,
-        rho_vals,
-        np.stack([f.values for f in path.psi]),
-        np.stack([f.values for f in path.ipsi2]),
-        path.times,
-    )
+    # levels kept, which the march returns (z - 0 is z to the bit)
     traces = _make_traces(GRID, PARAMS, rho_vals)
-    y = _y_summary(path.times, *traces(out.v - r_hat(GRID, support(rho_vals), levels.r)), PARAMS)
+    y = _y_summary(path.times, *traces(z_rows[0]), PARAMS)
     distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
     assert distance == pytest.approx(0.0039527, rel=1e-4)
     assert dataclasses.astuple(out.failure) == ("picard", T, K - 1, distance, 1)
@@ -657,7 +700,7 @@ def test_ensemble_march_matches_solve_per_member(tight_picard):
             config,
             GRID,
             v0,
-            level(config, GRID, rho_vals, ens.psi_values(r), ens.ipsi2_values(r), ens.t),
+            level(config, GRID, support(rho_vals), ens.psi_values(r), ens.ipsi2_values(r), ens.t),
         )
         for r in (n, 2 * n)
     }
@@ -665,7 +708,7 @@ def test_ensemble_march_matches_solve_per_member(tight_picard):
     for _ in range(K):
         ens.advance()
         for r, stepper in steppers.items():
-            last[r] = level(config, GRID, rho_vals, ens.psi_values(r), ens.ipsi2_values(r), ens.t)
+            last[r] = level(config, GRID, support(rho_vals), ens.psi_values(r), ens.ipsi2_values(r), ens.t)
             stepper.step(last[r])
     for r, stepper in steppers.items():
         assert not stepper.failed.any()
@@ -813,7 +856,7 @@ def per_level_global(config, path, traces):
     for k, t in enumerate(times):
         # (2 rho Psi, R, forcing), the forcing evaluated at float(t)
         levels.append(
-            level(config, grid, rho_vals, path.psi[k].values, path.ipsi2[k].values, float(t))
+            level(config, grid, sup, path.psi[k].values, path.ipsi2[k].values, float(t))
         )
     phi_hat = grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)
     free = [z_from_v(grid, sup, phi_hat, levels[0].r)]
@@ -879,13 +922,13 @@ def per_level_reference(config, path):
         phi_hat = grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)
         rho_vals = None if config.rho is None else config.rho.evaluate(grid)
         start = level(
-            config, grid, rho_vals, path.psi[0].values, path.ipsi2[0].values, float(times[0])
+            config, grid, support(rho_vals), path.psi[0].values, path.ipsi2[0].values, float(times[0])
         )
         stepper = RemainderStepper(config, grid, phi_hat, start)
         v_hats, failure = [stepper.v_hat(start.r)], None
         for k in range(1, len(times)):
             t = float(times[k])
-            nxt = level(config, grid, rho_vals, path.psi[k].values, path.ipsi2[k].values, t)
+            nxt = level(config, grid, support(rho_vals), path.psi[k].values, path.ipsi2[k].values, t)
             stepper.step(nxt)
             if stepper.failed.any():
                 # the flagged step ends the march and leaves the records: a
@@ -944,6 +987,18 @@ def stacked_case(name, mode):
             GRID, PARAMS, rho, None, T, 16, forcing=lambda t: np.full(GRID.shape, 1e12), mode=mode
         )
         return config, zero_path(PARAMS, GRID, T=T, K=16)
+    if name == "z0 above N/3":
+        # a start with modes off the 2/3 mask: the march stores every mode
+        vals = GRID.forward_values(phi.values)
+        vals[[25, -27]] = 0.05 * GRID.L * np.array([1.0, 0.5j])
+        phi = Field(GRID, GRID.inverse_values(vals), "physical")
+        return make_config(GRID, PARAMS, rho, phi, T, K, mode=mode), sample_path(
+            PARAMS, GRID, seed=53, T=T, K=K
+        )
+    if name == "no dealiasing":
+        return make_config(GRID, PARAMS, rho, phi, T, K, dealias=False, mode=mode), sample_path(
+            PARAMS, GRID, seed=54, T=T, K=K
+        )
     assert name == "no cutoff"
     return make_config(GRID, PARAMS, None, phi, T, K, mode=mode), sample_path(
         PARAMS, GRID, seed=52, T=T, K=K
@@ -953,7 +1008,14 @@ def stacked_case(name, mode):
 @pytest.mark.parametrize("mode", ["step-local", "global"])
 @pytest.mark.parametrize(
     "name",
-    ["sample path, complex phi", "manufactured forcing", "blow-up", "no cutoff"],
+    [
+        "sample path, complex phi",
+        "manufactured forcing",
+        "blow-up",
+        "no cutoff",
+        "z0 above N/3",
+        "no dealiasing",
+    ],
 )
 def test_stacked_solve_matches_the_per_level_reference_bit_for_bit(name, mode):
     config, path = stacked_case(name, mode)

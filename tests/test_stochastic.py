@@ -2,6 +2,7 @@
 
 from concurrent.futures import ThreadPoolExecutor
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,6 +247,91 @@ def test_in_place_advance_matches_an_out_of_place_reference_step():
             assert np.array_equal(ens.psi_values(r), psi * masks[r])
 
 
+def full_storage_march(grid, alpha, radii, T, K, seed, size, first=0):
+    """The tracked objects of a march that stores every compact mode of its
+    Wick transforms, driven by an untracked ensemble of the same noise whose
+    compact Wick transforms are formed whole (_wick_hat_now): at each time,
+    {radius: (study-grid Wick values, <I Psi^2> transform)}."""
+    ens = PathEnsemble(grid, alpha, radii, T, K, seed=seed, size=size, stream_offset=first)
+    wick = {r: np.zeros((size,) + ens._rung(r).shape, dtype=complex) for r in radii}
+    ipsi2 = {r: np.zeros_like(wick[r]) for r in radii}
+    levels = []
+    for k in range(K + 1):
+        if k:
+            ens.advance()
+            for r in radii:
+                new = ens._wick_hat_now(r, *ens._scratch([r]))
+                duhamel_update(ipsi2[r], ens._rung(r).phase, wick[r], new, ens.dt)
+                wick[r] = new
+        levels.append({
+            r: (
+                grid.inverse_values(ens._rung(r).to_study(wick[r])).real,
+                ens._rung(r).to_study(ipsi2[r]),
+            )
+            for r in radii
+        })
+    return levels
+
+
+def test_tracked_wick_transforms_are_stored_on_their_hermitian_half():
+    # d = 1, N = 32 on the 2 pi box: the compact modes of n = 8 reach N/2,
+    # so they hold the lone -N/2, whose mirror they lack; those of n = 4 do
+    # not.  A tracked ensemble keeps each Wick transform on its first
+    # `front` compact modes, and what it reads back, and what sample_paths
+    # gives, is the full-storage march's to the bit
+    grid = SpectralGrid(1, 2 * np.pi, 32)
+    radii, alpha, seed, size, T, K = [4.0, 8.0], 0.3, 17, 256, 0.25, 6
+    itemsize = np.dtype(complex).itemsize
+
+    def two_steps(track):
+        # in a caller's scratch, as converge steps, so that what the
+        # ensemble still holds afterwards is its own state alone
+        ens = PathEnsemble(grid, alpha, radii, T, K, seed=seed, size=size, track=track)
+        work = np.empty(ens.scratch_size, dtype=complex)
+        ens.advance(work)
+        ens.advance(work)
+        return ens
+
+    two_steps(True)  # any first-call set-up happens outside the count
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        kept = []
+        for track in (False, True):
+            before = tracemalloc.get_traced_memory()[0]
+            ens = two_steps(track)
+            kept.append(tracemalloc.get_traced_memory()[0] - before)
+            if not track:
+                del ens
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    rungs = [ens._rung(r) for r in radii]
+    assert [(rung.shape[-1], rung.front) for rung in rungs] == [(17, 9), (32, 17)]
+    # the tracked objects: <I Psi^2> on every compact mode and the Wick
+    # transform on `front` of them, 1.31 x less than both on every mode
+    stored = sum(size * (rung.shape[-1] + rung.front) * itemsize for rung in rungs)
+    assert kept[1] - kept[0] <= 1.05 * stored
+
+    reference = full_storage_march(grid, alpha, radii, T, K, seed, size)
+    for k in range(2, K + 1):
+        if k > 2:
+            ens.advance()
+        for r in radii:
+            wick, ipsi2 = reference[k][r]
+            assert np.array_equal(ens.wick_values(r), wick)
+            assert np.array_equal(ens.ipsi2_values(r), ipsi2)
+
+    params = PaperParams(d=1, alpha=alpha, eps=0.01, n=8.0)
+    reference = full_storage_march(grid, alpha, [8.0], T, K, seed, size=2, first=3)
+    for b, path in enumerate(sample_paths(params, grid, seed, first=3, count=2, T=T, K=K)):
+        for k in range(K + 1):
+            wick, ipsi2 = reference[k][8.0]
+            assert np.array_equal(path.wick[k].values, wick[b].astype(complex))
+            assert np.array_equal(path.ipsi2[k].values, ipsi2[b])
+
+
 def _relative_gap(got, ref):
     return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
 
@@ -372,7 +458,7 @@ class TestLocalize:
         sup = support(rho_vals)
         for k in range(len(path.times)):
             two_rho_psi, r, _ = level(
-                NO_FORCING, GRID, rho_vals, path.psi[k].values, path.ipsi2[k].values, 0.0
+                NO_FORCING, GRID, sup, path.psi[k].values, path.ipsi2[k].values, 0.0
             )
             # a cutoff that vanishes everywhere has an empty support box, so
             # both fields vanish on the whole grid, and so does R's transform
@@ -384,7 +470,7 @@ class TestLocalize:
         sup = float(rho.evaluate(GRID).max())
         path = sample_path(PARAMS, GRID, seed=10, T=0.25, K=4)
         two_rho_psi, r, _ = level(
-            NO_FORCING, GRID, rho.evaluate(GRID), path.psi[-1].values, path.ipsi2[-1].values, 0.25
+            NO_FORCING, GRID, support(rho.evaluate(GRID)), path.psi[-1].values, path.ipsi2[-1].values, 0.25
         )
         psi_phys = GRID.inverse_values(path.psi[-1].values)
         ipsi2_phys = GRID.inverse_values(path.ipsi2[-1].values)

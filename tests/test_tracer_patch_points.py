@@ -15,10 +15,10 @@ import wsnl.snapshots
 import wsnl.solver
 import wsnl.stochastic
 import wsnl.studies
-from wsnl.grid import CutoffRho, SpectralGrid, hs_weight, propagator_phase
+from wsnl.grid import CutoffRho, SpectralGrid
 from wsnl.reference import PaperParams
 from wsnl.stochastic import PathEnsemble
-from wsnl.solver import SolverConfig, level, nonlinearity_scale, step_values, support
+from wsnl.solver import SolverConfig, level, step_values, stepping, support
 from wsnl.studies import MeanAccumulator, StudyConfig, run_study
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -68,22 +68,14 @@ def test_step_values_returns_the_iteration_count_and_failed_mask_the_tracer_read
     # out[5] as the per-member failed mask
     grid = SpectralGrid(1, 2 * np.pi, 16)
     params = PaperParams(d=1, alpha=0.3, eps=0.01, n=4)
-    config = SolverConfig(params=params, rho=CutoffRho.for_grid(grid))
+    config = SolverConfig(params=params, rho=CutoffRho.for_grid(grid), dt=0.1)
     rho_vals = config.rho.evaluate(grid)
     # a 2-member batch: Psi and <I Psi^2> transforms at t = 0 and 0.1, and z
     rng = np.random.default_rng(0)
     psi, ipsi2, z_hat = rng.standard_normal((3, 2) + grid.shape) * (1 + 1j)
-    prev, nxt = (level(config, grid, rho_vals, psi, ipsi2, t) for t in (0.0, 0.1))
-    out = step_values(
-        grid,
-        z_hat,
-        prev,
-        nxt,
-        propagator_phase(grid, 0.1),
-        hs_weight(grid, -params.s),
-        support(rho_vals),
-        nonlinearity_scale(grid, True, 0.1),
-    )
+    sup = support(rho_vals)
+    prev, nxt = (level(config, grid, sup, psi, ipsi2, t) for t in (0.0, 0.1))
+    out = step_values(grid, z_hat, prev, nxt, stepping(config, grid, sup, masked=False))
     assert len(out) == 7
     assert type(out[1]) is int and out[1] >= 1
     assert out[5].dtype == bool and out[5].shape == (2,)
