@@ -331,7 +331,7 @@ def workspace(grid: SpectralGrid, members: int, size: int = 0) -> np.ndarray:
     step in turn may share: a full-grid array of the batch, which the Picard
     iteration transforms in, then two half spectra, its G and last G.  Its
     front holds two full-grid arrays of the batch, the room level() needs
-    for Psi and <I Psi^2> (overwrite=True)."""
+    for Psi and <I Psi^2>."""
     half = grid.N ** (grid.d - 1) * (grid.N // 2 + 1)
     return np.empty(max(size, members * (grid.N**grid.d + 2 * half)), dtype=np.complex128)
 
@@ -409,7 +409,6 @@ def level(
     psi_hat: np.ndarray,
     ipsi2_hat: np.ndarray,
     t: float | np.ndarray,
-    overwrite: bool = False,
 ) -> Level:
     """The inputs at time t, where Psi and <I Psi^2> have the given
     transforms: 2 rho Psi and R = rho^2 <I Psi^2> in physical space on sup's
@@ -417,15 +416,13 @@ def level(
     times, psi_hat and ipsi2_hat carry a leading axis of those levels, and so
     does every array of the Level returned, the forcing evaluated at each
     time and stacked; only the forcing reads t.  Without a cutoff (sup None)
-    nothing couples to Psi and R = 0 (None, None).  The two inverse
-    transforms share one scratch array; with overwrite they take psi_hat and
-    ipsi2_hat themselves, and allocate none."""
+    nothing couples to Psi and R = 0 (None, None).  psi_hat and ipsi2_hat
+    are consumed: the two inverse transforms are taken in them."""
     if sup is None:
         two_rho_psi = r = None
     else:
-        values = grid.inverse_values(psi_hat, out=psi_hat if overwrite else None)
-        two_rho_psi = values[sup.box] * sup.two_rho
-        r = r_values(grid, sup, ipsi2_hat, out=ipsi2_hat if overwrite else values)
+        two_rho_psi = grid.inverse_values(psi_hat, out=psi_hat)[sup.box] * sup.two_rho
+        r = r_values(grid, sup, ipsi2_hat, out=ipsi2_hat)
     if config.forcing is None:
         forcing = None
     elif np.ndim(t):
@@ -489,11 +486,11 @@ def step_values(
     prev: Level | None,
     nxt: Level,
     st: Stepping,
+    work: np.ndarray,
     hn_prev: Carry | None = None,
     failed: np.ndarray | None = None,
     out: np.ndarray | None = None,
     g_out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
 ):
     """One Picard-resolved Duhamel step of z = v - R from level prev to level
     nxt on raw arrays (leading batch axes allowed), whose spectra hold the
@@ -502,13 +499,13 @@ def step_values(
     st holds the march's constants (stepping()): the phase of the step dt,
     the H^{-s} weight of the residual and blow-up norms and h_scale =
     nonlinearity_scale(grid, dealias, dt), so nonlinearity_values gives h N.
-    hn_prev is h N at prev as the previous step returned it; None evaluates
-    it here, and prev is read only then.  failed, when given, flags the
+    work, the step's scratch, is a workspace() of the batch.  hn_prev is h N
+    at prev as the previous step returned it; None evaluates it here, and
+    prev is read only then.  failed, when given, flags the
     members that failed before: they are neither iterated nor transformed,
     and come back zero and flagged.  out, when given, receives z_next, and
     may be z_hat itself; g_out, when given, receives G at nxt, and may be
-    hn_prev.g, which the step has read by then.  work, the step's scratch, is
-    a workspace() of the batch, fresh when None.  R enters only inside N, in
+    hn_prev.g, which the step has read by then.  R enters only inside N, in
     physical space.  Picard starts from fixed = e^{-i dt Lap}(z_k + h N_k) +
     h F(forcing at t_{k+1}), every term of the step but the implicit h N,
     and each member iterates on the box of rho's support (_picard_on_box)
@@ -538,8 +535,6 @@ def step_values(
     modes = st.modes
     batch_shape = np.shape(z_hat)[: np.ndim(z_hat) - grid.d]
     members = math.prod(batch_shape)
-    if work is None:
-        work = workspace(grid, members)
     hn_work = work[: members * math.prod(modes.shape)].reshape(batch_shape + modes.shape)
     if hn_prev is None:
         hn = nonlinearity_values(grid, modes.unpack(z_hat), st.sup, prev, st.h_scale)
@@ -720,8 +715,8 @@ class RemainderStepper:
     h N(t_0) is formed from start when the stepper is built, so start is not
     kept.  st, the march's Stepping, is built from config and z when None;
     marches that share a grid, a config and a batch may share one, and may
-    step in turn in one shared workspace() `work`, which the stepper does
-    not keep between steps' use (None: each step allocates its own).  A step
+    step in turn in one shared workspace() `work`, which the stepper holds
+    but does not read between steps; without one it allocates its own.  A step
     is two calls, step(level(config, grid, sup, psi_hat, ipsi2_hat,
     t_next)), so the caller's psi block can be freed before the Picard loop
     runs; solve() passes the rows of its stacked levels instead.  Each time
@@ -745,9 +740,11 @@ class RemainderStepper:
     ) -> None:
         self.grid = grid
         sup = support(None if config.rho is None else config.rho.evaluate(grid)) if st is None else st.sup
-        # z and h N(t_0) on the whole grid, in the front of work when given
-        scratch = None if work is None else work[: 2 * np.size(v_hat)].reshape((2,) + np.shape(v_hat))
-        z_hat = z_from_v(grid, sup, v_hat, start.r, out=None if work is None else scratch[0])
+        if work is None:
+            work = workspace(grid, math.prod(np.shape(v_hat)[: np.ndim(v_hat) - grid.d]))
+        # z and h N(t_0) on the whole grid, in the front of work
+        scratch = work[: 2 * np.size(v_hat)].reshape((2,) + np.shape(v_hat))
+        z_hat = z_from_v(grid, sup, v_hat, start.r, out=scratch[0])
         if st is None:
             st = stepping(config, grid, sup, config.dealias and Modes(grid, True).holds(z_hat))
         elif not st.modes.holds(z_hat):
@@ -755,7 +752,7 @@ class RemainderStepper:
         self.stepping, self.work = st, work
         # packed afresh, so z is never the caller's v
         self.z = st.modes.pack(z_hat)
-        hn = nonlinearity_values(grid, z_hat, sup, start, st.h_scale, out=None if work is None else scratch[1])
+        hn = nonlinearity_values(grid, z_hat, sup, start, st.h_scale, out=scratch[1])
         hn = st.modes.pack(hn)
         del z_hat, scratch
         if grid.d == 1 and start.forcing is None:
@@ -795,11 +792,11 @@ class RemainderStepper:
             None,
             nxt,
             self.stepping,
+            self.work,
             hn_prev=self._hn,
             failed=self.failed,
             out=self.z,
             g_out=self._hn.g,
-            work=self.work,
         )
         self.iterations.append(iterations)
         self.residuals.append(float(np.max(residuals)))
@@ -911,7 +908,6 @@ def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
         np.stack([f.values for f in path.psi]),
         np.stack([f.values for f in path.ipsi2]),
         times,
-        overwrite=True,
     )
     phi_hat = _initial_hat(config, grid)
     if config.mode == "global":
@@ -948,7 +944,7 @@ def _march_step_local(
     failure, if any.  The march ends at the first flagged step."""
     grid = path.grid
     times = path.times
-    stepper = RemainderStepper(config, grid, phi_hat, _row(levels, 0), work=workspace(grid, 1))
+    stepper = RemainderStepper(config, grid, phi_hat, _row(levels, 0))
     z_hats = np.empty((len(times),) + grid.shape, dtype=np.complex128)
     stepper.z_values(out=z_hats[0])
     reached = len(times)

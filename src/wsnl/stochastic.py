@@ -265,8 +265,8 @@ class PathEnsemble:
         self._ball = (np.arange(size)[:, None] * points + self._noise.modes).reshape(-1)
         # drive * I for the steps of every member's current key block
         self._block: np.ndarray | None = None
-        # a tracked advance()'s scratch when its caller gives none, kept
-        # between steps: a fresh one per step faults its pages in again
+        # advance()'s scratch when its caller gives none, kept between
+        # steps: a fresh one per step faults its pages in again
         self._work: np.ndarray | None = None
         self.psi = np.zeros((size,) + grid.shape, dtype=np.complex128)
         if track:
@@ -355,12 +355,11 @@ class PathEnsemble:
         objects.  work, when given, is a flat complex array of at least
         scratch_size values that the normals of a key block, psi's entries
         on the ball and then the tracking take in turn as their scratch;
-        else a tracked ensemble takes its own, allocated at the first step
-        and kept until the last, and an untracked one allocates its arrays
-        at each step."""
+        else the ensemble takes its own, allocated at the first step and
+        kept until the last."""
         if self.k + 1 >= len(self.times):
             raise GridError("time grid exhausted")
-        if work is None and self.track:
+        if work is None:
             if self._work is None:
                 self._work = np.empty(self.scratch_size, dtype=np.complex128)
             work = self._work
@@ -370,10 +369,7 @@ class PathEnsemble:
             # a key block is drawn whole and turned at once into the
             # increments of the steps it covers up to T
             shape = (self.size,) + noise.block_shape
-            if work is None:
-                normals = np.empty(shape)
-            else:
-                normals = work.view(np.float64)[: math.prod(shape)].reshape(shape)
+            normals = work.view(np.float64)[: math.prod(shape)].reshape(shape)
             for b in range(self.size):
                 gaussian_block(
                     self.seed, self.stream_offset + b, block, noise.block_shape, out=normals[b]
@@ -387,10 +383,10 @@ class PathEnsemble:
             # operands in the formula's order: numpy's complex multiply is
             # not bit-commutative
             np.multiply(self._drive, self._block, out=self._block)
-        # psi <- phase * psi + drive * I on the ball, formed in work when
-        # there is one (take's mode "clip", which valid indices never meet,
-        # spares it the buffer it makes for out= in its default mode)
-        ball_out = None if work is None else work[: self.size * len(noise.modes)].reshape(self.size, -1)
+        # psi <- phase * psi + drive * I on the ball, formed in work (take's
+        # mode "clip", which valid indices never meet, spares it the buffer
+        # it makes for out= in its default mode)
+        ball_out = work[: self.size * len(noise.modes)].reshape(self.size, -1)
         ball = np.take(self.psi.reshape(self.size, -1), noise.modes, axis=1, mode="clip", out=ball_out)
         np.multiply(self._ball_phase, ball, out=ball)
         ball += self._block[:, row]

@@ -783,7 +783,7 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         def current(r: float):
             ens.psi_values(r, out=inputs[0])
             ens.ipsi2_values(r, out=inputs[1])
-            return level(solver_config, grid, sup, inputs[0], inputs[1], ens.t, overwrite=True)
+            return level(solver_config, grid, sup, inputs[0], inputs[1], ens.t)
 
         # v(0) = 0, a zero-stride view of no memory
         v_0 = np.broadcast_to(np.complex128(0.0), (ens.size,) + grid.shape)

@@ -43,6 +43,7 @@ from wsnl.solver import (
     stepping,
     support,
     v_from_z,
+    workspace,
     z_from_v,
 )
 from wsnl.stochastic import PathEnsemble, StochasticPath, sample_path, zero_path
@@ -224,7 +225,7 @@ def test_picard_stops_within_picard_tol_of_the_fixed_point():
     weight = hs_weight(GRID, -params.s)
     phase = propagator_phase(GRID, config.dt)
     st = stepping(config, GRID, sup, masked=False)
-    z_next, iterations, residuals, _, _, failed, _ = step_values(GRID, z, prev, nxt, st)
+    z_next, iterations, residuals, _, _, failed, _ = step_values(GRID, z, prev, nxt, st, workspace(GRID, members))
     assert not failed.any()
 
     def distance(a, b):
@@ -284,7 +285,7 @@ def test_picard_iterates_on_the_box_are_the_spectral_iterates(d, N, monkeypatch)
 
     monkeypatch.setattr(SpectralGrid, "forward_values", recording_forward)
     monkeypatch.setattr(SpectralGrid, "inverse_values", recording_inverse)
-    _, iterations, _, _, _, failed, _ = step_values(grid, z, prev, nxt, st)
+    _, iterations, _, _, _, failed, _ = step_values(grid, z, prev, nxt, st, workspace(grid, 1))
     monkeypatch.undo()
     assert not failed and iterations >= 3
     assert len(n_inputs) == iterations and len(raw_inverses) == iterations - 1
@@ -342,7 +343,8 @@ def test_stepper_first_step_is_step_values_from_the_start(d, N, forced):
     assert all(np.any(hn != 0.0) for hn in nonlinearity_values(grid, z_0, sup, start, scale))
     stepper = RemainderStepper(config, grid, v_hat, start)
     stepper.step(nxt)
-    z_1, iterations, *_, failed, _ = step_values(grid, z_0, start, nxt, stepping(config, grid, sup, False))
+    st = stepping(config, grid, sup, False)
+    z_1, iterations, *_, failed, _ = step_values(grid, z_0, start, nxt, st, workspace(grid, len(z_0)))
     assert not failed.any() and stepper.iterations == [iterations]
     assert np.array_equal(stepper.z_values(), z_1)
 
@@ -376,7 +378,7 @@ def test_step_values_neither_iterates_nor_transforms_a_failed_member(monkeypatch
     monkeypatch.setattr(SpectralGrid, "forward_values", counting(forward))
     monkeypatch.setattr(SpectralGrid, "inverse_values", counting(inverse))
     z_next, iterations, residuals, _, _, failed, hn_next = step_values(
-        grid, z, prev, nxt, st, hn_prev=hn_prev, failed=dead
+        grid, z, prev, nxt, st, workspace(grid, 3), hn_prev=hn_prev, failed=dead
     )
     monkeypatch.undo()
     assert iterations >= 2 and max(rows) == 2
@@ -389,6 +391,7 @@ def test_step_values_neither_iterates_nor_transforms_a_failed_member(monkeypatch
         None,
         Level(*(a[keep] for a in nxt[:2]), None),
         st,
+        workspace(grid, 2),
         hn_prev=Carry(hn_prev.g[keep], None),
     )
     assert np.array_equal(z_next[keep], alone[0]) and np.array_equal(hn_next.g[keep], alone[6].g)
@@ -398,7 +401,7 @@ def test_stepper_keeps_only_z_and_half_of_h_n_between_steps():
     # between steps a stepper holds z and G's half spectrum (h N = i G): no
     # Level, no R and no full h N.  Everything it built and still holds after
     # two steps, its levels included, is measured against the bytes of a
-    # full z.  A march from a z with modes off the 2/3 mask stores every
+    # full z; its scratch is the caller's workspace, made outside the count.  A march from a z with modes off the 2/3 mask stores every
     # mode: at most 1.6 x (z + G's half is about 1.51 x; with R or the start
     # level kept, or a full h N, it is 2 x or more).  A march from z = 0
     # stores the mask's 85 of 128 modes of z and 43 of 65 of G: about 1.0 x
@@ -409,12 +412,14 @@ def test_stepper_keeps_only_z_and_half_of_h_n_between_steps():
     sup = support(config.rho.evaluate(grid))
     psi, ipsi2 = band_limited(grid, rng, 0.3, (3, members)), band_limited(grid, rng, 0.1, (3, members))
     full_z = members * grid.N * np.dtype(np.complex128).itemsize
+    work = workspace(grid, members)
 
     def retained(v_hat, ipsi2):
         def stepped(steps):
-            stepper = RemainderStepper(config, grid, v_hat, level(config, grid, sup, psi[0], ipsi2[0], 0.0))
+            start = level(config, grid, sup, psi[0].copy(), ipsi2[0].copy(), 0.0)
+            stepper = RemainderStepper(config, grid, v_hat, start, work=work)
             for k in range(1, steps + 1):
-                stepper.step(level(config, grid, sup, psi[k], ipsi2[k], k * config.dt))
+                stepper.step(level(config, grid, sup, psi[k].copy(), ipsi2[k].copy(), k * config.dt))
             return stepper
 
         stepped(1)  # any first-call set-up happens outside the count
@@ -518,10 +523,10 @@ def test_picard_failure_ends_the_march_at_the_unconverged_step(mode, monkeypatch
     out = solve(config, path)
     if mode == "step-local":
         # the first step taken on its own: one iteration leaves it unconverged
-        start = level(config, GRID, support(rho_vals), path.psi[0].values, path.ipsi2[0].values, 0.0)
+        start = level(config, GRID, support(rho_vals), path.psi[0].values.copy(), path.ipsi2[0].values.copy(), 0.0)
         stepper = RemainderStepper(config, GRID, GRID.zeros(), start)
         t1 = float(path.times[1])
-        stepper.step(level(config, GRID, support(rho_vals), path.psi[1].values, path.ipsi2[1].values, t1))
+        stepper.step(level(config, GRID, support(rho_vals), path.psi[1].values.copy(), path.ipsi2[1].values.copy(), t1))
         residual = stepper.residuals[0]
         assert stepper.failed.all() and PICARD_TOL < residual < np.inf
         assert dataclasses.astuple(out.failure) == ("picard", float(path.times[1]), 0, residual, 1)
@@ -856,7 +861,7 @@ def per_level_global(config, path, traces):
     for k, t in enumerate(times):
         # (2 rho Psi, R, forcing), the forcing evaluated at float(t)
         levels.append(
-            level(config, grid, sup, path.psi[k].values, path.ipsi2[k].values, float(t))
+            level(config, grid, sup, path.psi[k].values.copy(), path.ipsi2[k].values.copy(), float(t))
         )
     phi_hat = grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)
     free = [z_from_v(grid, sup, phi_hat, levels[0].r)]
@@ -922,13 +927,14 @@ def per_level_reference(config, path):
         phi_hat = grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)
         rho_vals = None if config.rho is None else config.rho.evaluate(grid)
         start = level(
-            config, grid, support(rho_vals), path.psi[0].values, path.ipsi2[0].values, float(times[0])
+            config, grid, support(rho_vals), path.psi[0].values.copy(), path.ipsi2[0].values.copy(), float(times[0])
         )
         stepper = RemainderStepper(config, grid, phi_hat, start)
         v_hats, failure = [stepper.v_hat(start.r)], None
         for k in range(1, len(times)):
             t = float(times[k])
-            nxt = level(config, grid, support(rho_vals), path.psi[k].values, path.ipsi2[k].values, t)
+            psi_k, ipsi2_k = path.psi[k].values.copy(), path.ipsi2[k].values.copy()
+            nxt = level(config, grid, support(rho_vals), psi_k, ipsi2_k, t)
             stepper.step(nxt)
             if stepper.failed.any():
                 # the flagged step ends the march and leaves the records: a

@@ -470,7 +470,7 @@ class TestLocalize:
         sup = float(rho.evaluate(GRID).max())
         path = sample_path(PARAMS, GRID, seed=10, T=0.25, K=4)
         two_rho_psi, r, _ = level(
-            NO_FORCING, GRID, support(rho.evaluate(GRID)), path.psi[-1].values, path.ipsi2[-1].values, 0.25
+            NO_FORCING, GRID, support(rho.evaluate(GRID)), path.psi[-1].values.copy(), path.ipsi2[-1].values.copy(), 0.25
         )
         psi_phys = GRID.inverse_values(path.psi[-1].values)
         ipsi2_phys = GRID.inverse_values(path.ipsi2[-1].values)

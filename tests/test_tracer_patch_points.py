@@ -18,7 +18,7 @@ import wsnl.studies
 from wsnl.grid import CutoffRho, SpectralGrid
 from wsnl.reference import PaperParams
 from wsnl.stochastic import PathEnsemble
-from wsnl.solver import SolverConfig, level, step_values, stepping, support
+from wsnl.solver import SolverConfig, level, step_values, stepping, support, workspace
 from wsnl.studies import MeanAccumulator, StudyConfig, run_study
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -74,8 +74,8 @@ def test_step_values_returns_the_iteration_count_and_failed_mask_the_tracer_read
     rng = np.random.default_rng(0)
     psi, ipsi2, z_hat = rng.standard_normal((3, 2) + grid.shape) * (1 + 1j)
     sup = support(rho_vals)
-    prev, nxt = (level(config, grid, sup, psi, ipsi2, t) for t in (0.0, 0.1))
-    out = step_values(grid, z_hat, prev, nxt, stepping(config, grid, sup, masked=False))
+    prev, nxt = (level(config, grid, sup, psi.copy(), ipsi2.copy(), t) for t in (0.0, 0.1))
+    out = step_values(grid, z_hat, prev, nxt, stepping(config, grid, sup, masked=False), workspace(grid, 2))
     assert len(out) == 7
     assert type(out[1]) is int and out[1] >= 1
     assert out[5].dtype == bool and out[5].shape == (2,)
