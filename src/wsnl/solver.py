@@ -325,15 +325,17 @@ def stepping(config: SolverConfig, grid: SpectralGrid, sup: Support | None, mask
     )
 
 
-def workspace(grid: SpectralGrid, members: int, size: int = 0) -> np.ndarray:
+def workspace(grid: SpectralGrid, sup: Support | None, members: int, size: int = 0) -> np.ndarray:
     """One flat complex buffer, of at least `size` values, that the steps of
-    a march over `members` members take as scratch, and that marches which
-    step in turn may share: a full-grid array of the batch, which the Picard
-    iteration transforms in, then two half spectra, its G and last G.  Its
-    front holds two full-grid arrays of the batch, the room level() needs
-    for Psi and <I Psi^2>."""
+    a march over `members` members with cutoff support sup take as scratch,
+    and that marches which step in turn may share: a full-grid array of the
+    batch, which the Picard iteration transforms in, then two half spectra,
+    its G and last G, then two real arrays of the batch on sup's box, the
+    step's C and Im A.  Its front holds two full-grid arrays of the batch,
+    the room level() needs for Psi and <I Psi^2>."""
     half = grid.N ** (grid.d - 1) * (grid.N // 2 + 1)
-    return np.empty(max(size, members * (grid.N**grid.d + 2 * half)), dtype=np.complex128)
+    box = 0 if sup is None else sup.rho.size
+    return np.empty(max(size, members * (grid.N**grid.d + 2 * half + box)), dtype=np.complex128)
 
 
 @dataclass
@@ -625,11 +627,13 @@ def _picard_on_box(
     member stops once its residual is at most PICARD_TOL or non-finite (a
     failure), or after PICARD_MAX iterations (a failure if its residual is
     still above PICARD_TOL); only the members still iterating are
-    transformed, so a member's result does not depend on its batch.
+    transformed, so a member's result does not depend on its batch.  C and
+    Im A, real arrays on the box, take the end of work (workspace()).
     """
     sup, modes = st.sup, st.modes
     members, points = len(fixed), grid.N**grid.d
     half_shape = grid.shape[:-1] + (grid.N // 2 + 1,)
+    halves_end = members * (points + 2 * math.prod(half_shape))
     out = work[: members * points].reshape((members,) + grid.shape)
     # the members still iterating, and buffers whose first rows are theirs
     active = np.flatnonzero(~skip)
@@ -646,9 +650,12 @@ def _picard_on_box(
     if r is not None:
         a += r
     a *= sup.rho
-    c = a.real + psi.real
+    on_box = work[halves_end : halves_end + members * sup.rho.size].view(np.float64)
+    c_rows, im_a_rows = on_box.reshape((2, members) + sup.rho.shape)
+    c = np.add(a.real, psi.real, out=c_rows[:k])
     c *= a.real
-    y = im_a = a.imag.copy()
+    y = im_a = im_a_rows[:k]
+    im_a[...] = a.imag
     im_psi = psi.imag
     del a, psi, r
     # out's floats: N on the box (zero off it) and its real inverse
@@ -657,7 +664,7 @@ def _picard_on_box(
     floats = out.view(np.float64).reshape((2, members) + grid.shape)
     n_values, low = floats[0], floats[1]
     n_values[:k] = 0.0
-    halves = work[members * points : members * (points + 2 * math.prod(half_shape))]
+    halves = work[members * points : halves_end]
     g, g_last = halves.reshape((2, members) + half_shape)
     history: list[float] = []
     for m in range(1, PICARD_MAX + 1):
@@ -741,7 +748,7 @@ class RemainderStepper:
         self.grid = grid
         sup = support(None if config.rho is None else config.rho.evaluate(grid)) if st is None else st.sup
         if work is None:
-            work = workspace(grid, math.prod(np.shape(v_hat)[: np.ndim(v_hat) - grid.d]))
+            work = workspace(grid, sup, math.prod(np.shape(v_hat)[: np.ndim(v_hat) - grid.d]))
         # z and h N(t_0) on the whole grid, in the front of work
         scratch = work[: 2 * np.size(v_hat)].reshape((2,) + np.shape(v_hat))
         z_hat = z_from_v(grid, sup, v_hat, start.r, out=scratch[0])

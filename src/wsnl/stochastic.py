@@ -124,6 +124,22 @@ def _blocks(d: int, a: int, b: int, src: int, dst: int) -> list[tuple[tuple, tup
     ]
 
 
+def _runs(modes: np.ndarray) -> list[tuple[slice, slice]]:
+    """(grid, listed) slice pairs, one per maximal run of `modes` whose flat
+    grid indices step by +1 or -1 (the indices are distinct, so a run never
+    turns back): grid[..., g] = listed[..., l] for every pair puts values
+    listed in the order of `modes` on the flattened grid.  The ball's
+    modes in the sampler's order (ModeNoise) are at most four runs at d = 1
+    and about two per row of the ball at d = 2."""
+    breaks = (np.flatnonzero(np.abs(np.diff(modes)) != 1) + 1).tolist()
+    pairs = []
+    for i, j in zip([0, *breaks], [*breaks, len(modes)]):
+        step = int(modes[i + 1] - modes[i]) if j - i > 1 else 1
+        stop = int(modes[j - 1]) + step
+        pairs.append((slice(int(modes[i]), None if stop < 0 else stop, step), slice(i, j)))
+    return pairs
+
+
 class _Rung:
     """The padded grid and compact modes of one truncation radius.
 
@@ -259,10 +275,9 @@ class PathEnsemble:
         self._drive = (-1j) * bessel_weight(grid, -alpha).reshape(-1)[self._noise.modes]
         self._phase = propagator_phase(grid, self.dt)
         self._ball_phase = self._phase.reshape(-1)[self._noise.modes]
-        # the ball's entries of the flattened psi block, member by member:
-        # a flat index scatters 2.5-5.5 times faster than psi[:, modes]
-        points = int(np.prod(grid.shape))
-        self._ball = (np.arange(size)[:, None] * points + self._noise.modes).reshape(-1)
+        # the ball's entries of each member's flattened psi, as slices: they
+        # scatter faster than psi[:, modes] and hold no (B, modes) index
+        self._ball_runs = _runs(self._noise.modes)
         # drive * I for the steps of every member's current key block
         self._block: np.ndarray | None = None
         # advance()'s scratch when its caller gives none, kept between
@@ -387,16 +402,18 @@ class PathEnsemble:
         # mode "clip", which valid indices never meet, spares it the buffer
         # it makes for out= in its default mode)
         ball_out = work[: self.size * len(noise.modes)].reshape(self.size, -1)
-        ball = np.take(self.psi.reshape(self.size, -1), noise.modes, axis=1, mode="clip", out=ball_out)
+        psi = self.psi.reshape(self.size, -1)
+        ball = np.take(psi, noise.modes, axis=1, mode="clip", out=ball_out)
         np.multiply(self._ball_phase, ball, out=ball)
         ball += self._block[:, row]
-        self.psi.reshape(-1)[self._ball] = ball.reshape(-1)
+        for on_grid, in_ball in self._ball_runs:
+            psi[:, on_grid] = ball[:, in_ball]
         if noise.steps_per_key == 1 or self.k + 2 == len(self.times):
             # spent, and freed; a block of several steps is held through
             # them anyway, so its array is kept for the next block
             self._block = None
         self.k += 1
-        del ball, ball_out
+        del psi, ball, ball_out
         if self.track:
             pad, real = self._scratch(self.radii, work)
             for r in self.radii:

@@ -777,7 +777,7 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         # one scratch for the whole chunk: the ensemble's tracking takes it
         # in advance(), each radius's level() inputs go to its front, and the
         # steps of every radius take it in turn
-        work = workspace(grid, ens.size, ens.scratch_size)
+        work = workspace(grid, sup, ens.size, ens.scratch_size)
         inputs = work[: 2 * ens.size * grid.N**grid.d].reshape((2, ens.size) + grid.shape)
 
         def current(r: float):

@@ -225,7 +225,8 @@ def test_picard_stops_within_picard_tol_of_the_fixed_point():
     weight = hs_weight(GRID, -params.s)
     phase = propagator_phase(GRID, config.dt)
     st = stepping(config, GRID, sup, masked=False)
-    z_next, iterations, residuals, _, _, failed, _ = step_values(GRID, z, prev, nxt, st, workspace(GRID, members))
+    work = workspace(GRID, sup, members)
+    z_next, iterations, residuals, _, _, failed, _ = step_values(GRID, z, prev, nxt, st, work)
     assert not failed.any()
 
     def distance(a, b):
@@ -285,7 +286,7 @@ def test_picard_iterates_on_the_box_are_the_spectral_iterates(d, N, monkeypatch)
 
     monkeypatch.setattr(SpectralGrid, "forward_values", recording_forward)
     monkeypatch.setattr(SpectralGrid, "inverse_values", recording_inverse)
-    _, iterations, _, _, _, failed, _ = step_values(grid, z, prev, nxt, st, workspace(grid, 1))
+    _, iterations, _, _, _, failed, _ = step_values(grid, z, prev, nxt, st, workspace(grid, sup, 1))
     monkeypatch.undo()
     assert not failed and iterations >= 3
     assert len(n_inputs) == iterations and len(raw_inverses) == iterations - 1
@@ -344,7 +345,7 @@ def test_stepper_first_step_is_step_values_from_the_start(d, N, forced):
     stepper = RemainderStepper(config, grid, v_hat, start)
     stepper.step(nxt)
     st = stepping(config, grid, sup, False)
-    z_1, iterations, *_, failed, _ = step_values(grid, z_0, start, nxt, st, workspace(grid, len(z_0)))
+    z_1, iterations, *_, failed, _ = step_values(grid, z_0, start, nxt, st, workspace(grid, sup, len(z_0)))
     assert not failed.any() and stepper.iterations == [iterations]
     assert np.array_equal(stepper.z_values(), z_1)
 
@@ -378,7 +379,7 @@ def test_step_values_neither_iterates_nor_transforms_a_failed_member(monkeypatch
     monkeypatch.setattr(SpectralGrid, "forward_values", counting(forward))
     monkeypatch.setattr(SpectralGrid, "inverse_values", counting(inverse))
     z_next, iterations, residuals, _, _, failed, hn_next = step_values(
-        grid, z, prev, nxt, st, workspace(grid, 3), hn_prev=hn_prev, failed=dead
+        grid, z, prev, nxt, st, workspace(grid, sup, 3), hn_prev=hn_prev, failed=dead
     )
     monkeypatch.undo()
     assert iterations >= 2 and max(rows) == 2
@@ -391,7 +392,7 @@ def test_step_values_neither_iterates_nor_transforms_a_failed_member(monkeypatch
         None,
         Level(*(a[keep] for a in nxt[:2]), None),
         st,
-        workspace(grid, 2),
+        workspace(grid, sup, 2),
         hn_prev=Carry(hn_prev.g[keep], None),
     )
     assert np.array_equal(z_next[keep], alone[0]) and np.array_equal(hn_next.g[keep], alone[6].g)
@@ -401,7 +402,8 @@ def test_stepper_keeps_only_z_and_half_of_h_n_between_steps():
     # between steps a stepper holds z and G's half spectrum (h N = i G): no
     # Level, no R and no full h N.  Everything it built and still holds after
     # two steps, its levels included, is measured against the bytes of a
-    # full z; its scratch is the caller's workspace, made outside the count.  A march from a z with modes off the 2/3 mask stores every
+    # full z; its scratch is the caller's workspace, made outside the count.
+    # A march from a z with modes off the 2/3 mask stores every
     # mode: at most 1.6 x (z + G's half is about 1.51 x; with R or the start
     # level kept, or a full h N, it is 2 x or more).  A march from z = 0
     # stores the mask's 85 of 128 modes of z and 43 of 65 of G: about 1.0 x
@@ -412,7 +414,7 @@ def test_stepper_keeps_only_z_and_half_of_h_n_between_steps():
     sup = support(config.rho.evaluate(grid))
     psi, ipsi2 = band_limited(grid, rng, 0.3, (3, members)), band_limited(grid, rng, 0.1, (3, members))
     full_z = members * grid.N * np.dtype(np.complex128).itemsize
-    work = workspace(grid, members)
+    work = workspace(grid, sup, members)
 
     def retained(v_hat, ipsi2):
         def stepped(steps):
@@ -523,10 +525,12 @@ def test_picard_failure_ends_the_march_at_the_unconverged_step(mode, monkeypatch
     out = solve(config, path)
     if mode == "step-local":
         # the first step taken on its own: one iteration leaves it unconverged
-        start = level(config, GRID, support(rho_vals), path.psi[0].values.copy(), path.ipsi2[0].values.copy(), 0.0)
+        # level() consumes its inputs, and the path's are solve()'s too
+        psi, ipsi2 = ([f.values.copy() for f in fields[:2]] for fields in (path.psi, path.ipsi2))
+        start = level(config, GRID, support(rho_vals), psi[0], ipsi2[0], 0.0)
         stepper = RemainderStepper(config, GRID, GRID.zeros(), start)
         t1 = float(path.times[1])
-        stepper.step(level(config, GRID, support(rho_vals), path.psi[1].values.copy(), path.ipsi2[1].values.copy(), t1))
+        stepper.step(level(config, GRID, support(rho_vals), psi[1], ipsi2[1], t1))
         residual = stepper.residuals[0]
         assert stepper.failed.all() and PICARD_TOL < residual < np.inf
         assert dataclasses.astuple(out.failure) == ("picard", float(path.times[1]), 0, residual, 1)
@@ -926,9 +930,8 @@ def per_level_reference(config, path):
     else:
         phi_hat = grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)
         rho_vals = None if config.rho is None else config.rho.evaluate(grid)
-        start = level(
-            config, grid, support(rho_vals), path.psi[0].values.copy(), path.ipsi2[0].values.copy(), float(times[0])
-        )
+        psi_0, ipsi2_0 = path.psi[0].values.copy(), path.ipsi2[0].values.copy()
+        start = level(config, grid, support(rho_vals), psi_0, ipsi2_0, float(times[0]))
         stepper = RemainderStepper(config, grid, phi_hat, start)
         v_hats, failure = [stepper.v_hat(start.r)], None
         for k in range(1, len(times)):

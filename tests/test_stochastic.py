@@ -22,6 +22,7 @@ from wsnl.snapshots import SnapshotError, read_snapshot, write_snapshot
 from wsnl.solver import SolverConfig, level, r_hat, support
 from wsnl.stochastic import (
     PathEnsemble,
+    _runs,
     duhamel_update,
     sample_path,
     sample_paths,
@@ -469,9 +470,9 @@ class TestLocalize:
         rho = CutoffRho.for_grid(GRID)
         sup = float(rho.evaluate(GRID).max())
         path = sample_path(PARAMS, GRID, seed=10, T=0.25, K=4)
-        two_rho_psi, r, _ = level(
-            NO_FORCING, GRID, support(rho.evaluate(GRID)), path.psi[-1].values.copy(), path.ipsi2[-1].values.copy(), 0.25
-        )
+        # level() consumes its inputs, which are read again below
+        psi, ipsi2 = path.psi[-1].values.copy(), path.ipsi2[-1].values.copy()
+        two_rho_psi, r, _ = level(NO_FORCING, GRID, support(rho.evaluate(GRID)), psi, ipsi2, 0.25)
         psi_phys = GRID.inverse_values(path.psi[-1].values)
         ipsi2_phys = GRID.inverse_values(path.ipsi2[-1].values)
         # level() localizes to 2 rho Psi and R = rho^2 <I Psi^2> in physical
@@ -570,6 +571,26 @@ def test_each_member_of_a_block_is_its_own_sample_path(grid, params):
         for name in ("psi", "wick", "ipsi2"):
             for a, b in zip(getattr(path, name), getattr(alone, name), strict=True):
                 assert a.space == b.space and np.array_equal(a.values, b.values), name
+
+
+@pytest.mark.parametrize("d, N, n, most", [(1, 64, 8.0, 4), (1, 64, 16.0, 4), (1, 64, 32.0, 4), (2, 32, 8.0, 34)])
+def test_ball_runs_place_the_listed_modes_as_the_index_does(d, N, n, most):
+    # advance() scatters psi's ball entries, listed in the sampler's order,
+    # by slices: they land where psi[:, modes] puts them, and nowhere else;
+    # at d = 1 the ball is at most four slices (k = 0, N/2, the positive k
+    # and their partners), at d = 2 about two per row of the ball
+    grid = SpectralGrid(d, 2 * np.pi, N)
+    modes = ModeNoise(grid, truncation_mask(grid, n) > 0, 0.01).modes
+    runs = _runs(modes)
+    assert len(runs) <= most
+    rng = np.random.default_rng(N + d)
+    values = rng.standard_normal((3, len(modes))) + 1j * rng.standard_normal((3, len(modes)))
+    by_index = np.zeros((3, N**d), dtype=complex)
+    by_index[:, modes] = values
+    by_runs = np.zeros_like(by_index)
+    for on_grid, listed in runs:
+        by_runs[:, on_grid] = values[:, listed]
+    assert np.array_equal(by_runs, by_index)
 
 
 def test_ensemble_single_step_stays_in_ball():

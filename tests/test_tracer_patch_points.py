@@ -75,7 +75,8 @@ def test_step_values_returns_the_iteration_count_and_failed_mask_the_tracer_read
     psi, ipsi2, z_hat = rng.standard_normal((3, 2) + grid.shape) * (1 + 1j)
     sup = support(rho_vals)
     prev, nxt = (level(config, grid, sup, psi.copy(), ipsi2.copy(), t) for t in (0.0, 0.1))
-    out = step_values(grid, z_hat, prev, nxt, stepping(config, grid, sup, masked=False), workspace(grid, 2))
+    st = stepping(config, grid, sup, masked=False)
+    out = step_values(grid, z_hat, prev, nxt, st, workspace(grid, sup, 2))
     assert len(out) == 7
     assert type(out[1]) is int and out[1] >= 1
     assert out[5].dtype == bool and out[5].shape == (2,)
