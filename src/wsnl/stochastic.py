@@ -170,6 +170,9 @@ class _Rung:
         self.stored_shape = self.shape[:-1] + (self.front,)
         self._ball = truncation_mask(grid, radius) > 0
         self._psi_blocks = _blocks(d, min(P, half), min(P, half - 1), grid.N, self.padded.N)
+        # at d = 1 the ball is the box |k| <= P, its two blocks, and the
+        # padded grid's other modes lie between them
+        self._gap = slice(min(P, half - 1) + 1, self.padded.N - min(P, half)) if d == 1 else None
         self._from_padded = _blocks(d, a, b, self.padded.N, a + b + 1)
         self._to_study = _blocks(d, a, b, a + b + 1, grid.N)
         self.phase = self._copy([(t, s) for s, t in self._to_study], phase, self.shape)
@@ -183,8 +186,14 @@ class _Rung:
         return out
 
     def pad(self, psi: np.ndarray, out: np.ndarray) -> None:
-        """Write psi_n, the ball's modes of psi, into `out` on the padded grid;
-        `out` keeps whatever it holds at every other mode."""
+        """Write psi_n, the ball's modes of psi and zero at every other mode,
+        into `out` on the padded grid."""
+        if self._gap is not None:
+            out[..., self._gap] = 0.0
+            for src, dst in self._psi_blocks:
+                out[dst] = psi[src]
+            return
+        out.fill(0.0)
         for src, dst in self._psi_blocks:
             np.copyto(out[dst], psi[src], where=self._ball[src])
 
@@ -280,8 +289,7 @@ class PathEnsemble:
         self._ball_runs = _runs(self._noise.modes)
         # drive * I for the steps of every member's current key block
         self._block: np.ndarray | None = None
-        # advance()'s scratch when its caller gives none, kept between
-        # steps: a fresh one per step faults its pages in again
+        # advance()'s scratch when its caller gives none (see advance)
         self._work: np.ndarray | None = None
         self.psi = np.zeros((size,) + grid.shape, dtype=np.complex128)
         if track:
@@ -355,7 +363,6 @@ class PathEnsemble:
         shape = (self.size,) + rung.padded.shape
         points = self.size * rung.padded.N ** self.grid.d
         pad, real = work[:points].reshape(shape), work_real[:points].reshape(shape)
-        pad.fill(0.0)
         rung.pad(self.psi, pad)
         c = self.times[self.k] * self._mass[radius]
         wick = wick_square_values(rung.padded, pad, c, out=real)
@@ -370,8 +377,12 @@ class PathEnsemble:
         objects.  work, when given, is a flat complex array of at least
         scratch_size values that the normals of a key block, psi's entries
         on the ball and then the tracking take in turn as their scratch;
-        else the ensemble takes its own, allocated at the first step and
-        kept until the last."""
+        else the ensemble takes its own.  A tracked ensemble keeps its own
+        from its first step to its last, since every tracked step fills it
+        and a fresh one would fault its pages in again; an untracked one
+        drops it after each step, whose scratch is psi's ball entries
+        unless a key block starts, so it holds no key block's normals
+        between them."""
         if self.k + 1 >= len(self.times):
             raise GridError("time grid exhausted")
         if work is None:
@@ -429,8 +440,8 @@ class PathEnsemble:
                 rung.complete(self._wick_hat[r], out=prev)
                 duhamel_update(self._ipsi2[r], rung.phase, prev, new_hat, self.dt)
                 self._wick_hat[r][...] = rung.store(new_hat)
-        if self.k + 1 == len(self.times):
-            self._work = None  # the march is over
+        if self.k + 1 == len(self.times) or not self.track:
+            self._work = None
 
     def run(self) -> None:
         while self.k + 1 < len(self.times):
