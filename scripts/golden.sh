@@ -19,10 +19,14 @@
 # the cutoff's support in both axes; its verdict FAILs at M = 100), cauchy at
 # K = 4, hoelder at K = 64 (its lags read on a finer grid than the default
 # K = 32), converge runs in which some members and all members blow up and
-# are excluded, and four degenerate ladders whose verdicts FAIL (cauchy-flat:
+# are excluded, four degenerate ladders whose verdicts FAIL (cauchy-flat:
 # no lattice mode in any annulus; smoothing-flat: an empty exact pair set;
 # renorm-flat and smoothing-zero: rungs whose balls hold the zero mode alone,
-# so an increment is 0); a run takes under a minute on 2 cores.
+# so an increment is 0), and d >= 2 beyond solves, where a real field's
+# transform is the exact completion of its half spectrum: covariance and a
+# solve at d = 3, a sample at d = 2 (its snapshot files hold every array of
+# the path), and smoothing at d = 2 (its verdicts FAIL at M = 100); a run
+# takes under a minute on 2 cores.
 set -u
 
 if [ $# -ne 2 ]; then
@@ -93,3 +97,7 @@ excluded=(--set M=100 --set N=128 --set chunk=100 --set T=1 --set ladder=2,4)
 for K in 4 1; do
     run "converge-blowup-K$K" converge "${excluded[@]}" --set K=$K
 done
+run covariance-d3 covariance --set d=3 --set N=16 --set n=4 --set M=200 --set K=16 --set chunk=100
+run solve-d3 solve --set d=3 --set N=16 --set n=4 --set K=8
+run sample-d2 sample --set d=2 --set N=32 --set n=8 --set K=8 --set M=2
+run smoothing-d2 smoothing --set d=2 --set N=32 --set M=100 --set K=16 --set ladder=0.25,0.5,1,2

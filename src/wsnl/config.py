@@ -59,8 +59,8 @@ class Kind:
 # the coupled solves compare at least 2 medians.
 KINDS = {
     "constants": Kind("constants"),
-    # members per ensemble block: about 34 MB of march arrays at N = 256,
-    # K = 256, n = 32 (stochastic.sample_paths)
+    # members per ensemble block: the march arrays take 1.85 MB per member
+    # at N = 256, K = 256, n = 32, 29.6 MB at 16 (stochastic.sample_paths)
     "sample": Kind("sample", "n", tracks=True, defaults=dict(chunk=16)),
     "solve": Kind("solve", "n", tracks=True),
     "covariance": Kind("covariance", "n", statistical=True, defaults=dict(M=4000, n=32.0, K=256)),

@@ -1,9 +1,17 @@
-"""Periodic-box spectral substrate: grids, transforms, multipliers, two norms, one cutoff.
+"""Periodic-box spectral substrate: grids, transforms, one spectral layout,
+multipliers, two norms, one cutoff.
 
 Transforms, multipliers and norms act on plain arrays whose trailing d axes
 are the grid, batched over any leading axes.  Field is not an operand of any
 of them: it is the tagged record of one snapshot level of a stochastic path
 and of a solver's initial data, and callers pass its values.
+
+ModeBox is the one layout of a set of modes: k in [-a, b] on every axis, in
+fft order, with its Hermitian half and the exact completion of that half.
+A grid's every mode is one (SpectralGrid.modes), and the forward transform
+of a real field is the completion of its rfftn half spectrum at every d;
+the solver's 2/3-mask modes and the ensemble's compact Wick modes are
+others, which the box's block copies pack and unpack.
 
 Conventions used by every module and every oracle in this package:
 
@@ -19,6 +27,8 @@ choices inverse_values(forward_values(f)) == f to round-off, and Parseval reads
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -62,6 +72,7 @@ class SpectralGrid:
     x: np.ndarray = field(init=False, repr=False, compare=False)
     xi_axis: np.ndarray = field(init=False, repr=False, compare=False)
     xi2: np.ndarray = field(init=False, repr=False, compare=False)
+    modes: ModeBox = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d not in (1, 2, 3):
@@ -76,6 +87,7 @@ class SpectralGrid:
         object.__setattr__(self, "xi_axis", xi)
         grids = np.meshgrid(*([xi] * self.d), indexing="ij")
         object.__setattr__(self, "xi2", sum(g**2 for g in grids))
+        object.__setattr__(self, "modes", ModeBox(self.d, self.N // 2, self.N // 2 - 1))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -116,23 +128,23 @@ class SpectralGrid:
         scale: float | np.ndarray | None = None,
         half: bool = False,
     ) -> np.ndarray:
-        """Forward transform.  For d = 1, real input goes through rfft and the
-        output is its exact Hermitian completion (complete); every other
-        input takes the full complex transform, unless half asks for the half
-        spectrum of real input.  The raw transform is multiplied by `scale`,
-        the cell volume when None; a caller that multiplies the result by a
-        mask of 0s and 1s passes cell_volume * mask instead, which gives the
-        same bits wherever the transform times the cell volume is finite."""
+        """Forward transform: of real input, the exact completion of its
+        rfftn half spectrum (ModeBox.complete) at every d, or with half that
+        half alone; complex input takes the full complex transform.  The raw
+        transform is multiplied by `scale`, the cell volume when None; a
+        caller that multiplies the result by a mask of 0s and 1s passes
+        cell_volume * mask instead, which gives the same bits wherever the
+        transform times the cell volume is finite."""
         if half:
             out = _fft(values, self.d, np.fft.rfft, np.fft.rfftn, out)
-        elif self.d > 1 or np.iscomplexobj(values):
+        elif np.iscomplexobj(values):
             out = _fft(values, self.d, np.fft.fft, np.fft.fftn, out)
         else:
             if out is None:
                 out = np.empty(np.shape(values), dtype=np.complex128)
-            # rfft leaves the modes 0 and N/2 exactly real
-            np.fft.rfft(np.asarray(values, dtype=np.float64), axis=-1, out=out[..., : self.N // 2 + 1])
-            self.complete(out)
+            values = np.asarray(values, dtype=np.float64)
+            _fft(values, self.d, np.fft.rfft, np.fft.rfftn, out[..., : self.modes.front])
+            self.modes.complete(out)
         out *= self.cell_volume if scale is None else scale
         return out
 
@@ -156,27 +168,110 @@ class SpectralGrid:
             out *= factor
         return out
 
+
+@dataclass(frozen=True)
+class ModeBox:
+    """The modes k in [-a, b] (a = b or b + 1) of each of the d trailing axes
+    of a spectrum.  Its own layout is numpy fft order on size = a + b + 1
+    points per axis (k = 0 ... b, then -a ... -1), and its Hermitian half,
+    half_shape, is the first `front` = a + 1 entries of the last axis, from
+    which complete() gives the rest.  A grid's every mode is the box a =
+    N/2, b = N/2 - 1 (SpectralGrid.modes), whose half is rfftn's.  copy()
+    moves the box's modes by blocks between fft-ordered spectra of any two
+    sizes that hold them; blocks adjacent on both sides merge, so a box that
+    is the whole of both arrays copies in one block."""
+
+    d: int
+    a: int
+    b: int
+    size: int = field(init=False)
+    front: int = field(init=False)
+    shape: tuple = field(init=False)
+    half_shape: tuple = field(init=False)
+
+    def __post_init__(self) -> None:
+        size = self.a + self.b + 1
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "front", self.a + 1)
+        object.__setattr__(self, "shape", (size,) * self.d)
+        object.__setattr__(self, "half_shape", (size,) * (self.d - 1) + (self.a + 1,))
+
+    @functools.cache
+    def blocks(self, src: int, dst: int, half: bool = False) -> tuple[tuple[tuple, tuple], ...]:
+        """(source, target) index pairs over the trailing axes that copy the
+        box's modes (its half, when half) from spectra of src points per
+        axis to spectra of dst points per axis, one block per sign of k per
+        axis.  A half spectrum's last axis is indexed as the whole one's."""
+        axes = [self._axis(src, dst, self.size)] * (self.d - 1)
+        axes.append(self._axis(src, dst, self.front if half else self.size))
+        return tuple(tuple(zip(*combo)) for combo in itertools.product(*axes))
+
+    def _axis(self, src: int, dst: int, stop: int) -> list[tuple[slice, slice]]:
+        """The (source, target) slices of one axis for the box's first stop
+        entries: k = 0 ... b at the front, k = -a, -a + 1, ... at the back."""
+        pos = min(stop, self.b + 1)
+        neg, s, t = stop - pos, src - self.a, dst - self.a
+        if neg and s == t == pos:
+            return [(slice(0, stop), slice(0, stop))]
+        pairs = [(slice(0, pos), slice(0, pos))]
+        if neg:
+            pairs.append((slice(s, s + neg), slice(t, t + neg)))
+        return pairs
+
+    def copy(
+        self,
+        values: np.ndarray,
+        src: int | None = None,
+        dst: int | None = None,
+        out: np.ndarray | None = None,
+        rows: np.ndarray | None = None,
+        add: bool = False,
+        half: bool = False,
+    ) -> np.ndarray:
+        """The box's modes of spectra `values` (batched) of src points per
+        axis on spectra of dst points (the box's size when None), in out
+        when given, else as a fresh array, zero on the modes the box lacks;
+        with add, those keep out's values and the box's are added.  rows,
+        when given, are the rows of out (one leading axis) that receive
+        values' rows; half copies Hermitian halves, into a given out unless
+        dst is the box's size."""
+        src, dst = src or self.size, dst or self.size
+        if out is None:
+            lead = np.shape(values)[: np.ndim(values) - self.d]
+            shape = lead + (self.half_shape if half else (dst,) * self.d)
+            out = (np.zeros if dst > self.size else np.empty)(shape, dtype=values.dtype)
+        elif dst > self.size and not add:
+            # at d = 1 the modes the box lacks lie between its two blocks
+            gap = (slice(self.b + 1, dst - self.a),) if self.d == 1 else ()
+            out[(Ellipsis,) + gap] = 0.0
+        lead = (Ellipsis,) if rows is None else (rows,)
+        for s, t in self.blocks(src, dst, half):
+            if add:
+                out[lead + t] += values[(Ellipsis,) + s]
+            else:
+                out[lead + t] = values[(Ellipsis,) + s]
+        return out
+
+    def holds(self, spectra: np.ndarray, n: int) -> bool:
+        """Whether spectra (batched) of n points per axis vanish on every
+        mode the box lacks."""
+        outside = np.ones((n,) * self.d, dtype=bool)
+        for s, _ in self.blocks(n, self.size):
+            outside[s] = False
+        return not np.any(spectra[..., outside])
+
     def complete(self, spectrum: np.ndarray) -> np.ndarray:
-        """Complete in place, and return, the full spectrum of a real field
-        whose half spectrum (modes 0 ... N/2 of the last axis) fills the
-        first N/2 + 1 columns of spectrum's last axis: every other mode is
-        F(-xi) = conj(F(xi)), exactly."""
-        return complete_spectrum(spectrum, self.d, self.N // 2 + 1)
-
-
-def complete_spectrum(spectrum: np.ndarray, d: int, front: int) -> np.ndarray:
-    """Complete in place, and return, a spectrum of a real field on M modes
-    per axis in fft order (k = 0, 1, ..., then the negative k), of which the
-    first `front` of the last axis are given: every later mode of the last
-    axis is F(-xi) = conj(F(xi)), exactly.  Its mirror is among the given
-    modes when front > M/2 (M even: front = M/2 + 1 holds the Nyquist mode);
-    on the other d - 1 axes, -xi is the index -j mod M."""
-    M = spectrum.shape[-1]
-    mirror = spectrum[..., M - front : 0 : -1]
-    for axis in range(-d, -1):
-        mirror = np.take(mirror, -np.arange(M) % M, axis=axis)
-    np.conjugate(mirror, out=spectrum[..., front:])
-    return spectrum
+        """Complete in place, and return, box spectra (batched) of real
+        fields whose half fills the first `front` entries of the last axis:
+        every later entry is F(-xi) = conj(F(xi)), exactly.  On the other
+        axes the mirror of index j is -j mod size, so at a = b + 1 the k =
+        -a entry is its own, as a grid's Nyquist mode is."""
+        M = self.size
+        mirror = spectrum[..., M - self.front : 0 : -1]
+        for axis in range(-self.d, -1):
+            mirror = np.take(mirror, -np.arange(M) % M, axis=axis)
+        np.conjugate(mirror, out=spectrum[..., self.front :])
+        return spectrum
 
 
 def _fft(values, d: int, one_d, n_d, out=None, n: int | None = None) -> np.ndarray:

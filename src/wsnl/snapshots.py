@@ -16,6 +16,7 @@ Re-running `wsnl sample` with the recorded seed reproduces the file byte for byt
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -61,60 +62,55 @@ def write_snapshot(path: StochasticPath, filename: str | Path) -> None:
         fh.write(struct.pack("<2Q", path.seed, path.stream_id))
         fh.write(np.asarray(path.times, dtype="<f8").tobytes())
         for snapshots in (path.psi, path.wick, path.ipsi2):
-            block = np.stack([f.values for f in snapshots]).astype("<c16")
-            fh.write(block.tobytes())
+            fh.write(np.stack([f.values for f in snapshots]).astype("<c16", copy=False))
 
 
 def read_snapshot(filename: str | Path) -> StochasticPath:
-    raw = Path(filename).read_bytes()
-    if raw[:4] != MAGIC:
-        raise SnapshotError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    if len(raw) < HEADER_BYTES:
-        raise SnapshotError(
-            f"snapshot has {len(raw)} bytes, fewer than its {HEADER_BYTES}-byte header"
-        )
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != VERSION:
-        raise SnapshotError(f"unsupported snapshot version {version}")
-    off = 8
-    header = struct.unpack_from("<12d", raw, off)
-    off += 12 * 8
-    d, N, L, K = header[:4]
-    # checked before int() can truncate them or the implied length is formed
-    if d not in (1.0, 2.0, 3.0):
-        raise SnapshotError(f"snapshot header has d = {d}, not 1, 2 or 3")
-    if not (N.is_integer() and N >= 4 and N % 2 == 0):
-        raise SnapshotError(f"snapshot header has N = {N}, not an even integer >= 4")
-    if not (K.is_integer() and K >= 1):
-        raise SnapshotError(f"snapshot header has K = {K}, not an integer >= 1")
-    d, N, K = int(d), int(N), int(K)
-    expected = HEADER_BYTES + (K + 1) * 8 + 3 * (K + 1) * N**d * 16
-    if len(raw) != expected:
-        raise SnapshotError(
-            f"snapshot has {len(raw)} bytes, but its header (d={d}, N={N}, K={K}) "
-            f"implies {expected}"
-        )
-    alpha, eps, s, eta, n, T, pair_p, pair_q = header[4:12]
-    seed, stream_id = struct.unpack_from("<2Q", raw, off)
-    off += 16
-    times = np.frombuffer(raw, dtype="<f8", count=K + 1, offset=off).copy()
-    off += (K + 1) * 8
-    grid = SpectralGrid(d, L, N)
-    params = PaperParams(d=d, alpha=alpha, eps=eps, n=n, eta=eta, pair=(pair_p, pair_q))
-    # both are written exactly, so a header that agrees with its data matches
-    # them bit for bit
-    if s != params.s:
-        raise SnapshotError(
-            f"snapshot header has s = {s!r}, but its alpha and eps give s = {params.s!r}"
-        )
-    if T != times[-1]:
-        raise SnapshotError(f"snapshot header has T = {T!r}, but its last time is {times[-1]!r}")
-    count = (K + 1) * N**d
-    blocks = []
-    for _ in range(3):
-        arr = np.frombuffer(raw, dtype="<c16", count=count, offset=off).copy()
-        off += count * 16
-        blocks.append(arr.reshape((K + 1,) + grid.shape))
+    with open(filename, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(HEADER_BYTES)
+        if head[:4] != MAGIC:
+            raise SnapshotError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
+        if size < HEADER_BYTES:
+            raise SnapshotError(
+                f"snapshot has {size} bytes, fewer than its {HEADER_BYTES}-byte header"
+            )
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != VERSION:
+            raise SnapshotError(f"unsupported snapshot version {version}")
+        header = struct.unpack_from("<12d", head, 8)
+        d, N, L, K = header[:4]
+        # checked before int() can truncate them or the implied length is formed
+        if d not in (1.0, 2.0, 3.0):
+            raise SnapshotError(f"snapshot header has d = {d}, not 1, 2 or 3")
+        if not (N.is_integer() and N >= 4 and N % 2 == 0):
+            raise SnapshotError(f"snapshot header has N = {N}, not an even integer >= 4")
+        if not (K.is_integer() and K >= 1):
+            raise SnapshotError(f"snapshot header has K = {K}, not an integer >= 1")
+        d, N, K = int(d), int(N), int(K)
+        expected = HEADER_BYTES + (K + 1) * 8 + 3 * (K + 1) * N**d * 16
+        if size != expected:
+            raise SnapshotError(
+                f"snapshot has {size} bytes, but its header (d={d}, N={N}, K={K}) "
+                f"implies {expected}"
+            )
+        alpha, eps, s, eta, n, T, pair_p, pair_q = header[4:12]
+        seed, stream_id = struct.unpack_from("<2Q", head, 8 + 12 * 8)
+        times = np.empty(K + 1, dtype="<f8")
+        fh.readinto(times)
+        grid = SpectralGrid(d, L, N)
+        params = PaperParams(d=d, alpha=alpha, eps=eps, n=n, eta=eta, pair=(pair_p, pair_q))
+        # both are written exactly, so a header that agrees with its data
+        # matches them bit for bit
+        if s != params.s:
+            raise SnapshotError(
+                f"snapshot header has s = {s!r}, but its alpha and eps give s = {params.s!r}"
+            )
+        if T != times[-1]:
+            raise SnapshotError(f"snapshot header has T = {T!r}, but its last time is {times[-1]!r}")
+        blocks = [np.empty((K + 1,) + grid.shape, dtype="<c16") for _ in range(3)]
+        for block in blocks:
+            fh.readinto(block)
     psi, wick, ipsi2 = blocks
     return StochasticPath(
         params=params,
@@ -126,3 +122,4 @@ def read_snapshot(filename: str | Path) -> StochasticPath:
         seed=int(seed),
         stream_id=int(stream_id),
     )
+

@@ -28,8 +28,8 @@ Runge-Kutta codes (Hairer & Wanner, Solving ODEs II, IV.8; see step_values);
 each member stops at its own bound.  h, the cell volume and the 2/3 mask are
 folded into the forward transform's scale (nonlinearity_scale), so the march
 carries h N.  The global mode evaluates N on whole spectra through
-nonlinearity_values, whose forward transform takes the rfft path of
-SpectralGrid.forward_values at d = 1.
+nonlinearity_values, whose forward transform of the real N is the exact
+completion of its rfftn half spectrum (SpectralGrid.forward_values).
 
 This module is the only place that marches the equation.  level() is the one
 builder of a march's inputs: it localizes Psi and <I Psi^2> at one time, or at
@@ -39,11 +39,12 @@ once, and between steps holds z and h N's Carry alone, no Level: h N = i G
 with G the spectrum of a real field, carried as G's half spectrum (plus h F
 with a forcing), so N(t_k) costs no transform and a step rebuilds i G in its
 scratch.  A march that dealiases from a z that vanishes off the 2/3 mask
-keeps z and G on the mask's modes alone (Modes): every correction h N is
-masked (Orszag, J. Atmos. Sci. 28, 1971), so z stays zero off them; any
-other march keeps every mode.  The constants every step reads are built once
-per march (Stepping), and a step's scratch is one flat workspace() that
-marches stepping in turn may share.  The coupled convergence study drives
+keeps z and G on the mask's modes alone (two_thirds_modes, a grid.ModeBox,
+whose block copies pack and unpack them): every correction h N is masked
+(Orszag, J. Atmos. Sci. 28, 1971), so z stays zero off them; any other
+march keeps every mode (SpectralGrid.modes).  The constants every step
+reads are built once per march (Stepping), and a step's scratch is one flat
+workspace() that marches stepping in turn may share.  The coupled convergence study drives
 one stepper per truncation radius over a batch of ensemble members, all
 five on one Stepping and one workspace, which the ensemble's advance() and
 each level() also take.  solve() stacks a path's
@@ -74,7 +75,6 @@ partial trajectory and a failure record, built by one rule for both modes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -85,8 +85,8 @@ from .grid import (
     CutoffRho,
     Field,
     GridError,
+    ModeBox,
     SpectralGrid,
-    complete_spectrum,
     half_weight,
     hs_weight,
     propagator_phase,
@@ -202,94 +202,17 @@ def support(rho_vals: np.ndarray | None) -> Support | None:
     return Support(tuple(box), rho_vals[tuple(box)])
 
 
-class Modes:
-    """The modes of a spectrum that a march stores, batched over leading
-    axes: every mode of the grid, or (masked) those the 2/3 mask keeps, |k|
-    <= N // 3 on every axis, in fft order per axis (k = 0 ... N // 3, then
-    -N // 3 ... -1).  A spectrum keeps `shape` of them, and a half spectrum
-    (modes 0 ... N/2 of the last axis) `half_shape`, the first `front` of
-    its last axis.  Arrays are packed and unpacked by block copies, one block
-    per axis for the whole grid and two for the mask's modes, as
-    stochastic._blocks packs compact modes."""
-
-    def __init__(self, grid: SpectralGrid, masked: bool) -> None:
-        N = grid.N
-        if masked:
-            reach = N // 3
-            axis = [
-                (slice(0, reach + 1), slice(0, reach + 1)),
-                (slice(N - reach, N), slice(reach + 1, 2 * reach + 1)),
-            ]
-            last, size = axis[:1], 2 * reach + 1
-        else:
-            axis = [(slice(0, N), slice(0, N))]
-            last, size = [(slice(0, N // 2 + 1), slice(0, N // 2 + 1))], N
-        self.grid, self.masked = grid, masked
-        self.front = last[0][1].stop
-        self.shape = (size,) * grid.d
-        self.half_shape = (size,) * (grid.d - 1) + (self.front,)
-        # (grid index, stored index) per block
-        self._blocks = [tuple(zip(*c)) for c in itertools.product(axis, repeat=grid.d)]
-        self._half_blocks = [
-            tuple(zip(*c)) for c in itertools.product(*[axis] * (grid.d - 1), last)
-        ]
-
-    def holds(self, spectra: np.ndarray) -> bool:
-        """Whether spectra (batched) vanish on every mode not stored."""
-        return not self.masked or not np.any(spectra[..., two_thirds_mask(self.grid) == 0])
-
-    def pack(
-        self,
-        values: np.ndarray,
-        half: bool = False,
-        out: np.ndarray | None = None,
-        rows: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """The stored modes of grid arrays (half spectra when half), in out
-        when given, else as a fresh array; rows, when given, are the rows of
-        out (a batch of one leading axis) that receive values' rows."""
-        d = self.grid.d
-        if out is None:
-            shape = np.shape(values)[: np.ndim(values) - d] + (self.half_shape if half else self.shape)
-            out = np.empty(shape, dtype=values.dtype)
-        lead = (Ellipsis,) if rows is None else (rows,)
-        for src, dst in self._half_blocks if half else self._blocks:
-            out[lead + dst] = values[(Ellipsis,) + src]
-        return out
-
-    def unpack(self, packed: np.ndarray, out: np.ndarray | None = None, add: bool = False) -> np.ndarray:
-        """Full-grid spectra from stored ones, zero on the modes not stored,
-        in out when given, else as a fresh array; with add, out keeps its
-        values and the stored modes are added to them."""
-        if out is None:
-            d = self.grid.d
-            out = np.zeros(np.shape(packed)[: np.ndim(packed) - d] + self.grid.shape, dtype=packed.dtype)
-        elif self.masked and not add:
-            out.fill(0.0)
-        for src, dst in self._blocks:
-            if add:
-                out[(Ellipsis,) + src] += packed[(Ellipsis,) + dst]
-            else:
-                out[(Ellipsis,) + src] = packed[(Ellipsis,) + dst]
-        return out
-
-    def complete(self, spectra: np.ndarray) -> np.ndarray:
-        """Complete in place, and return, stored spectra of real fields whose
-        stored half fills the first `front` modes of the last axis."""
-        return complete_spectrum(spectra, self.grid.d, self.front)
-
-
 class Stepping(NamedTuple):
     """What every step of a march reads and no step changes, built once per
-    march by stepping(): the cutoff's Support; the Modes the march stores
-    of z and G; h_scale = nonlinearity_scale on the whole grid and its
-    imaginary part on the half spectrum (h_scale = i half_scale); the H^{-s}
-    weight of Picard increments on the half spectrum; (N/L)^d rho on the box;
-    and, on the stored modes, the propagator phase of config.dt and the
-    H^{-s} weight of the blow-up norm."""
+    march by stepping(): the cutoff's Support; the ModeBox of the modes the
+    march stores of z and G; h_scale = nonlinearity_scale on the whole grid
+    and its imaginary part on the half spectrum (h_scale = i half_scale); the
+    H^{-s} weight of Picard increments on the half spectrum; (N/L)^d rho on
+    the box; and, on the stored modes, the propagator phase of config.dt and
+    the H^{-s} weight of the blow-up norm."""
 
     sup: Support | None
-    modes: Modes
+    modes: ModeBox
     h_scale: complex | np.ndarray
     half_scale: float | np.ndarray
     half_weight: np.ndarray
@@ -305,14 +228,14 @@ def stepping(config: SolverConfig, grid: SpectralGrid, sup: Support | None, mask
     zero off them at every step."""
     if masked and not config.dealias:
         raise GridError("a march that does not dealias stores every mode")
-    modes = Modes(grid, masked)
+    modes = two_thirds_modes(grid) if masked else grid.modes
     h_scale = nonlinearity_scale(grid, config.dealias, config.dt)
     half_scale = np.imag(h_scale)
     if np.ndim(half_scale):
         half_scale = half_scale[..., : grid.N // 2 + 1]
     weight = hs_weight(grid, -config.params.s)
     # the interleaved (re, im) weight packs as complex values
-    packed_weight = modes.pack(weight.view(np.complex128).reshape(grid.shape))
+    packed_weight = modes.copy(weight.view(np.complex128).reshape(grid.shape), src=grid.N)
     return Stepping(
         sup=sup,
         modes=modes,
@@ -320,9 +243,14 @@ def stepping(config: SolverConfig, grid: SpectralGrid, sup: Support | None, mask
         half_scale=half_scale,
         half_weight=half_weight(grid, weight),
         rho_y=None if sup is None else sup.rho * (grid.N / grid.L) ** grid.d,
-        phase=modes.pack(propagator_phase(grid, config.dt)),
+        phase=modes.copy(propagator_phase(grid, config.dt), src=grid.N),
         norm_weight=packed_weight.view(np.float64).reshape(-1),
     )
+
+
+def two_thirds_modes(grid: SpectralGrid) -> ModeBox:
+    """The modes the 2/3 mask keeps, |k| <= N // 3 on every axis."""
+    return ModeBox(grid.d, grid.N // 3, grid.N // 3)
 
 
 def workspace(grid: SpectralGrid, sup: Support | None, members: int, size: int = 0) -> np.ndarray:
@@ -539,13 +467,13 @@ def step_values(
     members = math.prod(batch_shape)
     hn_work = work[: members * math.prod(modes.shape)].reshape(batch_shape + modes.shape)
     if hn_prev is None:
-        hn = nonlinearity_values(grid, modes.unpack(z_hat), st.sup, prev, st.h_scale)
-        hn_prev = Carry(None, modes.pack(hn))
+        hn = nonlinearity_values(grid, modes.copy(z_hat, dst=grid.N), st.sup, prev, st.h_scale)
+        hn_prev = Carry(None, modes.copy(hn, src=grid.N))
     fixed = np.add(z_hat, _hn_values(modes, hn_prev, hn_work), out=out)
     fixed *= st.phase
     hf_next = None
     if nxt.forcing is not None:
-        hf_next = modes.pack(grid.forward_values(nxt.forcing, scale=st.h_scale))
+        hf_next = modes.copy(grid.forward_values(nxt.forcing, scale=st.h_scale), src=grid.N)
         fixed += hf_next
     if g_out is None:
         g_out = np.zeros(batch_shape + modes.half_shape, dtype=np.complex128)
@@ -580,10 +508,10 @@ def step_values(
     )
 
 
-def _hn_values(modes: Modes, hn: Carry, out: np.ndarray) -> np.ndarray:
+def _hn_values(modes: ModeBox, hn: Carry, out: np.ndarray) -> np.ndarray:
     """h N = i G + full on the stored modes from its Carry, in out (a
     complex array of the batch's stored shape); full itself when g is None.
-    G's mirror modes are filled exactly (Modes.complete), and every rebuild
+    G's mirror modes are filled exactly (ModeBox.complete), and every rebuild
     takes the same operations in the same order, so h N has the same bits
     each time it is formed from one Carry."""
     if hn.g is None:
@@ -646,7 +574,7 @@ def _picard_on_box(
     if k < members:
         fixed, psi = fixed[active], psi[active]
         r = None if r is None else r[active]
-    a = grid.inverse_values(modes.unpack(fixed, out[:k]), out=out[:k])[sup.box]
+    a = grid.inverse_values(modes.copy(fixed, dst=grid.N, out=out[:k]), out=out[:k])[sup.box]
     if r is not None:
         a += r
     a *= sup.rho
@@ -686,13 +614,13 @@ def _picard_on_box(
         history.append(float(increments.max(where=np.isfinite(increments), initial=0.0)))
         go = (e > PICARD_TOL) & (e < np.inf)  # neither converged nor failed
         if m == PICARD_MAX or not go.any():
-            modes.pack(g[:k], half=True, out=result, rows=active)
+            modes.copy(g[:k], src=grid.N, out=result, rows=active, half=True)
             break
         if not go.all():
             # the last g is spent: it takes the members that stop, then
             # those that go on
             done = np.compress(~go, g[:k], axis=0, out=g_last[: k - np.count_nonzero(go)])
-            modes.pack(done, half=True, out=result, rows=active[~go])
+            modes.copy(done, src=grid.N, out=result, rows=active[~go], half=True)
             active, increments = active[go], increments[go]
             # c and Im A are the step's own, and their rows move in place
             c = np.compress(go, c, axis=0, out=c[: len(active)])
@@ -714,16 +642,19 @@ class RemainderStepper:
     forcing, h F there, on the modes its Stepping stores; it keeps no Level.
     A march that dealiases from a z that vanishes off the 2/3 mask, as every
     study's and every solve() from phi = 0 does, stores the mask's modes
-    alone: h N is masked, so z and G stay zero off them (Modes).
+    alone: h N is masked, so z and G stay zero off them (two_thirds_modes).
 
     v_hat, the start, may carry leading batch axes, one row per ensemble
     member; start, the Level at the starting time, and every Level given to
     step() carry the same axes.  The march starts from z = v - R(t_0), and
     h N(t_0) is formed from start when the stepper is built, so start is not
-    kept.  st, the march's Stepping, is built from config and z when None;
-    marches that share a grid, a config and a batch may share one, and may
-    step in turn in one shared workspace() `work`, which the stepper holds
-    but does not read between steps; without one it allocates its own.  A step
+    kept; without a forcing it is carried as G's half from there on, since
+    N's transform is the exact completion of its half
+    (SpectralGrid.forward_values).  st, the march's Stepping, is built from
+    config and z when None; marches that share a grid, a config and a batch
+    may share one, and may step in turn in one shared workspace() `work`,
+    which the stepper holds but does not read between steps; without one it
+    allocates its own.  A step
     is two calls, step(level(config, grid, sup, psi_hat, ipsi2_hat,
     t_next)), so the caller's psi block can be freed before the Picard loop
     runs; solve() passes the rows of its stacked levels instead.  Each time
@@ -753,22 +684,23 @@ class RemainderStepper:
         scratch = work[: 2 * np.size(v_hat)].reshape((2,) + np.shape(v_hat))
         z_hat = z_from_v(grid, sup, v_hat, start.r, out=scratch[0])
         if st is None:
-            st = stepping(config, grid, sup, config.dealias and Modes(grid, True).holds(z_hat))
-        elif not st.modes.holds(z_hat):
+            masked = config.dealias and two_thirds_modes(grid).holds(z_hat, grid.N)
+            st = stepping(config, grid, sup, masked)
+        elif not st.modes.holds(z_hat, grid.N):
             raise GridError("the march starts with modes its Stepping does not store")
         self.stepping, self.work = st, work
         # packed afresh, so z is never the caller's v
-        self.z = st.modes.pack(z_hat)
+        self.z = st.modes.copy(z_hat, src=grid.N)
         hn = nonlinearity_values(grid, z_hat, sup, start, st.h_scale, out=scratch[1])
-        hn = st.modes.pack(hn)
+        hn = st.modes.copy(hn, src=grid.N)
         del z_hat, scratch
-        if grid.d == 1 and start.forcing is None:
-            # at d = 1 N's transform is the exact completion of rfft's half
-            # spectrum (forward_values), so its half gives h N back to the bit
+        if start.forcing is None:
+            # N's transform is the exact completion of its half spectrum
+            # (forward_values), so its half gives h N back to the bit
             self._hn = Carry(-1j * hn[..., : st.modes.front], None)
         else:
-            # fftn's spectrum of a real field is Hermitian only to round-off,
-            # and the forcing's need not be: the first step takes h N whole
+            # the forcing's transform need not be Hermitian: the first step
+            # takes h N whole
             self._hn = Carry(None, hn)
         self.iterations: list[int] = []
         self.residuals: list[float] = []
@@ -778,12 +710,12 @@ class RemainderStepper:
     def z_values(self, out: np.ndarray | None = None) -> np.ndarray:
         """z at the current level on the whole grid, in out when given, else
         as a fresh array."""
-        return self.stepping.modes.unpack(self.z, out)
+        return self.stepping.modes.copy(self.z, dst=self.grid.N, out=out)
 
     def add_z(self, out: np.ndarray) -> None:
         """Add z at the current level to out, spectra of the batch on the
         whole grid."""
-        self.stepping.modes.unpack(self.z, out, add=True)
+        self.stepping.modes.copy(self.z, dst=self.grid.N, out=out, add=True)
 
     def v_hat(self, r: np.ndarray | None) -> np.ndarray:
         """v = z + R at the current level, where the caller's Level there has

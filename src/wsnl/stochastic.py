@@ -22,7 +22,10 @@ aliases onto a mode kept, squared there and transformed back (padding
 dealiasing, Orszag 1971), whether or not 2n is below the study grid's Nyquist
 bound.  The Wick transform and the Duhamel accumulator are then kept on the
 compact modes |beta| <= min(2n, Nyquist) only: those the study grid holds and
-the Wick square reaches.
+the Wick square reaches, a grid.ModeBox whose block copies move them between
+the padded grid, the compact arrays and the study grid.  The padded grid's
+transform of the real Wick square is the exact completion of its half
+spectrum, so at d = 1 the Wick transform is stored on its Hermitian half.
 
 Coupling: one noise stream drives every truncation radius of a ladder, so the
 difference psi_m - psi_n is exactly the coupled object; psi_n equals the
@@ -35,7 +38,6 @@ n of a taller ladder's member.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -45,10 +47,10 @@ import numpy as np
 from .grid import (
     Field,
     GridError,
+    ModeBox,
     SpectralGrid,
     ball_extent,
     bessel_weight,
-    complete_spectrum,
     padded_points,
     propagator_phase,
     truncation_mask,
@@ -111,19 +113,6 @@ def uniform_times(T: float, K: int) -> np.ndarray:
     return np.linspace(0.0, T, K + 1)
 
 
-def _blocks(d: int, a: int, b: int, src: int, dst: int) -> list[tuple[tuple, tuple]]:
-    """(source, target) index pairs that copy the modes k in [-a, b] of every
-    trailing axis from fft-ordered axes of src points to axes of dst points.
-    Per axis the block is two slices, k >= 0 at the front and k < 0 at the back."""
-    pairs = [(slice(0, b + 1), slice(0, b + 1))]
-    if a:
-        pairs.append((slice(src - a, src), slice(dst - a, dst)))
-    return [
-        ((...,) + tuple(p[0] for p in combo), (...,) + tuple(p[1] for p in combo))
-        for combo in itertools.product(pairs, repeat=d)
-    ]
-
-
 def _runs(modes: np.ndarray) -> list[tuple[slice, slice]]:
     """(grid, listed) slice pairs, one per maximal run of `modes` whose flat
     grid indices step by +1 or -1 (the indices are distinct, so a run never
@@ -144,83 +133,63 @@ class _Rung:
     """The padded grid and compact modes of one truncation radius.
 
     psi_n lives on the modes |k| <= P per axis (P = ball_extent) and |psi_n|^2
-    on |k| <= 2P.  The compact modes are those of |k| <= 2P that the study
-    grid holds, and the padded grid holds them free of aliasing.  Study,
-    padded and compact arrays are all in numpy fft order.  `phase` is the
+    on |k| <= 2P.  The compact modes, `modes`, are the ModeBox of those of
+    |k| <= 2P that the study grid holds, and the padded grid holds them free
+    of aliasing.  Study, padded and compact arrays are all in numpy fft
+    order, and the box's block copies move modes between them (ModeBox.copy:
+    src or dst the padded grid's or the study grid's points).  `phase` is the
     propagator multiplier of the ensemble's step on the compact modes, taken
     from the study grid's `phase` when the rung is built.
 
     A Wick transform is stored on the first `front` compact modes of the
-    last axis, `stored_shape` in all (store, complete).  At d = 1 that is
-    its Hermitian half, the modes 0 ... min(2P, N/2 - 1) and the lone -N/2
-    when the compact modes reach it, whose mirror N/2 they lack: the padded
-    grid's forward transform of a real field is the exact completion of
-    rfft's half spectrum (SpectralGrid.forward_values), so the other modes
-    are exactly conj(F(-xi)).  At d >= 2 fftn's spectrum is Hermitian only
-    to round-off, and every compact mode is stored.
+    last axis, `stored_shape` in all, and complete() gives back the rest.
+    At d = 1 that is its Hermitian half, the modes 0 ... min(2P, N/2 - 1)
+    and the lone -N/2 when the compact modes reach it, whose mirror N/2 they
+    lack: the padded grid's forward transform of a real field is the exact
+    completion of its half spectrum (SpectralGrid.forward_values), so the
+    other modes are exactly conj(F(-xi)).  At d >= 2 every compact mode is
+    stored: when the compact modes reach -N/2, that lone mode on the axes
+    before the last has no mirror among them either, and the half does not
+    give them back.
     """
 
     def __init__(self, grid: SpectralGrid, radius: float, phase: np.ndarray) -> None:
         P, half, d = ball_extent(grid, radius), grid.N // 2, grid.d
-        a, b = min(2 * P, half), min(2 * P, half - 1)
         self.grid = grid
         self.padded = SpectralGrid(d, grid.L, padded_points(grid, radius))
-        self.shape = (a + b + 1,) * d
-        self.front = a + 1 if d == 1 else a + b + 1
+        self.modes = ModeBox(d, min(2 * P, half), min(2 * P, half - 1))
+        self.shape = self.modes.shape
+        self.front = self.modes.front if d == 1 else self.modes.size
         self.stored_shape = self.shape[:-1] + (self.front,)
-        self._ball = truncation_mask(grid, radius) > 0
-        self._psi_blocks = _blocks(d, min(P, half), min(P, half - 1), grid.N, self.padded.N)
-        # at d = 1 the ball is the box |k| <= P, its two blocks, and the
-        # padded grid's other modes lie between them
-        self._gap = slice(min(P, half - 1) + 1, self.padded.N - min(P, half)) if d == 1 else None
-        self._from_padded = _blocks(d, a, b, self.padded.N, a + b + 1)
-        self._to_study = _blocks(d, a, b, a + b + 1, grid.N)
-        self.phase = self._copy([(t, s) for s, t in self._to_study], phase, self.shape)
-
-    @staticmethod
-    def _copy(blocks, values: np.ndarray, shape: tuple[int, ...], fill=np.empty, out=None) -> np.ndarray:
-        if out is None:
-            out = fill(np.shape(values)[: np.ndim(values) - len(shape)] + shape, dtype=np.complex128)
-        for src, dst in blocks:
-            out[dst] = values[src]
-        return out
+        # psi_n's modes, the ball's box |k| <= P; at d = 1 the ball is that
+        # box, and at d >= 2 its mask picks the ball from the box
+        self._psi_modes = ModeBox(d, min(P, half), min(P, half - 1))
+        self._ball = None if d == 1 else truncation_mask(grid, radius) > 0
+        self.phase = self.modes.copy(phase, src=grid.N)
 
     def pad(self, psi: np.ndarray, out: np.ndarray) -> None:
         """Write psi_n, the ball's modes of psi and zero at every other mode,
         into `out` on the padded grid."""
-        if self._gap is not None:
-            out[..., self._gap] = 0.0
-            for src, dst in self._psi_blocks:
-                out[dst] = psi[src]
+        if self._ball is None:
+            self._psi_modes.copy(psi, self.grid.N, self.padded.N, out=out)
             return
         out.fill(0.0)
-        for src, dst in self._psi_blocks:
-            np.copyto(out[dst], psi[src], where=self._ball[src])
-
-    def compact(self, padded_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The compact modes of a padded-grid transform, in out when given,
-        else as a fresh array."""
-        return self._copy(self._from_padded, padded_hat, self.shape, out=out)
+        for src, dst in self._psi_modes.blocks(self.grid.N, self.padded.N):
+            np.copyto(out[(Ellipsis,) + dst], psi[(Ellipsis,) + src], where=self._ball[src])
 
     def to_study(self, compact_hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A compact array on the study grid, zero on the modes it lacks, in
         out when given, else as a fresh array."""
-        if out is not None:
-            out.fill(0.0)
-        return self._copy(self._to_study, compact_hat, self.grid.shape, np.zeros, out)
-
-    def store(self, compact_hat: np.ndarray) -> np.ndarray:
-        """The stored modes of a compact Wick transform, as a view."""
-        return compact_hat[..., : self.front]
+        return self.modes.copy(compact_hat, dst=self.grid.N, out=out)
 
     def complete(self, stored: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The compact Wick transform whose stored modes are `stored`, in out
         when given, else as a fresh array: exact, the mirror modes F(-xi) =
-        conj(F(xi))."""
+        conj(F(xi)) at d = 1."""
         if out is None:
             out = np.empty(np.shape(stored)[:-1] + self.shape[-1:], dtype=np.complex128)
         out[..., : self.front] = stored
-        return complete_spectrum(out, self.grid.d, self.front)
+        return self.modes.complete(out) if self.grid.d == 1 else out
 
 
 class PathEnsemble:
@@ -238,7 +207,7 @@ class PathEnsemble:
     (grid.padded_points: 36 points for n = 2 at h = 1/4), and they are stored
     on the radius's compact modes |beta| <= min(2n, Nyquist), not on the
     study grid; a Wick transform, which is real's, on their Hermitian half
-    at d = 1 (_Rung.store).
+    at d = 1 (_Rung.front).
 
     advance() updates `psi` and the stored Wick transforms and Duhamel
     accumulators in place (the Duhamel step completes the previous Wick
@@ -366,7 +335,7 @@ class PathEnsemble:
         rung.pad(self.psi, pad)
         c = self.times[self.k] * self._mass[radius]
         wick = wick_square_values(rung.padded, pad, c, out=real)
-        return rung.compact(rung.padded.forward_values(wick, out=pad), out)
+        return rung.modes.copy(rung.padded.forward_values(wick, out=pad), src=rung.padded.N, out=out)
 
     @property
     def t(self) -> float:
@@ -439,7 +408,7 @@ class PathEnsemble:
                 prev = pad[: new_hat.size].reshape(shape)
                 rung.complete(self._wick_hat[r], out=prev)
                 duhamel_update(self._ipsi2[r], rung.phase, prev, new_hat, self.dt)
-                self._wick_hat[r][...] = rung.store(new_hat)
+                self._wick_hat[r][...] = new_hat[..., : rung.front]
         if self.k + 1 == len(self.times) or not self.track:
             self._work = None
 
@@ -463,7 +432,7 @@ def sample_paths(
     The members march as one PathEnsemble of `count` members, and the march
     keeps each member's psi and the tracked rung's stored transforms: count
     (K+1) (N^d + C + S) complex values in all, C the rung's compact modes
-    and S those its Wick transform stores (_Rung.store; about 1.8 MB per
+    and S those its Wick transform stores (_Rung.front; about 1.8 MB per
     member at N = 256, K = 256, n = 32 on the 2 pi box).
     A member's Wick and <I Psi^2> snapshots are put on the study grid only
     when it is taken, one member at a time.  Each path is bit for bit the

@@ -11,6 +11,7 @@ from wsnl.grid import (
     CutoffRho,
     Field,
     GridError,
+    ModeBox,
     SpectralGrid,
     bessel_weight,
     bump_profile,
@@ -128,7 +129,7 @@ def test_half_spectrum_completes_to_the_full_transform_and_inverts(d, half_n, ba
     assert half.shape == tuple(batch) + grid.shape[:-1] + (h,)
     full = np.empty(tuple(batch) + grid.shape, dtype=np.complex128)
     full[..., :h] = half
-    grid.complete(full)
+    grid.modes.complete(full)
     ref = grid.forward_values(x.astype(np.complex128))
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(full - ref)) <= 1e-14 * scale
@@ -140,6 +141,121 @@ def test_half_spectrum_completes_to_the_full_transform_and_inverts(d, half_n, ba
     assert np.max(np.abs(back - x)) <= 1e-13 * np.max(np.abs(x))
     raw = grid.inverse_values(half, scale=1.0, half=True)
     assert np.array_equal(raw * (grid.N / grid.L) ** d, back)
+
+
+@pytest.mark.parametrize("d, N", [(1, 64), (2, 16), (2, 32), (3, 16)])
+def test_real_transform_is_the_exact_completion_of_its_own_half(d, N):
+    # real input takes rfftn plus the completion at every d, so its
+    # transform is the completion of its first N/2 + 1 columns, bit for bit,
+    # and fftn's to round-off
+    grid = SpectralGrid(d, 2 * np.pi, N)
+    x = np.random.default_rng(N + d).standard_normal((2,) + grid.shape)
+    f = grid.forward_values(x)
+    rebuilt = np.zeros_like(f)
+    rebuilt[..., : N // 2 + 1] = f[..., : N // 2 + 1]
+    assert np.array_equal(grid.modes.complete(rebuilt), f)
+    ref = grid.cell_volume * np.fft.fftn(x, axes=tuple(range(-d, 0)))
+    assert np.max(np.abs(f - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def box_index(box, n, half=False):
+    """The explicit index, per trailing axis, of the box's modes k on an
+    fft-ordered axis of n points: k mod n for k = 0 ... b, -a ... -1; the
+    last axis lists the box's first a + 1 entries alone when half."""
+    ks = list(range(box.b + 1)) + list(range(-box.a, 0))
+    axes = [[k % n for k in ks]] * box.d
+    if half:
+        axes[-1] = axes[-1][: box.a + 1]
+    return np.ix_(*axes)
+
+
+@st.composite
+def boxes(draw):
+    """A box, a = b or a = b + 1, and the points of two fft-ordered axes
+    that hold it (either may be the box's own)."""
+    d = draw(st.integers(1, 3))
+    b = draw(st.integers(0, 3))
+    box = ModeBox(d, b + draw(st.integers(0, 1)), b)
+    sizes = st.one_of(st.just(box.size), st.integers(box.size, box.size + 5))
+    return box, draw(sizes), draw(sizes)
+
+
+@given(case=boxes(), batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_box_copies_match_an_explicit_index_reference(case, batch, seed):
+    box, src, dst = case
+    rng = np.random.default_rng(seed)
+    cplx = lambda shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)  # noqa: E731
+    values = cplx((batch,) + (src,) * box.d)
+    picked = values[(Ellipsis,) + box_index(box, src)]
+    # a fresh target, and a given one: zero on every mode the box lacks
+    ref = np.zeros((batch,) + (dst,) * box.d, dtype=complex)
+    ref[(Ellipsis,) + box_index(box, dst)] = picked
+    assert np.array_equal(box.copy(values, src, dst), ref)
+    out = cplx(ref.shape)
+    assert box.copy(values, src, dst, out=out) is out and np.array_equal(out, ref)
+    # added: the other modes keep their values
+    out = cplx(ref.shape)
+    ref = out.copy()
+    ref[(Ellipsis,) + box_index(box, dst)] += picked
+    box.copy(values, src, dst, out=out, add=True)
+    assert np.array_equal(out, ref)
+    # onto given rows, whole and half, of a batch of box arrays
+    rows = rng.permutation(batch + 2)[:batch]
+    for half, shape in ((False, box.shape), (True, box.half_shape)):
+        out = cplx((batch + 2,) + shape)
+        ref = out.copy()
+        ref[rows] = values[(Ellipsis,) + box_index(box, src, half)]
+        box.copy(values, src, out=out, rows=rows, half=half)
+        assert np.array_equal(out, ref)
+
+
+@given(case=boxes(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_box_pack_then_unpack_round_trips(case, seed):
+    box, n, _ = case
+    rng = np.random.default_rng(seed)
+    packed = rng.standard_normal((2,) + box.shape) + 1j * rng.standard_normal((2,) + box.shape)
+    grid_values = box.copy(packed, dst=n)
+    assert box.holds(grid_values, n)
+    assert np.array_equal(box.copy(grid_values, src=n), packed)
+    assert np.array_equal(box.copy(box.copy(grid_values, src=n), dst=n), grid_values)
+    if n > box.size:
+        grid_values[(Ellipsis,) + (box.b + 1,) * box.d] = 1.0
+        assert not box.holds(grid_values, n)
+
+
+@given(case=boxes(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_completed_half_equals_the_reference_completion(case, seed):
+    # every entry past the half is the conjugate of its mirror -k, whose
+    # index is -j mod (a + b + 1) on every axis
+    box = case[0]
+    rng = np.random.default_rng(seed)
+    shape = (2,) + box.shape
+    spectrum = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ref = spectrum.copy()
+    mirror = (-np.arange(box.size)) % box.size
+    ref[..., box.front :] = np.conj(spectrum[(Ellipsis,) + np.ix_(*[mirror] * box.d)])[..., box.front :]
+    assert np.array_equal(box.complete(spectrum), ref)
+    if box.a == box.b:
+        # an odd box is a grid of its own: a real field's transform is the
+        # completion of its half, to round-off
+        x = rng.standard_normal(shape)
+        full = np.fft.fftn(x, axes=tuple(range(-box.d, 0)))
+        half = np.zeros_like(full)
+        half[..., : box.front] = full[..., : box.front]
+        assert np.max(np.abs(box.complete(half) - full)) <= 1e-13 * np.max(np.abs(full))
+
+
+def test_every_mode_box_copies_in_one_block():
+    grid = SpectralGrid(2, 2 * np.pi, 16)
+    assert grid.modes == ModeBox(2, 8, 7) and grid.modes.shape == grid.shape
+    assert grid.modes.half_shape == (16, 9)
+    whole = (slice(0, 16),) * 2
+    assert grid.modes.blocks(16, 16) == ((whole, whole),)
+    assert grid.modes.blocks(16, 16, half=True) == (((slice(0, 16), slice(0, 9)),) * 2,)
+    assert len(ModeBox(2, 5, 5).blocks(16, 11)) == 4
 
 
 @pytest.mark.parametrize("d, N", [(1, 48), (1, 64), (2, 24), (2, 32)])
@@ -155,7 +271,7 @@ def test_half_spectrum_norm_is_the_norm_of_the_completed_spectrum(d, N, dealias)
     half = grid.forward_values(x, scale=scale[..., :h], half=True)
     full = np.empty((3,) + grid.shape, dtype=np.complex128)
     full[..., :h] = half
-    grid.complete(full)
+    grid.modes.complete(full)
     weight = hs_weight(grid, -0.35)
     by_half = weighted_norm_sq_hat(grid, half, half_weight(grid, weight))
     by_full = weighted_norm_sq_hat(grid, full, weight)

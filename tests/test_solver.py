@@ -42,6 +42,7 @@ from wsnl.solver import (
     step_values,
     stepping,
     support,
+    two_thirds_modes,
     v_from_z,
     workspace,
     z_from_v,
@@ -320,7 +321,7 @@ def band_limited(grid, rng, amp, batch=()):
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 16)])
 def test_stepper_first_step_is_step_values_from_the_start(d, N, forced):
     # the stepper forms h N(t_0) when it is built and keeps its Carry, at
-    # d = 1 unforced G's half spectrum alone; its first z must be the step
+    # every d unforced G's half spectrum alone; its first z must be the step
     # that evaluates h N(t_0) from the start level, to the bit.  phi != 0, so
     # h N(t_0) != 0, and the forcing is complex, so h F is no real field's
     # spectrum
@@ -343,6 +344,11 @@ def test_stepper_first_step_is_step_values_from_the_start(d, N, forced):
     z_0 = z_from_v(grid, sup, v_hat, start.r)
     assert all(np.any(hn != 0.0) for hn in nonlinearity_values(grid, z_0, sup, start, scale))
     stepper = RemainderStepper(config, grid, v_hat, start)
+    if forced:
+        assert stepper._hn.g is None and stepper._hn.full is not None
+    else:
+        assert stepper._hn.full is None
+        assert stepper._hn.g.shape == batch + grid.shape[:-1] + (N // 2 + 1,)
     stepper.step(nxt)
     st = stepping(config, grid, sup, False)
     z_1, iterations, *_, failed, _ = step_values(grid, z_0, start, nxt, st, workspace(grid, sup, len(z_0)))
@@ -439,11 +445,11 @@ def test_stepper_keeps_only_z_and_half_of_h_n_between_steps():
         return stepper, kept
 
     stepper, kept = retained(band_limited(grid, rng, 0.2, (members,)), ipsi2)
-    assert not stepper.stepping.modes.masked and kept <= 1.6 * full_z
+    assert stepper.stepping.modes == grid.modes and kept <= 1.6 * full_z
     # v(0) = 0 and <I Psi^2>(0) = 0, as in every study
     ipsi2[0] = 0.0
     stepper, kept = retained(np.zeros((members,) + grid.shape, dtype=complex), ipsi2)
-    assert stepper.stepping.modes.masked and kept <= 1.1 * full_z
+    assert stepper.stepping.modes == two_thirds_modes(grid) and kept <= 1.1 * full_z
 
 
 @pytest.mark.parametrize("d, N", [(1, 64), (2, 24)])
