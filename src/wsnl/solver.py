@@ -268,8 +268,14 @@ def workspace(grid: SpectralGrid, sup: Support | None, members: int, size: int =
 
 @dataclass
 class SolverOutput:
+    """One solve()'s report over the time levels it reached (times): the
+    Picard records of each accepted step, the per-level Y(T) traces of v and
+    their norms, the failure if any, and the transform of v at the last
+    level only (v_final, of grid.shape; phi's when the march stops at level
+    0)."""
+
     times: np.ndarray
-    v: np.ndarray  # transforms, one row per time level reached: (levels, *grid.shape)
+    v_final: np.ndarray
     picard_iterations: np.ndarray
     residuals: np.ndarray
     monotone_flags: np.ndarray
@@ -805,11 +811,11 @@ def _output(
     failure: StepFailure | None,
 ) -> SolverOutput:
     """Traces and Y(T) norms over the time levels v_hats reached, one row per
-    level; v is v_hats itself."""
+    level, and a copy of its last row, which keeps no reference to v_hats."""
     trace_h, trace_wq, trace_loc = traces(v_hats)
     return SolverOutput(
         times=times[: len(v_hats)],
-        v=v_hats,
+        v_final=v_hats[-1].copy(),
         picard_iterations=picard_iterations,
         residuals=residuals,
         monotone_flags=monotone_flags,
@@ -829,7 +835,8 @@ def _row(levels: Level, k: int) -> Level:
 def solve(config: SolverConfig, path: StochasticPath) -> SolverOutput:
     """March the remainder v = u - Psi over the path's time grid, as z = v - R
     from z_0 = phi - R(0); v = z + R is formed in one batched transform over
-    the levels reached, and v(0) is phi exactly."""
+    the levels reached, and v(0) is phi exactly.  The traces are taken from
+    that stack, and only its last row outlives the call (v_final)."""
     grid = path.grid
     times = path.times
     steps_match = np.all(np.abs(np.diff(times) - config.dt) <= 1e-12)

@@ -430,35 +430,41 @@ def sample_paths(
     that order, with snapshots at the times uniform_times(T, K), steps of T / K.
 
     The members march as one PathEnsemble of `count` members, and the march
-    keeps each member's psi and the tracked rung's stored transforms: count
-    (K+1) (N^d + C + S) complex values in all, C the rung's compact modes
-    and S those its Wick transform stores (_Rung.front; about 1.8 MB per
-    member at N = 256, K = 256, n = 32 on the 2 pi box).
-    A member's Wick and <I Psi^2> snapshots are put on the study grid only
-    when it is taken, one member at a time.  Each path is bit for bit the
-    path sample_path gives its member alone.
+    keeps each level once, on the modes it fills: psi on the ball's box
+    (_Rung._psi_modes; psi vanishes off the ball) and the tracked rung's
+    stored transforms, count (K+1) (B + C + S) complex values in all, B the
+    box's modes, C the rung's compact modes and S those its Wick transform
+    stores (_Rung.front; about 1.07 MB per member at N = 256, K = 256, n =
+    32 on the 2 pi box).  A member's snapshots are put on the study grid
+    only when it is taken, one member at a time, and its Wick Fields are
+    rows of one complex inverse transform whose imaginary part is set to
+    zero.  Each path is bit for bit the path sample_path gives its member
+    alone.
     """
     ens = PathEnsemble(
         grid, params.alpha, [params.n], T, K, seed=seed, size=count, stream_offset=first, track=True
     )
     n, rung, times = params.n, ens._rung(params.n), ens.times
-    levels = len(times)
-    psi = np.empty((count, levels) + grid.shape, dtype=np.complex128)
+    box, levels = rung._psi_modes, len(times)
+    psi_box = np.empty((count, levels) + box.shape, dtype=np.complex128)
     wick_hat = np.empty((count, levels) + rung.stored_shape, dtype=np.complex128)
     ipsi2_hat = np.empty((count, levels) + rung.shape, dtype=np.complex128)
     for k in range(levels):
         if k:
             ens.advance()
-        psi[:, k], wick_hat[:, k], ipsi2_hat[:, k] = ens.psi, ens._wick_hat[n], ens._ipsi2[n]
+        box.copy(ens.psi, src=grid.N, out=psi_box[:, k])
+        wick_hat[:, k], ipsi2_hat[:, k] = ens._wick_hat[n], ens._ipsi2[n]
     del ens
     for b in range(count):
-        wick = grid.inverse_values(rung.to_study(rung.complete(wick_hat[b]))).real
+        psi = box.copy(psi_box[b], dst=grid.N)
+        wick = grid.inverse_values(rung.to_study(rung.complete(wick_hat[b])))
+        wick.imag = 0.0
         ipsi2 = rung.to_study(ipsi2_hat[b])
         yield StochasticPath(
             params=params,
             grid=grid,
             times=times,
-            psi=[Field(grid, values, "frequency") for values in psi[b]],
+            psi=[Field(grid, values, "frequency") for values in psi],
             wick=[Field(grid, values, "physical") for values in wick],
             ipsi2=[Field(grid, values, "frequency") for values in ipsi2],
             seed=seed,

@@ -1,8 +1,16 @@
 """scripts/golden_moves.py: the report of how far two golden runs' numbers moved."""
 
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from wsnl.grid import Field, SpectralGrid
+from wsnl.reference import PaperParams
+from wsnl.snapshots import write_snapshot
+from wsnl.stochastic import sample_path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "golden_moves.py"
 
@@ -46,3 +54,36 @@ def test_golden_moves_reports_moved_cells_columns_and_changed_lines(tmp_path):
     ]
     assert run(old, old).stdout == "all 4 files byte-identical\n"
     assert run(old).returncode == 2
+
+
+def test_golden_moves_reports_snapshot_moves_per_block(tmp_path):
+    grid = SpectralGrid(1, 2 * np.pi, 16)
+    path = sample_path(PaperParams(d=1, alpha=0.3, eps=0.01, n=4), grid, seed=7, T=0.25, K=4)
+    wick = [field.values.copy() for field in path.wick]
+    wick[2][5] *= 2.0  # one value moves by 0.5 of the larger
+    moved = dataclasses.replace(path, wick=[Field(grid, values, "physical") for values in wick])
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, sample in ((old, path), (new, moved)):
+        (root / "sample").mkdir(parents=True)
+        write_snapshot(sample, root / "sample" / "path-0000.wsnl")
+        write_snapshot(path, root / "sample" / "path-0001.wsnl")
+    # a file that is not a snapshot of the documented layout stays "binary"
+    (old / "sample" / "path-0002.wsnl").write_bytes(b"WSNL")
+    (new / "sample" / "path-0002.wsnl").write_bytes(b"WSNL\x00")
+    result = run(old, new)
+    assert result.returncode == 0
+    assert result.stdout.splitlines() == [
+        "sample/path-0000.wsnl: 1 value moved",
+        "  wick: 1 value moved, largest relative move 0.5",
+        "sample/path-0002.wsnl: binary files differ",
+        "2 of 3 files differ",
+    ]
+    # a path of another K: the headers differ, and the blocks are not compared
+    shorter = sample_path(path.params, grid, seed=7, T=0.25, K=2)
+    write_snapshot(shorter, new / "sample" / "path-0001.wsnl")
+    lines = run(old, new).stdout.splitlines()
+    assert lines[2:5] == [
+        "sample/path-0001.wsnl: 1 value moved",
+        "  header: 1 value moved, largest relative move 0.5",
+        "  times, psi, wick, ipsi2: not compared, the headers give different layouts",
+    ]

@@ -66,6 +66,31 @@ def make_config(grid, params, rho, phi, T, K, **kw):
     return SolverConfig(params=params, rho=rho, phi=phi, dt=T / K, T=T, **kw)
 
 
+def solve_with_v(config, path, monkeypatch):
+    """solve(config, path) and v at every level it reached, formed as solve()
+    forms it from the z rows its march returns: v = z + R by v_from_z, and
+    v(0) = phi.  Its last row is the output's v_final, bit for bit."""
+    name = "_march_global" if config.mode == "global" else "_march_step_local"
+    march, rows = getattr(wsnl.solver, name), []
+
+    def recording_march(*args):
+        result = march(*args)
+        rows.append(result[0].copy())
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(wsnl.solver, name, recording_march)
+        out = solve(config, path)
+    grid = path.grid
+    sup = support(None if config.rho is None else config.rho.evaluate(grid))
+    stacked = [np.stack([f.values for f in fields]) for fields in (path.psi, path.ipsi2)]
+    r = level(config, grid, sup, *stacked, path.times).r
+    v = v_from_z(grid, sup, rows[0], None if r is None else r[: len(rows[0])])
+    v[0] = grid.zeros() if config.phi is None else grid.forward_values(config.phi.values)
+    assert np.array_equal(v[-1], out.v_final)
+    return out, v
+
+
 class TestFreeEvolution:
     def test_no_cutoff_is_exact_free_group(self):
         T, K = 0.5, 256
@@ -75,22 +100,24 @@ class TestFreeEvolution:
         assert out.completed
         phi_hat = GRID.forward_values(phi.values)
         expected = np.exp(1j * T * GRID.xi2) * phi_hat
-        assert np.max(np.abs(out.v[-1] - expected)) < 1e-10 * np.max(np.abs(phi_hat))
+        assert np.max(np.abs(out.v_final - expected)) < 1e-10 * np.max(np.abs(phi_hat))
 
     def test_l2_conserved_over_256_steps(self):
         T, K = 0.5, 256
         phi = three_mode_field(GRID)
         config = make_config(GRID, PARAMS, None, phi, T, K)
         out = solve(config, zero_path(PARAMS, GRID, T=T, K=K))
-        l2_0 = sobolev_norm_hat(GRID, out.v[0], 0.0, 2)
-        l2_T = sobolev_norm_hat(GRID, out.v[-1], 0.0, 2)
+        l2_0 = sobolev_norm_hat(GRID, GRID.forward_values(phi.values), 0.0, 2)
+        l2_T = sobolev_norm_hat(GRID, out.v_final, 0.0, 2)
         assert abs(l2_T - l2_0) < 1e-10 * l2_0
 
     def test_zero_data_stays_zero(self):
         config = make_config(GRID, PARAMS, None, None, 0.25, 16)
         out = solve(config, zero_path(PARAMS, GRID, T=0.25, K=16))
-        assert out.v.shape == (17,) + GRID.shape
-        assert np.all(out.v == 0)
+        assert len(out.times) == 17 and out.v_final.shape == GRID.shape
+        assert np.all(out.v_final == 0)
+        for trace in (out.trace_h, out.trace_wq, out.trace_localized):
+            assert np.all(trace == 0)
 
 
 class TestQuadraticNonlinearity:
@@ -143,7 +170,7 @@ class TestConvergence:
         )
         out = solve(config, zero_path(PARAMS, GRID, T=self.T, K=K))
         assert out.completed
-        return out.v[-1]
+        return out.v_final
 
     def test_richardson_self_convergence_order_two(self):
         ref = self._final(128)
@@ -509,7 +536,7 @@ def test_blowup_is_reported_not_raised():
     assert isinstance(out.failure, StepFailure)
     # the first step's residual overflows at the fifth iteration
     assert repr(dataclasses.astuple(out.failure)) == "('blowup', 0.015625, 0, nan, 5)"
-    assert len(out.v) < K + 1  # partial trajectory returned
+    assert len(out.times) < K + 1  # partial trajectory returned
 
 
 @pytest.mark.parametrize("mode", ["step-local", "global"])
@@ -540,7 +567,7 @@ def test_picard_failure_ends_the_march_at_the_unconverged_step(mode, monkeypatch
         residual = stepper.residuals[0]
         assert stepper.failed.all() and PICARD_TOL < residual < np.inf
         assert dataclasses.astuple(out.failure) == ("picard", float(path.times[1]), 0, residual, 1)
-        assert len(out.v) == 1 and np.all(out.v[0] == 0)
+        assert len(out.times) == 1 and np.all(out.v_final == 0)
         assert len(out.picard_iterations) == len(out.residuals) == len(out.monotone_flags) == 0
         return
     # one sweep from the first iterate, z = v - R = 0 at every level (phi is
@@ -551,7 +578,7 @@ def test_picard_failure_ends_the_march_at_the_unconverged_step(mode, monkeypatch
     distance = y["sup_H_minus_s"] + y["Lp_W_minus_s_q"] + y["Leta_localized"]
     assert distance == pytest.approx(0.0039527, rel=1e-4)
     assert dataclasses.astuple(out.failure) == ("picard", T, K - 1, distance, 1)
-    assert len(out.v) == K + 1
+    assert len(out.times) == K + 1
     assert np.all(out.picard_iterations == 1) and np.all(out.residuals == distance)
 
 
@@ -580,7 +607,7 @@ def test_global_blowup_keeps_the_records_of_the_levels_before_it():
     # rows record those sweeps and their distance, the failure the cut
     out = global_blowup_case("global")
     assert str(out.failure) == "blowup failure at t = 1 (step 3): residual nan after 19 iterations"
-    assert len(out.v) == 4 and np.all(out.picard_iterations == 13)
+    assert len(out.times) == 4 and np.all(out.picard_iterations == 13)
     assert np.all(np.isfinite(out.residuals)) and np.all(out.residuals == out.residuals[0])
     assert out.residuals[0] == pytest.approx(8.07e-11, rel=1e-3)
 
@@ -589,7 +616,7 @@ def test_global_blowup_kept_levels_converge_to_the_step_local_solution():
     # the kept levels clear PICARD_TOL and reach the fixed point that the
     # step-local march converges to step by step
     glob, local = global_blowup_case("global"), global_blowup_case("step-local")
-    assert len(glob.v) == len(local.v) == 4
+    assert len(glob.times) == len(local.times) == 4
     assert np.all(glob.residuals <= 1e-10)
     assert np.allclose(glob.trace_h, local.trace_h, rtol=1e-8, atol=0)
 
@@ -613,8 +640,8 @@ def test_global_mode_blowup_is_dated_like_step_local():
     for out in outs:
         assert out.failure.kind == "blowup" and out.failure.step_index == 0
         assert out.failure.time == path.times[1]
-        assert len(out.v) == 1 and len(out.trace_h) == 1 and len(out.picard_iterations) == 0
-    assert np.array_equal(outs[0].v[0], outs[1].v[0])
+        assert len(out.times) == 1 and len(out.trace_h) == 1 and len(out.picard_iterations) == 0
+    assert np.array_equal(outs[0].v_final, outs[1].v_final)
     # the non-finite residual reads the same in both: NaN
     assert repr(outs[0].failure.residual) == repr(outs[1].failure.residual) == "nan"
 
@@ -628,21 +655,25 @@ def constant_ipsi2_path(T, K):
     return dataclasses.replace(path, ipsi2=[Field(GRID, vals, "frequency") for _ in path.times])
 
 
-def test_global_mode_matches_step_local_fixed_point():
+def test_global_mode_matches_step_local_fixed_point(monkeypatch):
     # both modes start from v(0) = phi, whatever R(0) is
     rho = CutoffRho.for_grid(GRID)
+    traces = _make_traces(GRID, PARAMS, rho.evaluate(GRID))
     cases = [
         (three_mode_field(GRID, amp=0.2), zero_path(PARAMS, GRID, T=0.125, K=32)),
         (None, constant_ipsi2_path(T=0.25, K=16)),
     ]
     for phi, path in cases:
         T, K = float(path.times[-1]), len(path.times) - 1
-        local = solve(make_config(GRID, PARAMS, rho, phi, T, K, mode="step-local"), path)
-        glob = solve(make_config(GRID, PARAMS, rho, phi, T, K, mode="global"), path)
+        configs = [make_config(GRID, PARAMS, rho, phi, T, K, mode=m) for m in ("step-local", "global")]
+        (local, v_local), (glob, v_glob) = (solve_with_v(c, path, monkeypatch) for c in configs)
         assert local.completed and glob.completed
         phi_hat = GRID.zeros() if phi is None else GRID.forward_values(phi.values)
-        assert np.array_equal(local.v[0], phi_hat) and np.array_equal(glob.v[0], phi_hat)
-        assert np.max(np.abs(local.v - glob.v)) < 1e-7
+        start = [float(t[0]) for t in traces(phi_hat[None])]
+        for out in (local, glob):
+            first = [out.trace_h[0], out.trace_wq[0], out.trace_localized[0]]
+            assert first == pytest.approx(start, rel=1e-13)
+        assert np.max(np.abs(v_local - v_glob)) < 1e-7
 
 
 @pytest.mark.parametrize("mode", ["step-local", "global"])
@@ -736,7 +767,7 @@ def test_ensemble_march_matches_solve_per_member(tight_picard):
                 path = rung_path(params, GRID, seed, m, T, K, top=2 * n)
             out = solve(make_config(GRID, params, rho, None, T, K), path)
             assert out.completed
-            ref = out.v[-1]
+            ref = out.v_final
             assert np.max(np.abs(v_hat[m] - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
@@ -787,27 +818,59 @@ def test_step_local_march_matches_the_plain_reference(tight_picard):
     out = solve(config, path)
     assert out.completed
     ref, ref_iterations = reference_march(config, path)
-    assert np.max(np.abs(out.v[-1] - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert np.max(np.abs(out.v_final - ref)) <= 1e-9 * np.max(np.abs(ref))
     # the predictor start saves iterations
     assert int(np.sum(out.picard_iterations)) < ref_iterations
 
 
-def test_y_norm_traces_finite_and_windowed():
+def test_y_norm_traces_finite_and_windowed(monkeypatch):
     T, K = 0.25, 32
     path = sample_path(PARAMS, GRID, seed=23, T=T, K=K)
     rho = CutoffRho.for_grid(GRID)
-    out = solve(make_config(GRID, PARAMS, rho, None, T, K), path)
+    out, v = solve_with_v(make_config(GRID, PARAMS, rho, None, T, K), path, monkeypatch)
     assert out.completed
     for trace in (out.trace_h, out.trace_wq, out.trace_localized):
         assert np.all(np.isfinite(trace))
     # H^{-s} trace is the frequency-side formula: cross-check one snapshot
     k = len(out.times) // 2
-    direct = sobolev_norm_hat(GRID, out.v[k], -PARAMS.s, 2)
+    direct = sobolev_norm_hat(GRID, v[k], -PARAMS.s, 2)
     assert out.trace_h[k] == pytest.approx(direct, rel=1e-10)
 
 
 @pytest.mark.parametrize("mode", ["step-local", "global"])
-def test_wq_trace_is_the_h_trace_at_q2_and_the_physical_norm_at_q4(mode):
+def test_a_kept_output_holds_one_grid_array_beyond_its_traces_and_records(mode):
+    # v is kept at its last level only, not at each of the K + 1 levels; at
+    # N = 1024 one grid array (16 KB) outweighs the few small objects left
+    # in the interpreter's free lists
+    T, K = 0.25, 32
+    grid = SpectralGrid(1, 2 * np.pi, 1024)
+    params = PaperParams(d=1, alpha=0.3, eps=0.01, n=32)
+    path = sample_path(params, grid, seed=71, T=T, K=K)
+    config = make_config(grid, params, CutoffRho.for_grid(grid), None, T, K, mode=mode)
+    solve(config, path)  # fills the caches a solve fills once
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = solve(config, path)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert out.completed and out.v_final.shape == grid.shape
+    records = sum(
+        getattr(out, name).nbytes
+        for name in (
+            "picard_iterations", "residuals", "monotone_flags",
+            "trace_h", "trace_wq", "trace_localized",
+        )
+    )
+    assert kept - records <= 1.5 * out.v_final.nbytes
+
+
+@pytest.mark.parametrize("mode", ["step-local", "global"])
+def test_wq_trace_is_the_h_trace_at_q2_and_the_physical_norm_at_q4(mode, monkeypatch):
     # d = 1 takes the pair (inf, 2): the W^{-s,2} trace is the H^{-s} trace
     T, K = 0.25, 16
     path = sample_path(PARAMS, GRID, seed=61, T=T, K=K)
@@ -818,9 +881,10 @@ def test_wq_trace_is_the_h_trace_at_q2_and_the_physical_norm_at_q4(mode):
     grid = SpectralGrid(2, 2 * np.pi, 16)
     params = PaperParams(d=2, alpha=0.9, n=4)
     path = sample_path(params, grid, seed=62, T=T, K=8)
-    out = solve(make_config(grid, params, CutoffRho.for_grid(grid), None, T, 8, mode=mode), path)
+    config = make_config(grid, params, CutoffRho.for_grid(grid), None, T, 8, mode=mode)
+    out, v = solve_with_v(config, path, monkeypatch)
     assert params.pair[1] == 4 and out.completed
-    assert np.array_equal(out.trace_wq, sobolev_norm_hat(grid, out.v, -params.s, 4))
+    assert np.array_equal(out.trace_wq, sobolev_norm_hat(grid, v, -params.s, 4))
     assert not np.array_equal(out.trace_wq, out.trace_h)
 
 
@@ -1032,14 +1096,15 @@ def stacked_case(name, mode):
         "no dealiasing",
     ],
 )
-def test_stacked_solve_matches_the_per_level_reference_bit_for_bit(name, mode):
+def test_stacked_solve_matches_the_per_level_reference_bit_for_bit(name, mode, monkeypatch):
     config, path = stacked_case(name, mode)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = solve(config, path)
+        out, v = solve_with_v(config, path, monkeypatch)
         ref = per_level_reference(config, path)
     assert np.array_equal(out.times, ref["times"])
-    assert np.array_equal(out.v, ref["v"])
+    assert np.array_equal(v, ref["v"])
+    assert np.array_equal(out.v_final, ref["v"][-1])
     for key in (
         "picard_iterations", "residuals", "monotone_flags", "trace_h", "trace_wq", "trace_localized"
     ):
