@@ -16,12 +16,13 @@ largest first: each allocation is charged to the innermost frame in the
 wsnl package, so an array that a numpy function makes for a wsnl line
 counts against that line.  The hook slows the command about twofold.
 Without --out the outputs go to a temporary directory.  The exit status is
-the command's.
+the command's, also when the reader of the report closes its pipe early.
 """
 
 from __future__ import annotations
 
 import linecache
+import os
 import sys
 import tempfile
 import threading
@@ -102,7 +103,12 @@ def main(argv: list[str]) -> int:
             threading.setprofile(None)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-    print("\n".join(report(peak, hook.snapshot)))
+    try:
+        print("\n".join(report(peak, hook.snapshot)), flush=True)
+    except BrokenPipeError:
+        # the reader has gone (`| head`): what it read stands, and the
+        # interpreter's last flush at exit must not find the pipe again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

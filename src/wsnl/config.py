@@ -90,7 +90,10 @@ KINDS = {
     # K = 32 at T = 0.5 makes the step T/K = 1/64 the smallest lag
     "hoelder": Kind("hoelder", "n", statistical=True, defaults=dict(M=1000, n=32.0, K=32)),
     # finer frequency lattice (L = 8 pi): more modes per dyadic shell, which
-    # suppresses the small-shell median bias that otherwise masks the decay
+    # suppresses the small-shell median bias that otherwise masks the decay.
+    # chunk = 100 members per thread task, each chunk marched in tiles within
+    # studies.TILE_BYTES: about 228 KB per member at N = 1024 and five
+    # radii, so two tiles of 50
     "solver_convergence": Kind(
         "converge", "each_rung_and_2n", tracks=True, min_rungs=2, statistical=True,
         defaults=dict(M=200, eps=0.045, ladder=(8.0, 16.0, 32.0, 64.0), T=0.25, K=128,

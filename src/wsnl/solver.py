@@ -427,6 +427,7 @@ def step_values(
     failed: np.ndarray | None = None,
     out: np.ndarray | None = None,
     g_out: np.ndarray | None = None,
+    member_iterations: np.ndarray | None = None,
 ):
     """One Picard-resolved Duhamel step of z = v - R from level prev to level
     nxt on raw arrays (leading batch axes allowed), whose spectra hold the
@@ -441,10 +442,12 @@ def step_values(
     members that failed before: they are neither iterated nor transformed,
     and come back zero and flagged.  out, when given, receives z_next, and
     may be z_hat itself; g_out, when given, receives G at nxt, and may be
-    hn_prev.g, which the step has read by then.  R enters only inside N, in
-    physical space.  Picard starts from fixed = e^{-i dt Lap}(z_k + h N_k) +
-    h F(forcing at t_{k+1}), every term of the step but the implicit h N,
-    and each member iterates on the box of rho's support (_picard_on_box)
+    hn_prev.g, which the step has read by then.  member_iterations, when
+    given, an integer array of the batch's shape, receives each member's own
+    Picard iteration count (0 for a member flagged before).  R enters only
+    inside N, in physical space.  Picard starts from fixed = e^{-i dt
+    Lap}(z_k + h N_k) + h F(forcing at t_{k+1}), every term of the step but
+    the implicit h N, and each member iterates on the box of rho's support (_picard_on_box)
     until its own residual clears PICARD_TOL.  h N_k = i G_k is rebuilt from
     its half spectrum at the front of work, which the loop then takes over,
     and z_next = fixed + i G at the loop's last g.
@@ -493,9 +496,13 @@ def step_values(
             # no cutoff: N vanishes and fixed is the step
             g[...] = 0.0
             iterations, residuals, history = 1, np.zeros(members), [0.0]
+            counts = np.where(skip, 0, 1)
             stuck = np.zeros(members, dtype=bool)
         else:
-            iterations, residuals, history, stuck = _picard_on_box(grid, rows, nxt, st, work, g, skip)
+            counts, residuals, history, stuck = _picard_on_box(grid, rows, nxt, st, work, g, skip)
+            iterations = int(counts.max(initial=0))
+        if member_iterations is not None:
+            member_iterations[...] = counts.reshape(batch_shape)
         rows += _hn_values(modes, Carry(g, None), hn_work.reshape(rows.shape))
         norms = np.sqrt(weighted_norm_sq_hat(grid, rows, st.norm_weight))
     monotone_ok = all(b <= a for a, b in zip(history[1:], history[2:]))
@@ -538,11 +545,12 @@ def _picard_on_box(
     work: np.ndarray,
     result: np.ndarray,
     skip: np.ndarray,
-) -> tuple[int, np.ndarray, list[float], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[float], np.ndarray]:
     """The Picard iteration z^(m+1) = fixed + h N(z^(m) + R) of step_values
     from z^(0) = fixed, for the members (rows, on st's stored modes) of fixed
     that skip does not flag, in physical space on the box of rho's support:
-    (iterations, residuals, history, failed).  i G is each member's h N at
+    (iterations, residuals, history, failed), with each member's own
+    iteration count, 0 for a skipped one.  i G is each member's h N at
     its last iterate, and result, a batch of st's stored half spectra,
     receives G there in the rows of those members; the skipped members are
     never transformed, and their rows are not written.  work is
@@ -573,8 +581,9 @@ def _picard_on_box(
     active = np.flatnonzero(~skip)
     k = len(active)
     residuals = np.zeros(members)
+    counts = np.zeros(members, dtype=np.intp)
     if not k:
-        return 0, residuals, [], np.zeros(members, dtype=bool)
+        return counts, residuals, [], np.zeros(members, dtype=bool)
     psi = nxt.two_rho_psi.reshape((members,) + sup.rho.shape)
     r = None if nxt.r is None else nxt.r.reshape(psi.shape)
     if k < members:
@@ -620,11 +629,13 @@ def _picard_on_box(
         history.append(float(increments.max(where=np.isfinite(increments), initial=0.0)))
         go = (e > PICARD_TOL) & (e < np.inf)  # neither converged nor failed
         if m == PICARD_MAX or not go.any():
+            counts[active] = m
             modes.copy(g[:k], src=grid.N, out=result, rows=active, half=True)
             break
         if not go.all():
             # the last g is spent: it takes the members that stop, then
             # those that go on
+            counts[active[~go]] = m
             done = np.compress(~go, g[:k], axis=0, out=g_last[: k - np.count_nonzero(go)])
             modes.copy(done, src=grid.N, out=result, rows=active[~go], half=True)
             active, increments = active[go], increments[go]
@@ -639,7 +650,7 @@ def _picard_on_box(
         y *= st.rho_y
         y += im_a
         g, g_last, last_increments = g_last, g, increments
-    return m, residuals, history, ~(residuals <= PICARD_TOL)
+    return counts, residuals, history, ~(residuals <= PICARD_TOL)
 
 
 class RemainderStepper:
@@ -669,8 +680,9 @@ class RemainderStepper:
     which the caller's Level at the current time holds (v_hat).  Failed
     members are zeroed in z and in G and flagged in `failed`; later steps
     neither iterate nor transform them, and the march goes on.  Per-step
-    Picard iterations, worst residuals and monotone flags are collected in
-    lists.
+    Picard iterations (of the member that iterated longest), worst residuals
+    and monotone flags are collected in lists, and member_steps[m] counts
+    the member-steps that took m iterations, each member by its own count.
     """
 
     def __init__(
@@ -711,7 +723,9 @@ class RemainderStepper:
         self.iterations: list[int] = []
         self.residuals: list[float] = []
         self.monotone: list[bool] = []
+        self.member_steps = np.zeros(PICARD_MAX + 1, dtype=np.int64)
         self.failed = np.zeros(np.shape(v_hat)[: np.ndim(v_hat) - grid.d], dtype=bool)
+        self._member_iterations = np.zeros(self.failed.shape, dtype=np.intp)
 
     def z_values(self, out: np.ndarray | None = None) -> np.ndarray:
         """z at the current level on the whole grid, in out when given, else
@@ -742,7 +756,9 @@ class RemainderStepper:
             failed=self.failed,
             out=self.z,
             g_out=self._hn.g,
+            member_iterations=self._member_iterations,
         )
+        self.member_steps += np.bincount(self._member_iterations.ravel(), minlength=PICARD_MAX + 1)
         self.iterations.append(iterations)
         self.residuals.append(float(np.max(residuals)))
         self.monotone.append(monotone)

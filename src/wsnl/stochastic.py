@@ -310,6 +310,19 @@ class PathEnsemble:
         compact = self.size * max(math.prod(self._rung(r).shape) for r in self.radii)
         return max((normals + 1) // 2, ball, points + max((points + 1) // 2, compact))
 
+    def member_bytes(self, scratch: int | None = None) -> int:
+        """The bytes the march holds per member while it steps: psi, the
+        tracked Wick and <I Psi^2> transforms, a key block's increments and
+        advance()'s scratch, or in its place a caller's buffer of `scratch`
+        complex values."""
+        noise = self._noise
+        steps = min(noise.steps_per_key, len(self.times) - 1)
+        values = self.psi.size + self.size * steps * len(noise.modes)
+        values += self.scratch_size if scratch is None else scratch
+        if self.track:
+            values += sum(a.size for a in [*self._wick_hat.values(), *self._ipsi2.values()])
+        return self.psi.itemsize * values // self.size
+
     def _points(self, radii: list[float]) -> int:
         return self.size * max(self._rung(r).padded.N ** self.grid.d for r in radii)
 

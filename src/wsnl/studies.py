@@ -26,7 +26,6 @@ one noise stream gives it a Monte Carlo standard error.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable
@@ -57,6 +56,11 @@ from .stochastic import PathEnsemble, uniform_times
 ROUNDOFF_REL = 1e-9
 # the renormalization study's tolerance on its divergence exponent d - 2 alpha
 RENORM_SLOPE_TOL = 0.05
+# the bytes one tile of a chunk's march may hold (_ensemble_blocks).  Half
+# of converge's pinned chunk of 100 at N = 1024 (about 228 KB per member)
+# fits; smaller tiles pay numpy's per-call overhead more often (a tile of 25
+# there ran 7% slower)
+TILE_BYTES = 12 * 2**20
 
 
 @dataclass
@@ -152,27 +156,40 @@ def resolution_note(grid: SpectralGrid, radii: Iterable[float]) -> str:
 # chunked ensemble execution
 # ---------------------------------------------------------------------------
 
-def _ensemble_blocks(config: StudyConfig, measure) -> list:
-    """measure(ens) for each chunk of config.chunk members, in member order.
+def _ensemble_blocks(config: StudyConfig, measure, member_bytes=PathEnsemble.member_bytes) -> list:
+    """measure(ens) for each tile of config.M members, in member order.
 
-    Each chunk's ensemble marches config.K steps of config.T / config.K at
-    config.radii() and tracks the Wick squares and their Duhamel convolutions
-    when config.tracks.  It starts at its first member's noise stream, so a
-    member's values depend on neither the chunking nor the thread count."""
+    Each thread task takes a chunk of config.chunk members and marches it
+    in equal consecutive tiles, as few as keep each within TILE_BYTES (one
+    member at least): a march's working set grows with its members, and
+    member_bytes(ens), given a one-member ensemble, says what it holds per
+    member (the ensemble's own arrays by default; a measure that holds more
+    passes its own).  Each tile's ensemble marches config.K steps of
+    config.T / config.K at config.radii() and tracks the Wick squares and
+    their Duhamel convolutions when config.tracks.  It starts at its first
+    member's noise stream, so a member's values depend on neither the
+    chunking, the tiling nor the thread count."""
     grid = config.grid()
 
-    def block(lo: int):
-        size = min(config.chunk, config.M - lo)
-        return measure(PathEnsemble(
+    def ensemble(lo: int, size: int) -> PathEnsemble:
+        return PathEnsemble(
             grid, config.alpha, config.radii(), config.T, config.K, seed=config.seed, size=size,
             stream_offset=lo, track=config.tracks,
-        ))
+        )
+
+    tile = max(1, TILE_BYTES // member_bytes(ensemble(0, 1)))
+
+    def chunk(lo: int) -> list:
+        size = min(config.chunk, config.M - lo)
+        tiles = -(-size // tile)
+        bounds = [lo + size * j // tiles for j in range(tiles + 1)]
+        return [measure(ensemble(a, b - a)) for a, b in zip(bounds, bounds[1:])]
 
     starts = range(0, config.M, config.chunk)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(block, starts))
-    return [block(lo) for lo in starts]
+            return [block for blocks in pool.map(chunk, starts) for block in blocks]
+    return [block for lo in starts for block in chunk(lo)]
 
 
 def _at_steps(ens: PathEnsemble, steps: Iterable[int], read) -> dict[int, object]:
@@ -794,14 +811,21 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
                 stepper.step(current(r))
         cols = [pair_norm(ens, steppers, n, inputs) for n in ladder]
         failed = np.logical_or.reduce([stepper.failed for stepper in steppers.values()])
-        iterations = Counter(m for stepper in steppers.values() for m in stepper.iterations)
+        iterations = sum(stepper.member_steps for stepper in steppers.values())
         return np.stack(cols, axis=-1), failed, iterations
 
-    blocks = _ensemble_blocks(config, measure)
+    def member_bytes(ens: PathEnsemble) -> int:
+        # measure's workspace takes the place of the ensemble's own scratch,
+        # and each radius holds z and G's half on the modes st stores
+        work = workspace(grid, sup, 1, ens.scratch_size)
+        held = len(radii) * (math.prod(st.modes.shape) + math.prod(st.modes.half_shape))
+        return ens.member_bytes(work.size) + work.itemsize * held
+
+    blocks = _ensemble_blocks(config, measure, member_bytes)
     kept = Samples(np.concatenate([block[~failed] for block, failed, _ in blocks]))
     failed_total = sum(int(failed.sum()) for _, failed, _ in blocks)
-    # batched steps by their Picard iteration count, over rungs and chunks
-    picard = sum((iterations for _, _, iterations in blocks), Counter())
+    # member-steps by their own Picard iteration count, over radii and tiles
+    picard = sum(iterations for _, _, iterations in blocks)
     medians = np.median(kept.values, axis=0) if kept.count else kept.mean  # none kept: nan
 
     rows: list[list[object]] = []
@@ -824,7 +848,7 @@ def run_solver_convergence_study(config: StudyConfig) -> StudyResult:
         notes=[
             f"coupled solves, chi = rho, excluded realizations: {failed_total}",
             f"s = {s:.4g}, T = {config.T}, K = {config.K}",
-            "picard iterations per step: " + ", ".join(f"{m}: {picard[m]}" for m in sorted(picard)),
+            "picard iterations per step: " + ", ".join(f"{m}: {c}" for m, c in enumerate(picard) if c),
             resolution_note(grid, radii),
         ],
     )

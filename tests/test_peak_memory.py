@@ -41,3 +41,20 @@ def test_peak_memory_reports_the_peak_and_the_wsnl_lines_live_near_it(tmp_path):
     assert run("constants", cwd=tmp_path).returncode == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run"]
     assert run(cwd=tmp_path).returncode == 2
+
+
+def test_peak_memory_ends_quietly_when_its_reader_closes_the_pipe(tmp_path):
+    # as `peak_memory.py sample ... | head -1`: the command's one line is
+    # read, and the report that follows it finds the pipe closed; unbuffered,
+    # each print writes at once
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONUNBUFFERED="1")
+    args = ["sample", "--set", "M=1", "--set", "N=32", "--set", "n=4", "--set", "K=4", "--out", "run"]
+    with subprocess.Popen(
+        [sys.executable, str(SCRIPT), *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env, cwd=tmp_path, text=True,
+    ) as proc:
+        assert proc.stdout.readline().startswith("wrote 1 snapshot(s)")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, stderr
+    assert stderr == ""

@@ -411,8 +411,10 @@ def test_step_values_neither_iterates_nor_transforms_a_failed_member(monkeypatch
 
     monkeypatch.setattr(SpectralGrid, "forward_values", counting(forward))
     monkeypatch.setattr(SpectralGrid, "inverse_values", counting(inverse))
+    counts = np.full(3, -1)
     z_next, iterations, residuals, _, _, failed, hn_next = step_values(
-        grid, z, prev, nxt, st, workspace(grid, sup, 3), hn_prev=hn_prev, failed=dead
+        grid, z, prev, nxt, st, workspace(grid, sup, 3), hn_prev=hn_prev, failed=dead,
+        member_iterations=counts,
     )
     monkeypatch.undo()
     assert iterations >= 2 and max(rows) == 2
@@ -429,6 +431,36 @@ def test_step_values_neither_iterates_nor_transforms_a_failed_member(monkeypatch
         hn_prev=Carry(hn_prev.g[keep], None),
     )
     assert np.array_equal(z_next[keep], alone[0]) and np.array_equal(hn_next.g[keep], alone[6].g)
+    # the flagged member takes no Picard iteration
+    assert counts[1] == 0 and iterations == counts.max()
+
+
+def test_each_member_counts_its_own_picard_iterations():
+    # members of different sizes stop at different iterations: each counts
+    # those it takes stepped alone, and the step counts the largest
+    grid = SpectralGrid(1, 2 * np.pi, 64)
+    rng = np.random.default_rng(5)
+    config = make_config(grid, PARAMS, CutoffRho.for_grid(grid), None, 0.25, 16)
+    sup = support(config.rho.evaluate(grid))
+    sizes = np.array([0.02, 0.2, 0.6])[:, None]
+    psi = band_limited(grid, rng, 0.3, (2, 3)) * sizes
+    ipsi2 = band_limited(grid, rng, 0.1, (2, 3)) * sizes
+    prev, nxt = (level(config, grid, sup, psi[k], ipsi2[k], k * config.dt) for k in (0, 1))
+    z = band_limited(grid, rng, 0.2, (3,)) * sizes
+    st = stepping(config, grid, sup, masked=False)
+    counts = np.full(3, -1)
+    iterations = step_values(
+        grid, z, prev, nxt, st, workspace(grid, sup, 3), member_iterations=counts
+    )[1]
+    alone = [
+        step_values(
+            grid, z[m : m + 1], Level(*(a[m : m + 1] for a in prev[:2]), None),
+            Level(*(a[m : m + 1] for a in nxt[:2]), None), st, workspace(grid, sup, 1),
+        )[1]
+        for m in range(3)
+    ]
+    assert counts.tolist() == alone and len(set(alone)) == 3
+    assert iterations == max(alone)
 
 
 def test_stepper_keeps_only_z_and_half_of_h_n_between_steps():

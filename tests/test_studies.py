@@ -1,5 +1,7 @@
 """Study harness: regression helpers, self-calibration, reduced-scale studies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ import wsnl.studies
 from wsnl.cli import main
 from wsnl.config import ConfigError
 from wsnl.grid import SpectralGrid
+from wsnl.stochastic import PathEnsemble
 from wsnl.studies import (
+    TILE_BYTES,
     MeanAccumulator,
     Samples,
     StudyConfig,
@@ -17,6 +21,7 @@ from wsnl.studies import (
     loglog_ols,
     run_study,
     smoothing_sigmas,
+    _ensemble_blocks,
     white_noise_variance_check,
     wick_centering_check,
 )
@@ -133,9 +138,9 @@ def test_decrements_pair_each_member_with_itself():
 
 # Small configurations of every study that reduces through Samples, run at
 # chunk = M and at a chunk that does not divide M.  Converge's Picard loop
-# stops each member at its own contraction bound, so its rows are compared
-# too; only its Picard histogram note, which counts batched steps by the
-# iterations of their slowest member, depends on the chunking.
+# stops each member at its own contraction bound, and its histogram note
+# counts each member-step by that member's iterations, so its rows and notes
+# are compared too.
 CHUNK_INVARIANT = {
     "covariance": (run_study, dict(kind="covariance", N=32, n=4.0, K=4)),
     "wick_centering": (wick_centering_check, dict(kind="covariance", N=32, n=4.0, K=4)),
@@ -156,6 +161,7 @@ def test_chunk_moves_no_row_or_verdict(study):
     whole, chunked = (run(StudyConfig(M=100, chunk=c, seed=9, **settings)) for c in (100, 30))
     assert chunked.rows == whole.rows
     assert chunked.verdict_lines() == whole.verdict_lines()
+    assert chunked.notes == whole.notes
 
 
 def test_study_config_validation():
@@ -250,14 +256,61 @@ def test_converge_rejects_the_global_solver_mode(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_converge_notes_the_picard_iterations_of_every_batched_step():
-    # three chunks, three radii (ladder 2, 4 and their top 8), K = 8 steps each
+def test_converge_notes_the_picard_iterations_of_every_member_step():
+    # 100 members, three radii (ladder 2, 4 and their top 8), K = 8 steps each
     config = StudyConfig(kind="solver_convergence", M=100, chunk=40, N=64, K=8, ladder=(2.0, 4.0))
     prefix = "picard iterations per step: "
     [note] = [note for note in run_study(config).notes if note.startswith(prefix)]
     counts = dict(pair.split(": ") for pair in note.removeprefix(prefix).split(", "))
     assert list(counts) == sorted(counts, key=int)
-    assert sum(int(count) for count in counts.values()) == 3 * 3 * 8
+    assert sum(int(count) for count in counts.values()) == 100 * 3 * 8
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "M, chunk, tile", [(100, 100, 7), (100, 30, 7), (100, 30, 1), (123, 40, 11), (150, 150, None)]
+)
+def test_ensemble_blocks_cover_the_members_in_tiles_within_chunk_and_budget(M, chunk, tile, threads):
+    # tile: the members whose march fills TILE_BYTES; None measures the
+    # ensemble's own bytes
+    config = StudyConfig(kind="covariance", M=M, chunk=chunk, threads=threads, N=32, n=4.0, K=4)
+    member_bytes = PathEnsemble.member_bytes if tile is None else lambda ens: TILE_BYTES // tile
+    probe = PathEnsemble(config.grid(), config.alpha, config.radii(), config.T, config.K, seed=1, size=1)
+    budget = TILE_BYTES // member_bytes(probe)
+    blocks = _ensemble_blocks(config, lambda ens: (ens.stream_offset, ens.size), member_bytes)
+    starts = [lo for lo, _ in blocks]
+    assert starts[0] == 0 and all(lo + size == nxt for (lo, size), nxt in zip(blocks, starts[1:]))
+    assert sum(size for _, size in blocks) == M
+    # no tile spans two chunks, and each is at most a chunk and the budget's
+    assert all(lo // chunk == (lo + size - 1) // chunk for lo, size in blocks)
+    assert all(1 <= size <= min(chunk, budget) for _, size in blocks)
+    # a chunk's tiles are as few as the budget allows, and equal to one member
+    for first in range(0, M, chunk):
+        sizes = [size for lo, size in blocks if lo // chunk == first // chunk]
+        assert len(sizes) == -(-min(chunk, M - first) // budget)
+        assert max(sizes) - min(sizes) <= 1
+
+
+def test_converge_at_twice_the_tile_holds_the_peak_of_one_tile():
+    # N = 1024 with the top radius 128: about 145 KB of march per member, so
+    # TILE_BYTES fits 86 members and a chunk of 100 marches as two tiles of
+    # 50, whose peak is that of a chunk of 50
+    settings = dict(kind="solver_convergence", M=100, N=1024, L=8 * np.pi, K=2, ladder=(32.0, 64.0))
+    run_study(StudyConfig(chunk=50, **settings))  # fills the caches a run fills once
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        peaks = {}
+        for chunk in (100, 50):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_study(StudyConfig(chunk=chunk, **settings))
+            peaks[chunk] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peaks[100] <= 1.1 * peaks[50]
 
 
 def test_white_noise_variance_check():
