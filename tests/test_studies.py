@@ -292,8 +292,8 @@ def test_ensemble_blocks_cover_the_members_in_tiles_within_chunk_and_budget(M, c
 
 
 def test_converge_at_twice_the_tile_holds_the_peak_of_one_tile():
-    # N = 1024 with the top radius 128: about 145 KB of march per member, so
-    # TILE_BYTES fits 86 members and a chunk of 100 marches as two tiles of
+    # N = 1024 with the top radius 128: about 185 KB of march per member, so
+    # TILE_BYTES fits 67 members and a chunk of 100 marches as two tiles of
     # 50, whose peak is that of a chunk of 50
     settings = dict(kind="solver_convergence", M=100, N=1024, L=8 * np.pi, K=2, ladder=(32.0, 64.0))
     run_study(StudyConfig(chunk=50, **settings))  # fills the caches a run fills once
